@@ -27,6 +27,7 @@ import (
 	"repro/internal/qprog"
 	"repro/internal/rotated"
 	"repro/internal/sfq"
+	"repro/internal/sfq/oracle"
 	"repro/internal/sfqchip"
 	"repro/internal/spacetime"
 	"repro/internal/sqv"
@@ -506,38 +507,49 @@ func BenchmarkDecodeHotPath(b *testing.B) {
 	}
 }
 
-// BenchmarkSFQMesh compares the legacy struct-of-bools mesh kernel, the
-// scalar bit-plane kernel, and the SWAR batch kernel at d ∈ {5,7,9,13}
-// on fixed seeded syndromes, all through the pooled decode path.
-// cycles/decode is attached as a metric — it must be identical across
-// kernels (the conformance suites enforce this; the benchmark makes it
-// visible). The batch case reports per-decode metrics (one call
-// advances Lanes() decodes); the PR 5 acceptance bar is batch ns/decode
-// ≤ ½ of the scalar bit-plane kernel at every d ≤ 13. cmd/bench
-// regenerates the same matrix into BENCH_pr3.json / BENCH_pr5.json.
+// BenchmarkSFQMesh times the SFQ mesh at d ∈ {5,7,9,13} on fixed
+// seeded syndromes: the struct-of-bools reference model
+// (internal/sfq/oracle), the production kernel at one lane (sfq.Mesh
+// through the pooled DecodeInto path), and the same kernel at full
+// batch width. cycles/decode is attached as a metric — it must be
+// identical across rows (the conformance suite enforces this; the
+// benchmark makes it visible). The batch case reports per-decode
+// metrics (one call advances Lanes() decodes). cmd/bench regenerates
+// the 1-lane versus batch comparison into BENCH_pr5.json.
 func BenchmarkSFQMesh(b *testing.B) {
 	for _, d := range []int{5, 7, 9, 13} {
 		l := lattice.MustNew(d)
 		g := l.MatchingGraph(lattice.ZErrors)
 		syndromes := hotPathSyndromes(b, l, g, 64, int64(100+d))
-		for _, k := range []sfq.Kernel{sfq.KernelLegacy, sfq.KernelBitplane} {
-			b.Run(fmt.Sprintf("d=%d/%s", d, k), func(b *testing.B) {
-				mesh := sfq.NewWithKernel(g, sfq.Final, k)
-				s := decodepool.NewScratch()
-				for _, syn := range syndromes { // warm the scratch
-					if _, err := mesh.DecodeInto(g, syn, s); err != nil {
-						b.Fatal(err)
-					}
-				}
-				var cycles int64
-				benchDecodeN(b, 1, func(i int) error {
-					_, err := mesh.DecodeInto(g, syndromes[i%len(syndromes)], s)
-					cycles += int64(mesh.Stats().Cycles)
-					return err
-				})
-				b.ReportMetric(float64(cycles)/float64(b.N), "cycles/decode")
+		b.Run(fmt.Sprintf("d=%d/oracle", d), func(b *testing.B) {
+			ref := oracle.New(g, sfq.Final)
+			var q []int
+			var cycles int64
+			benchDecodeN(b, 1, func(i int) error {
+				var st sfq.Stats
+				var err error
+				q, st, err = ref.Decode(syndromes[i%len(syndromes)], q[:0])
+				cycles += int64(st.Cycles)
+				return err
 			})
-		}
+			b.ReportMetric(float64(cycles)/float64(b.N), "cycles/decode")
+		})
+		b.Run(fmt.Sprintf("d=%d/1-lane", d), func(b *testing.B) {
+			mesh := sfq.New(g, sfq.Final)
+			s := decodepool.NewScratch()
+			for _, syn := range syndromes { // warm the scratch
+				if _, err := mesh.DecodeInto(g, syn, s); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var cycles int64
+			benchDecodeN(b, 1, func(i int) error {
+				_, err := mesh.DecodeInto(g, syndromes[i%len(syndromes)], s)
+				cycles += int64(mesh.Stats().Cycles)
+				return err
+			})
+			b.ReportMetric(float64(cycles)/float64(b.N), "cycles/decode")
+		})
 		b.Run(fmt.Sprintf("d=%d/batch", d), func(b *testing.B) {
 			batch := sfq.NewBatch(g, sfq.Final)
 			s := decodepool.NewScratch()

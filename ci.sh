@@ -5,28 +5,27 @@
 #
 # Runs, in order: go vet, go build, the full test suite, the test suite
 # under the race detector, a short native-fuzz smoke over the blossom
-# matcher, the decode dispatch, the SFQ mesh kernel pair, and the SWAR
-# batch kernel, short bit-plane/legacy and batch/scalar conformance
-# passes, the two-level escalation gates (differential conformance
-# against pure mesh / pure MWPM, a FuzzTwoLevel smoke, and the
+# matcher, the decode dispatch, and the SFQ mesh kernel against its
+# reference model (FuzzMesh), the two-level escalation gates
+# (differential conformance against pure mesh / pure MWPM, a
+# FuzzTwoLevel smoke, and the
 # two-level sweep determinism test under the race detector), a
 # batched-vs-scalar sweep determinism gate under the race
 # detector, the telemetry gates (a dedicated
 # race pass over internal/obs, the live /metrics smoke scrape, and the
 # <=5% instrumentation-overhead guard on the decode hot path), and the
 # decode-hot-path benchmarks
-# (which also regenerate BENCH_pr2.json, BENCH_pr3.json and
-# BENCH_pr5.json), and finally the decode service gates: wire
+# (which also regenerate BENCH_pr2.json and BENCH_pr5.json), and
+# finally the decode service gates: wire
 # conformance + a race-detector hammer over internal/serve (including
 # the escalation hammer), a FuzzFrame
 # smoke, a live serve+loadgen run in two-level mode that regenerates
 # BENCH_pr6.json, and the two-level accuracy-vs-latency frontier run
-# that regenerates BENCH_pr7.json. PR 8 adds: W-word wide-kernel
-# conformance (all widths bit-identical to the scalar kernel) and a
-# FuzzWideBatch smoke, a race pass over the work-stealing scheduler
-# plus the steal-schedule sweep-determinism gate, and regeneration of
-# BENCH_pr8.json — cmd/bench hard-fails if the W=4 kernel is below
-# 1.5x the W=1 layout at d >= 9, allocates, drops below 0.8x ideal
+# that regenerates BENCH_pr7.json. PR 8 adds a race pass over the
+# work-stealing scheduler plus the steal-schedule sweep-determinism
+# gate, and regeneration of BENCH_pr8.json — cmd/bench hard-fails if
+# the W=4 kernel is below 1.5x the one-lane sfq.Mesh at d >= 9
+# (measured in the same run), allocates, drops below 0.8x ideal
 # scaling on rows with workers <= NumCPU, or produces a sweep
 # fingerprint that differs across any worker/steal/width schedule;
 # loadgen -sweep then appends the serve lane-fill/latency rows.
@@ -76,16 +75,8 @@ echo "== fuzz smoke =="
 go test -run='^$' -fuzz=FuzzBlossom -fuzztime=5s ./internal/match
 go test -run='^$' -fuzz=FuzzDecode -fuzztime=5s ./internal/decoder
 go test -run='^$' -fuzz='^FuzzMesh$' -fuzztime=5s ./internal/sfq
-go test -run='^$' -fuzz='^FuzzBatchMesh$' -fuzztime=5s ./internal/sfq
-go test -run='^$' -fuzz='^FuzzWideBatch$' -fuzztime=5s ./internal/sfq
 go test -run='^$' -fuzz='^FuzzFrame$' -fuzztime=5s ./internal/serve
 go test -run='^$' -fuzz='^FuzzTwoLevel$' -fuzztime=5s ./internal/twolevel
-
-echo "== mesh kernel conformance (short) =="
-REPRO_MC_SHORT=1 go test -run TestBitplaneConformance ./internal/sfq
-REPRO_MC_SHORT=1 go test -run TestBatchMeshConformance ./internal/sfq
-REPRO_MC_SHORT=1 go test -run TestStatsExitPathParity ./internal/sfq
-REPRO_MC_SHORT=1 go test -run 'TestBatchMeshWidthConformance|TestBatchMeshWidthsAgree|TestBatchMeshWidthZeroAllocs' ./internal/sfq
 
 echo "== work-stealing scheduler: race pass + steal-schedule determinism =="
 go test -race -count=1 ./internal/sched
@@ -123,7 +114,7 @@ go test -run='^$' -bench BenchmarkDecodeHotPath -benchtime 100x -benchmem .
 go test -run='^$' -bench BenchmarkSFQMesh -benchtime 100x -benchmem .
 # -allow-dirty: ci.sh runs on development trees; the manifest still
 # records git_dirty so the artifact is honest about its provenance.
-go run ./cmd/bench -iters 2000 -out BENCH_pr2.json -mesh-out BENCH_pr3.json \
+go run ./cmd/bench -iters 2000 -out BENCH_pr2.json \
 	-batch-out BENCH_pr5.json -wide-out BENCH_pr8.json -allow-dirty
 
 echo "== decode service end to end: serve + loadgen (BENCH_pr6.json) =="

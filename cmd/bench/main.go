@@ -3,13 +3,12 @@
 // tracked as repository artifacts. For every matching decoder and
 // d ∈ {5, 9, 13} it times the legacy allocating Decode path and the
 // pooled zero-allocation DecodeInto path on identical seeded syndromes
-// (BENCH_pr2.json), then times the SFQ mesh's legacy and bit-plane
-// stepping kernels head to head on the same syndromes (BENCH_pr3.json),
-// reporting ns/decode, mesh cycles/decode, and allocation counts from
-// runtime.MemStats deltas. Finally it races the scalar bit-plane kernel
-// against the SWAR batch kernel at d ∈ {5, 7, 9, 13} (BENCH_pr5.json),
-// cross-checking batch corrections and cycle counts against the scalar
-// kernel before timing.
+// (BENCH_pr2.json), reporting ns/decode and allocation counts from
+// runtime.MemStats deltas. It then races the one-lane sfq.Mesh against
+// the full-width batch kernel at d ∈ {5, 7, 9, 13} (BENCH_pr5.json),
+// cross-checking batch corrections and cycle counts against the mesh
+// before timing, and sweeps the batch kernel's plane widths plus the
+// multi-core Monte-Carlo scaling (BENCH_pr8.json).
 //
 // Each artifact embeds the run manifest (git SHA + dirty flag, Go
 // version, GOMAXPROCS, CPU count, kernel env knobs) so a number in the
@@ -18,7 +17,7 @@
 //
 // Usage:
 //
-//	bench [-iters 2000] [-out BENCH_pr2.json] [-mesh-out BENCH_pr3.json] [-batch-out BENCH_pr5.json] [-obs :9090]
+//	bench [-iters 2000] [-out BENCH_pr2.json] [-batch-out BENCH_pr5.json] [-wide-out BENCH_pr8.json] [-obs :9090]
 package main
 
 import (
@@ -49,12 +48,6 @@ type Artifact struct {
 	Rows     []Row         `json:"rows"`
 }
 
-// MeshArtifact is the on-disk schema of BENCH_pr3.json.
-type MeshArtifact struct {
-	Manifest *obs.Manifest `json:"manifest"`
-	Rows     []MeshRow     `json:"rows"`
-}
-
 // BatchArtifact is the on-disk schema of BENCH_pr5.json.
 type BatchArtifact struct {
 	Manifest *obs.Manifest `json:"manifest"`
@@ -72,27 +65,12 @@ type Row struct {
 	BytesPerDecode  float64 `json:"bytes_per_decode"`
 }
 
-// MeshRow is one mesh-kernel measurement. CyclesPerDecode is the mean
-// simulated mesh cycle count over the syndrome set — it must be
-// identical across kernels (the bit-plane kernel is cycle-exact), so the
-// artifact doubles as a conformance record.
-type MeshRow struct {
-	Kernel          string  `json:"kernel"` // "legacy" or "bitplane"
-	Distance        int     `json:"d"`
-	Variant         string  `json:"variant"`
-	Iters           int     `json:"iters"`
-	NsPerDecode     float64 `json:"ns_per_decode"`
-	CyclesPerDecode float64 `json:"cycles_per_decode"`
-	AllocsPerDecode float64 `json:"allocs_per_decode"`
-	BytesPerDecode  float64 `json:"bytes_per_decode"`
-}
-
 // BatchRow is one scalar-vs-batch measurement: the same syndrome set
-// decoded one at a time through the scalar bit-plane kernel and
-// Lanes()-wide through the SWAR batch kernel. Both ns figures are
-// per decode (the batch loop is normalized by lanes), so Speedup is the
-// per-decode throughput ratio. CyclesPerDecode comes from the batch
-// kernel and is cross-checked against the scalar kernel before timing.
+// decoded one at a time through the one-lane sfq.Mesh and Lanes()-wide
+// through the batch kernel. Both ns figures are per decode (the batch
+// loop is normalized by lanes), so Speedup is the per-decode throughput
+// ratio. CyclesPerDecode comes from the batch kernel and is
+// cross-checked against the mesh before timing.
 type BatchRow struct {
 	Distance             int     `json:"d"`
 	Lanes                int     `json:"lanes"`
@@ -114,8 +92,7 @@ func main() {
 	}
 	iters := flag.Int("iters", 2000, "timed decodes per (decoder, d, path) cell")
 	out := flag.String("out", "BENCH_pr2.json", "output JSON path (software decoders)")
-	meshOut := flag.String("mesh-out", "BENCH_pr3.json", "output JSON path (mesh kernels)")
-	batchOut := flag.String("batch-out", "BENCH_pr5.json", "output JSON path (scalar vs SWAR batch kernel)")
+	batchOut := flag.String("batch-out", "BENCH_pr5.json", "output JSON path (one-lane mesh vs batch kernel)")
 	wideOut := flag.String("wide-out", "BENCH_pr8.json", "output JSON path (W-word kernel widths + multi-core scaling)")
 	scaleCycles := flag.Int("scale-cycles", 4000, "Monte-Carlo cycles per point in the scaling sweep")
 	allowDirty := flag.Bool("allow-dirty", false, "permit benchmarking an uncommitted tree (artifact still records git_dirty)")
@@ -185,15 +162,6 @@ func main() {
 	}
 	fmt.Printf("wrote %s (%d rows)\n\n", *out, len(rows))
 
-	meshRows, err := benchMeshKernels(*iters)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := writeArtifact(*meshOut, MeshArtifact{Manifest: manifest, Rows: meshRows}); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("wrote %s (%d rows)\n\n", *meshOut, len(meshRows))
-
 	batchRows, err := benchBatchKernel(*iters)
 	if err != nil {
 		log.Fatal(err)
@@ -227,71 +195,10 @@ func writeArtifact(path string, v any) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// benchMeshKernels times the SFQ mesh's two stepping kernels on
-// identical seeded syndromes through the zero-allocation DecodeInto
-// path, and checks that the bit-plane kernel reproduces the legacy
-// kernel's simulated cycle counts exactly.
-func benchMeshKernels(iters int) ([]MeshRow, error) {
-	var rows []MeshRow
-	for _, d := range []int{5, 9, 13} {
-		l := lattice.MustNew(d)
-		g := l.MatchingGraph(lattice.ZErrors)
-		syndromes, err := sampleSyndromes(l, g, 64, int64(100+d))
-		if err != nil {
-			return nil, err
-		}
-		var legacyNs float64
-		for _, k := range []sfq.Kernel{sfq.KernelLegacy, sfq.KernelBitplane} {
-			mesh := sfq.NewWithKernel(g, sfq.Final, k)
-			s := decodepool.NewScratch()
-			// Cycle counts are deterministic per syndrome: one clean pass
-			// gives the exact mean, independent of the timing loop.
-			cycles := 0
-			for _, syn := range syndromes {
-				if _, err := mesh.DecodeInto(g, syn, s); err != nil {
-					return nil, fmt.Errorf("mesh %s d=%d: %w", k, d, err)
-				}
-				cycles += mesh.Stats().Cycles
-			}
-			row, err := measure(iters, syndromes, func(syn []bool) error {
-				_, err := mesh.DecodeInto(g, syn, s)
-				return err
-			})
-			if err != nil {
-				return nil, fmt.Errorf("mesh %s d=%d: %w", k, d, err)
-			}
-			rows = append(rows, MeshRow{
-				Kernel:          k.String(),
-				Distance:        d,
-				Variant:         sfq.Final.Name(),
-				Iters:           row.Iters,
-				NsPerDecode:     row.NsPerDecode,
-				CyclesPerDecode: float64(cycles) / float64(len(syndromes)),
-				AllocsPerDecode: row.AllocsPerDecode,
-				BytesPerDecode:  row.BytesPerDecode,
-			})
-			if k == sfq.KernelLegacy {
-				legacyNs = row.NsPerDecode
-			} else {
-				prev := rows[len(rows)-2]
-				if prev.CyclesPerDecode != rows[len(rows)-1].CyclesPerDecode {
-					return nil, fmt.Errorf("d=%d: kernels disagree on cycles/decode: legacy %v, bitplane %v",
-						d, prev.CyclesPerDecode, rows[len(rows)-1].CyclesPerDecode)
-				}
-				fmt.Printf("sfq mesh    d=%-3d legacy %9.0f ns/decode | bitplane %9.0f ns/decode | %.2fx  (%.2f cycles/decode, %.1f allocs)\n",
-					d, legacyNs, row.NsPerDecode, legacyNs/row.NsPerDecode,
-					rows[len(rows)-1].CyclesPerDecode, row.AllocsPerDecode)
-			}
-		}
-	}
-	return rows, nil
-}
-
-// benchBatchKernel races the scalar bit-plane kernel against the SWAR
+// benchBatchKernel races the one-lane sfq.Mesh against the full-width
 // batch kernel on identical seeded syndromes. Before timing it decodes
-// every batch window through both kernels and requires bit-identical
-// corrections and cycle counts, so the artifact doubles as a
-// conformance record.
+// every batch window both ways and requires bit-identical corrections
+// and cycle counts, so the artifact doubles as a conformance record.
 func benchBatchKernel(iters int) ([]BatchRow, error) {
 	var rows []BatchRow
 	for _, d := range []int{5, 7, 9, 13} {
@@ -301,7 +208,7 @@ func benchBatchKernel(iters int) ([]BatchRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		mesh := sfq.NewWithKernel(g, sfq.Final, sfq.KernelBitplane)
+		mesh := sfq.New(g, sfq.Final)
 		batch := sfq.NewBatch(g, sfq.Final)
 		lanes := batch.Lanes()
 		// Rotating lane windows over the syndrome set, as in

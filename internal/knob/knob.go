@@ -1,10 +1,10 @@
 // Package knob centralizes the repository's REPRO_* environment knobs.
 //
 // Before this package, each knob was read ad hoc (os.Getenv scattered
-// across cmd/bench, the sfq kernel switch, the Monte-Carlo short-trial
+// across cmd/bench, the sfq kernel switches, the Monte-Carlo short-trial
 // tests and the obs overhead guard), which made a typo'd value — say
-// REPRO_SFQ_KERNEL=bitplan — silently fall back to the default and
-// measure the wrong thing. Here every knob is declared once in a
+// REPRO_SFQ_WIDTH=atuo — silently fall back to the default and measure
+// the wrong thing. Here every knob is declared once in a
 // registry with its legal values; accessors validate strictly and fail
 // loudly on anything else, and CheckEnv rejects unknown REPRO_* names
 // outright so a misspelled knob *name* is caught too.
@@ -52,13 +52,8 @@ var defs = []Def{
 		Allowed: boolValues,
 	},
 	{
-		Name:    "REPRO_SFQ_KERNEL",
-		Desc:    "override the SFQ mesh stepping kernel",
-		Allowed: []string{"legacy", "bitplane"},
-	},
-	{
 		Name:    "REPRO_SFQ_WIDTH",
-		Desc:    "plane width of the wide SWAR batch kernel in 64-bit words; auto picks from the CPU word size",
+		Desc:    "plane width of the SFQ batch kernel in 64-bit words; auto picks from the CPU word size",
 		Allowed: []string{"auto", "1", "2", "4"},
 	},
 	{

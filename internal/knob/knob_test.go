@@ -26,11 +26,11 @@ func TestKnobTable(t *testing.T) {
 		{name: "REPRO_MC_SHORT", value: "yes", boolKnob: true, wantPanic: true},
 		{name: "REPRO_OBS_GUARD", value: "1", wantStr: "1", boolKnob: true, wantBool: true},
 		{name: "REPRO_OBS_GUARD", value: "on", boolKnob: true, wantPanic: true},
-		{name: "REPRO_SFQ_KERNEL", value: "", wantStr: ""},
-		{name: "REPRO_SFQ_KERNEL", value: "legacy", wantStr: "legacy"},
-		{name: "REPRO_SFQ_KERNEL", value: "bitplane", wantStr: "bitplane"},
-		{name: "REPRO_SFQ_KERNEL", value: "bitplan", wantPanic: true}, // the motivating typo
-		{name: "REPRO_SFQ_KERNEL", value: "BITPLANE", wantPanic: true},
+		{name: "REPRO_SFQ_WIDTH", value: "", wantStr: ""},
+		{name: "REPRO_SFQ_WIDTH", value: "1", wantStr: "1"},
+		{name: "REPRO_SFQ_WIDTH", value: "auto", wantStr: "auto"},
+		{name: "REPRO_SFQ_WIDTH", value: "atuo", wantPanic: true}, // a typo must not select the default
+		{name: "REPRO_SFQ_WIDTH", value: "AUTO", wantPanic: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name+"="+tc.value, func(t *testing.T) {
@@ -68,18 +68,18 @@ func TestUnregisteredKnobPanics(t *testing.T) {
 // legal values pass, a typo'd name or value fails.
 func TestCheckEnv(t *testing.T) {
 	t.Setenv("REPRO_MC_SHORT", "1")
-	t.Setenv("REPRO_SFQ_KERNEL", "legacy")
+	t.Setenv("REPRO_SFQ_WIDTH", "2")
 	if err := CheckEnv(); err != nil {
 		t.Fatalf("CheckEnv with legal knobs: %v", err)
 	}
 
-	t.Setenv("REPRO_SFQ_KERNLE", "legacy") // misspelled name
+	t.Setenv("REPRO_SFQ_WDITH", "2") // misspelled name
 	err := CheckEnv()
-	if err == nil || !strings.Contains(err.Error(), "REPRO_SFQ_KERNLE") {
+	if err == nil || !strings.Contains(err.Error(), "REPRO_SFQ_WDITH") {
 		t.Fatalf("CheckEnv with typo'd name: got %v, want unknown-knob error", err)
 	}
-	t.Setenv("REPRO_SFQ_KERNLE", "") // Setenv scopes cleanup; empty value still has the name set
-	if err := CheckEnv(); err == nil || !strings.Contains(err.Error(), "REPRO_SFQ_KERNLE") {
+	t.Setenv("REPRO_SFQ_WDITH", "") // Setenv scopes cleanup; empty value still has the name set
+	if err := CheckEnv(); err == nil || !strings.Contains(err.Error(), "REPRO_SFQ_WDITH") {
 		t.Fatalf("CheckEnv with empty typo'd name: got %v, want unknown-knob error", err)
 	}
 }
@@ -87,8 +87,8 @@ func TestCheckEnv(t *testing.T) {
 // TestCheckEnvBadValue pins that CheckEnv validates values, not just
 // names.
 func TestCheckEnvBadValue(t *testing.T) {
-	t.Setenv("REPRO_SFQ_KERNEL", "bitplan")
-	if err := CheckEnv(); err == nil || !strings.Contains(err.Error(), "bitplan") {
+	t.Setenv("REPRO_SFQ_WIDTH", "atuo")
+	if err := CheckEnv(); err == nil || !strings.Contains(err.Error(), "atuo") {
 		t.Fatalf("CheckEnv with illegal value: got %v, want value error", err)
 	}
 }

@@ -53,9 +53,10 @@ func confSyndromes(d int, e lattice.ErrorType, n int) [][]bool {
 	return syns
 }
 
-// refDecode produces the ground truth for one syndrome: the scalar
-// bit-plane mesh's correction and cycle count. The SWAR batch kernel is
-// pinned bit-identical to this mesh by the sfq conformance suite; here
+// refDecode produces the ground truth for one syndrome: a lone
+// sfq.Mesh's correction and cycle count. Every lane count of the batch
+// kernel is pinned bit-identical to the reference model by the sfq
+// conformance suite; here
 // we pin that the service's multiplexing — coalescing, lane refill,
 // response routing — preserves that identity end to end over the wire.
 func refDecode(t *testing.T, m *sfq.Mesh, g *lattice.Graph, syn []bool) ([]int32, uint32) {
@@ -98,7 +99,7 @@ func TestWireConformance(t *testing.T) {
 				for _, d := range []int{3, 5} {
 					for _, e := range []lattice.ErrorType{lattice.ZErrors, lattice.XErrors} {
 						g := pool.Graph(d, e)
-						ref := sfq.NewWithKernel(g, v, sfq.KernelBitplane)
+						ref := sfq.New(g, v)
 						syns := confSyndromes(d, e, trials)
 
 						var wg sync.WaitGroup
@@ -184,7 +185,7 @@ func TestHTTPConformance(t *testing.T) {
 	defer ts.Close()
 
 	g := pool.Graph(3, lattice.ZErrors)
-	ref := sfq.NewWithKernel(g, v, sfq.KernelBitplane)
+	ref := sfq.New(g, v)
 	syns := confSyndromes(3, lattice.ZErrors, confTrials(16, 6))
 
 	post := func(body any) (*http.Response, []byte) {

@@ -3,6 +3,7 @@ package sfq
 import (
 	"fmt"
 	"math/bits"
+	"strings"
 
 	"repro/internal/decodepool"
 	"repro/internal/decoder"
@@ -10,25 +11,27 @@ import (
 	"repro/internal/obs"
 )
 
-// BatchMesh is the SWAR-batched bit-plane kernel: up to
-// MaxBatchLanes(d) independent decoder meshes packed d-major into the
-// same []uint64 planes (see batchGeom), advanced by one shared
-// wavefront step per clock. Planes are W words per row (W ∈ {1, 2, 4},
-// chosen by REPRO_SFQ_WIDTH or the CPU auto-pick), so every
-// shift-and-mask pass progresses W·⌊64/(2d+1)⌋ in-flight decodes.
+// BatchMesh is the SFQ mesh kernel: up to MaxBatchLanes(d) independent
+// decoder meshes packed d-major into the same []uint64 planes (see
+// batchGeom), advanced by one shared fused wavefront step per clock
+// (step.go). Planes are W words per row (W ∈ {1, 2, 4}, chosen by
+// REPRO_SFQ_WIDTH or the CPU auto-pick), so every sweep progresses
+// W·⌊64/(2d+1)⌋ in-flight decodes; a mesh wider than one word (side
+// > 64, d ≥ 32) spans ⌈side/64⌉ words per row as a single lane. Mesh is
+// this kernel at one lane.
 //
 // Lanes never interact — the lane masks stop every shift at the lane
 // seam and all cross-plane operations are pure bitwise combinations —
-// so each lane evolves exactly as a scalar bit-plane mesh would.
-// Termination is per lane: each lane keeps its own hot counter, reset
-// countdown, retry count and rotated grant priority, is checked against
-// the scalar kernel's stall/watchdog conditions between steps, and when
-// it finishes its correction and Stats are extracted, the lane is
-// scrubbed, and the next pending syndrome is loaded into it while the
-// other lanes keep stepping. Dynamic refill keeps all lanes busy for
-// the whole batch, which is what makes throughput approach B× rather
-// than B/avg-vs-max. The conformance suite pins corrections and
-// per-lane Stats bit-identical to the scalar kernel.
+// so each lane evolves exactly as a lone mesh would. Termination is per
+// lane: each lane keeps its own hot counter, reset countdown, retry
+// count and rotated grant priority, is checked against the stall and
+// watchdog conditions between steps, and when it finishes its
+// correction and Stats are extracted, the lane is scrubbed, and the
+// next pending syndrome is loaded into it while the other lanes keep
+// stepping. Dynamic refill keeps all lanes busy for the whole batch,
+// which is what makes throughput approach B× rather than
+// B/avg-vs-max. The conformance suite pins corrections and per-lane
+// Stats bit-identical to the reference model (internal/sfq/oracle).
 //
 // The per-lane quiescence test leans on one invariant: every wavefront
 // `any` flag is the exact OR of its current planes in that flag's word
@@ -38,8 +41,7 @@ import (
 // "does lane l have a signal in flight".
 //
 // A BatchMesh is reusable across DecodeBatchInto calls but not safe for
-// concurrent use. Meshes wider than one word (side > 64, d ≥ 32) fall
-// back to a private scalar bit-plane mesh decoded lane-at-a-time.
+// concurrent use.
 type BatchMesh struct {
 	g       *lattice.Graph
 	variant Variant
@@ -55,8 +57,6 @@ type BatchMesh struct {
 	hot, errOut, fired, sentPair, granted []uint64
 	growFrom, reqDirs, grants             [4][]uint64
 	growW, reqW, grantW, pairW, pairBW    bwavefront
-	sh                                    [4][]uint64
-	tmpA, tmpB                            []uint64
 
 	// Per-lane control state.
 	laneSyn       []int // syndrome index decoding in lane l, -1 when idle
@@ -67,15 +67,15 @@ type BatchMesh struct {
 	laneStats     []Stats
 	anyPrio       int // lanes with a nonzero priority offset (slow-path gate)
 
-	// Dirty-word bitmaps of the fused wide path (one bit per plane word,
-	// n ≤ 256 because side ≤ 64 and W ≤ 4): fireDirty marks words where
-	// fire eligibility may have changed this step (a grow latch landed or
-	// a hot module terminated), hsDirty where a handshake may have
-	// completed (a grant was consumed). fireCompleteWide visits only
-	// marked words; see batchwide.go for the event analysis.
-	fireDirty, hsDirty [4]uint64
+	// Dirty-word bitmaps of the fused step (one bit per plane word):
+	// fireDirty marks words where fire eligibility may have changed this
+	// step (a grow latch landed or a hot module terminated), hsDirty
+	// where a handshake may have completed (a grant was consumed).
+	// fireComplete visits only marked words; see step.go for the event
+	// analysis.
+	fireDirty, hsDirty []uint64
 
-	// In-flight batch bookkeeping (valid only inside DecodeBatchInto).
+	// In-flight batch bookkeeping (valid only inside run).
 	syns   [][]bool
 	spans  [][2]int32
 	q      []int
@@ -86,9 +86,9 @@ type BatchMesh struct {
 	lastN    int
 	stat     Stats // Stats of the last single-syndrome adapter decode
 
-	scalarMesh *Mesh    // side > 64 fallback
 	one        [][]bool // single-syndrome adapter buffer
 	ownScratch *decodepool.Scratch
+	tracer     Tracer // per-clock frame hook of lane 0 (set through Mesh)
 
 	obsCycles *obs.Local
 
@@ -97,62 +97,62 @@ type BatchMesh struct {
 	pooled bool
 }
 
-// bwavefront is the batch kernel's double-buffered plane set of one
-// signal class: the wavefront type widened to W-word rows. The any
-// flags are per-word-column OR-accumulators over every word written
-// into the respective plane set (any[c] covers words k with k&wmask ==
-// c); they make per-lane quiescence checks O(1) and let clearNext skip
-// plane sets that are already zero.
+// bwavefront is the double-buffered plane set of one signal class. The
+// any flags are per-column OR-accumulators over every word written into
+// the respective plane set (any[c] covers words k with k&wmask == c);
+// they make per-lane quiescence checks O(1) and let clear skip
+// plane sets that are already zero. cur and nxt point into sets, so the
+// per-clock swap is two pointer moves; a bwavefront must not be copied.
 type bwavefront struct {
-	cur, nxt       [4][]uint64
-	curAny, nxtAny [4]uint64
+	cur, nxt *planeSet
+	sets     [2]planeSet
 }
 
-func (w *bwavefront) swap() {
-	w.cur, w.nxt = w.nxt, w.cur
-	w.curAny, w.nxtAny = w.nxtAny, w.curAny
+// planeSet is one buffer of a wavefront: a plane per travel direction,
+// laid out back to back in all so one clear covers the set.
+type planeSet struct {
+	dir [4][]uint64
+	all []uint64
+	any [4]uint64
 }
+
+// init carves the wavefront's two plane sets out of backing, which must
+// hold 8n words.
+func (w *bwavefront) init(backing []uint64, n int) {
+	for i := range w.sets {
+		ps := &w.sets[i]
+		ps.all = backing[i*4*n : (i+1)*4*n : (i+1)*4*n]
+		for d := range ps.dir {
+			ps.dir[d] = ps.all[d*n : (d+1)*n : (d+1)*n]
+		}
+	}
+	w.cur, w.nxt = &w.sets[0], &w.sets[1]
+}
+
+func (w *bwavefront) swap() { w.cur, w.nxt = w.nxt, w.cur }
 
 // anyCur reports whether any signal of this class is in flight in any
 // column.
 func (w *bwavefront) anyCur() uint64 {
-	return w.curAny[0] | w.curAny[1] | w.curAny[2] | w.curAny[3]
+	return w.cur.any[0] | w.cur.any[1] | w.cur.any[2] | w.cur.any[3]
 }
 
-func (w *bwavefront) anyNxt() uint64 {
-	return w.nxtAny[0] | w.nxtAny[1] | w.nxtAny[2] | w.nxtAny[3]
-}
-
-// clearNext zeroes the next-cycle planes (stale state from two cycles
-// ago) if anything was ever written into them.
-func (w *bwavefront) clearNext() {
-	if w.anyNxt() == 0 {
+// clear zeroes a plane set if anything was ever written into it.
+func (ps *planeSet) clear() {
+	if ps.any[0]|ps.any[1]|ps.any[2]|ps.any[3] == 0 {
 		return
 	}
-	for d := range w.nxt {
-		clearPlane(w.nxt[d])
-	}
-	w.nxtAny = [4]uint64{}
-}
-
-// clearCur zeroes the in-flight planes.
-func (w *bwavefront) clearCur() {
-	if w.anyCur() == 0 {
-		return
-	}
-	for d := range w.cur {
-		clearPlane(w.cur[d])
-	}
-	w.curAny = [4]uint64{}
+	clearPlane(ps.all)
+	ps.any = [4]uint64{}
 }
 
 // orAny folds a phase's per-column accumulator into the next-cycle
 // flags.
 func (w *bwavefront) orAny(acc *[4]uint64) {
-	w.nxtAny[0] |= acc[0]
-	w.nxtAny[1] |= acc[1]
-	w.nxtAny[2] |= acc[2]
-	w.nxtAny[3] |= acc[3]
+	w.nxt.any[0] |= acc[0]
+	w.nxt.any[1] |= acc[1]
+	w.nxt.any[2] |= acc[2]
+	w.nxt.any[3] |= acc[3]
 }
 
 // NewBatch builds a SWAR batch mesh for the matching graph at the
@@ -176,8 +176,8 @@ func NewBatchWithWidth(g *lattice.Graph, v Variant, words int) *BatchMesh {
 // NewBatchWithLanes builds a batch mesh with an explicit lane count;
 // widths outside [1, MaxBatchLanes(d)] are clamped to the maximum. The
 // plane word count is the narrowest power-of-two layout that holds the
-// lanes. Narrow widths exist for tests and for callers bounding batch
-// latency.
+// lanes (⌈side/64⌉ for a mesh wider than a word). Narrow widths exist for tests, for Mesh (one lane), and for
+// callers bounding batch latency.
 func NewBatchWithLanes(g *lattice.Graph, v Variant, lanes int) *BatchMesh {
 	geo := geomFor(g)
 	if max := MaxBatchLanes(geo.d); lanes < 1 || lanes > max {
@@ -187,37 +187,31 @@ func NewBatchWithLanes(g *lattice.Graph, v Variant, lanes int) *BatchMesh {
 		g:          g,
 		variant:    v,
 		geo:        geo,
+		bg:         batchGeomFor(g, lanes),
+		lanes:      lanes,
 		MaxCycles:  200 * geo.m,
 		maxRetries: 3,
 	}
 	b.obsCycles = obs.NewLocal(obsFlushEvery,
 		obs.Default().Histogram(fmt.Sprintf("sfq_decode_cycles_d%d", geo.d)))
-	if geo.m > 64 {
-		b.scalarMesh = NewWithKernel(g, v, KernelBitplane)
-		b.lanes = 1
-		return b
-	}
-	b.bg = batchGeomFor(g, lanes)
-	b.lanes = lanes
 	n := b.bg.n
-	// One backing array for all planes, as newPlaneState lays out.
-	backing := make([]uint64, 63*n)
-	next := func() []uint64 {
-		p := backing[:n:n]
-		backing = backing[n:]
+	// One backing array for all planes: 5 state + 3×4 latch + 5×2×4
+	// wavefront = 57 planes.
+	backing := make([]uint64, 57*n)
+	next := func(planes int) []uint64 {
+		p := backing[: planes*n : planes*n]
+		backing = backing[planes*n:]
 		return p
 	}
-	b.hot, b.errOut, b.fired, b.sentPair, b.granted = next(), next(), next(), next(), next()
+	b.hot, b.errOut, b.fired, b.sentPair, b.granted = next(1), next(1), next(1), next(1), next(1)
 	for d := 0; d < 4; d++ {
-		b.growFrom[d], b.reqDirs[d], b.grants[d] = next(), next(), next()
-		b.sh[d] = next()
+		b.growFrom[d], b.reqDirs[d], b.grants[d] = next(1), next(1), next(1)
 	}
 	for _, w := range []*bwavefront{&b.growW, &b.reqW, &b.grantW, &b.pairW, &b.pairBW} {
-		for d := 0; d < 4; d++ {
-			w.cur[d], w.nxt[d] = next(), next()
-		}
+		w.init(next(8), n)
 	}
-	b.tmpA, b.tmpB = next(), next()
+	b.fireDirty = make([]uint64, (n+63)/64)
+	b.hsDirty = make([]uint64, (n+63)/64)
 	b.laneSyn = make([]int, lanes)
 	b.laneHot = make([]int, lanes)
 	b.laneCountdown = make([]int, lanes)
@@ -240,14 +234,9 @@ func (b *BatchMesh) Variant() Variant { return b.variant }
 // concurrently.
 func (b *BatchMesh) Lanes() int { return b.lanes }
 
-// Words returns the mesh's plane width in 64-bit words (1 for the
-// side > 64 scalar fallback).
-func (b *BatchMesh) Words() int {
-	if b.bg == nil {
-		return 1
-	}
-	return b.bg.words
-}
+// Words returns the mesh's plane width in 64-bit words per row
+// (⌈side/64⌉ when one lane spans the row).
+func (b *BatchMesh) Words() int { return b.bg.words }
 
 // BatchWidth implements decodepool.BatchDecoder.
 func (b *BatchMesh) BatchWidth() int { return b.lanes }
@@ -267,24 +256,14 @@ func (b *BatchMesh) LaneStats(i int) Stats { return b.statsBuf[i] }
 // Reset returns the mesh to its idle state; pools call it before
 // parking so no stale decode state crosses owners.
 func (b *BatchMesh) Reset() {
-	if b.scalarMesh != nil {
-		b.scalarMesh.Reset()
-	} else {
-		b.resetAll()
-	}
+	b.resetAll()
 	b.stat = Stats{}
 	b.lastN = 0
 }
 
 // FlushObs merges pending telemetry into the shared registry
 // histograms (one cycle sample was recorded per lane decode).
-func (b *BatchMesh) FlushObs() {
-	if b.scalarMesh != nil {
-		b.scalarMesh.FlushObs()
-		return
-	}
-	b.obsCycles.Flush()
-}
+func (b *BatchMesh) FlushObs() { b.obsCycles.Flush() }
 
 // compatible mirrors Mesh.compatible: pooled batch meshes accept any
 // structurally identical graph.
@@ -345,6 +324,16 @@ func (b *BatchMesh) DecodeBatchInto(g *lattice.Graph, syns [][]bool, s *decodepo
 			return nil, fmt.Errorf("sfq: syndrome %d has %d checks, graph has %d", i, len(syn), nc)
 		}
 	}
+	spans := s.BatchSpans(len(syns))
+	q := b.run(syns, spans, s.TakeBatchQubits())
+	s.PutBatchQubits(q)
+	return batchCorrections(s, q, spans), nil
+}
+
+// run is the decode core shared by every entry point: it decodes the
+// (pre-validated) syndromes, appending each correction to q and
+// recording its [start, end) range in spans and its Stats in statsBuf.
+func (b *BatchMesh) run(syns [][]bool, spans [][2]int32, q []int) []int {
 	n := len(syns)
 	if cap(b.statsBuf) < n {
 		b.statsBuf = make([]Stats, n)
@@ -352,37 +341,19 @@ func (b *BatchMesh) DecodeBatchInto(g *lattice.Graph, syns [][]bool, s *decodepo
 		b.statsBuf = b.statsBuf[:n]
 	}
 	b.lastN = n
-	spans := s.BatchSpans(n)
-	if b.scalarMesh != nil {
-		q := s.TakeBatchQubits()
-		for i, syn := range syns {
-			start := int32(len(q))
-			var err error
-			q, err = b.scalarMesh.decodeAppend(syn, q)
-			if err != nil {
-				s.PutBatchQubits(q)
-				return nil, err
-			}
-			spans[i] = [2]int32{start, int32(len(q))}
-			b.statsBuf[i] = b.scalarMesh.stats
-		}
-		s.PutBatchQubits(q)
-		return batchCorrections(s, q, spans), nil
-	}
 	b.resetAll()
-	b.syns, b.spans = syns, spans
-	b.q = s.TakeBatchQubits()
+	b.syns, b.spans, b.q = syns, spans, q
 	for l := 0; l < b.lanes && b.next < n; l++ {
 		b.loadLaneNext(l)
 	}
 	for b.active > 0 {
-		// Per-lane scalar control flow, checked between every step in
-		// the scalar kernel's order: terminal, stall recovery, watchdog.
+		// Per-lane control flow, checked between every step in the
+		// oracle's order: terminal, stall recovery, watchdog.
 		for l := range b.laneSyn {
 			if b.laneSyn[l] < 0 {
 				continue
 			}
-			if b.laneHot[l] == 0 && b.pairW.curAny[b.bg.laneCol[l]]&b.bg.laneBits[l] == 0 && b.laneCountdown[l] == 0 {
+			if b.laneHot[l] == 0 && b.pairW.cur.any[b.bg.laneCol[l]]&b.bg.laneBits[l] == 0 && b.laneCountdown[l] == 0 {
 				b.finalizeLane(l)
 				continue
 			}
@@ -417,11 +388,13 @@ func (b *BatchMesh) DecodeBatchInto(g *lattice.Graph, syns [][]bool, s *decodepo
 			break
 		}
 		b.step()
+		if b.tracer != nil {
+			b.tracer(b.laneStats[0].Cycles, b.render(0))
+		}
 	}
-	q := b.q
-	s.PutBatchQubits(q)
+	q = b.q
 	b.q, b.syns, b.spans = nil, nil, nil
-	return batchCorrections(s, q, spans), nil
+	return q
 }
 
 // batchCorrections materializes the per-syndrome Correction views over
@@ -448,9 +421,9 @@ func (b *BatchMesh) resetAll() {
 		clearPlane(b.grants[d])
 	}
 	for _, w := range []*bwavefront{&b.growW, &b.reqW, &b.grantW, &b.pairW, &b.pairBW} {
-		w.clearCur()
-		w.nxtAny[0] = 1
-		w.clearNext()
+		w.cur.clear()
+		w.nxt.any[0] = 1 // force the wipe: an aborted decode may leave stale bits
+		w.nxt.clear()
 	}
 	for l := range b.laneSyn {
 		b.laneSyn[l] = -1
@@ -461,22 +434,20 @@ func (b *BatchMesh) resetAll() {
 		b.laneStats[l] = Stats{}
 	}
 	b.anyPrio = 0
-	b.fireDirty = [4]uint64{}
-	b.hsDirty = [4]uint64{}
+	clearPlane(b.fireDirty)
+	clearPlane(b.hsDirty)
 	b.next = 0
 	b.active = 0
 }
 
 // loadLaneNext loads the next pending syndrome into idle lane l.
-// Zero-hot syndromes finalize immediately (the scalar kernel never
-// clocks the mesh for them); the first syndrome with hot checks is
-// loaded and its grow wavefronts emitted into the current planes —
-// exactly the pre-loop state of a scalar decode, so a lane loaded at
-// global step T evolves identically to a scalar decode at local step 0.
+// Zero-hot syndromes finalize immediately (the mesh is never clocked
+// for them); the first syndrome with hot checks is loaded and its grow
+// wavefronts emitted into the current planes — exactly the pre-loop
+// state of a lone decode, so a lane loaded at global step T evolves
+// identically to a lone decode at local step 0.
 func (b *BatchMesh) loadLaneNext(l int) {
 	geo, bg := b.geo, b.bg
-	col := bg.laneCol[l]
-	lane0 := uint(l % bg.perWord * geo.m)
 	for b.next < len(b.syns) {
 		idx := b.next
 		b.next++
@@ -486,8 +457,8 @@ func (b *BatchMesh) loadLaneNext(l int) {
 			if !h {
 				continue
 			}
-			cell := geo.cellOf[ci]
-			b.hot[cell/geo.m*bg.words+col] |= uint64(1) << (lane0 + uint(cell%geo.m))
+			w, bit := bg.laneBit(l, geo.cellOf[ci])
+			b.hot[w] |= bit
 			hot++
 		}
 		if hot == 0 {
@@ -501,22 +472,33 @@ func (b *BatchMesh) loadLaneNext(l int) {
 		b.laneHot[l] = hot
 		b.laneStats[l] = Stats{}
 		// Emit grows in all four directions at every hot module of this
-		// lane. The OR into curAny is exact (not a flag) — per-lane
-		// quiescence tests depend on it.
-		lane := bg.laneBits[l]
-		var acc uint64
-		for d := 0; d < 4; d++ {
-			cur := b.growW.cur[d]
-			for k := col; k < len(b.hot); k += bg.words {
-				hl := b.hot[k] & lane
-				cur[k] |= hl
-				acc |= hl
-			}
-		}
-		b.growW.curAny[col] |= acc
+		// lane.
+		b.emitGrows(b.growW.cur, l)
 		b.active++
 		return
 	}
+}
+
+// emitGrows ORs lane l's hot modules into all four direction planes of
+// ps. The OR into the column's any flag is exact (not a flag) — per-lane
+// quiescence tests depend on it.
+func (b *BatchMesh) emitGrows(ps *planeSet, l int) {
+	bg := b.bg
+	lane := bg.laneBits[l]
+	col := bg.laneCol[l]
+	var acc uint64
+	for k := col; k < len(b.hot); k += bg.colStep() {
+		hl := b.hot[k] & lane
+		if hl == 0 {
+			continue
+		}
+		ps.dir[North][k] |= hl
+		ps.dir[East][k] |= hl
+		ps.dir[South][k] |= hl
+		ps.dir[West][k] |= hl
+		acc |= hl
+	}
+	ps.any[col] |= acc
 }
 
 // finalizeLane extracts lane l's finished correction and Stats, records
@@ -536,68 +518,78 @@ func (b *BatchMesh) finalizeLane(l int) {
 }
 
 // extractLane appends lane l's correction to the batch qubit buffer in
-// ascending cell order — the order the scalar kernels scan errOut.
+// ascending cell order — the order the oracle scans errOut.
 func (b *BatchMesh) extractLane(l int) {
+	b.forLaneCells(b.errOut, l, func(i int) {
+		if q0 := b.geo.dataQ[i]; q0 >= 0 {
+			b.q = append(b.q, q0)
+		}
+	})
+}
+
+// forLaneCells calls f with the index of every cell of lane l set in
+// plane p, in ascending cell order (rows, then columns).
+func (b *BatchMesh) forLaneCells(p []uint64, l int, f func(i int)) {
 	geo, bg := b.geo, b.bg
-	col := bg.laneCol[l]
-	shift := uint(l % bg.perWord * geo.m)
-	for r := 0; r < geo.rows; r++ {
-		w := b.errOut[r*bg.words+col] >> shift & bg.laneLow
-		base := r * geo.m
-		for w != 0 {
-			c := bits.TrailingZeros64(w)
-			w &= w - 1
-			if q0 := geo.dataQ[base+c]; q0 >= 0 {
-				b.q = append(b.q, q0)
+	base := bg.laneCol[l]
+	shift := bg.laneOff[l]
+	for r := 0; r < geo.m; r++ {
+		for j := 0; j < bg.span; j++ {
+			w := p[r*bg.words+base+j] >> shift & bg.laneLow
+			for w != 0 {
+				c := bits.TrailingZeros64(w)
+				w &= w - 1
+				f(r*geo.m + j*64 + c)
 			}
 		}
 	}
 }
 
 // maskPlaneCol clears the bits outside mask from every word of the
-// plane's word column col (of the given stride).
-func maskPlaneCol(p []uint64, mask uint64, col, words int) {
-	for k := col; k < len(p); k += words {
+// plane's lane column col (words col, col+step, ...).
+func maskPlaneCol(p []uint64, mask uint64, col, step int) {
+	for k := col; k < len(p); k += step {
 		p[k] &= mask
 	}
 }
 
 // maskLaneCol clears one lane's bits from the in-flight planes, keeping
-// curAny[col] an exact OR of the column's remaining plane contents
+// cur.any[col] an exact OR of the column's remaining plane contents
 // (lane masks of distinct lanes in one column are disjoint).
-func (w *bwavefront) maskLaneCol(lane uint64, col, words int) {
-	if w.curAny[col]&lane == 0 {
+func (w *bwavefront) maskLaneCol(lane uint64, col, step int) {
+	if w.cur.any[col]&lane == 0 {
 		return
 	}
-	for d := range w.cur {
-		maskPlaneCol(w.cur[d], ^lane, col, words)
+	for _, p := range w.cur.dir {
+		maskPlaneCol(p, ^lane, col, step)
 	}
-	w.curAny[col] &^= lane
+	w.cur.any[col] &^= lane
 }
 
 // scrubLane erases every trace of lane l so the lane is ready for the
 // next syndrome. Next-cycle planes need no scrubbing: they hold only
-// two-cycles-ago state that clearNext wipes before any phase reads it.
+// two-cycles-ago state that step clears before any phase reads it.
 func (b *BatchMesh) scrubLane(l int) {
 	bg := b.bg
 	lane := bg.laneBits[l]
 	col := bg.laneCol[l]
+	step := bg.colStep()
 	mask := ^lane
-	maskPlaneCol(b.hot, mask, col, bg.words)
-	maskPlaneCol(b.errOut, mask, col, bg.words)
-	maskPlaneCol(b.fired, mask, col, bg.words)
-	maskPlaneCol(b.sentPair, mask, col, bg.words)
-	maskPlaneCol(b.granted, mask, col, bg.words)
+	maskPlaneCol(b.hot, mask, col, step)
+	maskPlaneCol(b.errOut, mask, col, step)
+	maskPlaneCol(b.fired, mask, col, step)
+	maskPlaneCol(b.sentPair, mask, col, step)
+	maskPlaneCol(b.granted, mask, col, step)
 	for d := 0; d < 4; d++ {
-		maskPlaneCol(b.growFrom[d], mask, col, bg.words)
-		maskPlaneCol(b.reqDirs[d], mask, col, bg.words)
-		maskPlaneCol(b.grants[d], mask, col, bg.words)
+		maskPlaneCol(b.growFrom[d], mask, col, step)
+		maskPlaneCol(b.reqDirs[d], mask, col, step)
+		maskPlaneCol(b.grants[d], mask, col, step)
 	}
-	b.growW.maskLaneCol(lane, col, bg.words)
-	b.reqW.maskLaneCol(lane, col, bg.words)
-	b.grantW.maskLaneCol(lane, col, bg.words)
-	b.pairW.maskLaneCol(lane, col, bg.words)
-	b.pairBW.maskLaneCol(lane, col, bg.words)
+	b.growW.maskLaneCol(lane, col, step)
+	b.reqW.maskLaneCol(lane, col, step)
+	b.grantW.maskLaneCol(lane, col, step)
+	b.pairW.maskLaneCol(lane, col, step)
+	b.pairBW.maskLaneCol(lane, col, step)
 	b.laneHot[l] = 0
 	b.laneCountdown[l] = 0
 	b.laneRetries[l] = 0
@@ -611,18 +603,19 @@ func (b *BatchMesh) laneGlobalReset(l int) {
 	bg := b.bg
 	lane := bg.laneBits[l]
 	col := bg.laneCol[l]
+	step := bg.colStep()
 	mask := ^lane
 	for d := 0; d < 4; d++ {
-		maskPlaneCol(b.growFrom[d], mask, col, bg.words)
-		maskPlaneCol(b.reqDirs[d], mask, col, bg.words)
-		maskPlaneCol(b.grants[d], mask, col, bg.words)
+		maskPlaneCol(b.growFrom[d], mask, col, step)
+		maskPlaneCol(b.reqDirs[d], mask, col, step)
+		maskPlaneCol(b.grants[d], mask, col, step)
 	}
-	maskPlaneCol(b.fired, mask, col, bg.words)
-	maskPlaneCol(b.sentPair, mask, col, bg.words)
-	maskPlaneCol(b.granted, mask, col, bg.words)
-	b.growW.maskLaneCol(lane, col, bg.words)
-	b.reqW.maskLaneCol(lane, col, bg.words)
-	b.grantW.maskLaneCol(lane, col, bg.words)
+	maskPlaneCol(b.fired, mask, col, step)
+	maskPlaneCol(b.sentPair, mask, col, step)
+	maskPlaneCol(b.granted, mask, col, step)
+	b.growW.maskLaneCol(lane, col, step)
+	b.reqW.maskLaneCol(lane, col, step)
+	b.grantW.maskLaneCol(lane, col, step)
 	// pair planes and errOut survive by design.
 	b.laneCountdown[l] = ResetDepth
 }
@@ -645,7 +638,7 @@ func (b *BatchMesh) setLanePrio(l, v int) {
 // flight. Exact because the any flags are exact ORs (see type comment).
 func (b *BatchMesh) laneQuiescent(l int) bool {
 	col := b.bg.laneCol[l]
-	return (b.growW.curAny[col]|b.reqW.curAny[col]|b.grantW.curAny[col]|b.pairW.curAny[col])&
+	return (b.growW.cur.any[col]|b.reqW.cur.any[col]|b.grantW.cur.any[col]|b.pairW.cur.any[col])&
 		b.bg.laneBits[l] == 0
 }
 
@@ -653,49 +646,31 @@ func (b *BatchMesh) laneQuiescent(l int) bool {
 // per-lane blocking: a lane mid-reset has empty grow/req/grant planes
 // and latches (laneGlobalReset cleared them), so the input phases are
 // natural no-ops for it, while pair signals keep propagating — exactly
-// the scalar kernel's blocked branch.
+// the oracle's blocked branch.
 func (b *BatchMesh) step() {
-	b.growW.clearNext()
-	b.reqW.clearNext()
-	b.grantW.clearNext()
-	b.pairW.clearNext()
-	b.pairBW.clearNext()
+	// The next-cycle planes still hold state from two cycles ago.
+	b.growW.nxt.clear()
+	b.reqW.nxt.clear()
+	b.grantW.nxt.clear()
+	b.pairW.nxt.clear()
+	b.pairBW.nxt.clear()
 
 	// Empty-wavefront phases are skipped outright — exact, since a phase
 	// fed an all-zero wavefront writes nothing (the any flags are exact).
-	// Wide layouts take the fused single-sweep phases (batchwide.go);
-	// the one-word layout keeps the multi-pass reference path.
 	var done uint64
-	if b.bg.words == 1 {
-		if b.growW.anyCur() != 0 {
-			b.moveGrows()
-		}
-		if b.reqW.anyCur() != 0 {
-			b.moveReqs()
-		}
-		if b.grantW.anyCur() != 0 {
-			b.moveGrants()
-		}
-		if b.pairW.anyCur() != 0 {
-			done = b.movePairs()
-		}
-		b.fireIntermediates()
-		b.completeHandshakes()
-	} else {
-		if b.growW.anyCur() != 0 {
-			b.moveGrowsWide()
-		}
-		if b.reqW.anyCur() != 0 {
-			b.moveReqsWide()
-		}
-		if b.grantW.anyCur() != 0 {
-			b.moveGrantsWide()
-		}
-		if b.pairW.anyCur() != 0 {
-			done = b.movePairsWide()
-		}
-		b.fireCompleteWide()
+	if b.growW.anyCur() != 0 {
+		b.moveGrows()
 	}
+	if b.reqW.anyCur() != 0 {
+		b.moveReqs()
+	}
+	if b.grantW.anyCur() != 0 {
+		b.moveGrants()
+	}
+	if b.pairW.anyCur() != 0 {
+		done = b.movePairs()
+	}
+	b.fireComplete()
 
 	for l, cd := range b.laneCountdown {
 		if cd == 0 {
@@ -705,19 +680,7 @@ func (b *BatchMesh) step() {
 		if cd == 1 {
 			// The lane's blocking is over; its surviving hot modules
 			// grow again next cycle.
-			bg := b.bg
-			lane := bg.laneBits[l]
-			col := bg.laneCol[l]
-			var acc uint64
-			for d := 0; d < 4; d++ {
-				nxt := b.growW.nxt[d]
-				for k := col; k < len(b.hot); k += bg.words {
-					hl := b.hot[k] & lane
-					nxt[k] |= hl
-					acc |= hl
-				}
-			}
-			b.growW.nxtAny[col] |= acc
+			b.emitGrows(b.growW.nxt, l)
 		}
 	}
 
@@ -741,326 +704,68 @@ func (b *BatchMesh) step() {
 	}
 }
 
-// moveGrows is planeState.moveGrows over the lane-packed planes.
-func (b *BatchMesh) moveGrows() {
-	bg, v := b.bg, b.variant
-	wm := bg.wmask
-	for d := 0; d < 4; d++ {
-		bg.shiftInto(b.sh[d], b.growW.cur[d], Dir(d))
-	}
-	// Pass 1: latch interior arrivals by entry side.
-	for d := 0; d < 4; d++ {
-		sh := b.sh[d]
-		gf := b.growFrom[Dir(d).Opposite()]
-		for k, in := range bg.interior {
-			gf[k] |= sh[k] & in
-		}
-	}
-	// Pass 2: propagate into territory no opposite front has swept.
-	for d := 0; d < 4; d++ {
-		sh := b.sh[d]
-		gf := b.growFrom[d]
-		nxt := b.growW.nxt[d]
-		var acc [4]uint64
-		for k, in := range bg.interior {
-			g := sh[k] & in &^ gf[k]
-			nxt[k] |= g
-			acc[k&wm] |= g
-		}
-		b.growW.orAny(&acc)
-	}
-	if !v.Boundary {
-		return
-	}
-	for d := 0; d < 4; d++ {
-		e := Dir(d).Opposite()
-		sh := b.sh[d]
-		for k, bd := range bg.boundary {
-			fb := sh[k] & bd &^ b.fired[k]
-			if fb == 0 {
-				continue
-			}
-			b.fired[k] |= fb
-			b.reqDirs[e][k] |= fb
-			if v.ReqGrant {
-				b.reqW.nxt[e][k] |= fb
-				b.reqW.nxtAny[k&wm] |= fb
-			} else {
-				b.sentPair[k] |= fb
-				b.pairW.nxt[e][k] |= fb
-				b.pairW.nxtAny[k&wm] |= fb
-				b.pairBW.nxt[e][k] |= fb
-				b.pairBW.nxtAny[k&wm] |= fb
-			}
-		}
-	}
-}
-
-// moveReqs is planeState.moveReqs with a per-lane grant priority: the
-// rotated retry offset is lane-local state, so when any lane is mid
-// retry the grant policy runs lane-by-lane over the lanes of the word's
-// column (the fast path — all lanes at fixed hardware priority — stays
-// whole-word).
-func (b *BatchMesh) moveReqs() {
-	bg := b.bg
-	wm := bg.wmask
-	for d := 0; d < 4; d++ {
-		bg.shiftInto(b.sh[d], b.reqW.cur[d], Dir(d))
-		sh := b.sh[d]
-		nxt := b.reqW.nxt[d]
-		var acc [4]uint64
-		for k, in := range bg.interior {
-			mv := sh[k] & in
-			pass := mv &^ b.hot[k]
-			sh[k] = mv & b.hot[k]
-			nxt[k] |= pass
-			acc[k&wm] |= pass
-		}
-		b.reqW.orAny(&acc)
-	}
-	for k := range bg.interior {
-		any := b.sh[0][k] | b.sh[1][k] | b.sh[2][k] | b.sh[3][k]
-		elig := any & b.hot[k] &^ b.granted[k]
-		if elig == 0 {
-			continue
-		}
-		if b.anyPrio == 0 {
-			var taken uint64
-			for _, e := range grantPrio {
-				c := b.sh[e.Opposite()][k] & elig &^ taken
-				if c != 0 {
-					b.grantW.nxt[e][k] |= c
-					b.grantW.nxtAny[k&wm] |= c
-					taken |= c
-				}
-			}
-		} else {
-			col := k & wm
-			for l := col * bg.perWord; l < bg.colEnd[col]; l++ {
-				lane := bg.laneBits[l]
-				el := elig & lane
-				if el == 0 {
-					continue
-				}
-				base := b.lanePrio[l]
-				if base == 0 {
-					var taken uint64
-					for _, e := range grantPrio {
-						c := b.sh[e.Opposite()][k] & el &^ taken
-						if c != 0 {
-							b.grantW.nxt[e][k] |= c
-							b.grantW.nxtAny[col] |= c
-							taken |= c
-						}
-					}
-					continue
-				}
-				for cls := 0; cls < 4; cls++ {
-					ecls := el & bg.classMask[cls][k]
-					if ecls == 0 {
-						continue
-					}
-					off := (base + cls) % 4
-					var taken uint64
-					for j := 0; j < 4; j++ {
-						e := grantPrio[(j+off)%4]
-						c := b.sh[e.Opposite()][k] & ecls &^ taken
-						if c != 0 {
-							b.grantW.nxt[e][k] |= c
-							b.grantW.nxtAny[col] |= c
-							taken |= c
-						}
-					}
-				}
-			}
-		}
-		b.granted[k] |= elig
-	}
-}
-
-// moveGrants is planeState.moveGrants over the lane-packed planes.
-func (b *BatchMesh) moveGrants() {
-	bg := b.bg
-	wm := bg.wmask
-	for _, d := range pairOrder {
-		bg.shiftInto(b.tmpA, b.grantW.cur[d], d)
-		e := d.Opposite()
-		nxt := b.grantW.nxt[d]
-		var acc [4]uint64
-		for k, in := range bg.interior {
-			mv := b.tmpA[k]
-			if mv == 0 {
-				continue
-			}
-			mvI := mv & in
-			cons := mvI & b.fired[k] & b.reqDirs[e][k] &^ b.grants[e][k]
-			b.grants[e][k] |= cons
-			pass := mvI &^ cons
-			nxt[k] |= pass
-			acc[k&wm] |= pass
-			bc := mv & bg.boundary[k] & b.fired[k] & b.reqDirs[e][k] &^ b.sentPair[k]
-			if bc != 0 {
-				b.sentPair[k] |= bc
-				b.pairW.nxt[e][k] |= bc
-				b.pairW.nxtAny[k&wm] |= bc
-				b.pairBW.nxt[e][k] |= bc
-				b.pairBW.nxtAny[k&wm] |= bc
-			}
-		}
-		b.grantW.orAny(&acc)
-	}
-}
-
-// movePairs is planeState.movePairs with per-lane accounting: pair
-// terminations decrement the owning lane's hot counter and Stats, and
-// the returned mask has bit l set when lane l completed a pairing this
-// cycle (its per-lane pairingDone).
-func (b *BatchMesh) movePairs() (done uint64) {
-	bg := b.bg
-	wm := bg.wmask
-	for _, d := range pairOrder {
-		bg.shiftInto(b.tmpA, b.pairW.cur[d], d)
-		bg.shiftInto(b.tmpB, b.pairBW.cur[d], d)
-		nxt, nxtB := b.pairW.nxt[d], b.pairBW.nxt[d]
-		var acc, accB [4]uint64
-		for k, in := range bg.interior {
-			mv := b.tmpA[k] & in
-			if mv == 0 {
-				continue
-			}
-			b.errOut[k] ^= mv
-			hits := mv & b.hot[k]
-			if hits != 0 {
-				b.hot[k] &^= hits
-				col := k & wm
-				for l := col * bg.perWord; l < bg.colEnd[col]; l++ {
-					hl := hits & bg.laneBits[l]
-					if hl == 0 {
-						continue
-					}
-					nh := bits.OnesCount64(hl)
-					b.laneHot[l] -= nh
-					b.laneStats[l].Pairings += nh
-					b.laneStats[l].BoundaryPairings += bits.OnesCount64(hl & b.tmpB[k])
-					done |= uint64(1) << uint(l)
-				}
-			}
-			pass := mv &^ hits
-			nxt[k] |= pass
-			acc[k&wm] |= pass
-			bp := b.tmpB[k] & pass
-			nxtB[k] |= bp
-			accB[k&wm] |= bp
-		}
-		b.pairW.orAny(&acc)
-		b.pairBW.orAny(&accB)
-	}
-	return done
-}
-
-// fireIntermediates is planeState.fireIntermediates over the
-// lane-packed planes. Lanes mid-reset have empty growFrom latches, so
-// they contribute nothing, matching the scalar blocked branch.
-func (b *BatchMesh) fireIntermediates() {
-	bg, v := b.bg, b.variant
-	wm := bg.wmask
-	gfN, gfE, gfS, gfW := b.growFrom[North], b.growFrom[East], b.growFrom[South], b.growFrom[West]
-	for k, in := range bg.interior {
-		elig := in &^ b.fired[k] &^ b.hot[k]
-		if elig == 0 {
-			continue
-		}
-		cWE := elig & gfW[k] & gfE[k]
-		rem := elig &^ cWE
-		cNS := rem & gfN[k] & gfS[k]
-		rem &^= cNS
-		cNW := rem & gfN[k] & gfW[k]
-		rem &^= cNW
-		cNE := rem & gfN[k] & gfE[k]
-		firedNew := cWE | cNS | cNW | cNE
-		if firedNew == 0 {
-			continue
-		}
-		b.fired[k] |= firedNew
-		setN := cNS | cNW | cNE
-		setS := cNS
-		setE := cWE | cNE
-		setW := cWE | cNW
-		b.reqDirs[North][k] |= setN
-		b.reqDirs[South][k] |= setS
-		b.reqDirs[East][k] |= setE
-		b.reqDirs[West][k] |= setW
-		if v.ReqGrant {
-			b.reqW.nxt[North][k] |= setN
-			b.reqW.nxt[South][k] |= setS
-			b.reqW.nxt[East][k] |= setE
-			b.reqW.nxt[West][k] |= setW
-			b.reqW.nxtAny[k&wm] |= firedNew
-		} else {
-			b.sentPair[k] |= firedNew
-			b.errOut[k] ^= firedNew
-			b.pairW.nxt[North][k] |= setN
-			b.pairW.nxt[South][k] |= setS
-			b.pairW.nxt[East][k] |= setE
-			b.pairW.nxt[West][k] |= setW
-			b.pairW.nxtAny[k&wm] |= firedNew
-		}
-	}
-}
-
-// completeHandshakes is planeState.completeHandshakes over the
-// lane-packed planes.
-func (b *BatchMesh) completeHandshakes() {
-	if !b.variant.ReqGrant {
-		return
-	}
-	bg := b.bg
-	wm := bg.wmask
-	for k, in := range bg.interior {
-		pend := (b.reqDirs[0][k] &^ b.grants[0][k]) |
-			(b.reqDirs[1][k] &^ b.grants[1][k]) |
-			(b.reqDirs[2][k] &^ b.grants[2][k]) |
-			(b.reqDirs[3][k] &^ b.grants[3][k])
-		ready := (b.fired[k] &^ b.sentPair[k]) & in &^ pend
-		if ready == 0 {
-			continue
-		}
-		b.sentPair[k] |= ready
-		b.errOut[k] ^= ready
-		for d := 0; d < 4; d++ {
-			p := ready & b.reqDirs[d][k]
-			b.pairW.nxt[d][k] |= p
-			b.pairW.nxtAny[k&wm] |= p
-		}
-	}
-}
-
-// drainLane force-pairs lane l's remaining hot modules with their
-// nearest boundary — planeState.drainToBoundary confined to one lane,
-// same ascending cell order, charging the lane's own Stats.
+// drainLane is the watchdog: it force-pairs lane l's remaining hot
+// modules with their nearest boundary in ascending cell order, toggling
+// the error outputs along each straight-line chain and charging the
+// lane's Stats the cycles the drive would take (request, grant and pair
+// traversals plus a reset per pairing).
 func (b *BatchMesh) drainLane(l int) {
 	geo, bg := b.geo, b.bg
 	st := &b.laneStats[l]
-	col := bg.laneCol[l]
-	shift := uint(l % bg.perWord * geo.m)
-	for r := 0; r < geo.rows; r++ {
-		w := b.hot[r*bg.words+col] >> shift & bg.laneLow
-		for w != 0 {
-			c := bits.TrailingZeros64(w)
-			w &= w - 1
-			i := r*geo.m + c
-			d, hops := geo.drainDir(i)
-			for j := geo.neighbor(i, d); j >= 0 && geo.kind[j] == cellInterior; j = geo.neighbor(j, d) {
-				b.errOut[j/geo.m*bg.words+col] ^= uint64(1) << (shift + uint(j%geo.m))
-			}
-			b.hot[r*bg.words+col] &^= uint64(1) << (shift + uint(c))
-			b.laneHot[l]--
-			st.Fallbacks++
-			st.Pairings++
-			st.BoundaryPairings++
-			st.Cycles += 3*hops + ResetDepth
+	b.forLaneCells(b.hot, l, func(i int) {
+		d, hops := geo.drainDir(i)
+		for j := geo.neighbor(i, d); j >= 0 && geo.kind[j] == cellInterior; j = geo.neighbor(j, d) {
+			w, bit := bg.laneBit(l, j)
+			b.errOut[w] ^= bit
+		}
+		w, bit := bg.laneBit(l, i)
+		b.hot[w] &^= bit
+		b.laneHot[l]--
+		st.Fallbacks++
+		st.Pairings++
+		st.BoundaryPairings++
+		st.Cycles += 3*hops + ResetDepth
+	})
+}
+
+// render draws lane l's planes as one glyph per module (see
+// Mesh.Render).
+func (b *BatchMesh) render(l int) string {
+	geo, bg := b.geo, b.bg
+	set := func(p []uint64, i int) bool {
+		w, bit := bg.laneBit(l, i)
+		return p[w]&bit != 0
+	}
+	anyDir := func(wf *bwavefront, i int) bool {
+		return set(wf.cur.dir[North], i) || set(wf.cur.dir[East], i) || set(wf.cur.dir[South], i) || set(wf.cur.dir[West], i)
+	}
+	var sb strings.Builder
+	for i, kd := range geo.kind {
+		switch {
+		case kd == cellInert:
+			sb.WriteString(" ")
+		case set(b.hot, i):
+			sb.WriteString("H")
+		case anyDir(&b.pairW, i):
+			sb.WriteString("P")
+		case anyDir(&b.grantW, i):
+			sb.WriteString("G")
+		case anyDir(&b.reqW, i):
+			sb.WriteString("r")
+		case anyDir(&b.growW, i):
+			sb.WriteString("*")
+		case kd == cellInterior && set(b.errOut, i):
+			sb.WriteString("#")
+		case kd == cellBoundary:
+			sb.WriteString("=")
+		default:
+			sb.WriteString("·")
+		}
+		if i%geo.m == geo.m-1 {
+			sb.WriteByte('\n')
 		}
 	}
+	return sb.String()
 }
 
 var (

@@ -8,32 +8,39 @@ import (
 	"repro/internal/lattice"
 )
 
-// batchGeom is the d-major lane layout of the SWAR batch kernel: B
-// independent mesh instances packed side by side in the same []uint64
-// planes. A batched plane is W machine words per row (W ∈ {1, 2, 4},
-// the layout exists only for meshes with side ≤ 64): word k = r·W + c
-// holds column c of row r, and each word column carries
-// perWord = ⌊64/(2d+1)⌋ lanes. Lane l lives in column l/perWord at
-// slot l%perWord, so cell i of lane l sits at word (i/m)·W + l/perWord,
-// bit (l%perWord)·m + i%m. A single shift-and-mask pass over the rows
-// therefore advances all W·perWord lanes at once while the lane masks
-// keep wavefronts from bleeding across instances.
+// batchGeom is the lane layout of the batch kernel: B independent mesh
+// instances side by side in the same []uint64 planes. A plane is W
+// machine words per row; word k = r·W + j holds word j of row r.
+//
+// Two layouts share every phase of the kernel:
+//
+//   - Packed (side m ≤ 64): W ∈ {1, 2, 4} word columns, each carrying
+//     perWord = ⌊64/m⌋ lanes. Lane l lives in column l/perWord at slot
+//     l%perWord, so cell (r, c) of lane l sits at word r·W + l/perWord,
+//     bit (l%perWord)·m + c. A single shift-and-mask pass over the rows
+//     advances all W·perWord lanes at once while the lane masks keep
+//     wavefronts from bleeding across instances.
+//   - Spanning (m > 64): one lane spans W = ⌈m/64⌉ words per row, cell
+//     (r, c) at word r·W + c/64, bit c%64. Every word belongs to the one
+//     lane (column 0, wmask 0), and horizontal shifts carry the edge bit
+//     across the word boundary.
 //
 // Like meshGeom, a batchGeom depends only on (distance, error type,
 // lanes) and is computed once and shared read-only.
 type batchGeom struct {
 	geo     *meshGeom
 	lanes   int
-	words   int // W: words per plane row, power of two
-	wmask   int // words − 1; word k belongs to column k & wmask
-	perWord int // lanes per fully occupied word column
+	words   int // W: words per plane row
+	wmask   int // word k belongs to lane column k & wmask (0 when spanning)
+	span    int // words one lane occupies per row: 1 packed, W spanning
+	perWord int // lanes per fully occupied column (1 when spanning)
 	n       int // plane length: rows · words
 
-	laneBits []uint64 // per-lane in-word mask: laneLow << ((l%perWord)·m)
-	laneCol  []int    // word column of lane l: l / perWord
+	laneBits []uint64 // per-lane in-word mask: laneLow << laneOff[l]
+	laneOff  []uint   // bit of lane l's column 0 within its word
+	laneCol  []int    // lane column of lane l: l / perWord
 	colEnd   []int    // one past the last lane of column c
-	allLanes uint64   // full-column occupancy: OR of the perWord slot masks
-	laneLow  uint64   // (1<<m)−1, the slot-0 mask
+	laneLow  uint64   // (1<<m)−1 packed, all ones spanning
 
 	// Lane-safe horizontal shift masks, shared by every column. An East
 	// shift (<<1) must not carry a bit into the next slot's column 0, so
@@ -45,19 +52,27 @@ type batchGeom struct {
 	// so strays never reach persistent state or the any accumulators.
 	eastMask uint64
 	westMask uint64
+	// Carry masks of the spanning layout: an East shift moves bit 63 of
+	// the western neighbour word into bit 0 (eastCarry = 1), a West shift
+	// bit 0 of the eastern neighbour into bit 63 (westCarry = 1<<63).
+	// Both are zero for packed layouts, where no lane crosses a word.
+	// At a row edge the neighbour word belongs to the adjacent row, and
+	// the carried bit is a column ≥ m — never a cell, so always zero in
+	// a signal plane (East) or masked off by every consumer (West).
+	eastCarry uint64
+	westCarry uint64
 
-	// Lane-replicated copies of the scalar plane masks (length n).
-	// classMask replicates the scalar cell index residue (r·m+c)%4 into
-	// every lane, so the rotated grant priority matches the scalar
-	// kernel per lane. Unoccupied slots of a partial last column are
-	// zero in all of them.
+	// Lane-replicated cell masks (length n). classMask replicates the
+	// cell index residue (r·m+c)%4 into every lane, so the rotated grant
+	// priority matches the oracle per lane. Unoccupied slots of a
+	// partial last column are zero in all of them.
 	interior  []uint64
 	boundary  []uint64
 	classMask [4][]uint64
 }
 
-// BatchWords is the plane width of the wide SWAR kernel in 64-bit
-// words: how many word columns NewBatch packs side by side. It is the
+// BatchWords is the plane width of the batch kernel in 64-bit words:
+// how many word columns NewBatch packs side by side. It is the
 // REPRO_SFQ_WIDTH knob ("1", "2", "4"; "auto" or unset picks the widest
 // layout the host word size profitably supports) resolved once at
 // process start.
@@ -89,8 +104,7 @@ func autoBatchWords() int {
 
 // MaxBatchLanesAt returns how many independent distance-d meshes fit in
 // a plane of the given word width: words·⌊64/(2d+1)⌋, floored at 1
-// (meshes wider than a word fall back to scalar decoding inside
-// BatchMesh).
+// (a mesh wider than a word spans several words per row, one lane).
 func MaxBatchLanesAt(d, words int) int {
 	side := 2*d + 1
 	if side > 64 {
@@ -105,11 +119,12 @@ func MaxBatchLanesAt(d, words int) int {
 func MaxBatchLanes(d int) int { return MaxBatchLanesAt(d, BatchWords) }
 
 // batchWordsFor returns the narrowest power-of-two column count that
-// holds the requested lanes, capped at 4.
+// holds the requested lanes, capped at 4; a mesh wider than a word
+// spans ⌈side/64⌉ words.
 func batchWordsFor(d, lanes int) int {
 	side := 2*d + 1
 	if side > 64 {
-		return 1
+		return (side + 63) / 64
 	}
 	perWord := 64 / side
 	switch {
@@ -161,38 +176,46 @@ func buildBatchGeom(g *lattice.Graph, lanes int) *batchGeom {
 	geo := geomFor(g)
 	m := geo.m
 	words := batchWordsFor(geo.d, lanes)
-	perWord := 64 / m
 	bg := &batchGeom{
 		geo:     geo,
 		lanes:   lanes,
 		words:   words,
 		wmask:   words - 1,
-		perWord: perWord,
-		n:       geo.rows * words,
+		span:    1,
+		perWord: 64 / max(m, 1),
+		n:       m * words,
 	}
-	bg.laneLow = (uint64(1) << uint(m)) - 1
 	bg.laneBits = make([]uint64, lanes)
+	bg.laneOff = make([]uint, lanes)
 	bg.laneCol = make([]int, lanes)
-	bg.colEnd = make([]int, words)
-	var lowBits, highBits uint64
-	for s := 0; s < perWord; s++ {
-		shift := uint(s * m)
-		bg.allLanes |= bg.laneLow << shift
-		lowBits |= uint64(1) << shift
-		highBits |= uint64(1) << (shift + uint(m) - 1)
-	}
-	bg.eastMask = bg.allLanes &^ lowBits
-	bg.westMask = bg.allLanes &^ highBits
-	for l := 0; l < lanes; l++ {
-		bg.laneBits[l] = bg.laneLow << uint(l%perWord*m)
-		bg.laneCol[l] = l / perWord
-	}
-	for c := 0; c < words; c++ {
-		end := (c + 1) * perWord
-		if end > lanes {
-			end = lanes
+	bg.colEnd = make([]int, bg.wmask+1)
+	if m > 64 {
+		// Spanning: one lane, every word in column 0, no lane seams.
+		bg.wmask, bg.span, bg.perWord = 0, words, 1
+		bg.colEnd = []int{1}
+		bg.laneLow = ^uint64(0)
+		bg.laneBits[0] = ^uint64(0)
+		bg.eastMask, bg.westMask = ^uint64(0), ^uint64(0)
+		bg.eastCarry, bg.westCarry = 1, 1<<63
+	} else {
+		bg.laneLow = (uint64(1) << uint(m)) - 1
+		var all, lowBits, highBits uint64
+		for s := 0; s < bg.perWord; s++ {
+			shift := uint(s * m)
+			all |= bg.laneLow << shift
+			lowBits |= uint64(1) << shift
+			highBits |= uint64(1) << (shift + uint(m) - 1)
 		}
-		bg.colEnd[c] = end
+		bg.eastMask = all &^ lowBits
+		bg.westMask = all &^ highBits
+		for l := 0; l < lanes; l++ {
+			bg.laneOff[l] = uint(l % bg.perWord * m)
+			bg.laneBits[l] = bg.laneLow << bg.laneOff[l]
+			bg.laneCol[l] = l / bg.perWord
+		}
+		for c := range bg.colEnd {
+			bg.colEnd[c] = min((c+1)*bg.perWord, lanes)
+		}
 	}
 
 	bg.interior = make([]uint64, bg.n)
@@ -201,10 +224,8 @@ func buildBatchGeom(g *lattice.Graph, lanes int) *batchGeom {
 		bg.classMask[k] = make([]uint64, bg.n)
 	}
 	for i, kd := range geo.kind {
-		r, c := i/m, i%m
 		for l := 0; l < lanes; l++ {
-			w := r*words + bg.laneCol[l]
-			bit := uint64(1) << uint(l%perWord*m+c)
+			w, bit := bg.laneBit(l, i)
 			switch kd {
 			case cellInterior:
 				bg.interior[w] |= bit
@@ -220,73 +241,10 @@ func buildBatchGeom(g *lattice.Graph, lanes int) *batchGeom {
 // laneBit returns the plane word index and bit of cell i in lane l.
 func (bg *batchGeom) laneBit(l, i int) (word int, bit uint64) {
 	m := bg.geo.m
-	return i/m*bg.words + bg.laneCol[l], uint64(1) << uint(l%bg.perWord*m+i%m)
+	pos := bg.laneOff[l] + uint(i%m)
+	return i/m*bg.words + bg.laneCol[l] + int(pos>>6), uint64(1) << (pos & 63)
 }
 
-// shiftInto writes src advanced one hop in direction d into dst,
-// per lane: vertical shifts are whole-row moves of W-word row groups
-// (lanes travel together), horizontal shifts mask out the bit that
-// would cross a lane seam. dst must not alias src.
-func (bg *batchGeom) shiftInto(dst, src []uint64, d Dir) {
-	w := bg.words
-	switch d {
-	case North: // row r receives row r+1
-		copy(dst, src[w:])
-		for k := len(dst) - w; k < len(dst); k++ {
-			dst[k] = 0
-		}
-	case South: // row r receives row r-1
-		copy(dst[w:], src[:len(src)-w])
-		for k := 0; k < w; k++ {
-			dst[k] = 0
-		}
-	case East: // column c receives column c-1, per lane
-		em := bg.eastMask
-		if w == 4 {
-			shiftEast4(dst, src, em)
-			return
-		}
-		for r, v := range src {
-			dst[r] = v << 1 & em
-		}
-	case West: // column c receives column c+1, per lane
-		wm := bg.westMask
-		if w == 4 {
-			shiftWest4(dst, src, wm)
-			return
-		}
-		for r, v := range src {
-			dst[r] = v >> 1 & wm
-		}
-	}
-}
-
-// shiftEast4 is the unrolled four-word East shift: four independent
-// single-word chains per row group keep the ALU ports saturated.
-func shiftEast4(dst, src []uint64, em uint64) {
-	n := len(src) &^ 3
-	dst = dst[:n]
-	src = src[:n]
-	for k := 0; k < n; k += 4 {
-		d4 := dst[k : k+4 : k+4]
-		s4 := src[k : k+4 : k+4]
-		d4[0] = s4[0] << 1 & em
-		d4[1] = s4[1] << 1 & em
-		d4[2] = s4[2] << 1 & em
-		d4[3] = s4[3] << 1 & em
-	}
-}
-
-func shiftWest4(dst, src []uint64, wm uint64) {
-	n := len(src) &^ 3
-	dst = dst[:n]
-	src = src[:n]
-	for k := 0; k < n; k += 4 {
-		d4 := dst[k : k+4 : k+4]
-		s4 := src[k : k+4 : k+4]
-		d4[0] = s4[0] >> 1 & wm
-		d4[1] = s4[1] >> 1 & wm
-		d4[2] = s4[2] >> 1 & wm
-		d4[3] = s4[3] >> 1 & wm
-	}
-}
+// colStep is the word stride between successive words of one lane
+// column: W for packed layouts, 1 when one lane spans every word.
+func (bg *batchGeom) colStep() int { return bg.wmask + 1 }

@@ -1,53 +1,111 @@
-package sfq
+package sfq_test
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/decodepool"
 	"repro/internal/knob"
 	"repro/internal/lattice"
 	"repro/internal/pauli"
+	"repro/internal/sfq"
+	"repro/internal/sfq/oracle"
 )
 
-// The conformance suite pins the bit-plane kernel bit-identical to the
-// legacy struct-of-bools reference: same correction qubits, same Stats
-// (cycles, pairings, resets, retries, fallbacks, unresolved) for every
-// variant, error type, and syndrome thrown at them.
+// The conformance suite pins the production kernel bit-identical to the
+// reference model in internal/sfq/oracle: same correction qubits and
+// same Stats for every syndrome, across variants, error types, plane
+// widths, lane counts from 1 (sfq.Mesh) to the maximum, the spanning
+// layout (side > 64), and the decode orders dynamic lane refill
+// induces. Every mesh is reused across its whole syndrome set, so state
+// leaking between decodes diverges too.
+
+var variants = []sfq.Variant{sfq.Baseline, sfq.WithReset, sfq.WithBoundary, sfq.Final}
 
 func confShort() bool {
 	return testing.Short() || knob.Bool("REPRO_MC_SHORT")
 }
 
-// kernelPair builds a legacy and a bit-plane mesh over the same graph.
-func kernelPair(g *lattice.Graph, v Variant) (*Mesh, *Mesh) {
-	return NewWithKernel(g, v, KernelLegacy), NewWithKernel(g, v, KernelBitplane)
+// want is the oracle's decode of one syndrome.
+type want struct {
+	q  []int
+	st sfq.Stats
 }
 
-// assertSameDecode decodes syn on both meshes and fails on any
-// divergence in corrections or stats.
-func assertSameDecode(t *testing.T, legacy, bit *Mesh, syn []bool, desc string) {
+// oracleDecode runs every syndrome through a fresh reference mesh.
+func oracleDecode(t testing.TB, g *lattice.Graph, v sfq.Variant, maxCycles int, syns [][]bool) []want {
 	t.Helper()
-	cl, sl, errL := legacy.DecodeWithStats(syn)
-	cb, sb, errB := bit.DecodeWithStats(syn)
-	if (errL == nil) != (errB == nil) {
-		t.Fatalf("%s: error divergence: legacy=%v bitplane=%v", desc, errL, errB)
+	o := oracle.New(g, v)
+	if maxCycles > 0 {
+		o.MaxCycles = maxCycles
 	}
-	if errL != nil {
-		return
+	wants := make([]want, len(syns))
+	for i, syn := range syns {
+		q, st, err := o.Decode(syn, nil)
+		if err != nil {
+			t.Fatalf("oracle decode %d: %v", i, err)
+		}
+		wants[i] = want{q, st}
 	}
-	if sl != sb {
-		t.Fatalf("%s: stats diverge:\nlegacy   %+v\nbitplane %+v", desc, sl, sb)
-	}
-	if len(cl.Qubits) != len(cb.Qubits) {
-		t.Fatalf("%s: corrections diverge:\nlegacy   %v\nbitplane %v", desc, cl.Qubits, cb.Qubits)
-	}
-	for i := range cl.Qubits {
-		if cl.Qubits[i] != cb.Qubits[i] {
-			t.Fatalf("%s: corrections diverge:\nlegacy   %v\nbitplane %v", desc, cl.Qubits, cb.Qubits)
+	return wants
+}
+
+// assertMesh decodes each syndrome through the one-lane Mesh and fails
+// on any divergence from the oracle.
+func assertMesh(t testing.TB, m *sfq.Mesh, syns [][]bool, wants []want, desc string) {
+	t.Helper()
+	for i, syn := range syns {
+		c, st, err := m.DecodeWithStats(syn)
+		if err != nil {
+			t.Fatalf("%s: mesh decode %d: %v", desc, i, err)
+		}
+		if !slices.Equal(c.Qubits, wants[i].q) {
+			t.Fatalf("%s: syndrome %d corrections diverge:\noracle %v\nmesh   %v", desc, i, wants[i].q, c.Qubits)
+		}
+		if st != wants[i].st || m.Stats() != st {
+			t.Fatalf("%s: syndrome %d stats diverge:\noracle %+v\nmesh   %+v", desc, i, wants[i].st, st)
 		}
 	}
+}
+
+// assertBatch decodes all syndromes in one DecodeBatchInto and fails on
+// any divergence from the oracle in corrections or per-lane Stats.
+func assertBatch(t testing.TB, g *lattice.Graph, b *sfq.BatchMesh, s *decodepool.Scratch, syns [][]bool, wants []want, desc string) {
+	t.Helper()
+	corr, err := b.DecodeBatchInto(g, syns, s)
+	if err != nil {
+		t.Fatalf("%s: batch decode: %v", desc, err)
+	}
+	if len(corr) != len(syns) {
+		t.Fatalf("%s: got %d corrections for %d syndromes", desc, len(corr), len(syns))
+	}
+	for i := range syns {
+		if !slices.Equal(corr[i].Qubits, wants[i].q) {
+			t.Fatalf("%s: syndrome %d corrections diverge:\noracle %v\nbatch  %v", desc, i, wants[i].q, corr[i].Qubits)
+		}
+		if st := b.LaneStats(i); st != wants[i].st {
+			t.Fatalf("%s: syndrome %d stats diverge:\noracle %+v\nbatch  %+v", desc, i, wants[i].st, st)
+		}
+	}
+}
+
+// laneCounts lists the lane counts a distance is checked at: every
+// count from 1 to the maximum, or in short mode the counts at which the
+// layout changes shape (one lane, a full and an overfull word column,
+// and the maximum).
+func laneCounts(d int) []int {
+	max := sfq.MaxBatchLanes(d)
+	perWord := sfq.MaxBatchLanesAt(d, 1)
+	if confShort() {
+		return slices.Compact([]int{1, min(2, max), perWord, min(perWord+1, max), max})
+	}
+	counts := make([]int, max)
+	for i := range counts {
+		counts[i] = i + 1
+	}
+	return counts
 }
 
 // errorSyndrome computes the syndrome of a Z- or X-error pattern on the
@@ -64,245 +122,213 @@ func errorSyndrome(l *lattice.Lattice, g *lattice.Graph, f *pauli.Frame, qubits 
 	return g.Syndrome(f)
 }
 
-// TestBitplaneConformanceLowWeight checks every weight-≤2 error pattern:
-// all variants and both error types at d ∈ {3, 5}, the final variant
-// at d ∈ {7, 9} (full pair enumeration there is ~10k syndromes each).
-func TestBitplaneConformanceLowWeight(t *testing.T) {
+// randomSyndromes draws raw syndromes with each check hot independently
+// at rate p, reaching states — odd parity, dense stall patterns — that
+// error-derived syndromes rarely produce.
+func randomSyndromes(rng *rand.Rand, g *lattice.Graph, p float64, n int) [][]bool {
+	syns := make([][]bool, n)
+	for i := range syns {
+		syns[i] = make([]bool, g.NumChecks())
+		for j := range syns[i] {
+			syns[i][j] = rng.Float64() < p
+		}
+	}
+	return syns
+}
+
+// TestBatchMeshConformanceLowWeight checks every weight-≤2 error
+// pattern: all variants and both error types at d ∈ {3, 5}, the final
+// variant at d ∈ {7, 9}. Each set decodes as one large batch, so lane
+// refill is heavy.
+func TestBatchMeshConformanceLowWeight(t *testing.T) {
 	for _, d := range []int{3, 5, 7, 9} {
-		variants := []Variant{Baseline, WithReset, WithBoundary, Final}
+		vs := variants
 		etypes := []lattice.ErrorType{lattice.ZErrors, lattice.XErrors}
 		if d >= 7 {
-			variants = []Variant{Final}
-			etypes = []lattice.ErrorType{lattice.ZErrors}
+			if confShort() {
+				continue
+			}
+			vs = []sfq.Variant{sfq.Final}
+			etypes = etypes[:1]
 		}
-		if confShort() && d >= 7 {
-			continue
+		l := lattice.MustNew(d)
+		var qubits []int
+		for _, site := range l.DataSites() {
+			qubits = append(qubits, l.QubitIndex(site))
 		}
 		for _, etype := range etypes {
-			l := lattice.MustNew(d)
 			g := l.MatchingGraph(etype)
-			var qubits []int
-			for _, s := range l.DataSites() {
-				qubits = append(qubits, l.QubitIndex(s))
-			}
 			f := pauli.NewFrame(l.NumQubits())
-			for _, v := range variants {
-				legacy, bit := kernelPair(g, v)
-				// Weight 0 and 1.
-				assertSameDecode(t, legacy, bit, errorSyndrome(l, g, f),
-					fmt.Sprintf("d=%d %v %s weight-0", d, etype, v.Name()))
-				for _, q := range qubits {
-					assertSameDecode(t, legacy, bit, errorSyndrome(l, g, f, q),
-						fmt.Sprintf("d=%d %v %s err{%d}", d, etype, v.Name(), q))
+			syns := [][]bool{errorSyndrome(l, g, f)}
+			for i, qi := range qubits {
+				syns = append(syns, errorSyndrome(l, g, f, qi))
+				for _, qj := range qubits[i+1:] {
+					syns = append(syns, errorSyndrome(l, g, f, qi, qj))
 				}
-				// Weight 2: all pairs.
-				for i := 0; i < len(qubits); i++ {
-					for j := i + 1; j < len(qubits); j++ {
-						assertSameDecode(t, legacy, bit, errorSyndrome(l, g, f, qubits[i], qubits[j]),
-							fmt.Sprintf("d=%d %v %s err{%d,%d}", d, etype, v.Name(), qubits[i], qubits[j]))
-					}
+			}
+			for _, v := range vs {
+				desc := fmt.Sprintf("d=%d %v %s", d, etype, v.Name())
+				wants := oracleDecode(t, g, v, 0, syns)
+				assertMesh(t, sfq.New(g, v), syns, wants, desc+" mesh")
+				s := decodepool.NewScratch()
+				for _, words := range []int{1, 2, 4} {
+					b := sfq.NewBatchWithWidth(g, v, words)
+					assertBatch(t, g, b, s, syns, wants, fmt.Sprintf("%s W=%d", desc, words))
 				}
 			}
 		}
 	}
 }
 
-// TestBitplaneConformanceRandom drives both kernels over seeded random
-// raw syndromes (each check hot independently), which reach states —
-// odd-parity syndromes, dense stall patterns — that error-derived
-// syndromes rarely produce. ≥ 1k syndromes in the full run.
-func TestBitplaneConformanceRandom(t *testing.T) {
-	trials := 50
+// randomCases draws the seeded raw-syndrome set of one (distance,
+// error type): perRate syndromes at each rate.
+func randomCases(g *lattice.Graph, rates []float64, perRate int) [][]bool {
+	rng := rand.New(rand.NewSource(int64(9000*g.Lattice().Distance()) + int64(g.ErrorType())))
+	var syns [][]bool
+	for _, p := range rates {
+		syns = append(syns, randomSyndromes(rng, g, p, perRate)...)
+	}
+	return syns
+}
+
+// TestBatchMeshConformanceRandom drives every variant and both error
+// types over seeded random raw syndromes through the one-lane Mesh and
+// a full-width batch at d ∈ {3, 5, 7, 9, 13, 33}. d = 33 (side 67) is
+// the spanning layout: one lane over two words per row.
+func TestBatchMeshConformanceRandom(t *testing.T) {
+	perRate := 12
 	if confShort() {
-		trials = 8
+		perRate = 3
 	}
-	for _, d := range []int{3, 5, 7, 9} {
+	for _, d := range []int{3, 5, 7, 9, 13, 33} {
+		rates, n := []float64{0.02, 0.08, 0.2}, perRate
+		if d == 33 {
+			// The oracle steps 4489 cells one at a time; keep the
+			// spanning layout's set small and sparse.
+			rates, n = []float64{0.005, 0.02, 0.05}, 2
+			if confShort() {
+				n = 1
+			}
+		}
+		l := lattice.MustNew(d)
 		for _, etype := range []lattice.ErrorType{lattice.ZErrors, lattice.XErrors} {
-			l := lattice.MustNew(d)
 			g := l.MatchingGraph(etype)
-			for _, p := range []float64{0.02, 0.08, 0.2} {
-				rng := rand.New(rand.NewSource(int64(1000*d) + int64(100*p*float64(d)) + int64(etype)))
-				for _, v := range []Variant{Baseline, WithReset, WithBoundary, Final} {
-					legacy, bit := kernelPair(g, v)
-					for trial := 0; trial < trials; trial++ {
-						syn := make([]bool, g.NumChecks())
-						for i := range syn {
-							syn[i] = rng.Float64() < p
-						}
-						assertSameDecode(t, legacy, bit, syn,
-							fmt.Sprintf("d=%d %v %s p=%g trial=%d", d, etype, v.Name(), p, trial))
+			syns := randomCases(g, rates, n)
+			for _, v := range variants {
+				desc := fmt.Sprintf("d=%d %v %s", d, etype, v.Name())
+				wants := oracleDecode(t, g, v, 0, syns)
+				assertMesh(t, sfq.New(g, v), syns, wants, desc+" mesh")
+				b := sfq.NewBatch(g, v)
+				if d == 33 && (b.Lanes() != 1 || b.Words() != 2) {
+					t.Fatalf("%s: spanning layout has %d lanes over %d words per row, want 1 over 2", desc, b.Lanes(), b.Words())
+				}
+				assertBatch(t, g, b, decodepool.NewScratch(), syns, wants, fmt.Sprintf("%s lanes=%d", desc, b.Lanes()))
+			}
+		}
+	}
+}
+
+// TestBatchMeshWidthConformance runs the random sets of d ≤ 13 through
+// a batch at every lane count from 1 to the maximum — every plane width
+// W ∈ {1, 2, 4}, full and partly filled word columns, and the lane
+// refill orders each count induces.
+func TestBatchMeshWidthConformance(t *testing.T) {
+	perRate := 12
+	if confShort() {
+		perRate = 3
+	}
+	for _, d := range []int{3, 5, 7, 9, 13} {
+		l := lattice.MustNew(d)
+		for _, etype := range []lattice.ErrorType{lattice.ZErrors, lattice.XErrors} {
+			g := l.MatchingGraph(etype)
+			syns := randomCases(g, []float64{0.02, 0.08, 0.2}, perRate)
+			for _, v := range variants {
+				wants := oracleDecode(t, g, v, 0, syns)
+				s := decodepool.NewScratch()
+				for _, lanes := range laneCounts(d) {
+					b := sfq.NewBatchWithLanes(g, v, lanes)
+					if b.Lanes() != lanes {
+						t.Fatalf("d=%d: NewBatchWithLanes(%d) built %d lanes", d, lanes, b.Lanes())
 					}
+					assertBatch(t, g, b, s, syns, wants,
+						fmt.Sprintf("d=%d %v %s lanes=%d W=%d", d, etype, v.Name(), lanes, b.Words()))
 				}
 			}
 		}
 	}
 }
 
-// TestBitplaneConformanceReuse interleaves decodes on shared meshes, so
-// any state leaking across Decode calls in either kernel diverges.
-func TestBitplaneConformanceReuse(t *testing.T) {
-	l := lattice.MustNew(7)
-	g := l.MatchingGraph(lattice.ZErrors)
-	legacy, bit := kernelPair(g, Final)
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 200; trial++ {
-		syn := make([]bool, g.NumChecks())
-		p := []float64{0, 0.05, 0.3}[trial%3]
-		for i := range syn {
-			syn[i] = rng.Float64() < p
+// TestBatchMeshSingleDecodeAdapters checks the decoder.Decoder and
+// IntoDecoder faces of BatchMesh against the oracle, including Stats of
+// the last single decode.
+func TestBatchMeshSingleDecodeAdapters(t *testing.T) {
+	g := lattice.MustNew(7).MatchingGraph(lattice.ZErrors)
+	batch := sfq.NewBatch(g, sfq.Final)
+	s := decodepool.NewScratch()
+	rng := rand.New(rand.NewSource(23))
+	var syns [][]bool
+	for _, p := range []float64{0, 0.05, 0.25} {
+		syns = append(syns, randomSyndromes(rng, g, p, 30)...)
+	}
+	wants := oracleDecode(t, g, sfq.Final, 0, syns)
+	for i, syn := range syns {
+		got, err := batch.DecodeInto(g, syn, s)
+		if err != nil {
+			t.Fatal(err)
 		}
-		assertSameDecode(t, legacy, bit, syn, fmt.Sprintf("reuse trial=%d", trial))
+		if !slices.Equal(got.Qubits, wants[i].q) {
+			t.Fatalf("syndrome %d: DecodeInto %v != oracle %v", i, got.Qubits, wants[i].q)
+		}
+		if batch.Stats() != wants[i].st {
+			t.Fatalf("syndrome %d: stats %+v != oracle %+v", i, batch.Stats(), wants[i].st)
+		}
+		got2, err := batch.Decode(g, syn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got2.Qubits, wants[i].q) {
+			t.Fatalf("syndrome %d: Decode %v != oracle %v", i, got2.Qubits, wants[i].q)
+		}
 	}
 }
 
-// FuzzMesh cross-checks the two kernels on fuzzer-chosen (distance,
-// variant, syndrome) triples.
+// FuzzMesh cross-checks the kernel against the oracle on fuzzer-chosen
+// (distance, variant, lane count, syndromes) tuples: the syndromes
+// decode as one batch at the chosen lane count, and the first also
+// through the one-lane Mesh.
 func FuzzMesh(f *testing.F) {
-	f.Add(uint8(0), uint8(3), []byte{0x01})
-	f.Add(uint8(1), uint8(0), []byte{0xff, 0x10})
-	f.Add(uint8(2), uint8(2), []byte{0x03, 0x00, 0x81})
-	f.Add(uint8(3), uint8(1), []byte{0xaa, 0x55, 0xaa, 0x55})
+	f.Add(uint8(0), uint8(3), uint8(0), []byte{0x01})
+	f.Add(uint8(1), uint8(0), uint8(2), []byte{0xff, 0x10, 0x00, 0x42})
+	f.Add(uint8(2), uint8(2), uint8(5), []byte{0x03, 0x00, 0x81, 0xaa, 0x55})
+	f.Add(uint8(3), uint8(1), uint8(11), []byte{0xaa, 0x55, 0xaa, 0x55, 0x0f, 0xf0})
 	dists := []int{3, 5, 7, 9}
-	variants := []Variant{Baseline, WithReset, WithBoundary, Final}
-	type pairKey struct {
-		d int
-		v uint8
-	}
 	graphs := map[int]*lattice.Graph{}
 	for _, d := range dists {
 		graphs[d] = lattice.MustNew(d).MatchingGraph(lattice.ZErrors)
 	}
-	meshes := map[pairKey][2]*Mesh{}
-	for _, d := range dists {
-		for vi, v := range variants {
-			legacy, bit := kernelPair(graphs[d], v)
-			meshes[pairKey{d, uint8(vi)}] = [2]*Mesh{legacy, bit}
-		}
-	}
-	f.Fuzz(func(t *testing.T, dSel, vSel uint8, synBytes []byte) {
+	f.Fuzz(func(t *testing.T, dSel, vSel, lSel uint8, synBytes []byte) {
 		d := dists[int(dSel)%len(dists)]
 		g := graphs[d]
-		pair := meshes[pairKey{d, vSel % 4}]
-		syn := make([]bool, g.NumChecks())
-		for i := range syn {
-			if i/8 < len(synBytes) {
-				syn[i] = synBytes[i/8]>>(i%8)&1 == 1
+		v := variants[vSel%4]
+		lanes := 1 + int(lSel)%sfq.MaxBatchLanes(d)
+		// Slice the fuzz bytes into a batch of syndromes, one byte per 8
+		// checks, cycling through the input with a shifting offset so
+		// the lanes see distinct patterns.
+		nc := g.NumChecks()
+		syns := make([][]bool, 2*lanes+1)
+		for k := range syns {
+			syns[k] = make([]bool, nc)
+			if len(synBytes) == 0 {
+				continue
+			}
+			for i := 0; i < nc; i++ {
+				b := synBytes[(i/8+k)%len(synBytes)]
+				syns[k][i] = b>>(i%8)&1 == 1
 			}
 		}
-		assertSameDecode(t, pair[0], pair[1], syn, fmt.Sprintf("fuzz d=%d v=%d", d, vSel%4))
+		desc := fmt.Sprintf("fuzz d=%d v=%s lanes=%d", d, v.Name(), lanes)
+		wants := oracleDecode(t, g, v, 0, syns)
+		assertMesh(t, sfq.New(g, v), syns[:1], wants[:1], desc+" mesh")
+		assertBatch(t, g, sfq.NewBatchWithLanes(g, v, lanes), decodepool.NewScratch(), syns, wants, desc)
 	})
-}
-
-// TestMeshDecodeIntoZeroAllocs is the PR 2 guarantee extended to the
-// mesh decoder: a warmed-up pooled mesh decodes with zero heap
-// allocations at d=9, on both kernels.
-func TestMeshDecodeIntoZeroAllocs(t *testing.T) {
-	l := lattice.MustNew(9)
-	g := l.MatchingGraph(lattice.ZErrors)
-	rng := rand.New(rand.NewSource(7))
-	syndromes := make([][]bool, 32)
-	for i := range syndromes {
-		syndromes[i] = make([]bool, g.NumChecks())
-		for j := range syndromes[i] {
-			syndromes[i][j] = rng.Float64() < 0.08
-		}
-	}
-	for _, k := range []Kernel{KernelBitplane, KernelLegacy} {
-		mesh := NewWithKernel(g, Final, k)
-		s := decodepool.NewScratch()
-		for _, syn := range syndromes {
-			if _, err := mesh.DecodeInto(g, syn, s); err != nil {
-				t.Fatal(err)
-			}
-		}
-		i := 0
-		allocs := testing.AllocsPerRun(len(syndromes)*4, func() {
-			if _, err := mesh.DecodeInto(g, syndromes[i%len(syndromes)], s); err != nil {
-				t.Fatal(err)
-			}
-			i++
-		})
-		if allocs != 0 {
-			t.Errorf("kernel %s: %.1f allocs/decode, want 0", k, allocs)
-		}
-	}
-}
-
-// TestMeshPoolReuse checks the pool hands back parked meshes instead of
-// building new ones, and that recycled meshes decode correctly.
-func TestMeshPoolReuse(t *testing.T) {
-	pool := NewPool(Final)
-	m1 := pool.Get(5, lattice.ZErrors)
-	g := pool.Graph(5, lattice.ZErrors)
-	syn := make([]bool, g.NumChecks())
-	syn[0], syn[1] = true, true
-	c1, _, err := m1.DecodeWithStats(syn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool.Put(m1)
-	m2 := pool.Get(5, lattice.ZErrors)
-	if m2 != m1 {
-		t.Fatalf("pool built a new mesh instead of reusing the parked one")
-	}
-	if m2.Stats() != (Stats{}) {
-		t.Fatalf("recycled mesh carries stale stats: %+v", m2.Stats())
-	}
-	c2, _, err := m2.DecodeWithStats(syn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(c1.Qubits) != fmt.Sprint(c2.Qubits) {
-		t.Fatalf("recycled mesh decodes differently: %v vs %v", c1.Qubits, c2.Qubits)
-	}
-	// A mesh of a foreign variant must not enter the pool.
-	pool.Put(New(pool.Graph(5, lattice.ZErrors), Baseline))
-	if got := pool.Get(5, lattice.ZErrors); got == nil || got.Variant() != Final {
-		t.Fatalf("pool handed out a foreign-variant mesh")
-	}
-}
-
-// TestMeshPoolRelease checks the decoder.Decoder adapter ignores
-// non-mesh decoders and recycles meshes.
-func TestMeshPoolRelease(t *testing.T) {
-	pool := NewPool(Final)
-	m := pool.Get(3, lattice.XErrors)
-	pool.Release(m)
-	if got := pool.Get(3, lattice.XErrors); got != m {
-		t.Fatalf("Release did not recycle the mesh")
-	}
-	pool.Release(nil) // non-mesh decoder: must not panic
-}
-
-// TestDecodeIntoMatchesDecode checks the pooled path returns the same
-// correction as the allocating path, and that a structurally identical
-// graph (distinct pointer) is accepted while a foreign one is rejected.
-func TestDecodeIntoMatchesDecode(t *testing.T) {
-	l := lattice.MustNew(5)
-	g := l.MatchingGraph(lattice.ZErrors)
-	g2 := lattice.MustNew(5).MatchingGraph(lattice.ZErrors) // same structure, different pointer
-	wrong := l.MatchingGraph(lattice.XErrors)
-	mesh := New(g, Final)
-	s := decodepool.NewScratch()
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 50; trial++ {
-		syn := make([]bool, g.NumChecks())
-		for i := range syn {
-			syn[i] = rng.Float64() < 0.1
-		}
-		want, err := mesh.Decode(g, syn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := mesh.DecodeInto(g2, syn, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fmt.Sprint(want.Qubits) != fmt.Sprint(got.Qubits) {
-			t.Fatalf("trial %d: DecodeInto %v != Decode %v", trial, got.Qubits, want.Qubits)
-		}
-	}
-	if _, err := mesh.DecodeInto(wrong, make([]bool, wrong.NumChecks()), s); err == nil {
-		t.Fatalf("DecodeInto accepted a graph of the wrong error type")
-	}
 }

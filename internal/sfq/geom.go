@@ -7,34 +7,30 @@ import (
 )
 
 // meshGeom holds the immutable geometry of one decoder mesh: the cell
-// classification of the (2d+1)×(2d+1) grid, the cell↔qubit/check index
-// maps, and the precomputed bit-plane masks of the word-parallel kernel.
-// Geometry depends only on (distance, error type), so it is computed
-// once per parameter pair and shared read-only by every mesh — any
-// number of Monte-Carlo shards rebuilding their own lattices still hit
-// one table, mirroring decodepool.Geometry.
+// classification of the (2d+1)×(2d+1) grid and the cell↔qubit/check
+// index maps. Geometry depends only on (distance, error type), so it is
+// computed once per parameter pair and shared read-only by every mesh —
+// any number of Monte-Carlo shards rebuilding their own lattices still
+// hit one table, mirroring decodepool.Geometry.
 type meshGeom struct {
 	d int               // code distance
 	e lattice.ErrorType // error type the mesh decodes
 	m int               // mesh side length
 	n int               // m*m cells
 
-	kind     []cellKind
-	dataQ    []int // interior data cells -> qubit index, else -1
-	checkIdx []int // interior check cells -> check index, else -1
-	cellOf   []int // check index -> cell index
-
-	// Bit-plane layout: one plane is rows×words uint64s, cell (r, c)
-	// living at word r*words + c/64, bit c%64.
-	rows     int    // == m
-	words    int    // words per row
-	pw       int    // plane length: rows*words
-	lastMask uint64 // valid-column mask of the last word of each row
-
-	interior  []uint64    // plane mask of interior cells
-	boundary  []uint64    // plane mask of boundary cells
-	classMask [4][]uint64 // cells with index%4 == k (rotated grant priority)
+	kind   []cellKind
+	dataQ  []int // interior data cells -> qubit index, else -1
+	cellOf []int // check index -> cell index
 }
+
+// cellKind classifies a mesh cell.
+type cellKind uint8
+
+const (
+	cellInert    cellKind = iota // ring position with no boundary role
+	cellInterior                 // one module per physical qubit
+	cellBoundary                 // boundary module facing the code edge
+)
 
 type geomKey struct {
 	d int
@@ -80,10 +76,9 @@ func buildGeom(g *lattice.Graph) *meshGeom {
 	}
 	geo.kind = make([]cellKind, geo.n)
 	geo.dataQ = make([]int, geo.n)
-	geo.checkIdx = make([]int, geo.n)
 	geo.cellOf = make([]int, g.NumChecks())
 	for i := range geo.dataQ {
-		geo.dataQ[i], geo.checkIdx[i] = -1, -1
+		geo.dataQ[i] = -1
 	}
 	for lr := 0; lr < size; lr++ {
 		for lc := 0; lc < size; lc++ {
@@ -93,7 +88,6 @@ func buildGeom(g *lattice.Graph) *meshGeom {
 			if l.KindAt(s) == lattice.Data {
 				geo.dataQ[i] = l.QubitIndex(s)
 			} else if ci, ok := g.CheckIndex(s); ok {
-				geo.checkIdx[i] = ci
 				geo.cellOf[ci] = i
 			}
 		}
@@ -109,30 +103,6 @@ func buildGeom(g *lattice.Graph) *meshGeom {
 			geo.kind[geo.index(0, x+1)] = cellBoundary
 			geo.kind[geo.index(side-1, x+1)] = cellBoundary
 		}
-	}
-
-	// Bit-plane masks.
-	geo.rows = side
-	geo.words = (side + 63) / 64
-	geo.pw = geo.rows * geo.words
-	if rem := side % 64; rem == 0 {
-		geo.lastMask = ^uint64(0)
-	} else {
-		geo.lastMask = (uint64(1) << rem) - 1
-	}
-	geo.interior = make([]uint64, geo.pw)
-	geo.boundary = make([]uint64, geo.pw)
-	for k := range geo.classMask {
-		geo.classMask[k] = make([]uint64, geo.pw)
-	}
-	for i, kd := range geo.kind {
-		switch kd {
-		case cellInterior:
-			setPlaneBit(geo, geo.interior, i)
-		case cellBoundary:
-			setPlaneBit(geo, geo.boundary, i)
-		}
-		setPlaneBit(geo, geo.classMask[i%4], i)
 	}
 	return geo
 }
@@ -150,53 +120,21 @@ func (geo *meshGeom) neighbor(i int, d Dir) int {
 	return r*geo.m + c
 }
 
-// planeBit reports whether cell i is set in the plane.
-func (geo *meshGeom) planeBit(p []uint64, i int) bool {
-	r, c := i/geo.m, i%geo.m
-	return p[r*geo.words+c>>6]>>(uint(c)&63)&1 != 0
-}
-
-func setPlaneBit(geo *meshGeom, p []uint64, i int) {
-	r, c := i/geo.m, i%geo.m
-	p[r*geo.words+c>>6] |= uint64(1) << (uint(c) & 63)
-}
-
-// shiftInto writes src advanced one hop in direction d into dst,
-// dropping bits that step off the mesh. dst must not alias src.
-func (geo *meshGeom) shiftInto(dst, src []uint64, d Dir) {
-	W := geo.words
-	switch d {
-	case North: // row r receives row r+1
-		copy(dst, src[W:])
-		clearPlane(dst[len(dst)-W:])
-	case South: // row r receives row r-1
-		copy(dst[W:], src[:len(src)-W])
-		clearPlane(dst[:W])
-	case East: // column c receives column c-1
-		for r := 0; r < geo.rows; r++ {
-			row := src[r*W : (r+1)*W]
-			out := dst[r*W : (r+1)*W]
-			var carry uint64
-			for w := 0; w < W; w++ {
-				next := row[w] >> 63
-				out[w] = row[w]<<1 | carry
-				carry = next
-			}
-			out[W-1] &= geo.lastMask
+// drainDir returns the direction and hop count of cell i's nearest
+// boundary edge for the geometry's error type.
+func (geo *meshGeom) drainDir(i int) (Dir, int) {
+	if geo.e == lattice.ZErrors {
+		c := i % geo.m
+		if c <= geo.m-1-c {
+			return West, c
 		}
-	case West: // column c receives column c+1
-		for r := 0; r < geo.rows; r++ {
-			row := src[r*W : (r+1)*W]
-			out := dst[r*W : (r+1)*W]
-			for w := 0; w < W; w++ {
-				v := row[w] >> 1
-				if w+1 < W {
-					v |= row[w+1] << 63
-				}
-				out[w] = v
-			}
-		}
+		return East, geo.m - 1 - c
 	}
+	r := i / geo.m
+	if r <= geo.m-1-r {
+		return North, r
+	}
+	return South, geo.m - 1 - r
 }
 
 func clearPlane(p []uint64) {

@@ -5,18 +5,7 @@ import (
 
 	"repro/internal/decodepool"
 	"repro/internal/decoder"
-	"repro/internal/knob"
 	"repro/internal/lattice"
-	"repro/internal/obs"
-)
-
-// cellKind classifies a mesh cell.
-type cellKind uint8
-
-const (
-	cellInert    cellKind = iota // ring position with no boundary role
-	cellInterior                 // one module per physical qubit
-	cellBoundary                 // boundary module facing the code edge
 )
 
 // Stats reports what one Decode call did, in mesh clock cycles.
@@ -43,102 +32,24 @@ func (s Stats) GaveUp() bool { return s.Unresolved > 0 }
 // full-circuit latency.
 func (s Stats) TimeNs() float64 { return float64(s.Cycles) * CycleTimePs / 1000 }
 
-// Kernel selects the mesh stepping implementation. Both kernels are
-// cycle-exact models of the same hardware: corrections and Stats are
-// bit-identical (pinned by the conformance suite and FuzzMesh).
-type Kernel uint8
-
-const (
-	// KernelBitplane packs every (signal class × direction) into
-	// []uint64 bit-planes and steps whole rows with shift-and-mask
-	// operations. The default.
-	KernelBitplane Kernel = iota
-	// KernelLegacy is the original struct-of-bools reference kernel.
-	KernelLegacy
-)
-
-// String implements fmt.Stringer.
-func (k Kernel) String() string {
-	if k == KernelLegacy {
-		return "legacy"
-	}
-	return "bitplane"
-}
-
-// KernelByName maps "bitplane"/"legacy" to a Kernel.
-func KernelByName(name string) (Kernel, bool) {
-	switch name {
-	case "bitplane":
-		return KernelBitplane, true
-	case "legacy":
-		return KernelLegacy, true
-	}
-	return KernelBitplane, false
-}
-
-// DefaultKernel is what New uses; the REPRO_SFQ_KERNEL environment
-// variable ("legacy" or "bitplane") overrides it at process start. The
-// knob layer validates the value, so a typo'd kernel name panics at
-// startup instead of silently selecting the default.
-var DefaultKernel = kernelFromEnv()
-
-func kernelFromEnv() Kernel {
-	if v := knob.String("REPRO_SFQ_KERNEL"); v != "" {
-		if k, ok := KernelByName(v); ok {
-			return k
-		}
-	}
-	return KernelBitplane
-}
-
 // Mesh is the SFQ decoder: a (2d+1)×(2d+1) grid of decoder modules (the
 // (2d−1)² per-qubit modules ringed by boundary modules) bound to one
-// matching graph. A Mesh is reusable across Decode calls but not safe
-// for concurrent use.
+// matching graph, decoding one syndrome at a time. It is the batch
+// kernel at one lane: a private single-lane BatchMesh does the
+// stepping, so scalar and batched decodes share one production kernel.
+// A Mesh is reusable across Decode calls but not safe for concurrent
+// use.
 type Mesh struct {
-	g       *lattice.Graph
-	variant Variant
-	kernel  Kernel
-	geo     *meshGeom
+	b *BatchMesh // the one-lane kernel
 
-	// MaxCycles bounds one decode; Decode fails beyond it. Defaults to
-	// 200 × mesh side.
+	// MaxCycles bounds one decode; the mesh gives up (draining to a
+	// boundary when the variant has one) beyond it. Defaults to
+	// 200 × mesh side; read at every decode.
 	MaxCycles int
 
-	// maxRetries bounds stall-recovery attempts per decode.
-	maxRetries int
-
-	// Dynamic per-decode state of the legacy kernel (nil planes mesh).
-	hot      []bool
-	growFrom [][4]bool
-	fired    []bool
-	reqDirs  [][4]bool
-	grants   [][4]bool
-	sentPair []bool
-	granted  []bool
-	errOut   []bool
-
-	grow, req, grant, pair     [][4]bool // signals in flight, by direction of travel
-	growN, reqN, grantN, pairN [][4]bool // next-cycle buffers
-	pairB, pairBN              [][4]bool // provenance: pair signal originated at a boundary module
-
-	reqArrived [][4]bool     // scratch: request arrivals at hot modules this cycle
-	growArr    []growArrival // scratch: grow arrivals, reused across cycles
-	reqArrAt   []int         // scratch: cells with request arrivals, reused
-
-	planes *planeState // bit-plane kernel state (nil for the legacy kernel)
-
-	hotCount       int // maintained count of hot modules (both kernels)
-	resetCountdown int
-	priorityOffset int
-	stats          Stats
-	tracer         Tracer
-
-	// Telemetry: every decode's cycle count goes into a mesh-private
-	// obs.Local (no atomics, no allocation on the hot path) that
-	// auto-flushes into the process-wide sfq_decode_cycles_d<D>
-	// histogram every obsFlushEvery decodes and on FlushObs.
-	obsCycles *obs.Local
+	stats Stats
+	one   [1][]bool
+	span  [1][2]int32
 
 	// Pool bookkeeping (see Pool): which pool handed this mesh out, and
 	// whether it is currently parked on a free list.
@@ -152,65 +63,18 @@ type Mesh struct {
 // /metrics scrapes stay at most a few dozen decodes stale.
 const obsFlushEvery = 64
 
-type growArrival struct {
-	n int
-	d Dir
-}
-
 // New builds a decoder mesh for the matching graph with the given design
-// variant, using the DefaultKernel.
+// variant.
 func New(g *lattice.Graph, v Variant) *Mesh {
-	return NewWithKernel(g, v, DefaultKernel)
-}
-
-// NewWithKernel builds a decoder mesh with an explicit stepping kernel.
-func NewWithKernel(g *lattice.Graph, v Variant, k Kernel) *Mesh {
-	geo := geomFor(g)
-	m := &Mesh{
-		g:          g,
-		variant:    v,
-		kernel:     k,
-		geo:        geo,
-		MaxCycles:  200 * geo.m,
-		maxRetries: 3,
-	}
-	m.obsCycles = obs.NewLocal(obsFlushEvery,
-		obs.Default().Histogram(fmt.Sprintf("sfq_decode_cycles_d%d", geo.d)))
-	if k == KernelBitplane {
-		m.planes = newPlaneState(m)
-		return m
-	}
-	n := geo.n
-	m.hot = make([]bool, n)
-	m.growFrom = make([][4]bool, n)
-	m.fired = make([]bool, n)
-	m.reqDirs = make([][4]bool, n)
-	m.grants = make([][4]bool, n)
-	m.sentPair = make([]bool, n)
-	m.granted = make([]bool, n)
-	m.errOut = make([]bool, n)
-	m.grow = make([][4]bool, n)
-	m.req = make([][4]bool, n)
-	m.grant = make([][4]bool, n)
-	m.pair = make([][4]bool, n)
-	m.growN = make([][4]bool, n)
-	m.reqN = make([][4]bool, n)
-	m.grantN = make([][4]bool, n)
-	m.pairN = make([][4]bool, n)
-	m.pairB = make([][4]bool, n)
-	m.pairBN = make([][4]bool, n)
-	m.reqArrived = make([][4]bool, n)
-	return m
+	b := NewBatchWithLanes(g, v, 1)
+	return &Mesh{b: b, MaxCycles: b.MaxCycles}
 }
 
 // Name implements decoder.Decoder.
-func (m *Mesh) Name() string { return "sfq-" + m.variant.Name() }
+func (m *Mesh) Name() string { return "sfq-" + m.b.variant.Name() }
 
 // Variant returns the mesh's design variant.
-func (m *Mesh) Variant() Variant { return m.variant }
-
-// Kernel returns the mesh's stepping kernel.
-func (m *Mesh) Kernel() Kernel { return m.kernel }
+func (m *Mesh) Variant() Variant { return m.b.variant }
 
 // Stats returns the statistics of the most recent Decode call.
 func (m *Mesh) Stats() Stats { return m.stats }
@@ -219,37 +83,14 @@ func (m *Mesh) Stats() Stats { return m.stats }
 // internally; pools call Reset before parking a mesh so a stale decode's
 // state is never carried across owners.
 func (m *Mesh) Reset() {
-	if m.planes != nil {
-		m.planes.reset()
-	} else {
-		m.reset()
-	}
-}
-
-func (m *Mesh) index(r, c int) int { return m.geo.index(r, c) }
-
-// neighbor returns the cell index one step in direction d, or -1 when
-// the step leaves the mesh.
-func (m *Mesh) neighbor(i int, d Dir) int { return m.geo.neighbor(i, d) }
-
-// compatible reports whether the mesh can decode syndromes of g. Graphs
-// of equal distance and error type are structurally identical (the
-// assumption decodepool's geometry cache already rests on), so pooled
-// meshes accept any such graph, not just the pointer they were built
-// with.
-func (m *Mesh) compatible(g *lattice.Graph) bool {
-	if g == m.g {
-		return true
-	}
-	return g.ErrorType() == m.g.ErrorType() &&
-		g.Lattice().Distance() == m.g.Lattice().Distance() &&
-		g.NumChecks() == m.g.NumChecks()
+	m.b.Reset()
+	m.stats = Stats{}
 }
 
 // Decode implements decoder.Decoder. The graph must be structurally
 // identical to the one the mesh was built for.
 func (m *Mesh) Decode(g *lattice.Graph, syn []bool) (decoder.Correction, error) {
-	if !m.compatible(g) {
+	if !m.b.compatible(g) {
 		return decoder.Correction{}, fmt.Errorf("sfq: mesh bound to a different matching graph")
 	}
 	c, _, err := m.DecodeWithStats(syn)
@@ -260,7 +101,7 @@ func (m *Mesh) Decode(g *lattice.Graph, syn []bool) (decoder.Correction, error) 
 // heap allocations, appending the correction into the scratch's pooled
 // qubit buffer. Cycle statistics remain available via Stats.
 func (m *Mesh) DecodeInto(g *lattice.Graph, syn []bool, s *decodepool.Scratch) (decoder.Correction, error) {
-	if !m.compatible(g) {
+	if !m.b.compatible(g) {
 		return decoder.Correction{}, fmt.Errorf("sfq: mesh bound to a different matching graph")
 	}
 	q, err := m.decodeAppend(syn, s.TakeQubits())
@@ -280,485 +121,26 @@ func (m *Mesh) DecodeWithStats(syn []bool) (decoder.Correction, Stats, error) {
 }
 
 // decodeAppend is the shared decode core: it appends the corrected
-// qubit indices to q (which may be nil or a recycled buffer), leaves
-// statistics in m.stats, and records the cycle count in the mesh's
-// telemetry recorder. Both kernels pass through here, so the per-d
-// cycle histograms see every decode regardless of REPRO_SFQ_KERNEL.
+// qubit indices to q (which may be nil or a recycled buffer) and leaves
+// statistics in m.stats. The lane's cycle sample lands in the kernel's
+// telemetry recorder, the only one the mesh has, so every decode is
+// counted exactly once.
 func (m *Mesh) decodeAppend(syn []bool, q []int) ([]int, error) {
-	if len(syn) != m.g.NumChecks() {
-		return q, fmt.Errorf("sfq: syndrome has %d checks, graph has %d", len(syn), m.g.NumChecks())
+	if n := m.b.g.NumChecks(); len(syn) != n {
+		return q, fmt.Errorf("sfq: syndrome has %d checks, graph has %d", len(syn), n)
 	}
-	var err error
-	if m.planes != nil {
-		q, err = m.planes.decodeAppend(syn, q)
-	} else {
-		q, err = m.legacyDecodeAppend(syn, q)
-	}
-	if err == nil {
-		m.obsCycles.Observe(uint64(m.stats.Cycles))
-	}
-	return q, err
+	m.b.MaxCycles = m.MaxCycles
+	m.one[0] = syn
+	q = m.b.run(m.one[:], m.span[:], q)
+	m.one[0] = nil
+	m.stats = m.b.statsBuf[0]
+	return q, nil
 }
 
 // FlushObs merges any pending telemetry into the shared registry
 // histograms. The pool calls it when a mesh is parked; call it directly
 // before scraping when a mesh is long-lived outside a pool.
-func (m *Mesh) FlushObs() { m.obsCycles.Flush() }
-
-// legacyDecodeAppend is the struct-of-bools reference kernel's decode
-// core.
-func (m *Mesh) legacyDecodeAppend(syn []bool, q []int) ([]int, error) {
-	m.reset()
-	for ci, h := range syn {
-		if h {
-			m.hot[m.geo.cellOf[ci]] = true
-			m.hotCount++
-		}
-	}
-	if m.hotCount == 0 {
-		return q, nil
-	}
-	m.emitGrows()
-	retries := 0
-	for {
-		if !m.anyHot() && !m.anySignal(m.pair) && m.resetCountdown == 0 {
-			break // every syndrome paired and every chain fully marked
-		}
-		if m.resetCountdown == 0 && m.quiescent() {
-			// Stalled with hot modules left: recover with a global
-			// reset and a rotated grant priority, or give up.
-			m.stats.Stalls++
-			if m.variant.Reset && retries < m.maxRetries {
-				retries++
-				m.stats.Retries++
-				m.priorityOffset = retries
-				m.globalReset()
-			} else if m.variant.Boundary {
-				// Watchdog: drive every remaining hot module's chain
-				// straight to its nearest boundary. This keeps the
-				// final design live on grant deadlocks the handshake
-				// retries could not break. The drained modules still
-				// count as Unresolved: the protocol failed on them.
-				m.stats.Unresolved = m.countHot()
-				m.drainToBoundary()
-				break
-			} else {
-				m.stats.Unresolved = m.countHot()
-				break
-			}
-		}
-		if m.stats.Cycles >= m.MaxCycles {
-			m.stats.Unresolved = m.countHot()
-			if m.variant.Boundary {
-				m.drainToBoundary()
-			}
-			break
-		}
-		m.step()
-		if m.tracer != nil {
-			m.tracer(m.stats.Cycles, m.Render())
-		}
-	}
-	for i, e := range m.errOut {
-		if e && m.geo.dataQ[i] >= 0 {
-			q = append(q, m.geo.dataQ[i])
-		}
-	}
-	return q, nil
-}
-
-// reset clears all per-decode state.
-func (m *Mesh) reset() {
-	for i := range m.hot {
-		m.hot[i] = false
-		m.growFrom[i] = [4]bool{}
-		m.fired[i] = false
-		m.reqDirs[i] = [4]bool{}
-		m.grants[i] = [4]bool{}
-		m.sentPair[i] = false
-		m.granted[i] = false
-		m.errOut[i] = false
-		m.grow[i] = [4]bool{}
-		m.req[i] = [4]bool{}
-		m.grant[i] = [4]bool{}
-		m.pair[i] = [4]bool{}
-		m.pairB[i] = [4]bool{}
-	}
-	m.hotCount = 0
-	m.resetCountdown = 0
-	m.priorityOffset = 0
-	m.stats = Stats{}
-}
-
-// emitGrows loads a grow wavefront in all four directions at every hot
-// module.
-func (m *Mesh) emitGrows() {
-	for i, h := range m.hot {
-		if h {
-			m.grow[i] = [4]bool{true, true, true, true}
-		}
-	}
-}
-
-func (m *Mesh) anyHot() bool { return m.hotCount > 0 }
-
-func (m *Mesh) countHot() int { return m.hotCount }
-
-func (m *Mesh) anySignal(buf [][4]bool) bool {
-	for i := range buf {
-		if buf[i] != ([4]bool{}) {
-			return true
-		}
-	}
-	return false
-}
-
-// quiescent reports whether no signal of any kind is in flight.
-func (m *Mesh) quiescent() bool {
-	return !m.anySignal(m.grow) && !m.anySignal(m.req) &&
-		!m.anySignal(m.grant) && !m.anySignal(m.pair)
-}
-
-// globalReset implements the §VI-A reset: every subcircuit except pair
-// propagation is cleared and module inputs are blocked for ResetDepth
-// cycles.
-func (m *Mesh) globalReset() {
-	for i := range m.hot {
-		m.growFrom[i] = [4]bool{}
-		m.fired[i] = false
-		m.reqDirs[i] = [4]bool{}
-		m.grants[i] = [4]bool{}
-		m.sentPair[i] = false
-		m.granted[i] = false
-		m.grow[i] = [4]bool{}
-		m.req[i] = [4]bool{}
-		m.grant[i] = [4]bool{}
-		// pair and errOut survive by design.
-	}
-	m.resetCountdown = ResetDepth
-}
-
-// step advances the mesh one clock.
-func (m *Mesh) step() {
-	clearBuf(m.growN)
-	clearBuf(m.reqN)
-	clearBuf(m.grantN)
-	clearBuf(m.pairN)
-	clearBuf(m.pairBN)
-
-	pairingDone := false
-	if m.resetCountdown > 0 {
-		// Inputs blocked: only pair signals propagate.
-		pairingDone = m.movePairs()
-		m.resetCountdown--
-		if m.resetCountdown == 0 {
-			// Blocking over; surviving hot modules grow again.
-			for i, h := range m.hot {
-				if h {
-					m.growN[i] = [4]bool{true, true, true, true}
-				}
-			}
-		}
-	} else {
-		m.moveGrows()
-		m.moveReqs()
-		m.moveGrants()
-		pairingDone = m.movePairs()
-		m.fireIntermediates()
-		m.completeHandshakes()
-	}
-
-	m.grow, m.growN = m.growN, m.grow
-	m.req, m.reqN = m.reqN, m.req
-	m.grant, m.grantN = m.grantN, m.grant
-	m.pair, m.pairN = m.pairN, m.pair
-	m.pairB, m.pairBN = m.pairBN, m.pairB
-	m.stats.Cycles++
-
-	if pairingDone && m.variant.Reset {
-		m.globalReset()
-		m.stats.Resets++
-	}
-}
-
-func clearBuf(buf [][4]bool) {
-	for i := range buf {
-		buf[i] = [4]bool{}
-	}
-}
-
-// moveGrows advances grow wavefronts one module and latches arrivals.
-// Opposing wavefronts annihilate where they meet: a grow signal does not
-// continue into territory an opposite-direction grow has already swept,
-// so the meeting module is the unique intermediate on the line — without
-// this, the two fronts would latch every module between the endpoints
-// and flood the handshake with spurious intermediates.
-func (m *Mesh) moveGrows() {
-	arrivals := m.growArr[:0]
-	for i := range m.grow {
-		for _, d := range dirs {
-			if !m.grow[i][d] {
-				continue
-			}
-			n := m.neighbor(i, d)
-			if n < 0 {
-				continue
-			}
-			entry := d.Opposite()
-			switch m.geo.kind[n] {
-			case cellInterior:
-				m.growFrom[n][entry] = true
-				arrivals = append(arrivals, growArrival{n, d})
-			case cellBoundary:
-				if m.variant.Boundary && !m.fired[n] {
-					m.fired[n] = true
-					m.reqDirs[n][entry] = true
-					if m.variant.ReqGrant {
-						m.reqN[n][entry] = true
-					} else {
-						m.sentPair[n] = true
-						m.pairN[n][entry] = true
-						m.pairBN[n][entry] = true
-					}
-				}
-			}
-		}
-	}
-	// Propagation is decided after every arrival has latched, so
-	// head-on meetings stop both fronts symmetrically.
-	for _, a := range arrivals {
-		if !m.growFrom[a.n][a.d] {
-			m.growN[a.n][a.d] = true
-		}
-	}
-	m.growArr = arrivals
-}
-
-// moveReqs advances pair requests; requests stop at hot modules, which
-// grant at most one.
-func (m *Mesh) moveReqs() {
-	arrivedAt := m.reqArrAt[:0]
-	for i := range m.req {
-		for _, d := range dirs {
-			if !m.req[i][d] {
-				continue
-			}
-			n := m.neighbor(i, d)
-			if n < 0 || m.geo.kind[n] != cellInterior {
-				continue
-			}
-			entry := d.Opposite()
-			if m.hot[n] {
-				if !m.reqArrived[n][entry] {
-					m.reqArrived[n][entry] = true
-					arrivedAt = append(arrivedAt, n)
-				}
-			} else {
-				m.reqN[n][d] = true
-			}
-		}
-	}
-	// Grant policy: one grant per hot module, direction chosen by a
-	// fixed priority rotated on stall retries.
-	for _, n := range arrivedAt {
-		if m.granted[n] || !m.hot[n] {
-			m.reqArrived[n] = [4]bool{}
-			continue
-		}
-		prio := [4]Dir{North, West, East, South}
-		// The grant priority is fixed hardware order on the first
-		// attempt; stall retries rotate it per module so symmetric
-		// grant cycles cannot repeat verbatim.
-		off := 0
-		if m.priorityOffset > 0 {
-			off = (m.priorityOffset + n) % 4
-		}
-		for k := 0; k < 4; k++ {
-			d := prio[(k+off)%4]
-			if m.reqArrived[n][d] {
-				m.granted[n] = true
-				m.grantN[n][d] = true
-				break
-			}
-		}
-		m.reqArrived[n] = [4]bool{}
-	}
-	m.reqArrAt = arrivedAt
-}
-
-// moveGrants advances pair grants; a grant is consumed by the first
-// module that requested along its line (the intermediate, or a boundary
-// module).
-func (m *Mesh) moveGrants() {
-	for i := range m.grant {
-		for _, d := range dirs {
-			if !m.grant[i][d] {
-				continue
-			}
-			n := m.neighbor(i, d)
-			if n < 0 {
-				continue
-			}
-			entry := d.Opposite()
-			switch m.geo.kind[n] {
-			case cellInterior:
-				if m.fired[n] && m.reqDirs[n][entry] && !m.grants[n][entry] {
-					m.grants[n][entry] = true
-				} else {
-					m.grantN[n][d] = true
-				}
-			case cellBoundary:
-				if m.fired[n] && m.reqDirs[n][entry] && !m.sentPair[n] {
-					m.sentPair[n] = true
-					m.pairN[n][entry] = true
-					m.pairBN[n][entry] = true
-				}
-			}
-		}
-	}
-}
-
-// movePairs advances pair signals, toggling the error output of every
-// module they reach (chains from successive pairings that cross the same
-// data qubit must cancel, Pauli operators being self-inverse); a pair
-// signal terminates at a hot module, clearing it. It reports whether any
-// pairing completed this cycle.
-func (m *Mesh) movePairs() bool {
-	done := false
-	for i := range m.pair {
-		for _, d := range dirs {
-			if !m.pair[i][d] {
-				continue
-			}
-			n := m.neighbor(i, d)
-			if n < 0 || m.geo.kind[n] != cellInterior {
-				continue
-			}
-			m.errOut[n] = !m.errOut[n]
-			if m.hot[n] {
-				m.hot[n] = false
-				m.hotCount--
-				m.stats.Pairings++
-				if m.pairB[i][d] {
-					m.stats.BoundaryPairings++
-				}
-				done = true
-			} else {
-				m.pairN[n][d] = true
-				m.pairBN[n][d] = m.pairB[i][d]
-			}
-		}
-	}
-	return done
-}
-
-// fireIntermediates turns modules holding grow signals from two distinct
-// directions into intermediates. The hardwired effectiveness rule keeps
-// exactly one of the two corners of any L-shaped meeting: head-on
-// meetings always fire, and of the two corner candidates only the one
-// whose grows arrived from the north fires.
-func (m *Mesh) fireIntermediates() {
-	for i := range m.growFrom {
-		if m.geo.kind[i] != cellInterior || m.fired[i] || m.hot[i] {
-			continue
-		}
-		gf := m.growFrom[i]
-		var a, b Dir
-		switch {
-		case gf[West] && gf[East]:
-			a, b = West, East
-		case gf[North] && gf[South]:
-			a, b = North, South
-		case gf[North] && gf[West]:
-			a, b = North, West
-		case gf[North] && gf[East]:
-			a, b = North, East
-		default:
-			continue
-		}
-		m.fired[i] = true
-		m.reqDirs[i][a] = true
-		m.reqDirs[i][b] = true
-		if m.variant.ReqGrant {
-			m.reqN[i][a] = true
-			m.reqN[i][b] = true
-		} else {
-			m.sentPair[i] = true
-			m.errOut[i] = !m.errOut[i]
-			m.pairN[i][a] = true
-			m.pairN[i][b] = true
-		}
-	}
-}
-
-// completeHandshakes lets intermediates holding grants from both request
-// directions emit their pair signals.
-func (m *Mesh) completeHandshakes() {
-	if !m.variant.ReqGrant {
-		return
-	}
-	for i := range m.fired {
-		if !m.fired[i] || m.sentPair[i] || m.geo.kind[i] != cellInterior {
-			continue
-		}
-		all := true
-		for _, d := range dirs {
-			if m.reqDirs[i][d] && !m.grants[i][d] {
-				all = false
-				break
-			}
-		}
-		if !all {
-			continue
-		}
-		m.sentPair[i] = true
-		m.errOut[i] = !m.errOut[i]
-		for _, d := range dirs {
-			if m.reqDirs[i][d] {
-				m.pairN[i][d] = true
-			}
-		}
-	}
-}
-
-// drainToBoundary force-pairs every remaining hot module with its
-// nearest boundary, toggling the error outputs along the straight-line
-// chain and charging the cycles the drive would take (request, grant and
-// pair traversals plus a reset per pairing).
-func (m *Mesh) drainToBoundary() {
-	for i, h := range m.hot {
-		if !h {
-			continue
-		}
-		d, hops := m.geo.drainDir(i)
-		for j := m.neighbor(i, d); j >= 0 && m.geo.kind[j] == cellInterior; j = m.neighbor(j, d) {
-			m.errOut[j] = !m.errOut[j]
-		}
-		m.hot[i] = false
-		m.hotCount--
-		m.stats.Fallbacks++
-		m.stats.Pairings++
-		m.stats.BoundaryPairings++
-		m.stats.Cycles += 3*hops + ResetDepth
-	}
-}
-
-// drainDir returns the direction and hop count of cell i's nearest
-// boundary edge for the geometry's error type.
-func (geo *meshGeom) drainDir(i int) (Dir, int) {
-	if geo.e == lattice.ZErrors {
-		c := i % geo.m
-		if c <= geo.m-1-c {
-			return West, c
-		}
-		return East, geo.m - 1 - c
-	}
-	r := i / geo.m
-	if r <= geo.m-1-r {
-		return North, r
-	}
-	return South, geo.m - 1 - r
-}
+func (m *Mesh) FlushObs() { m.b.FlushObs() }
 
 var (
 	_ decoder.Decoder        = (*Mesh)(nil)

@@ -1,8 +1,11 @@
 package sfq
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
+	"repro/internal/decodepool"
 	"repro/internal/decoder"
 	"repro/internal/lattice"
 	"repro/internal/noise"
@@ -391,5 +394,84 @@ func TestXErrorBoundarySides(t *testing.T) {
 	sup := c.Support()
 	if len(sup) != 1 || sup[0] != l.QubitIndex(lattice.Site{Row: 0, Col: 4}) {
 		t.Fatalf("chain = %v, want just (0,4)", sup)
+	}
+}
+
+// TestMeshPoolReuse checks the pool hands back parked meshes instead of
+// building new ones, and that recycled meshes decode correctly.
+func TestMeshPoolReuse(t *testing.T) {
+	pool := NewPool(Final)
+	m1 := pool.Get(5, lattice.ZErrors)
+	g := pool.Graph(5, lattice.ZErrors)
+	syn := make([]bool, g.NumChecks())
+	syn[0], syn[1] = true, true
+	c1, _, err := m1.DecodeWithStats(syn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.Put(m1)
+	m2 := pool.Get(5, lattice.ZErrors)
+	if m2 != m1 {
+		t.Fatalf("pool built a new mesh instead of reusing the parked one")
+	}
+	if m2.Stats() != (Stats{}) {
+		t.Fatalf("recycled mesh carries stale stats: %+v", m2.Stats())
+	}
+	c2, _, err := m2.DecodeWithStats(syn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(c1.Qubits) != fmt.Sprint(c2.Qubits) {
+		t.Fatalf("recycled mesh decodes differently: %v vs %v", c1.Qubits, c2.Qubits)
+	}
+	// A mesh of a foreign variant must not enter the pool.
+	pool.Put(New(pool.Graph(5, lattice.ZErrors), Baseline))
+	if got := pool.Get(5, lattice.ZErrors); got == nil || got.Variant() != Final {
+		t.Fatalf("pool handed out a foreign-variant mesh")
+	}
+}
+
+// TestMeshPoolRelease checks the decoder.Decoder adapter ignores
+// non-mesh decoders and recycles meshes.
+func TestMeshPoolRelease(t *testing.T) {
+	pool := NewPool(Final)
+	m := pool.Get(3, lattice.XErrors)
+	pool.Release(m)
+	if got := pool.Get(3, lattice.XErrors); got != m {
+		t.Fatalf("Release did not recycle the mesh")
+	}
+	pool.Release(nil) // non-mesh decoder: must not panic
+}
+
+// TestDecodeIntoMatchesDecode checks the pooled path returns the same
+// correction as the allocating path, and that a structurally identical
+// graph (distinct pointer) is accepted while a foreign one is rejected.
+func TestDecodeIntoMatchesDecode(t *testing.T) {
+	l := lattice.MustNew(5)
+	g := l.MatchingGraph(lattice.ZErrors)
+	g2 := lattice.MustNew(5).MatchingGraph(lattice.ZErrors) // same structure, different pointer
+	wrong := l.MatchingGraph(lattice.XErrors)
+	mesh := New(g, Final)
+	s := decodepool.NewScratch()
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 50; trial++ {
+		syn := make([]bool, g.NumChecks())
+		for i := range syn {
+			syn[i] = rng.Float64() < 0.1
+		}
+		want, err := mesh.Decode(g, syn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := mesh.DecodeInto(g2, syn, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(want.Qubits) != fmt.Sprint(got.Qubits) {
+			t.Fatalf("trial %d: DecodeInto %v != Decode %v", trial, got.Qubits, want.Qubits)
+		}
+	}
+	if _, err := mesh.DecodeInto(wrong, make([]bool, wrong.NumChecks()), s); err == nil {
+		t.Fatalf("DecodeInto accepted a graph of the wrong error type")
 	}
 }

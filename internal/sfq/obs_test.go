@@ -52,7 +52,7 @@ func TestPoolExactlyOnceAccounting(t *testing.T) {
 	p.Put(b)
 
 	// Foreign meshes: wrong variant, and another pool's mesh.
-	p.Put(NewWithKernel(p.Graph(3, lattice.XErrors), Baseline, KernelBitplane))
+	p.Put(New(p.Graph(3, lattice.XErrors), Baseline))
 	other := NewPool(Final)
 	p.Put(other.Get(3, lattice.XErrors))
 	s = p.Stats()
@@ -68,7 +68,7 @@ func TestPoolExactlyOnceAccounting(t *testing.T) {
 
 	// A compatible stray built outside any pool is adopted without
 	// going negative on outstanding.
-	p.Put(NewWithKernel(p.Graph(3, lattice.XErrors), Final, DefaultKernel))
+	p.Put(New(p.Graph(3, lattice.XErrors), Final))
 	if s = p.Stats(); s.Outstanding != 0 {
 		t.Fatalf("adopting a stray went negative: %+v", s)
 	}

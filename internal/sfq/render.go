@@ -1,13 +1,11 @@
 package sfq
 
-import "strings"
-
 // Tracer receives a rendered frame of the mesh after every clock when
 // installed on the Mesh; used by the watch example and golden tests.
 type Tracer func(cycle int, frame string)
 
 // SetTracer installs (or clears, with nil) a per-cycle tracer.
-func (m *Mesh) SetTracer(t Tracer) { m.tracer = t }
+func (m *Mesh) SetTracer(t Tracer) { m.b.tracer = t }
 
 // Render draws the mesh state as one character per module:
 //
@@ -21,74 +19,5 @@ func (m *Mesh) SetTracer(t Tracer) { m.tracer = t }
 //	·  idle interior module
 //
 // Signals take precedence over the chain marking, which takes
-// precedence over idle. Both kernels render identically.
-func (m *Mesh) Render() string {
-	var b strings.Builder
-	for r := 0; r < m.geo.m; r++ {
-		for c := 0; c < m.geo.m; c++ {
-			i := m.index(r, c)
-			b.WriteString(m.cellGlyph(i))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-func (m *Mesh) cellGlyph(i int) string {
-	if m.planes != nil {
-		return m.planes.cellGlyph(i)
-	}
-	switch {
-	case m.geo.kind[i] == cellInert:
-		return " "
-	case m.hot[i]:
-		return "H"
-	case m.pair[i] != [4]bool{}:
-		return "P"
-	case m.grant[i] != [4]bool{}:
-		return "G"
-	case m.req[i] != [4]bool{}:
-		return "r"
-	case m.grow[i] != [4]bool{}:
-		return "*"
-	case m.errOut[i] && m.geo.kind[i] == cellInterior:
-		return "#"
-	case m.geo.kind[i] == cellBoundary:
-		return "="
-	default:
-		return "·"
-	}
-}
-
-func (ps *planeState) cellGlyph(i int) string {
-	geo := ps.geo
-	switch {
-	case geo.kind[i] == cellInert:
-		return " "
-	case geo.planeBit(ps.hot, i):
-		return "H"
-	case ps.anyDir(&ps.pairW, i):
-		return "P"
-	case ps.anyDir(&ps.grantW, i):
-		return "G"
-	case ps.anyDir(&ps.reqW, i):
-		return "r"
-	case ps.anyDir(&ps.growW, i):
-		return "*"
-	case geo.planeBit(ps.errOut, i) && geo.kind[i] == cellInterior:
-		return "#"
-	case geo.kind[i] == cellBoundary:
-		return "="
-	default:
-		return "·"
-	}
-}
-
-func (ps *planeState) anyDir(w *wavefront, i int) bool {
-	for d := 0; d < 4; d++ {
-		if ps.geo.planeBit(w.cur[d], i) {
-			return true
-		}
-	}
-	return false
-}
+// precedence over idle. A finished decode leaves the mesh idle.
+func (m *Mesh) Render() string { return m.b.render(0) }

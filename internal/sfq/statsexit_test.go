@@ -1,23 +1,26 @@
-package sfq
+package sfq_test
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/decodepool"
 	"repro/internal/lattice"
+	"repro/internal/sfq"
 )
 
-// Every Decode exit path must populate Stats the same way in all three
-// kernels (legacy, bitplane, SWAR batch), and no give-up may be silent:
-// a decode where the pairing protocol failed on some module always shows
-// Unresolved > 0 (with Fallbacks == Unresolved when the watchdog drained
-// them). Escalation policies in internal/twolevel key off these fields,
-// so a kernel that forgot to set one would silently skip escalations.
+// Every Decode exit path must populate Stats the same way on every
+// decode path (the oracle, the one-lane Mesh, a full-width batch), and
+// no give-up may be silent: a decode where the pairing protocol failed
+// on some module always shows Unresolved > 0 (with Fallbacks ==
+// Unresolved when the watchdog drained them). Escalation policies in
+// internal/twolevel key off these fields, so a path that forgot to set
+// one would silently skip escalations.
 
 // exitClass buckets a Stats value by which control-flow exit produced it.
-func exitClass(st Stats) string {
+func exitClass(st sfq.Stats) string {
 	switch {
 	case st.Fallbacks > 0:
 		return "drain"
@@ -30,22 +33,19 @@ func exitClass(st Stats) string {
 	}
 }
 
-// decodeAllKernels runs one syndrome through legacy, bitplane and a
-// single-lane batch decode and asserts corrections and Stats agree,
-// returning the shared Stats.
-func decodeAllKernels(t *testing.T, g *lattice.Graph, v Variant, maxCycles int, syn []bool, s *decodepool.Scratch) Stats {
+// decodeAllPaths runs one syndrome through the oracle, a one-lane Mesh
+// and a full-width batch decode, asserts corrections and Stats agree,
+// and returns the shared Stats. maxCycles > 0 overrides every path's
+// MaxCycles after construction.
+func decodeAllPaths(t *testing.T, g *lattice.Graph, v sfq.Variant, maxCycles int, syn []bool, s *decodepool.Scratch) sfq.Stats {
 	t.Helper()
-	leg := NewWithKernel(g, v, KernelLegacy)
-	bit := NewWithKernel(g, v, KernelBitplane)
-	bat := NewBatch(g, v)
+	ref := oracleDecode(t, g, v, maxCycles, [][]bool{syn})[0]
+	mesh := sfq.New(g, v)
+	bat := sfq.NewBatch(g, v)
 	if maxCycles > 0 {
-		leg.MaxCycles, bit.MaxCycles, bat.MaxCycles = maxCycles, maxCycles, maxCycles
+		mesh.MaxCycles, bat.MaxCycles = maxCycles, maxCycles
 	}
-	cl, stl, err := leg.DecodeWithStats(syn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cb, stb, err := bit.DecodeWithStats(syn)
+	cm, stm, err := mesh.DecodeWithStats(syn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,21 +53,18 @@ func decodeAllKernels(t *testing.T, g *lattice.Graph, v Variant, maxCycles int, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	sts := bat.LaneStats(0)
-	if stl != stb || stb != sts {
-		t.Fatalf("%s: stats diverge:\nlegacy   %+v\nbitplane %+v\nbatch    %+v", v.Name(), stl, stb, sts)
+	stb := bat.LaneStats(0)
+	if ref.st != stm || stm != stb {
+		t.Fatalf("%s: stats diverge:\noracle %+v\nmesh   %+v\nbatch  %+v", v.Name(), ref.st, stm, stb)
 	}
-	if a, b := fmt.Sprint(cl.Qubits), fmt.Sprint(cb.Qubits); a != b {
-		t.Fatalf("%s: legacy/bitplane corrections diverge: %s vs %s", v.Name(), a, b)
+	if !slices.Equal(ref.q, cm.Qubits) || !slices.Equal(ref.q, corr[0].Qubits) {
+		t.Fatalf("%s: corrections diverge: oracle %v, mesh %v, batch %v", v.Name(), ref.q, cm.Qubits, corr[0].Qubits)
 	}
-	if a, b := fmt.Sprint(cb.Qubits), fmt.Sprint(corr[0].Qubits); a != b {
-		t.Fatalf("%s: bitplane/batch corrections diverge: %s vs %s", v.Name(), a, b)
-	}
-	return stl
+	return stm
 }
 
 // checkExitInvariants asserts the cross-path Stats contract.
-func checkExitInvariants(t *testing.T, v Variant, st Stats, desc string) {
+func checkExitInvariants(t *testing.T, v sfq.Variant, st sfq.Stats, desc string) {
 	t.Helper()
 	if st.Retries > st.Stalls {
 		t.Fatalf("%s: Retries=%d > Stalls=%d (every retry is a stall)", desc, st.Retries, st.Stalls)
@@ -84,7 +81,7 @@ func checkExitInvariants(t *testing.T, v Variant, st Stats, desc string) {
 }
 
 // TestStatsExitPathParity drives dense raw syndromes (heavy stall/drain
-// traffic) through all variants and all three kernels and pins Stats
+// traffic) through all variants and all decode paths and pins Stats
 // equality plus the give-up invariants on every exit path reached.
 func TestStatsExitPathParity(t *testing.T) {
 	seen := map[string]map[string]bool{}
@@ -98,7 +95,7 @@ func TestStatsExitPathParity(t *testing.T) {
 		l := lattice.MustNew(d)
 		for _, etype := range []lattice.ErrorType{lattice.ZErrors, lattice.XErrors} {
 			g := l.MatchingGraph(etype)
-			for _, v := range []Variant{Baseline, WithReset, WithBoundary, Final} {
+			for _, v := range variants {
 				s := decodepool.NewScratch()
 				rng := rand.New(rand.NewSource(int64(71*d) + int64(etype)))
 				for _, p := range []float64{0.15, 0.3} {
@@ -107,7 +104,7 @@ func TestStatsExitPathParity(t *testing.T) {
 						for j := range syn {
 							syn[j] = rng.Float64() < p
 						}
-						st := decodeAllKernels(t, g, v, 0, syn, s)
+						st := decodeAllPaths(t, g, v, 0, syn, s)
 						desc := fmt.Sprintf("d=%d %v %s p=%g trial=%d", d, etype, v.Name(), p, trial)
 						checkExitInvariants(t, v, st, desc)
 						if seen[v.Name()] == nil {
@@ -139,7 +136,9 @@ func TestStatsExitPathParity(t *testing.T) {
 
 // TestStatsMaxCyclesExit forces the cycle-guard exit with a tiny
 // MaxCycles and checks it is never silent: Unresolved reports the hot
-// modules the protocol failed on, drained or not, in every kernel.
+// modules the protocol failed on, drained or not, on every path. The
+// Mesh reads its MaxCycles field at decode time, so setting it after New
+// takes effect.
 func TestStatsMaxCyclesExit(t *testing.T) {
 	l := lattice.MustNew(5)
 	g := l.MatchingGraph(lattice.ZErrors)
@@ -149,8 +148,8 @@ func TestStatsMaxCyclesExit(t *testing.T) {
 	for j := range syn {
 		syn[j] = rng.Float64() < 0.3
 	}
-	for _, v := range []Variant{Baseline, WithReset, WithBoundary, Final} {
-		st := decodeAllKernels(t, g, v, 2, syn, s)
+	for _, v := range variants {
+		st := decodeAllPaths(t, g, v, 2, syn, s)
 		if st.Unresolved == 0 {
 			t.Errorf("%s: MaxCycles exit left Unresolved=0: %+v", v.Name(), st)
 		}

@@ -2,49 +2,75 @@ package sfq
 
 import "math/bits"
 
-// The fused wide stepping path. For plane widths above one word the
-// multi-pass phase structure inherited from the scalar kernel (shift
-// planes into scratch, then latch, then propagate, each a separate
-// sweep) leaves most of the step budget in loop overhead and scratch
-// traffic: moveGrows alone is 16 row sweeps. Every phase of the batch
-// kernel is word-local once the shifted arrival values are in hand —
-// vertical shifts read the word W positions away, horizontal shifts
-// never cross a word (lanes are packed within words) — so each phase
-// collapses into a single sweep that materializes all four directions'
-// arrivals in registers, skips words with no signal early, and touches
-// every plane word at most once. The fused phases compute bit-for-bit
-// the same transitions as the multi-pass originals (the conformance
-// suite pins all widths against the scalar kernel); the W=1 layout
-// keeps the multi-pass path as the reference and baseline.
+// The fused step. Every phase of the kernel is word-local once the
+// shifted arrival values are in hand — vertical shifts read the word W
+// positions away, horizontal shifts stay inside the word except for the
+// spanning layout's carry bit — so each phase is a single sweep that
+// materializes all four directions' arrivals in registers, skips words
+// with no signal early, and touches every plane word at most once.
+// The conformance suite pins every layout bit-identical to the
+// reference model in internal/sfq/oracle.
 //
-// Ordering notes carried over from the originals:
-//   - movePairsWide and moveGrantsWide process travel directions in
-//     pairOrder [South, East, West, North] *per word*, which reproduces
-//     the sequential-sweep semantics exactly because every update those
-//     sweeps make is word-local (hot, errOut, sentPair, grants all live
-//     at the destination word).
-//   - fireCompleteWide fuses fireIntermediates and completeHandshakes:
-//     the handshake scan reads only state the fire scan writes at the
-//     same word, so running both at word k before moving on is
-//     equivalent to two full sweeps.
+// Ordering notes (the oracle processes signal sources in ascending
+// cell index, so signals converging on one destination in one cycle
+// arrive ordered from-north, from-west, from-east, from-south):
+//   - movePairs and moveGrants process travel directions in pairOrder
+//     [South, East, West, North] *per word*, which reproduces that
+//     arrival order exactly because every update those phases make is
+//     word-local (hot, errOut, sentPair, grants all live at the
+//     destination word).
+//   - The rotated stall-retry grant priority offsets by (retry + cell
+//     index) % 4, which is cell-dependent; moveReqs splits eligible
+//     cells into the four index-residue classes (classMask) and runs
+//     the rotated priority encoding per class.
+//   - fireComplete fuses firing intermediates and completing
+//     handshakes: the handshake scan reads only state the fire scan
+//     writes at the same word, so running both at word k before moving
+//     on is equivalent to two full sweeps.
 
-// moveGrowsWide is moveGrows as one fused sweep.
-func (b *BatchMesh) moveGrowsWide() {
+// grantPrio is the hardware grant priority (entry directions).
+var grantPrio = [4]Dir{North, West, East, South}
+
+// hshift returns plane e advanced one column East and plane w one
+// column West, read at word k: bits move within the word under the
+// lane-seam masks em and wm. In the spanning layout the edge bit of the
+// neighbouring word carries in under the carry masks ce and cw; both
+// are zero for packed layouts, which skip the neighbour reads.
+func hshift(e, w []uint64, k int, em, wm, ce, cw uint64) (uint64, uint64) {
+	sE, sW := e[k]<<1&em, w[k]>>1&wm
+	if ce != 0 {
+		if k > 0 {
+			sE |= e[k-1] >> 63 & ce
+		}
+		if k+1 < len(w) {
+			sW |= w[k+1] << 63 & cw
+		}
+	}
+	return sE, sW
+}
+
+// moveGrows advances grow wavefronts one module and latches arrivals.
+// Opposing wavefronts annihilate where they meet: a grow signal does
+// not continue into territory an opposite-direction grow has already
+// swept, so the meeting module is the unique intermediate on the line.
+// All arrivals at a word latch before propagation is decided there, so
+// head-on meetings stop both fronts symmetrically.
+func (b *BatchMesh) moveGrows() {
 	bg, v := b.bg, b.variant
 	n := bg.n
 	w := bg.words
 	wm := bg.wmask
-	em, wmk := bg.eastMask, bg.westMask
+	em, wmk, ce, cw := bg.eastMask, bg.westMask, bg.eastCarry, bg.westCarry
 	interior := bg.interior[:n]
 	boundary := bg.boundary[:n]
-	curN := b.growW.cur[North][:n]
-	curE := b.growW.cur[East][:n]
-	curS := b.growW.cur[South][:n]
-	curW := b.growW.cur[West][:n]
-	nxtN := b.growW.nxt[North][:n]
-	nxtE := b.growW.nxt[East][:n]
-	nxtS := b.growW.nxt[South][:n]
-	nxtW := b.growW.nxt[West][:n]
+	curN := b.growW.cur.dir[North][:n]
+	curE := b.growW.cur.dir[East][:n]
+	curS := b.growW.cur.dir[South][:n]
+	curW := b.growW.cur.dir[West][:n]
+	nxtN := b.growW.nxt.dir[North][:n]
+	nxtE := b.growW.nxt.dir[East][:n]
+	nxtS := b.growW.nxt.dir[South][:n]
+	nxtW := b.growW.nxt.dir[West][:n]
 	gfN := b.growFrom[North][:n]
 	gfE := b.growFrom[East][:n]
 	gfS := b.growFrom[South][:n]
@@ -61,15 +87,14 @@ func (b *BatchMesh) moveGrowsWide() {
 		if k >= w {
 			shS = curS[k-w]
 		}
-		shE := curE[k] << 1 & em
-		shW := curW[k] >> 1 & wmk
+		shE, shW := hshift(curE, curW, k, em, wmk, ce, cw)
 		if shN|shS|shE|shW == 0 {
 			continue
 		}
 		in := interior[k]
 		if (shN|shS|shE|shW)&in != 0 {
 			// A latch is landing at this word: fire eligibility may
-			// change, so fireCompleteWide must re-evaluate it.
+			// change, so fireComplete must re-evaluate it.
 			b.fireDirty[k>>6] |= 1 << (uint(k) & 63)
 		}
 		// Latch interior arrivals by entry side (pass 1), then
@@ -118,50 +143,50 @@ func (b *BatchMesh) moveGrowsWide() {
 		b.reqDirs[North][k] |= fbS
 		b.reqDirs[East][k] |= fbW
 		if reqGrant {
-			b.reqW.nxt[South][k] |= fbN
-			b.reqW.nxt[West][k] |= fbE
-			b.reqW.nxt[North][k] |= fbS
-			b.reqW.nxt[East][k] |= fbW
-			b.reqW.nxtAny[k&wm] |= fb
+			b.reqW.nxt.dir[South][k] |= fbN
+			b.reqW.nxt.dir[West][k] |= fbE
+			b.reqW.nxt.dir[North][k] |= fbS
+			b.reqW.nxt.dir[East][k] |= fbW
+			b.reqW.nxt.any[k&wm] |= fb
 		} else {
 			b.sentPair[k] |= fb
-			b.pairW.nxt[South][k] |= fbN
-			b.pairW.nxt[West][k] |= fbE
-			b.pairW.nxt[North][k] |= fbS
-			b.pairW.nxt[East][k] |= fbW
-			b.pairW.nxtAny[k&wm] |= fb
-			b.pairBW.nxt[South][k] |= fbN
-			b.pairBW.nxt[West][k] |= fbE
-			b.pairBW.nxt[North][k] |= fbS
-			b.pairBW.nxt[East][k] |= fbW
-			b.pairBW.nxtAny[k&wm] |= fb
+			b.pairW.nxt.dir[South][k] |= fbN
+			b.pairW.nxt.dir[West][k] |= fbE
+			b.pairW.nxt.dir[North][k] |= fbS
+			b.pairW.nxt.dir[East][k] |= fbW
+			b.pairW.nxt.any[k&wm] |= fb
+			b.pairBW.nxt.dir[South][k] |= fbN
+			b.pairBW.nxt.dir[West][k] |= fbE
+			b.pairBW.nxt.dir[North][k] |= fbS
+			b.pairBW.nxt.dir[East][k] |= fbW
+			b.pairBW.nxt.any[k&wm] |= fb
 		}
 	}
 	b.growW.orAny(&acc)
 }
 
-// moveReqsWide is moveReqs as one fused sweep; the rotated-priority
-// slow path (some lane mid-retry) stays per lane over the word's
-// column.
-func (b *BatchMesh) moveReqsWide() {
+// moveReqs advances pair requests; requests stop at hot modules, which
+// grant at most one, by the hardware priority. The rotated-priority slow
+// path (some lane mid-retry) runs per lane over the word's column.
+func (b *BatchMesh) moveReqs() {
 	bg := b.bg
 	n := bg.n
 	w := bg.words
 	wm := bg.wmask
-	em, wmk := bg.eastMask, bg.westMask
+	em, wmk, ce, cw := bg.eastMask, bg.westMask, bg.eastCarry, bg.westCarry
 	interior := bg.interior[:n]
-	curN := b.reqW.cur[North][:n]
-	curE := b.reqW.cur[East][:n]
-	curS := b.reqW.cur[South][:n]
-	curW := b.reqW.cur[West][:n]
-	nxtN := b.reqW.nxt[North][:n]
-	nxtE := b.reqW.nxt[East][:n]
-	nxtS := b.reqW.nxt[South][:n]
-	nxtW := b.reqW.nxt[West][:n]
-	gnN := b.grantW.nxt[North][:n]
-	gnE := b.grantW.nxt[East][:n]
-	gnS := b.grantW.nxt[South][:n]
-	gnW := b.grantW.nxt[West][:n]
+	curN := b.reqW.cur.dir[North][:n]
+	curE := b.reqW.cur.dir[East][:n]
+	curS := b.reqW.cur.dir[South][:n]
+	curW := b.reqW.cur.dir[West][:n]
+	nxtN := b.reqW.nxt.dir[North][:n]
+	nxtE := b.reqW.nxt.dir[East][:n]
+	nxtS := b.reqW.nxt.dir[South][:n]
+	nxtW := b.reqW.nxt.dir[West][:n]
+	gnN := b.grantW.nxt.dir[North][:n]
+	gnE := b.grantW.nxt.dir[East][:n]
+	gnS := b.grantW.nxt.dir[South][:n]
+	gnW := b.grantW.nxt.dir[West][:n]
 	hotP := b.hot[:n]
 	grantedP := b.granted[:n]
 	var acc [4]uint64
@@ -173,8 +198,7 @@ func (b *BatchMesh) moveReqsWide() {
 		if k >= w {
 			aS = curS[k-w]
 		}
-		aE := curE[k] << 1 & em
-		aW := curW[k] >> 1 & wmk
+		aE, aW := hshift(curE, curW, k, em, wmk, ce, cw)
 		if aN|aS|aE|aW == 0 {
 			continue
 		}
@@ -220,7 +244,7 @@ func (b *BatchMesh) moveReqsWide() {
 			gnW[k] |= cW
 			gnE[k] |= cE
 			gnS[k] |= cS
-			b.grantW.nxtAny[k&wm] |= taken
+			b.grantW.nxt.any[k&wm] |= taken
 		} else {
 			lat := [4]uint64{latN, latE, latS, latW}
 			col := k & wm
@@ -235,8 +259,8 @@ func (b *BatchMesh) moveReqsWide() {
 					for _, e := range grantPrio {
 						c := lat[e.Opposite()] & el &^ taken
 						if c != 0 {
-							b.grantW.nxt[e][k] |= c
-							b.grantW.nxtAny[col] |= c
+							b.grantW.nxt.dir[e][k] |= c
+							b.grantW.nxt.any[col] |= c
 							taken |= c
 						}
 					}
@@ -253,8 +277,8 @@ func (b *BatchMesh) moveReqsWide() {
 						e := grantPrio[(j+off)%4]
 						c := lat[e.Opposite()] & ecls &^ taken
 						if c != 0 {
-							b.grantW.nxt[e][k] |= c
-							b.grantW.nxtAny[col] |= c
+							b.grantW.nxt.dir[e][k] |= c
+							b.grantW.nxt.any[col] |= c
 							taken |= c
 						}
 					}
@@ -266,19 +290,20 @@ func (b *BatchMesh) moveReqsWide() {
 	b.reqW.orAny(&acc)
 }
 
-// moveGrantsWide is moveGrants as one fused sweep, directions processed
-// in pairOrder per word.
-func (b *BatchMesh) moveGrantsWide() {
+// moveGrants advances pair grants; a grant is consumed by the first
+// module that requested along its line (the intermediate, or a boundary
+// module). Directions run in pairOrder per word.
+func (b *BatchMesh) moveGrants() {
 	bg := b.bg
 	n := bg.n
 	w := bg.words
-	em, wmk := bg.eastMask, bg.westMask
+	em, wmk, ce, cw := bg.eastMask, bg.westMask, bg.eastCarry, bg.westCarry
 	interior := bg.interior[:n]
 	boundary := bg.boundary[:n]
-	curN := b.grantW.cur[North][:n]
-	curE := b.grantW.cur[East][:n]
-	curS := b.grantW.cur[South][:n]
-	curW := b.grantW.cur[West][:n]
+	curN := b.grantW.cur.dir[North][:n]
+	curE := b.grantW.cur.dir[East][:n]
+	curS := b.grantW.cur.dir[South][:n]
+	curW := b.grantW.cur.dir[West][:n]
 	var acc [4]uint64
 	for k := 0; k < n; k++ {
 		var mvN, mvS uint64
@@ -288,8 +313,7 @@ func (b *BatchMesh) moveGrantsWide() {
 		if k >= w {
 			mvS = curS[k-w]
 		}
-		mvE := curE[k] << 1 & em
-		mvW := curW[k] >> 1 & wmk
+		mvE, mvW := hshift(curE, curW, k, em, wmk, ce, cw)
 		if mvS|mvE|mvW|mvN == 0 {
 			continue
 		}
@@ -313,7 +337,7 @@ func (b *BatchMesh) moveGrantsWide() {
 	b.grantW.orAny(&acc)
 }
 
-// grantConsume is one travel direction of moveGrantsWide at word k:
+// grantConsume is one travel direction of moveGrants at word k:
 // interior consumption, pass-through, and the boundary sentPair latch.
 func (b *BatchMesh) grantConsume(k int, mv, in, bd, f uint64, e, d Dir, acc *[4]uint64) {
 	wm := b.bg.wmask
@@ -323,38 +347,43 @@ func (b *BatchMesh) grantConsume(k int, mv, in, bd, f uint64, e, d Dir, acc *[4]
 	if cons != 0 {
 		b.grants[e][k] |= cons
 		// A grant was consumed: the module's handshake may now be
-		// complete, so fireCompleteWide must re-check this word.
+		// complete, so fireComplete must re-check this word.
 		b.hsDirty[k>>6] |= 1 << (uint(k) & 63)
 	}
 	pass := mvI &^ cons
-	b.grantW.nxt[d][k] |= pass
+	b.grantW.nxt.dir[d][k] |= pass
 	acc[k&wm] |= pass
 	bc := mv & bd & f & rde &^ b.sentPair[k]
 	if bc != 0 {
 		b.sentPair[k] |= bc
-		b.pairW.nxt[e][k] |= bc
-		b.pairW.nxtAny[k&wm] |= bc
-		b.pairBW.nxt[e][k] |= bc
-		b.pairBW.nxtAny[k&wm] |= bc
+		b.pairW.nxt.dir[e][k] |= bc
+		b.pairW.nxt.any[k&wm] |= bc
+		b.pairBW.nxt.dir[e][k] |= bc
+		b.pairBW.nxt.any[k&wm] |= bc
 	}
 }
 
-// movePairsWide is movePairs as one fused sweep, directions processed
-// in pairOrder per word; per-lane hit accounting is unchanged.
-func (b *BatchMesh) movePairsWide() (done uint64) {
+// movePairs advances pair signals, toggling the error output of every
+// module they reach (chains from successive pairings that cross the
+// same data qubit cancel, Pauli operators being self-inverse); a pair
+// signal terminates at a hot module, clearing it and charging the
+// owning lane's hot counter and Stats. Directions run in pairOrder per
+// word. The returned mask has bit l set when lane l completed a pairing
+// this cycle.
+func (b *BatchMesh) movePairs() (done uint64) {
 	bg := b.bg
 	n := bg.n
 	w := bg.words
-	em, wmk := bg.eastMask, bg.westMask
+	em, wmk, ce, cw := bg.eastMask, bg.westMask, bg.eastCarry, bg.westCarry
 	interior := bg.interior[:n]
-	curN := b.pairW.cur[North][:n]
-	curE := b.pairW.cur[East][:n]
-	curS := b.pairW.cur[South][:n]
-	curW := b.pairW.cur[West][:n]
-	curBN := b.pairBW.cur[North][:n]
-	curBE := b.pairBW.cur[East][:n]
-	curBS := b.pairBW.cur[South][:n]
-	curBW := b.pairBW.cur[West][:n]
+	curN := b.pairW.cur.dir[North][:n]
+	curE := b.pairW.cur.dir[East][:n]
+	curS := b.pairW.cur.dir[South][:n]
+	curW := b.pairW.cur.dir[West][:n]
+	curBN := b.pairBW.cur.dir[North][:n]
+	curBE := b.pairBW.cur.dir[East][:n]
+	curBS := b.pairBW.cur.dir[South][:n]
+	curBW := b.pairBW.cur.dir[West][:n]
 	for k := 0; k < n; k++ {
 		var aN, aS, bN, bS uint64
 		if k < n-w {
@@ -365,13 +394,11 @@ func (b *BatchMesh) movePairsWide() (done uint64) {
 			aS = curS[k-w]
 			bS = curBS[k-w]
 		}
-		aE := curE[k] << 1 & em
-		aW := curW[k] >> 1 & wmk
+		aE, aW := hshift(curE, curW, k, em, wmk, ce, cw)
 		if aN|aS|aE|aW == 0 {
 			continue
 		}
-		bE := curBE[k] << 1 & em
-		bW := curBW[k] >> 1 & wmk
+		bE, bW := hshift(curBE, curBW, k, em, wmk, ce, cw)
 		in := interior[k]
 		// pairOrder: South, East, West, North.
 		done |= b.pairStep(k, aS&in, bS, South)
@@ -382,7 +409,7 @@ func (b *BatchMesh) movePairsWide() (done uint64) {
 	return done
 }
 
-// pairStep is one travel direction of movePairsWide at word k: error
+// pairStep is one travel direction of movePairs at word k: error
 // marking, hot termination with per-lane accounting, and pass-through
 // with boundary provenance.
 func (b *BatchMesh) pairStep(k int, mv, pb uint64, d Dir) (done uint64) {
@@ -412,20 +439,22 @@ func (b *BatchMesh) pairStep(k int, mv, pb uint64, d Dir) (done uint64) {
 		}
 	}
 	pass := mv &^ hits
-	b.pairW.nxt[d][k] |= pass
-	b.pairW.nxtAny[k&wm] |= pass
+	b.pairW.nxt.dir[d][k] |= pass
+	b.pairW.nxt.any[k&wm] |= pass
 	bp := pb & pass
-	b.pairBW.nxt[d][k] |= bp
-	b.pairBW.nxtAny[k&wm] |= bp
+	b.pairBW.nxt.dir[d][k] |= bp
+	b.pairBW.nxt.any[k&wm] |= bp
 	return done
 }
 
-// fireCompleteWide is fireIntermediates + completeHandshakes restricted
-// to the dirty words the earlier phases marked this step. Both scans
-// are event-driven:
+// fireComplete turns modules holding grows from two distinct directions
+// into intermediates (fireWord) and lets intermediates holding grants
+// from every request direction emit their pair signals (handshakeWord),
+// restricted to the dirty words the earlier phases marked this step.
+// Both scans are event-driven:
 //
 //   - Fire eligibility at a word changes only when a grow latch lands
-//     there (moveGrowsWide marks fireDirty) or a hot module terminates
+//     there (moveGrows marks fireDirty) or a hot module terminates
 //     there (pairStep marks it) — fired bits and lane scrubs/resets only
 //     shrink the eligible set, and a scrub or reset also clears the
 //     lane's growFrom latches, so no unmarked word can newly fire.
@@ -438,16 +467,17 @@ func (b *BatchMesh) pairStep(k int, mv, pb uint64, d Dir) (done uint64) {
 // Stale marks are harmless (the word re-evaluates to a no-op); the maps
 // are consumed and cleared every step, so each event is paid once.
 // Processing all fire words before all handshake words preserves the
-// scalar kernel's two-sweep order; every update is word-local, so the
+// oracle's two-sweep order; every update is word-local, so the
 // sparse visit order within a sweep cannot change the outcome.
-func (b *BatchMesh) fireCompleteWide() {
-	fd := b.fireDirty
-	b.fireDirty = [4]uint64{}
-	hd := b.hsDirty
-	b.hsDirty = [4]uint64{}
+func (b *BatchMesh) fireComplete() {
 	reqGrant := b.variant.ReqGrant
-	for g := 0; g < 4; g++ {
-		m := fd[g]
+	// Neither fireWord nor handshakeWord marks a dirty map, so each map
+	// can be consumed in place.
+	for g, m := range b.fireDirty {
+		if m == 0 {
+			continue
+		}
+		b.fireDirty[g] = 0
 		for m != 0 {
 			k := g<<6 + bits.TrailingZeros64(m)
 			m &= m - 1
@@ -455,10 +485,14 @@ func (b *BatchMesh) fireCompleteWide() {
 		}
 	}
 	if !reqGrant {
+		clearPlane(b.hsDirty)
 		return
 	}
-	for g := 0; g < 4; g++ {
-		m := hd[g]
+	for g, m := range b.hsDirty {
+		if m == 0 {
+			continue
+		}
+		b.hsDirty[g] = 0
 		for m != 0 {
 			k := g<<6 + bits.TrailingZeros64(m)
 			m &= m - 1
@@ -467,7 +501,11 @@ func (b *BatchMesh) fireCompleteWide() {
 	}
 }
 
-// fireWord is fireIntermediates at one plane word.
+// fireWord fires intermediates at one plane word, with the hardwired
+// corner priority: West+East, then North+South, then North+West, then
+// North+East — head-on meetings always fire, and of the two corners of
+// an L-shaped meeting only the one whose grows arrived from the north
+// fires.
 func (b *BatchMesh) fireWord(k int, reqGrant bool) {
 	bg := b.bg
 	wm := bg.wmask
@@ -497,23 +535,23 @@ func (b *BatchMesh) fireWord(k int, reqGrant bool) {
 	b.reqDirs[East][k] |= setE
 	b.reqDirs[West][k] |= setW
 	if reqGrant {
-		b.reqW.nxt[North][k] |= setN
-		b.reqW.nxt[South][k] |= setS
-		b.reqW.nxt[East][k] |= setE
-		b.reqW.nxt[West][k] |= setW
-		b.reqW.nxtAny[k&wm] |= firedNew
+		b.reqW.nxt.dir[North][k] |= setN
+		b.reqW.nxt.dir[South][k] |= setS
+		b.reqW.nxt.dir[East][k] |= setE
+		b.reqW.nxt.dir[West][k] |= setW
+		b.reqW.nxt.any[k&wm] |= firedNew
 	} else {
 		b.sentPair[k] |= firedNew
 		b.errOut[k] ^= firedNew
-		b.pairW.nxt[North][k] |= setN
-		b.pairW.nxt[South][k] |= setS
-		b.pairW.nxt[East][k] |= setE
-		b.pairW.nxt[West][k] |= setW
-		b.pairW.nxtAny[k&wm] |= firedNew
+		b.pairW.nxt.dir[North][k] |= setN
+		b.pairW.nxt.dir[South][k] |= setS
+		b.pairW.nxt.dir[East][k] |= setE
+		b.pairW.nxt.dir[West][k] |= setW
+		b.pairW.nxt.any[k&wm] |= firedNew
 	}
 }
 
-// handshakeWord is completeHandshakes at one plane word.
+// handshakeWord completes the handshakes ready at one plane word.
 func (b *BatchMesh) handshakeWord(k int) {
 	bg := b.bg
 	wm := bg.wmask
@@ -532,9 +570,9 @@ func (b *BatchMesh) handshakeWord(k int) {
 	pE := ready & rdE
 	pS := ready & rdS
 	pW := ready & rdW
-	b.pairW.nxt[North][k] |= pN
-	b.pairW.nxt[East][k] |= pE
-	b.pairW.nxt[South][k] |= pS
-	b.pairW.nxt[West][k] |= pW
-	b.pairW.nxtAny[k&wm] |= pN | pE | pS | pW
+	b.pairW.nxt.dir[North][k] |= pN
+	b.pairW.nxt.dir[East][k] |= pE
+	b.pairW.nxt.dir[South][k] |= pS
+	b.pairW.nxt.dir[West][k] |= pW
+	b.pairW.nxt.any[k&wm] |= pN | pE | pS | pW
 }
