@@ -176,8 +176,9 @@ func NewBatchWithWidth(g *lattice.Graph, v Variant, words int) *BatchMesh {
 // NewBatchWithLanes builds a batch mesh with an explicit lane count;
 // widths outside [1, MaxBatchLanes(d)] are clamped to the maximum. The
 // plane word count is the narrowest power-of-two layout that holds the
-// lanes (⌈side/64⌉ for a mesh wider than a word). Narrow widths exist for tests, for Mesh (one lane), and for
-// callers bounding batch latency.
+// lanes (⌈side/64⌉ for a mesh wider than a word). Narrow widths exist
+// for tests, for Mesh (one lane), and for callers bounding batch
+// latency.
 func NewBatchWithLanes(g *lattice.Graph, v Variant, lanes int) *BatchMesh {
 	geo := geomFor(g)
 	if max := MaxBatchLanes(geo.d); lanes < 1 || lanes > max {
