@@ -292,43 +292,129 @@ func TestBatchMeshSingleDecodeAdapters(t *testing.T) {
 	}
 }
 
-// FuzzMesh cross-checks the kernel against the oracle on fuzzer-chosen
-// (distance, variant, lane count, syndromes) tuples: the syndromes
-// decode as one batch at the chosen lane count, and the first also
-// through the one-lane Mesh.
-func FuzzMesh(f *testing.F) {
-	f.Add(uint8(0), uint8(3), uint8(0), []byte{0x01})
-	f.Add(uint8(1), uint8(0), uint8(2), []byte{0xff, 0x10, 0x00, 0x42})
-	f.Add(uint8(2), uint8(2), uint8(5), []byte{0x03, 0x00, 0x81, 0xaa, 0x55})
-	f.Add(uint8(3), uint8(1), uint8(11), []byte{0xaa, 0x55, 0xaa, 0x55, 0x0f, 0xf0})
-	dists := []int{3, 5, 7, 9}
+// TestBatchMeshWidthsAgree decodes one syndrome set at every plane
+// width and requires identical corrections and LaneStats lane for lane,
+// so REPRO_SFQ_WIDTH can never change results even where the oracle is
+// not consulted.
+func TestBatchMeshWidthsAgree(t *testing.T) {
+	for _, d := range []int{5, 9} {
+		g := lattice.MustNew(d).MatchingGraph(lattice.ZErrors)
+		rng := rand.New(rand.NewSource(int64(31 * d)))
+		syns := randomSyndromes(rng, g, 0.08, 3*sfq.MaxBatchLanesAt(d, 4)+2)
+		s := decodepool.NewScratch()
+		var ref []want
+		for _, words := range []int{1, 2, 4} {
+			b := sfq.NewBatchWithWidth(g, sfq.Final, words)
+			corr, err := b.DecodeBatchInto(g, syns, s)
+			if err != nil {
+				t.Fatalf("d=%d W=%d: %v", d, words, err)
+			}
+			got := make([]want, len(corr))
+			for i := range corr {
+				got[i] = want{slices.Clone(corr[i].Qubits), b.LaneStats(i)}
+			}
+			if ref == nil {
+				ref = got
+				continue
+			}
+			for i := range got {
+				if !slices.Equal(got[i].q, ref[i].q) || got[i].st != ref[i].st {
+					t.Fatalf("d=%d W=%d syndrome %d diverges from W=1:\nW=1 %v %+v\nW=%d %v %+v",
+						d, words, i, ref[i].q, ref[i].st, words, got[i].q, got[i].st)
+				}
+			}
+		}
+	}
+}
+
+// fuzzDists are the distances the fuzz targets draw from; fuzzGraphs
+// builds their Z-error matching graphs once per target.
+var fuzzDists = []int{3, 5, 7, 9}
+
+func fuzzGraphs() map[int]*lattice.Graph {
 	graphs := map[int]*lattice.Graph{}
-	for _, d := range dists {
+	for _, d := range fuzzDists {
 		graphs[d] = lattice.MustNew(d).MatchingGraph(lattice.ZErrors)
 	}
+	return graphs
+}
+
+// fuzzSyndromes slices the fuzz bytes into n syndromes, one byte per 8
+// checks, cycling through the input with a shifting offset so
+// consecutive syndromes see distinct patterns.
+func fuzzSyndromes(g *lattice.Graph, synBytes []byte, n int) [][]bool {
+	nc := g.NumChecks()
+	syns := make([][]bool, n)
+	for k := range syns {
+		syns[k] = make([]bool, nc)
+		if len(synBytes) == 0 {
+			continue
+		}
+		for i := 0; i < nc; i++ {
+			b := synBytes[(i/8+k)%len(synBytes)]
+			syns[k][i] = b>>(i%8)&1 == 1
+		}
+	}
+	return syns
+}
+
+// FuzzMesh cross-checks the one-lane Mesh against the oracle on
+// fuzzer-chosen (distance, variant, syndromes) tuples, reusing one mesh
+// across the syndromes so state leaking between decodes diverges.
+func FuzzMesh(f *testing.F) {
+	f.Add(uint8(0), uint8(3), []byte{0x01})
+	f.Add(uint8(1), uint8(0), []byte{0xff, 0x10, 0x00, 0x42})
+	f.Add(uint8(2), uint8(2), []byte{0x03, 0x00, 0x81, 0xaa, 0x55})
+	f.Add(uint8(3), uint8(1), []byte{0xaa, 0x55, 0xaa, 0x55, 0x0f, 0xf0})
+	graphs := fuzzGraphs()
+	f.Fuzz(func(t *testing.T, dSel, vSel uint8, synBytes []byte) {
+		d := fuzzDists[int(dSel)%len(fuzzDists)]
+		g := graphs[d]
+		v := variants[vSel%4]
+		syns := fuzzSyndromes(g, synBytes, 3)
+		assertMesh(t, sfq.New(g, v), syns, oracleDecode(t, g, v, 0, syns),
+			fmt.Sprintf("fuzz d=%d v=%s mesh", d, v.Name()))
+	})
+}
+
+// FuzzBatchMesh cross-checks batched decoding against the oracle on
+// fuzzer-chosen (distance, variant, lane count, syndromes) tuples; the
+// batch holds more syndromes than lanes, so lanes refill.
+func FuzzBatchMesh(f *testing.F) {
+	f.Add(uint8(0), uint8(3), uint8(2), []byte{0x01, 0x80, 0x03})
+	f.Add(uint8(1), uint8(0), uint8(0), []byte{0xff, 0x10, 0x00, 0x42})
+	f.Add(uint8(2), uint8(2), uint8(1), []byte{0x03, 0x00, 0x81, 0xaa, 0x55})
+	f.Add(uint8(3), uint8(1), uint8(7), []byte{0xaa, 0x55, 0xaa, 0x55, 0x0f, 0xf0})
+	graphs := fuzzGraphs()
 	f.Fuzz(func(t *testing.T, dSel, vSel, lSel uint8, synBytes []byte) {
-		d := dists[int(dSel)%len(dists)]
+		d := fuzzDists[int(dSel)%len(fuzzDists)]
 		g := graphs[d]
 		v := variants[vSel%4]
 		lanes := 1 + int(lSel)%sfq.MaxBatchLanes(d)
-		// Slice the fuzz bytes into a batch of syndromes, one byte per 8
-		// checks, cycling through the input with a shifting offset so
-		// the lanes see distinct patterns.
-		nc := g.NumChecks()
-		syns := make([][]bool, 2*lanes+1)
-		for k := range syns {
-			syns[k] = make([]bool, nc)
-			if len(synBytes) == 0 {
-				continue
-			}
-			for i := 0; i < nc; i++ {
-				b := synBytes[(i/8+k)%len(synBytes)]
-				syns[k][i] = b>>(i%8)&1 == 1
-			}
-		}
-		desc := fmt.Sprintf("fuzz d=%d v=%s lanes=%d", d, v.Name(), lanes)
-		wants := oracleDecode(t, g, v, 0, syns)
-		assertMesh(t, sfq.New(g, v), syns[:1], wants[:1], desc+" mesh")
-		assertBatch(t, g, sfq.NewBatchWithLanes(g, v, lanes), decodepool.NewScratch(), syns, wants, desc)
+		syns := fuzzSyndromes(g, synBytes, 2*lanes+1)
+		assertBatch(t, g, sfq.NewBatchWithLanes(g, v, lanes), decodepool.NewScratch(), syns,
+			oracleDecode(t, g, v, 0, syns), fmt.Sprintf("fuzz d=%d v=%s lanes=%d", d, v.Name(), lanes))
+	})
+}
+
+// FuzzWideBatch cross-checks every plane width W ∈ {1, 2, 4} against
+// the oracle on fuzzer-chosen (distance, variant, width, syndromes)
+// tuples.
+func FuzzWideBatch(f *testing.F) {
+	f.Add(uint8(0), uint8(3), uint8(1), []byte{0x01, 0x80, 0x03})
+	f.Add(uint8(1), uint8(3), uint8(2), []byte{0xff, 0x10, 0x00, 0x42})
+	f.Add(uint8(2), uint8(0), uint8(4), []byte{0x03, 0x00, 0x81, 0xaa, 0x55})
+	f.Add(uint8(3), uint8(2), uint8(2), []byte{0xaa, 0x55, 0xaa, 0x55, 0x0f, 0xf0})
+	graphs := fuzzGraphs()
+	widths := []int{1, 2, 4}
+	f.Fuzz(func(t *testing.T, dSel, vSel, wSel uint8, synBytes []byte) {
+		d := fuzzDists[int(dSel)%len(fuzzDists)]
+		g := graphs[d]
+		v := variants[vSel%4]
+		words := widths[int(wSel)%len(widths)]
+		b := sfq.NewBatchWithWidth(g, v, words)
+		syns := fuzzSyndromes(g, synBytes, b.Lanes()+3)
+		assertBatch(t, g, b, decodepool.NewScratch(), syns,
+			oracleDecode(t, g, v, 0, syns), fmt.Sprintf("fuzz d=%d v=%s W=%d", d, v.Name(), words))
 	})
 }
