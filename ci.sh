@@ -6,7 +6,9 @@
 # Runs, in order: go vet, go build, the full test suite, the test suite
 # under the race detector, a short native-fuzz smoke over the blossom
 # matcher, the decode dispatch, and the SFQ mesh kernel against its
-# reference model (FuzzMesh), the two-level escalation gates
+# reference model (FuzzMesh: the one-lane Mesh and a batch of
+# fuzzer-chosen lane count, spanning every plane width), the two-level
+# escalation gates
 # (differential conformance against pure mesh / pure MWPM, a
 # FuzzTwoLevel smoke, and the
 # two-level sweep determinism test under the race detector), a

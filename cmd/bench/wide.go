@@ -102,6 +102,9 @@ func benchWideKernel(iters int) ([]WideRow, error) {
 		}
 		for _, words := range []int{1, 2, 4} {
 			batch := sfq.NewBatchWithWidth(g, sfq.Final, words)
+			if batch.Words() != words {
+				return nil, fmt.Errorf("wide d=%d: NewBatchWithWidth(%d) built a %d-word layout", d, words, batch.Words())
+			}
 			lanes := batch.Lanes()
 			wins := make([][][]bool, len(syndromes))
 			for i := range wins {

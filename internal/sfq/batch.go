@@ -99,9 +99,9 @@ type BatchMesh struct {
 
 // bwavefront is the double-buffered plane set of one signal class. The
 // any flags are per-column OR-accumulators over every word written into
-// the respective plane set (any[c] covers words k with k&wmask == c);
-// they make per-lane quiescence checks O(1) and let clear skip
-// plane sets that are already zero. cur and nxt point into sets, so the
+// the respective plane set (any[c] covers the words of column block c);
+// they make per-lane quiescence checks O(1) and let the step and clear
+// skip column blocks that are already zero. cur and nxt point into sets, so the
 // per-clock swap is two pointer moves; a bwavefront must not be copied.
 type bwavefront struct {
 	cur, nxt *planeSet
@@ -131,18 +131,45 @@ func (w *bwavefront) init(backing []uint64, n int) {
 
 func (w *bwavefront) swap() { w.cur, w.nxt = w.nxt, w.cur }
 
-// anyCur reports whether any signal of this class is in flight in any
-// column.
-func (w *bwavefront) anyCur() uint64 {
-	return w.cur.any[0] | w.cur.any[1] | w.cur.any[2] | w.cur.any[3]
+// cols returns the set of lane columns (bit c for column c) with a
+// signal of this class in flight.
+func (w *bwavefront) cols() uint {
+	a := &w.cur.any
+	var m uint
+	if a[0] != 0 {
+		m = 1
+	}
+	if a[1]|a[2]|a[3] != 0 {
+		for c := 1; c < 4; c++ {
+			if a[c] != 0 {
+				m |= 1 << uint(c)
+			}
+		}
+	}
+	return m
 }
 
-// clear zeroes a plane set if anything was ever written into it.
-func (ps *planeSet) clear() {
-	if ps.any[0]|ps.any[1]|ps.any[2]|ps.any[3] == 0 {
+// clear zeroes the column blocks of a plane set that anything was
+// written into: the whole set in one sweep when every column was, else
+// block by block.
+func (ps *planeSet) clear(bg *batchGeom) {
+	a := &ps.any
+	if a[0]|a[1]|a[2]|a[3] == 0 {
 		return
 	}
-	clearPlane(ps.all)
+	if bg.ncol == 1 || a[0] != 0 && a[1] != 0 && a[2] != 0 && a[3] != 0 {
+		clearPlane(ps.all)
+	} else {
+		for c, a := range ps.any[:bg.ncol] {
+			if a == 0 {
+				continue
+			}
+			lo, hi := bg.block(c)
+			for _, p := range ps.dir {
+				clearPlane(p[lo:hi])
+			}
+		}
+	}
 	ps.any = [4]uint64{}
 }
 
@@ -422,9 +449,10 @@ func (b *BatchMesh) resetAll() {
 		clearPlane(b.grants[d])
 	}
 	for _, w := range []*bwavefront{&b.growW, &b.reqW, &b.grantW, &b.pairW, &b.pairBW} {
-		w.cur.clear()
-		w.nxt.any[0] = 1 // force the wipe: an aborted decode may leave stale bits
-		w.nxt.clear()
+		w.cur.clear(b.bg)
+		// Wipe unconditionally: an aborted decode may leave stale bits.
+		clearPlane(w.nxt.all)
+		w.nxt.any = [4]uint64{}
 	}
 	for l := range b.laneSyn {
 		b.laneSyn[l] = -1
@@ -487,8 +515,9 @@ func (b *BatchMesh) emitGrows(ps *planeSet, l int) {
 	bg := b.bg
 	lane := bg.laneBits[l]
 	col := bg.laneCol[l]
+	lo, hi := bg.block(col)
 	var acc uint64
-	for k := col; k < len(b.hot); k += bg.colStep() {
+	for k := lo; k < hi; k++ {
 		hl := b.hot[k] & lane
 		if hl == 0 {
 			continue
@@ -504,7 +533,9 @@ func (b *BatchMesh) emitGrows(ps *planeSet, l int) {
 
 // finalizeLane extracts lane l's finished correction and Stats, records
 // its telemetry sample (one per lane decode), scrubs the lane's bits
-// out of every plane, and refills the lane from the pending queue.
+// out of every plane, and refills the lane from the pending queue. The
+// batch's last decode is left unscrubbed: nothing steps after it, the
+// next run starts from resetAll, and Mesh.Render shows its final state.
 func (b *BatchMesh) finalizeLane(l int) {
 	idx := b.laneSyn[l]
 	start := int32(len(b.q))
@@ -512,9 +543,12 @@ func (b *BatchMesh) finalizeLane(l int) {
 	b.spans[idx] = [2]int32{start, int32(len(b.q))}
 	b.statsBuf[idx] = b.laneStats[l]
 	b.obsCycles.Observe(uint64(b.laneStats[l].Cycles))
-	b.scrubLane(l)
 	b.laneSyn[l] = -1
 	b.active--
+	if b.active == 0 && b.next == len(b.syns) {
+		return
+	}
+	b.scrubLane(l)
 	b.loadLaneNext(l)
 }
 
@@ -532,11 +566,11 @@ func (b *BatchMesh) extractLane(l int) {
 // plane p, in ascending cell order (rows, then columns).
 func (b *BatchMesh) forLaneCells(p []uint64, l int, f func(i int)) {
 	geo, bg := b.geo, b.bg
-	base := bg.laneCol[l]
+	base := bg.laneCol[l] * bg.blk
 	shift := bg.laneOff[l]
 	for r := 0; r < geo.m; r++ {
 		for j := 0; j < bg.span; j++ {
-			w := p[r*bg.words+base+j] >> shift & bg.laneLow
+			w := p[base+r*bg.vs+j] >> shift & bg.laneLow
 			for w != 0 {
 				c := bits.TrailingZeros64(w)
 				w &= w - 1
@@ -547,22 +581,24 @@ func (b *BatchMesh) forLaneCells(p []uint64, l int, f func(i int)) {
 }
 
 // maskPlaneCol clears the bits outside mask from every word of the
-// plane's lane column col (words col, col+step, ...).
-func maskPlaneCol(p []uint64, mask uint64, col, step int) {
-	for k := col; k < len(p); k += step {
+// plane's lane column block [lo, hi).
+func maskPlaneCol(p []uint64, mask uint64, lo, hi int) {
+	p = p[lo:hi]
+	for k := range p {
 		p[k] &= mask
 	}
 }
 
-// maskLaneCol clears one lane's bits from the in-flight planes, keeping
-// cur.any[col] an exact OR of the column's remaining plane contents
-// (lane masks of distinct lanes in one column are disjoint).
-func (w *bwavefront) maskLaneCol(lane uint64, col, step int) {
+// maskLaneCol clears one lane's bits from the in-flight planes of
+// column col (block [lo, hi)), keeping cur.any[col] an exact OR of the
+// column's remaining plane contents (lane masks of distinct lanes in
+// one column are disjoint).
+func (w *bwavefront) maskLaneCol(lane uint64, col, lo, hi int) {
 	if w.cur.any[col]&lane == 0 {
 		return
 	}
 	for _, p := range w.cur.dir {
-		maskPlaneCol(p, ^lane, col, step)
+		maskPlaneCol(p, ^lane, lo, hi)
 	}
 	w.cur.any[col] &^= lane
 }
@@ -574,23 +610,23 @@ func (b *BatchMesh) scrubLane(l int) {
 	bg := b.bg
 	lane := bg.laneBits[l]
 	col := bg.laneCol[l]
-	step := bg.colStep()
+	lo, hi := bg.block(col)
 	mask := ^lane
-	maskPlaneCol(b.hot, mask, col, step)
-	maskPlaneCol(b.errOut, mask, col, step)
-	maskPlaneCol(b.fired, mask, col, step)
-	maskPlaneCol(b.sentPair, mask, col, step)
-	maskPlaneCol(b.granted, mask, col, step)
+	maskPlaneCol(b.hot, mask, lo, hi)
+	maskPlaneCol(b.errOut, mask, lo, hi)
+	maskPlaneCol(b.fired, mask, lo, hi)
+	maskPlaneCol(b.sentPair, mask, lo, hi)
+	maskPlaneCol(b.granted, mask, lo, hi)
 	for d := 0; d < 4; d++ {
-		maskPlaneCol(b.growFrom[d], mask, col, step)
-		maskPlaneCol(b.reqDirs[d], mask, col, step)
-		maskPlaneCol(b.grants[d], mask, col, step)
+		maskPlaneCol(b.growFrom[d], mask, lo, hi)
+		maskPlaneCol(b.reqDirs[d], mask, lo, hi)
+		maskPlaneCol(b.grants[d], mask, lo, hi)
 	}
-	b.growW.maskLaneCol(lane, col, step)
-	b.reqW.maskLaneCol(lane, col, step)
-	b.grantW.maskLaneCol(lane, col, step)
-	b.pairW.maskLaneCol(lane, col, step)
-	b.pairBW.maskLaneCol(lane, col, step)
+	b.growW.maskLaneCol(lane, col, lo, hi)
+	b.reqW.maskLaneCol(lane, col, lo, hi)
+	b.grantW.maskLaneCol(lane, col, lo, hi)
+	b.pairW.maskLaneCol(lane, col, lo, hi)
+	b.pairBW.maskLaneCol(lane, col, lo, hi)
 	b.laneHot[l] = 0
 	b.laneCountdown[l] = 0
 	b.laneRetries[l] = 0
@@ -604,19 +640,19 @@ func (b *BatchMesh) laneGlobalReset(l int) {
 	bg := b.bg
 	lane := bg.laneBits[l]
 	col := bg.laneCol[l]
-	step := bg.colStep()
+	lo, hi := bg.block(col)
 	mask := ^lane
 	for d := 0; d < 4; d++ {
-		maskPlaneCol(b.growFrom[d], mask, col, step)
-		maskPlaneCol(b.reqDirs[d], mask, col, step)
-		maskPlaneCol(b.grants[d], mask, col, step)
+		maskPlaneCol(b.growFrom[d], mask, lo, hi)
+		maskPlaneCol(b.reqDirs[d], mask, lo, hi)
+		maskPlaneCol(b.grants[d], mask, lo, hi)
 	}
-	maskPlaneCol(b.fired, mask, col, step)
-	maskPlaneCol(b.sentPair, mask, col, step)
-	maskPlaneCol(b.granted, mask, col, step)
-	b.growW.maskLaneCol(lane, col, step)
-	b.reqW.maskLaneCol(lane, col, step)
-	b.grantW.maskLaneCol(lane, col, step)
+	maskPlaneCol(b.fired, mask, lo, hi)
+	maskPlaneCol(b.sentPair, mask, lo, hi)
+	maskPlaneCol(b.granted, mask, lo, hi)
+	b.growW.maskLaneCol(lane, col, lo, hi)
+	b.reqW.maskLaneCol(lane, col, lo, hi)
+	b.grantW.maskLaneCol(lane, col, lo, hi)
 	// pair planes and errOut survive by design.
 	b.laneCountdown[l] = ResetDepth
 }
@@ -650,26 +686,28 @@ func (b *BatchMesh) laneQuiescent(l int) bool {
 // the oracle's blocked branch.
 func (b *BatchMesh) step() {
 	// The next-cycle planes still hold state from two cycles ago.
-	b.growW.nxt.clear()
-	b.reqW.nxt.clear()
-	b.grantW.nxt.clear()
-	b.pairW.nxt.clear()
-	b.pairBW.nxt.clear()
+	bg := b.bg
+	b.growW.nxt.clear(bg)
+	b.reqW.nxt.clear(bg)
+	b.grantW.nxt.clear(bg)
+	b.pairW.nxt.clear(bg)
+	b.pairBW.nxt.clear(bg)
 
-	// Empty-wavefront phases are skipped outright — exact, since a phase
-	// fed an all-zero wavefront writes nothing (the any flags are exact).
+	// Each phase visits only the column blocks its wavefront has a
+	// signal in — exact, since a block fed an all-zero wavefront writes
+	// nothing (the any flags are exact).
 	var done uint64
-	if b.growW.anyCur() != 0 {
-		b.moveGrows()
+	if cols := b.growW.cols(); cols != 0 {
+		b.moveGrows(cols)
 	}
-	if b.reqW.anyCur() != 0 {
-		b.moveReqs()
+	if cols := b.reqW.cols(); cols != 0 {
+		b.moveReqs(cols)
 	}
-	if b.grantW.anyCur() != 0 {
-		b.moveGrants()
+	if cols := b.grantW.cols(); cols != 0 {
+		b.moveGrants(cols)
 	}
-	if b.pairW.anyCur() != 0 {
-		done = b.movePairs()
+	if cols := b.pairW.cols(); cols != 0 {
+		done = b.movePairs(cols)
 	}
 	b.fireComplete()
 

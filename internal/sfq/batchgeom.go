@@ -9,33 +9,41 @@ import (
 )
 
 // batchGeom is the lane layout of the batch kernel: B independent mesh
-// instances side by side in the same []uint64 planes. A plane is W
-// machine words per row; word k = r·W + j holds word j of row r.
+// instances side by side in the same []uint64 planes. A plane row is W
+// machine words.
 //
 // Two layouts share every phase of the kernel:
 //
-//   - Packed (side m ≤ 64): W ∈ {1, 2, 4} word columns, each carrying
-//     perWord = ⌊64/m⌋ lanes. Lane l lives in column l/perWord at slot
-//     l%perWord, so cell (r, c) of lane l sits at word r·W + l/perWord,
-//     bit (l%perWord)·m + c. A single shift-and-mask pass over the rows
-//     advances all W·perWord lanes at once while the lane masks keep
-//     wavefronts from bleeding across instances.
+//   - Packed (side m ≤ 64): W ∈ {1, 2, 4} lane columns, each carrying
+//     perWord = ⌊64/m⌋ lanes in one word per row. A column is stored as
+//     one contiguous block of m words (column-major: word c·m + r holds
+//     row r of column c), so cell (r, c) of lane l sits at word
+//     (l/perWord)·m + r, bit (l%perWord)·m + c. A single shift-and-mask
+//     pass over a block advances all perWord lanes of the column at once
+//     while the lane masks keep wavefronts from bleeding across
+//     instances, and a step visits only the blocks with a signal in
+//     flight, so a column whose lanes are idle costs nothing.
 //   - Spanning (m > 64): one lane spans W = ⌈m/64⌉ words per row, cell
-//     (r, c) at word r·W + c/64, bit c%64. Every word belongs to the one
-//     lane (column 0, wmask 0), and horizontal shifts carry the edge bit
-//     across the word boundary.
+//     (r, c) at word r·W + c/64, bit c%64. The whole plane is the one
+//     block of column 0, and horizontal shifts carry the edge bit across
+//     the word boundary.
 //
-// Like meshGeom, a batchGeom depends only on (distance, error type,
-// lanes) and is computed once and shared read-only.
+// Within a block, vertically adjacent cells are vs words apart (1
+// packed, W spanning). Like meshGeom, a batchGeom depends only on
+// (distance, error type, lanes) and is computed once and shared
+// read-only.
 type batchGeom struct {
 	geo     *meshGeom
 	lanes   int
 	words   int // W: words per plane row
-	wmask   int // word k belongs to lane column k & wmask (0 when spanning)
+	ncol    int // lane columns: W packed, 1 spanning
+	blk     int // words per column block: m packed, n spanning
+	vs      int // word distance between vertically adjacent cells
 	span    int // words one lane occupies per row: 1 packed, W spanning
 	perWord int // lanes per fully occupied column (1 when spanning)
 	n       int // plane length: rows · words
 
+	colOf    []uint8  // lane column of plane word k
 	laneBits []uint64 // per-lane in-word mask: laneLow << laneOff[l]
 	laneOff  []uint   // bit of lane l's column 0 within its word
 	laneCol  []int    // lane column of lane l: l / perWord
@@ -90,11 +98,11 @@ func batchWordsFromEnv() int {
 	return autoBatchWords()
 }
 
-// autoBatchWords picks the plane width from the CPU: a 64-bit machine
-// word makes the four-word (256-bit) layout profitable — four
-// independent single-word dependency chains per row keep a superscalar
-// core's ALU ports busy — while a 32-bit host gets the two-word layout
-// to bound the per-step footprint.
+// autoBatchWords picks the plane width from the CPU: a 64-bit host gets
+// the four-word layout — one call advances four lane columns, so the
+// per-step lane control is shared by more decodes, and columns with
+// nothing in flight are skipped — while a 32-bit host gets the two-word
+// layout to bound the per-step footprint.
 func autoBatchWords() int {
 	if bits.UintSize >= 64 {
 		return 4
@@ -180,7 +188,9 @@ func buildBatchGeom(g *lattice.Graph, lanes int) *batchGeom {
 		geo:     geo,
 		lanes:   lanes,
 		words:   words,
-		wmask:   words - 1,
+		ncol:    words,
+		blk:     m,
+		vs:      1,
 		span:    1,
 		perWord: 64 / max(m, 1),
 		n:       m * words,
@@ -188,10 +198,10 @@ func buildBatchGeom(g *lattice.Graph, lanes int) *batchGeom {
 	bg.laneBits = make([]uint64, lanes)
 	bg.laneOff = make([]uint, lanes)
 	bg.laneCol = make([]int, lanes)
-	bg.colEnd = make([]int, bg.wmask+1)
+	bg.colEnd = make([]int, bg.ncol)
 	if m > 64 {
-		// Spanning: one lane, every word in column 0, no lane seams.
-		bg.wmask, bg.span, bg.perWord = 0, words, 1
+		// Spanning: one lane, one row-major block, no lane seams.
+		bg.ncol, bg.blk, bg.vs, bg.span, bg.perWord = 1, bg.n, words, words, 1
 		bg.colEnd = []int{1}
 		bg.laneLow = ^uint64(0)
 		bg.laneBits[0] = ^uint64(0)
@@ -218,6 +228,10 @@ func buildBatchGeom(g *lattice.Graph, lanes int) *batchGeom {
 		}
 	}
 
+	bg.colOf = make([]uint8, bg.n)
+	for k := range bg.colOf {
+		bg.colOf[k] = uint8(k / bg.blk)
+	}
 	bg.interior = make([]uint64, bg.n)
 	bg.boundary = make([]uint64, bg.n)
 	for k := range bg.classMask {
@@ -242,9 +256,8 @@ func buildBatchGeom(g *lattice.Graph, lanes int) *batchGeom {
 func (bg *batchGeom) laneBit(l, i int) (word int, bit uint64) {
 	m := bg.geo.m
 	pos := bg.laneOff[l] + uint(i%m)
-	return i/m*bg.words + bg.laneCol[l] + int(pos>>6), uint64(1) << (pos & 63)
+	return bg.laneCol[l]*bg.blk + i/m*bg.vs + int(pos>>6), uint64(1) << (pos & 63)
 }
 
-// colStep is the word stride between successive words of one lane
-// column: W for packed layouts, 1 when one lane spans every word.
-func (bg *batchGeom) colStep() int { return bg.wmask + 1 }
+// block returns the word range [lo, hi) of lane column c.
+func (bg *batchGeom) block(c int) (lo, hi int) { return c * bg.blk, (c + 1) * bg.blk }

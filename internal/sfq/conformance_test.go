@@ -91,6 +91,20 @@ func assertBatch(t testing.TB, g *lattice.Graph, b *sfq.BatchMesh, s *decodepool
 	}
 }
 
+// widthBatch builds a batch at an explicit plane width and fails unless
+// it has that layout: W words per row and the full lane complement, so
+// a width test can never silently run a narrower layout.
+func widthBatch(t testing.TB, g *lattice.Graph, v sfq.Variant, words int) *sfq.BatchMesh {
+	t.Helper()
+	b := sfq.NewBatchWithWidth(g, v, words)
+	d := g.Lattice().Distance()
+	if want := sfq.MaxBatchLanesAt(d, words); b.Words() != words || b.Lanes() != want {
+		t.Fatalf("d=%d: NewBatchWithWidth(%d) built %d lanes over %d words, want %d over %d",
+			d, words, b.Lanes(), b.Words(), want, words)
+	}
+	return b
+}
+
 // laneCounts lists the lane counts a distance is checked at: every
 // count from 1 to the maximum, or in short mode the counts at which the
 // layout changes shape (one lane, a full and an overfull word column,
@@ -172,7 +186,7 @@ func TestBatchMeshConformanceLowWeight(t *testing.T) {
 				assertMesh(t, sfq.New(g, v), syns, wants, desc+" mesh")
 				s := decodepool.NewScratch()
 				for _, words := range []int{1, 2, 4} {
-					b := sfq.NewBatchWithWidth(g, v, words)
+					b := widthBatch(t, g, v, words)
 					assertBatch(t, g, b, s, syns, wants, fmt.Sprintf("%s W=%d", desc, words))
 				}
 			}
@@ -231,7 +245,8 @@ func TestBatchMeshConformanceRandom(t *testing.T) {
 // TestBatchMeshWidthConformance runs the random sets of d ≤ 13 through
 // a batch at every lane count from 1 to the maximum — every plane width
 // W ∈ {1, 2, 4}, full and partly filled word columns, and the lane
-// refill orders each count induces.
+// refill orders each count induces. Each batch must take the narrowest
+// width that holds its lanes.
 func TestBatchMeshWidthConformance(t *testing.T) {
 	perRate := 12
 	if confShort() {
@@ -247,8 +262,13 @@ func TestBatchMeshWidthConformance(t *testing.T) {
 				s := decodepool.NewScratch()
 				for _, lanes := range laneCounts(d) {
 					b := sfq.NewBatchWithLanes(g, v, lanes)
-					if b.Lanes() != lanes {
-						t.Fatalf("d=%d: NewBatchWithLanes(%d) built %d lanes", d, lanes, b.Lanes())
+					words := 1
+					for words*sfq.MaxBatchLanesAt(d, 1) < lanes {
+						words *= 2
+					}
+					if b.Lanes() != lanes || b.Words() != words {
+						t.Fatalf("d=%d: NewBatchWithLanes(%d) built %d lanes over %d words, want %d over %d",
+							d, lanes, b.Lanes(), b.Words(), lanes, words)
 					}
 					assertBatch(t, g, b, s, syns, wants,
 						fmt.Sprintf("d=%d %v %s lanes=%d W=%d", d, etype, v.Name(), lanes, b.Words()))
@@ -304,7 +324,7 @@ func TestBatchMeshWidthsAgree(t *testing.T) {
 		s := decodepool.NewScratch()
 		var ref []want
 		for _, words := range []int{1, 2, 4} {
-			b := sfq.NewBatchWithWidth(g, sfq.Final, words)
+			b := widthBatch(t, g, sfq.Final, words)
 			corr, err := b.DecodeBatchInto(g, syns, s)
 			if err != nil {
 				t.Fatalf("d=%d W=%d: %v", d, words, err)
@@ -358,48 +378,52 @@ func fuzzSyndromes(g *lattice.Graph, synBytes []byte, n int) [][]bool {
 	return syns
 }
 
-// FuzzMesh cross-checks the one-lane Mesh against the oracle on
-// fuzzer-chosen (distance, variant, syndromes) tuples, reusing one mesh
-// across the syndromes so state leaking between decodes diverges.
-func FuzzMesh(f *testing.F) {
-	f.Add(uint8(0), uint8(3), []byte{0x01})
-	f.Add(uint8(1), uint8(0), []byte{0xff, 0x10, 0x00, 0x42})
-	f.Add(uint8(2), uint8(2), []byte{0x03, 0x00, 0x81, 0xaa, 0x55})
-	f.Add(uint8(3), uint8(1), []byte{0xaa, 0x55, 0xaa, 0x55, 0x0f, 0xf0})
-	graphs := fuzzGraphs()
-	f.Fuzz(func(t *testing.T, dSel, vSel uint8, synBytes []byte) {
+// fuzzCheck decodes syndromes built from the fuzz bytes through the
+// reused one-lane Mesh and through batch b (more syndromes than lanes,
+// so lanes refill) and fails on any divergence from the oracle.
+func fuzzCheck(t *testing.T, g *lattice.Graph, v sfq.Variant, b *sfq.BatchMesh, synBytes []byte) {
+	syns := fuzzSyndromes(g, synBytes, 2*b.Lanes()+1)
+	wants := oracleDecode(t, g, v, 0, syns)
+	desc := fmt.Sprintf("fuzz d=%d v=%s lanes=%d W=%d", g.Lattice().Distance(), v.Name(), b.Lanes(), b.Words())
+	assertMesh(t, sfq.New(g, v), syns, wants, desc+" mesh")
+	assertBatch(t, g, b, decodepool.NewScratch(), syns, wants, desc)
+}
+
+// fuzzLanes is the body of FuzzMesh and FuzzBatchMesh: a fuzzer-chosen
+// (distance, variant, lane count, syndromes) tuple. Lane counts run from
+// 1 to the maximum, so they span every plane width W ∈ {1, 2, 4}.
+func fuzzLanes(graphs map[int]*lattice.Graph) func(*testing.T, uint8, uint8, uint8, []byte) {
+	return func(t *testing.T, dSel, vSel, lSel uint8, synBytes []byte) {
 		d := fuzzDists[int(dSel)%len(fuzzDists)]
 		g := graphs[d]
 		v := variants[vSel%4]
-		syns := fuzzSyndromes(g, synBytes, 3)
-		assertMesh(t, sfq.New(g, v), syns, oracleDecode(t, g, v, 0, syns),
-			fmt.Sprintf("fuzz d=%d v=%s mesh", d, v.Name()))
-	})
+		lanes := 1 + int(lSel)%sfq.MaxBatchLanes(d)
+		fuzzCheck(t, g, v, sfq.NewBatchWithLanes(g, v, lanes), synBytes)
+	}
 }
 
-// FuzzBatchMesh cross-checks batched decoding against the oracle on
-// fuzzer-chosen (distance, variant, lane count, syndromes) tuples; the
-// batch holds more syndromes than lanes, so lanes refill.
+// FuzzMesh cross-checks the one-lane Mesh and a batch of fuzzer-chosen
+// lane count against the oracle. It is the sfq target ci.sh fuzzes.
+func FuzzMesh(f *testing.F) {
+	f.Add(uint8(0), uint8(3), uint8(0), []byte{0x01})
+	f.Add(uint8(1), uint8(0), uint8(9), []byte{0xff, 0x10, 0x00, 0x42})
+	f.Add(uint8(2), uint8(2), uint8(4), []byte{0x03, 0x00, 0x81, 0xaa, 0x55})
+	f.Add(uint8(3), uint8(1), uint8(11), []byte{0xaa, 0x55, 0xaa, 0x55, 0x0f, 0xf0})
+	f.Fuzz(fuzzLanes(fuzzGraphs()))
+}
+
+// FuzzBatchMesh is FuzzMesh's check over its own seed corpus.
 func FuzzBatchMesh(f *testing.F) {
 	f.Add(uint8(0), uint8(3), uint8(2), []byte{0x01, 0x80, 0x03})
 	f.Add(uint8(1), uint8(0), uint8(0), []byte{0xff, 0x10, 0x00, 0x42})
 	f.Add(uint8(2), uint8(2), uint8(1), []byte{0x03, 0x00, 0x81, 0xaa, 0x55})
 	f.Add(uint8(3), uint8(1), uint8(7), []byte{0xaa, 0x55, 0xaa, 0x55, 0x0f, 0xf0})
-	graphs := fuzzGraphs()
-	f.Fuzz(func(t *testing.T, dSel, vSel, lSel uint8, synBytes []byte) {
-		d := fuzzDists[int(dSel)%len(fuzzDists)]
-		g := graphs[d]
-		v := variants[vSel%4]
-		lanes := 1 + int(lSel)%sfq.MaxBatchLanes(d)
-		syns := fuzzSyndromes(g, synBytes, 2*lanes+1)
-		assertBatch(t, g, sfq.NewBatchWithLanes(g, v, lanes), decodepool.NewScratch(), syns,
-			oracleDecode(t, g, v, 0, syns), fmt.Sprintf("fuzz d=%d v=%s lanes=%d", d, v.Name(), lanes))
-	})
+	f.Fuzz(fuzzLanes(fuzzGraphs()))
 }
 
-// FuzzWideBatch cross-checks every plane width W ∈ {1, 2, 4} against
-// the oracle on fuzzer-chosen (distance, variant, width, syndromes)
-// tuples.
+// FuzzWideBatch cross-checks every plane width W ∈ {1, 2, 4}, at its
+// full lane complement, on fuzzer-chosen (distance, variant, width,
+// syndromes) tuples.
 func FuzzWideBatch(f *testing.F) {
 	f.Add(uint8(0), uint8(3), uint8(1), []byte{0x01, 0x80, 0x03})
 	f.Add(uint8(1), uint8(3), uint8(2), []byte{0xff, 0x10, 0x00, 0x42})
@@ -411,10 +435,6 @@ func FuzzWideBatch(f *testing.F) {
 		d := fuzzDists[int(dSel)%len(fuzzDists)]
 		g := graphs[d]
 		v := variants[vSel%4]
-		words := widths[int(wSel)%len(widths)]
-		b := sfq.NewBatchWithWidth(g, v, words)
-		syns := fuzzSyndromes(g, synBytes, b.Lanes()+3)
-		assertBatch(t, g, b, decodepool.NewScratch(), syns,
-			oracleDecode(t, g, v, 0, syns), fmt.Sprintf("fuzz d=%d v=%s W=%d", d, v.Name(), words))
+		fuzzCheck(t, g, v, widthBatch(t, g, v, widths[int(wSel)%len(widths)]), synBytes)
 	})
 }

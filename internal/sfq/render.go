@@ -19,5 +19,6 @@ func (m *Mesh) SetTracer(t Tracer) { m.b.tracer = t }
 //	·  idle interior module
 //
 // Signals take precedence over the chain marking, which takes
-// precedence over idle. A finished decode leaves the mesh idle.
+// precedence over idle. After a decode the mesh shows its final state:
+// the correction chain and any hot module left unresolved.
 func (m *Mesh) Render() string { return m.b.render(0) }

@@ -50,6 +50,10 @@ func TestRenderDuringDecode(t *testing.T) {
 			t.Errorf("glyph %q never rendered during a boundary pairing", glyph)
 		}
 	}
+	// A finished decode leaves its correction chain on display.
+	if out := mesh.Render(); !strings.Contains(out, "#") || strings.ContainsAny(out, "HPGr*") {
+		t.Errorf("final render shows no settled correction chain:\n%s", out)
+	}
 	// Tracer can be removed.
 	mesh.SetTracer(nil)
 	frames = frames[:0]

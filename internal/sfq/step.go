@@ -3,12 +3,15 @@ package sfq
 import "math/bits"
 
 // The fused step. Every phase of the kernel is word-local once the
-// shifted arrival values are in hand — vertical shifts read the word W
-// positions away, horizontal shifts stay inside the word except for the
-// spanning layout's carry bit — so each phase is a single sweep that
-// materializes all four directions' arrivals in registers, skips words
-// with no signal early, and touches every plane word at most once.
-// The conformance suite pins every layout bit-identical to the
+// shifted arrival values are in hand — vertical shifts read the
+// neighbouring row's word of the same column block, horizontal shifts
+// stay inside the word except for the spanning layout's carry bit — so
+// each phase is a single sweep that materializes all four directions'
+// arrivals in registers, skips words with no signal early, and touches
+// every plane word at most once. A sweep visits only the column blocks
+// its wavefront has a signal in (the cols mask from the any flags), so
+// lane columns whose decodes are idle in that phase, or finished, cost
+// nothing. The conformance suite pins every layout bit-identical to the
 // reference model in internal/sfq/oracle.
 //
 // Ordering notes (the oracle processes signal sources in ascending
@@ -55,11 +58,10 @@ func hshift(e, w []uint64, k int, em, wm, ce, cw uint64) (uint64, uint64) {
 // swept, so the meeting module is the unique intermediate on the line.
 // All arrivals at a word latch before propagation is decided there, so
 // head-on meetings stop both fronts symmetrically.
-func (b *BatchMesh) moveGrows() {
+func (b *BatchMesh) moveGrows(cols uint) {
 	bg, v := b.bg, b.variant
 	n := bg.n
-	w := bg.words
-	wm := bg.wmask
+	vs := bg.vs
 	em, wmk, ce, cw := bg.eastMask, bg.westMask, bg.eastCarry, bg.westCarry
 	interior := bg.interior[:n]
 	boundary := bg.boundary[:n]
@@ -79,87 +81,91 @@ func (b *BatchMesh) moveGrows() {
 	bdry := v.Boundary
 	reqGrant := v.ReqGrant
 	var acc [4]uint64
-	for k := 0; k < n; k++ {
-		var shN, shS uint64
-		if k < n-w {
-			shN = curN[k+w]
-		}
-		if k >= w {
-			shS = curS[k-w]
-		}
-		shE, shW := hshift(curE, curW, k, em, wmk, ce, cw)
-		if shN|shS|shE|shW == 0 {
-			continue
-		}
-		in := interior[k]
-		if (shN|shS|shE|shW)&in != 0 {
-			// A latch is landing at this word: fire eligibility may
-			// change, so fireComplete must re-evaluate it.
-			b.fireDirty[k>>6] |= 1 << (uint(k) & 63)
-		}
-		// Latch interior arrivals by entry side (pass 1), then
-		// propagate into territory no opposite front has swept (pass
-		// 2). gf[d] receives only sh[opp(d)] at this same word, so the
-		// latched values are complete before propagation reads them.
-		gN := gfN[k] | shS&in
-		gS := gfS[k] | shN&in
-		gE := gfE[k] | shW&in
-		gW := gfW[k] | shE&in
-		gfN[k], gfS[k], gfE[k], gfW[k] = gN, gS, gE, gW
-		pN := shN & in &^ gN
-		pE := shE & in &^ gE
-		pS := shS & in &^ gS
-		pW := shW & in &^ gW
-		if p := pN | pE | pS | pW; p != 0 {
-			nxtN[k] |= pN
-			nxtE[k] |= pE
-			nxtS[k] |= pS
-			nxtW[k] |= pW
-			acc[k&wm] |= p
-		}
-		if !bdry {
-			continue
-		}
-		bd := boundary[k]
-		if bd == 0 {
-			continue
-		}
-		// Boundary modules fire on first arrival. Each boundary cell
-		// has exactly one interior neighbor, so the per-direction fire
-		// sets are bit-disjoint and merge without a tie-break.
-		f := fired[k]
-		fbN := shN & bd &^ f
-		fbE := shE & bd &^ f
-		fbS := shS & bd &^ f
-		fbW := shW & bd &^ f
-		fb := fbN | fbE | fbS | fbW
-		if fb == 0 {
-			continue
-		}
-		fired[k] = f | fb
-		// Requests head back out the entry side: e = opposite(travel).
-		b.reqDirs[South][k] |= fbN
-		b.reqDirs[West][k] |= fbE
-		b.reqDirs[North][k] |= fbS
-		b.reqDirs[East][k] |= fbW
-		if reqGrant {
-			b.reqW.nxt.dir[South][k] |= fbN
-			b.reqW.nxt.dir[West][k] |= fbE
-			b.reqW.nxt.dir[North][k] |= fbS
-			b.reqW.nxt.dir[East][k] |= fbW
-			b.reqW.nxt.any[k&wm] |= fb
-		} else {
-			b.sentPair[k] |= fb
-			b.pairW.nxt.dir[South][k] |= fbN
-			b.pairW.nxt.dir[West][k] |= fbE
-			b.pairW.nxt.dir[North][k] |= fbS
-			b.pairW.nxt.dir[East][k] |= fbW
-			b.pairW.nxt.any[k&wm] |= fb
-			b.pairBW.nxt.dir[South][k] |= fbN
-			b.pairBW.nxt.dir[West][k] |= fbE
-			b.pairBW.nxt.dir[North][k] |= fbS
-			b.pairBW.nxt.dir[East][k] |= fbW
-			b.pairBW.nxt.any[k&wm] |= fb
+	for ; cols != 0; cols &= cols - 1 {
+		c := bits.TrailingZeros(cols) & 3
+		lo, hi := bg.block(c)
+		for k := lo; k < hi; k++ {
+			var shN, shS uint64
+			if k+vs < hi {
+				shN = curN[k+vs]
+			}
+			if k-vs >= lo {
+				shS = curS[k-vs]
+			}
+			shE, shW := hshift(curE, curW, k, em, wmk, ce, cw)
+			if shN|shS|shE|shW == 0 {
+				continue
+			}
+			in := interior[k]
+			if (shN|shS|shE|shW)&in != 0 {
+				// A latch is landing at this word: fire eligibility may
+				// change, so fireComplete must re-evaluate it.
+				b.fireDirty[k>>6] |= 1 << (uint(k) & 63)
+			}
+			// Latch interior arrivals by entry side (pass 1), then
+			// propagate into territory no opposite front has swept (pass
+			// 2). gf[d] receives only sh[opp(d)] at this same word, so the
+			// latched values are complete before propagation reads them.
+			gN := gfN[k] | shS&in
+			gS := gfS[k] | shN&in
+			gE := gfE[k] | shW&in
+			gW := gfW[k] | shE&in
+			gfN[k], gfS[k], gfE[k], gfW[k] = gN, gS, gE, gW
+			pN := shN & in &^ gN
+			pE := shE & in &^ gE
+			pS := shS & in &^ gS
+			pW := shW & in &^ gW
+			if p := pN | pE | pS | pW; p != 0 {
+				nxtN[k] |= pN
+				nxtE[k] |= pE
+				nxtS[k] |= pS
+				nxtW[k] |= pW
+				acc[c] |= p
+			}
+			if !bdry {
+				continue
+			}
+			bd := boundary[k]
+			if bd == 0 {
+				continue
+			}
+			// Boundary modules fire on first arrival. Each boundary cell
+			// has exactly one interior neighbor, so the per-direction fire
+			// sets are bit-disjoint and merge without a tie-break.
+			f := fired[k]
+			fbN := shN & bd &^ f
+			fbE := shE & bd &^ f
+			fbS := shS & bd &^ f
+			fbW := shW & bd &^ f
+			fb := fbN | fbE | fbS | fbW
+			if fb == 0 {
+				continue
+			}
+			fired[k] = f | fb
+			// Requests head back out the entry side: e = opposite(travel).
+			b.reqDirs[South][k] |= fbN
+			b.reqDirs[West][k] |= fbE
+			b.reqDirs[North][k] |= fbS
+			b.reqDirs[East][k] |= fbW
+			if reqGrant {
+				b.reqW.nxt.dir[South][k] |= fbN
+				b.reqW.nxt.dir[West][k] |= fbE
+				b.reqW.nxt.dir[North][k] |= fbS
+				b.reqW.nxt.dir[East][k] |= fbW
+				b.reqW.nxt.any[c] |= fb
+			} else {
+				b.sentPair[k] |= fb
+				b.pairW.nxt.dir[South][k] |= fbN
+				b.pairW.nxt.dir[West][k] |= fbE
+				b.pairW.nxt.dir[North][k] |= fbS
+				b.pairW.nxt.dir[East][k] |= fbW
+				b.pairW.nxt.any[c] |= fb
+				b.pairBW.nxt.dir[South][k] |= fbN
+				b.pairBW.nxt.dir[West][k] |= fbE
+				b.pairBW.nxt.dir[North][k] |= fbS
+				b.pairBW.nxt.dir[East][k] |= fbW
+				b.pairBW.nxt.any[c] |= fb
+			}
 		}
 	}
 	b.growW.orAny(&acc)
@@ -168,11 +174,10 @@ func (b *BatchMesh) moveGrows() {
 // moveReqs advances pair requests; requests stop at hot modules, which
 // grant at most one, by the hardware priority. The rotated-priority slow
 // path (some lane mid-retry) runs per lane over the word's column.
-func (b *BatchMesh) moveReqs() {
+func (b *BatchMesh) moveReqs(cols uint) {
 	bg := b.bg
 	n := bg.n
-	w := bg.words
-	wm := bg.wmask
+	vs := bg.vs
 	em, wmk, ce, cw := bg.eastMask, bg.westMask, bg.eastCarry, bg.westCarry
 	interior := bg.interior[:n]
 	curN := b.reqW.cur.dir[North][:n]
@@ -190,102 +195,105 @@ func (b *BatchMesh) moveReqs() {
 	hotP := b.hot[:n]
 	grantedP := b.granted[:n]
 	var acc [4]uint64
-	for k := 0; k < n; k++ {
-		var aN, aS uint64
-		if k < n-w {
-			aN = curN[k+w]
-		}
-		if k >= w {
-			aS = curS[k-w]
-		}
-		aE, aW := hshift(curE, curW, k, em, wmk, ce, cw)
-		if aN|aS|aE|aW == 0 {
-			continue
-		}
-		in := interior[k]
-		hot := hotP[k]
-		// Requests pass through non-hot interior modules and latch at
-		// hot ones (travel direction d, entry Opposite(d)).
-		mvN := aN & in
-		mvE := aE & in
-		mvS := aS & in
-		mvW := aW & in
-		latN := mvN & hot
-		latE := mvE & hot
-		latS := mvS & hot
-		latW := mvW & hot
-		psN := mvN &^ hot
-		psE := mvE &^ hot
-		psS := mvS &^ hot
-		psW := mvW &^ hot
-		if ps := psN | psE | psS | psW; ps != 0 {
-			nxtN[k] |= psN
-			nxtE[k] |= psE
-			nxtS[k] |= psS
-			nxtW[k] |= psW
-			acc[k&wm] |= ps
-		}
-		elig := (latN | latE | latS | latW) &^ grantedP[k]
-		if elig == 0 {
-			continue
-		}
-		if b.anyPrio == 0 {
-			// Fixed hardware grant priority (grantPrio = N, W, E, S by
-			// entry side); arrival by entry e is lat[opposite(e)].
-			cN := latS & elig
-			taken := cN
-			cW := latE & elig &^ taken
-			taken |= cW
-			cE := latW & elig &^ taken
-			taken |= cE
-			cS := latN & elig &^ taken
-			taken |= cS
-			gnN[k] |= cN
-			gnW[k] |= cW
-			gnE[k] |= cE
-			gnS[k] |= cS
-			b.grantW.nxt.any[k&wm] |= taken
-		} else {
-			lat := [4]uint64{latN, latE, latS, latW}
-			col := k & wm
-			for l := col * bg.perWord; l < bg.colEnd[col]; l++ {
-				el := elig & bg.laneBits[l]
-				if el == 0 {
-					continue
-				}
-				base := b.lanePrio[l]
-				if base == 0 {
-					var taken uint64
-					for _, e := range grantPrio {
-						c := lat[e.Opposite()] & el &^ taken
-						if c != 0 {
-							b.grantW.nxt.dir[e][k] |= c
-							b.grantW.nxt.any[col] |= c
-							taken |= c
-						}
-					}
-					continue
-				}
-				for cls := 0; cls < 4; cls++ {
-					ecls := el & bg.classMask[cls][k]
-					if ecls == 0 {
+	for ; cols != 0; cols &= cols - 1 {
+		c := bits.TrailingZeros(cols) & 3
+		lo, hi := bg.block(c)
+		for k := lo; k < hi; k++ {
+			var aN, aS uint64
+			if k+vs < hi {
+				aN = curN[k+vs]
+			}
+			if k-vs >= lo {
+				aS = curS[k-vs]
+			}
+			aE, aW := hshift(curE, curW, k, em, wmk, ce, cw)
+			if aN|aS|aE|aW == 0 {
+				continue
+			}
+			in := interior[k]
+			hot := hotP[k]
+			// Requests pass through non-hot interior modules and latch at
+			// hot ones (travel direction d, entry Opposite(d)).
+			mvN := aN & in
+			mvE := aE & in
+			mvS := aS & in
+			mvW := aW & in
+			latN := mvN & hot
+			latE := mvE & hot
+			latS := mvS & hot
+			latW := mvW & hot
+			psN := mvN &^ hot
+			psE := mvE &^ hot
+			psS := mvS &^ hot
+			psW := mvW &^ hot
+			if ps := psN | psE | psS | psW; ps != 0 {
+				nxtN[k] |= psN
+				nxtE[k] |= psE
+				nxtS[k] |= psS
+				nxtW[k] |= psW
+				acc[c] |= ps
+			}
+			elig := (latN | latE | latS | latW) &^ grantedP[k]
+			if elig == 0 {
+				continue
+			}
+			if b.anyPrio == 0 {
+				// Fixed hardware grant priority (grantPrio = N, W, E, S by
+				// entry side); arrival by entry e is lat[opposite(e)].
+				cN := latS & elig
+				taken := cN
+				cW := latE & elig &^ taken
+				taken |= cW
+				cE := latW & elig &^ taken
+				taken |= cE
+				cS := latN & elig &^ taken
+				taken |= cS
+				gnN[k] |= cN
+				gnW[k] |= cW
+				gnE[k] |= cE
+				gnS[k] |= cS
+				b.grantW.nxt.any[c] |= taken
+			} else {
+				lat := [4]uint64{latN, latE, latS, latW}
+				for l := c * bg.perWord; l < bg.colEnd[c]; l++ {
+					el := elig & bg.laneBits[l]
+					if el == 0 {
 						continue
 					}
-					off := (base + cls) % 4
-					var taken uint64
-					for j := 0; j < 4; j++ {
-						e := grantPrio[(j+off)%4]
-						c := lat[e.Opposite()] & ecls &^ taken
-						if c != 0 {
-							b.grantW.nxt.dir[e][k] |= c
-							b.grantW.nxt.any[col] |= c
-							taken |= c
+					base := b.lanePrio[l]
+					if base == 0 {
+						var taken uint64
+						for _, e := range grantPrio {
+							g := lat[e.Opposite()] & el &^ taken
+							if g != 0 {
+								b.grantW.nxt.dir[e][k] |= g
+								b.grantW.nxt.any[c] |= g
+								taken |= g
+							}
+						}
+						continue
+					}
+					for cls := 0; cls < 4; cls++ {
+						ecls := el & bg.classMask[cls][k]
+						if ecls == 0 {
+							continue
+						}
+						off := (base + cls) % 4
+						var taken uint64
+						for j := 0; j < 4; j++ {
+							e := grantPrio[(j+off)%4]
+							g := lat[e.Opposite()] & ecls &^ taken
+							if g != 0 {
+								b.grantW.nxt.dir[e][k] |= g
+								b.grantW.nxt.any[c] |= g
+								taken |= g
+							}
 						}
 					}
 				}
 			}
+			grantedP[k] |= elig
 		}
-		grantedP[k] |= elig
 	}
 	b.reqW.orAny(&acc)
 }
@@ -293,10 +301,10 @@ func (b *BatchMesh) moveReqs() {
 // moveGrants advances pair grants; a grant is consumed by the first
 // module that requested along its line (the intermediate, or a boundary
 // module). Directions run in pairOrder per word.
-func (b *BatchMesh) moveGrants() {
+func (b *BatchMesh) moveGrants(cols uint) {
 	bg := b.bg
 	n := bg.n
-	w := bg.words
+	vs := bg.vs
 	em, wmk, ce, cw := bg.eastMask, bg.westMask, bg.eastCarry, bg.westCarry
 	interior := bg.interior[:n]
 	boundary := bg.boundary[:n]
@@ -305,42 +313,46 @@ func (b *BatchMesh) moveGrants() {
 	curS := b.grantW.cur.dir[South][:n]
 	curW := b.grantW.cur.dir[West][:n]
 	var acc [4]uint64
-	for k := 0; k < n; k++ {
-		var mvN, mvS uint64
-		if k < n-w {
-			mvN = curN[k+w]
-		}
-		if k >= w {
-			mvS = curS[k-w]
-		}
-		mvE, mvW := hshift(curE, curW, k, em, wmk, ce, cw)
-		if mvS|mvE|mvW|mvN == 0 {
-			continue
-		}
-		in := interior[k]
-		bd := boundary[k]
-		f := b.fired[k]
-		// pairOrder: South, East, West, North; e = opposite(travel).
-		if mvS != 0 {
-			b.grantConsume(k, mvS, in, bd, f, North, South, &acc)
-		}
-		if mvE != 0 {
-			b.grantConsume(k, mvE, in, bd, f, West, East, &acc)
-		}
-		if mvW != 0 {
-			b.grantConsume(k, mvW, in, bd, f, East, West, &acc)
-		}
-		if mvN != 0 {
-			b.grantConsume(k, mvN, in, bd, f, South, North, &acc)
+	for ; cols != 0; cols &= cols - 1 {
+		c := bits.TrailingZeros(cols) & 3
+		lo, hi := bg.block(c)
+		for k := lo; k < hi; k++ {
+			var mvN, mvS uint64
+			if k+vs < hi {
+				mvN = curN[k+vs]
+			}
+			if k-vs >= lo {
+				mvS = curS[k-vs]
+			}
+			mvE, mvW := hshift(curE, curW, k, em, wmk, ce, cw)
+			if mvS|mvE|mvW|mvN == 0 {
+				continue
+			}
+			in := interior[k]
+			bd := boundary[k]
+			f := b.fired[k]
+			// pairOrder: South, East, West, North; e = opposite(travel).
+			if mvS != 0 {
+				b.grantConsume(k, c, mvS, in, bd, f, North, South, &acc)
+			}
+			if mvE != 0 {
+				b.grantConsume(k, c, mvE, in, bd, f, West, East, &acc)
+			}
+			if mvW != 0 {
+				b.grantConsume(k, c, mvW, in, bd, f, East, West, &acc)
+			}
+			if mvN != 0 {
+				b.grantConsume(k, c, mvN, in, bd, f, South, North, &acc)
+			}
 		}
 	}
 	b.grantW.orAny(&acc)
 }
 
-// grantConsume is one travel direction of moveGrants at word k:
-// interior consumption, pass-through, and the boundary sentPair latch.
-func (b *BatchMesh) grantConsume(k int, mv, in, bd, f uint64, e, d Dir, acc *[4]uint64) {
-	wm := b.bg.wmask
+// grantConsume is one travel direction of moveGrants at word k of
+// column c: interior consumption, pass-through, and the boundary
+// sentPair latch.
+func (b *BatchMesh) grantConsume(k, c int, mv, in, bd, f uint64, e, d Dir, acc *[4]uint64) {
 	mvI := mv & in
 	rde := b.reqDirs[e][k]
 	cons := mvI & f & rde &^ b.grants[e][k]
@@ -352,14 +364,14 @@ func (b *BatchMesh) grantConsume(k int, mv, in, bd, f uint64, e, d Dir, acc *[4]
 	}
 	pass := mvI &^ cons
 	b.grantW.nxt.dir[d][k] |= pass
-	acc[k&wm] |= pass
+	acc[c] |= pass
 	bc := mv & bd & f & rde &^ b.sentPair[k]
 	if bc != 0 {
 		b.sentPair[k] |= bc
 		b.pairW.nxt.dir[e][k] |= bc
-		b.pairW.nxt.any[k&wm] |= bc
+		b.pairW.nxt.any[c] |= bc
 		b.pairBW.nxt.dir[e][k] |= bc
-		b.pairBW.nxt.any[k&wm] |= bc
+		b.pairBW.nxt.any[c] |= bc
 	}
 }
 
@@ -370,10 +382,10 @@ func (b *BatchMesh) grantConsume(k int, mv, in, bd, f uint64, e, d Dir, acc *[4]
 // owning lane's hot counter and Stats. Directions run in pairOrder per
 // word. The returned mask has bit l set when lane l completed a pairing
 // this cycle.
-func (b *BatchMesh) movePairs() (done uint64) {
+func (b *BatchMesh) movePairs(cols uint) (done uint64) {
 	bg := b.bg
 	n := bg.n
-	w := bg.words
+	vs := bg.vs
 	em, wmk, ce, cw := bg.eastMask, bg.westMask, bg.eastCarry, bg.westCarry
 	interior := bg.interior[:n]
 	curN := b.pairW.cur.dir[North][:n]
@@ -384,40 +396,43 @@ func (b *BatchMesh) movePairs() (done uint64) {
 	curBE := b.pairBW.cur.dir[East][:n]
 	curBS := b.pairBW.cur.dir[South][:n]
 	curBW := b.pairBW.cur.dir[West][:n]
-	for k := 0; k < n; k++ {
-		var aN, aS, bN, bS uint64
-		if k < n-w {
-			aN = curN[k+w]
-			bN = curBN[k+w]
+	for ; cols != 0; cols &= cols - 1 {
+		c := bits.TrailingZeros(cols) & 3
+		lo, hi := bg.block(c)
+		for k := lo; k < hi; k++ {
+			var aN, aS, bN, bS uint64
+			if k+vs < hi {
+				aN = curN[k+vs]
+				bN = curBN[k+vs]
+			}
+			if k-vs >= lo {
+				aS = curS[k-vs]
+				bS = curBS[k-vs]
+			}
+			aE, aW := hshift(curE, curW, k, em, wmk, ce, cw)
+			if aN|aS|aE|aW == 0 {
+				continue
+			}
+			bE, bW := hshift(curBE, curBW, k, em, wmk, ce, cw)
+			in := interior[k]
+			// pairOrder: South, East, West, North.
+			done |= b.pairStep(k, c, aS&in, bS, South)
+			done |= b.pairStep(k, c, aE&in, bE, East)
+			done |= b.pairStep(k, c, aW&in, bW, West)
+			done |= b.pairStep(k, c, aN&in, bN, North)
 		}
-		if k >= w {
-			aS = curS[k-w]
-			bS = curBS[k-w]
-		}
-		aE, aW := hshift(curE, curW, k, em, wmk, ce, cw)
-		if aN|aS|aE|aW == 0 {
-			continue
-		}
-		bE, bW := hshift(curBE, curBW, k, em, wmk, ce, cw)
-		in := interior[k]
-		// pairOrder: South, East, West, North.
-		done |= b.pairStep(k, aS&in, bS, South)
-		done |= b.pairStep(k, aE&in, bE, East)
-		done |= b.pairStep(k, aW&in, bW, West)
-		done |= b.pairStep(k, aN&in, bN, North)
 	}
 	return done
 }
 
-// pairStep is one travel direction of movePairs at word k: error
-// marking, hot termination with per-lane accounting, and pass-through
-// with boundary provenance.
-func (b *BatchMesh) pairStep(k int, mv, pb uint64, d Dir) (done uint64) {
+// pairStep is one travel direction of movePairs at word k of column c:
+// error marking, hot termination with per-lane accounting, and
+// pass-through with boundary provenance.
+func (b *BatchMesh) pairStep(k, c int, mv, pb uint64, d Dir) (done uint64) {
 	if mv == 0 {
 		return 0
 	}
 	bg := b.bg
-	wm := bg.wmask
 	b.errOut[k] ^= mv
 	hits := mv & b.hot[k]
 	if hits != 0 {
@@ -425,8 +440,7 @@ func (b *BatchMesh) pairStep(k int, mv, pb uint64, d Dir) (done uint64) {
 		// A hot module terminated: cells here left the hot mask, so
 		// their latched grows may now fire — re-evaluate the word.
 		b.fireDirty[k>>6] |= 1 << (uint(k) & 63)
-		col := k & wm
-		for l := col * bg.perWord; l < bg.colEnd[col]; l++ {
+		for l := c * bg.perWord; l < bg.colEnd[c]; l++ {
 			hl := hits & bg.laneBits[l]
 			if hl == 0 {
 				continue
@@ -440,10 +454,10 @@ func (b *BatchMesh) pairStep(k int, mv, pb uint64, d Dir) (done uint64) {
 	}
 	pass := mv &^ hits
 	b.pairW.nxt.dir[d][k] |= pass
-	b.pairW.nxt.any[k&wm] |= pass
+	b.pairW.nxt.any[c] |= pass
 	bp := pb & pass
 	b.pairBW.nxt.dir[d][k] |= bp
-	b.pairBW.nxt.any[k&wm] |= bp
+	b.pairBW.nxt.any[c] |= bp
 	return done
 }
 
@@ -508,7 +522,6 @@ func (b *BatchMesh) fireComplete() {
 // fires.
 func (b *BatchMesh) fireWord(k int, reqGrant bool) {
 	bg := b.bg
-	wm := bg.wmask
 	elig := bg.interior[k] &^ b.fired[k] &^ b.hot[k]
 	if elig == 0 {
 		return
@@ -539,7 +552,7 @@ func (b *BatchMesh) fireWord(k int, reqGrant bool) {
 		b.reqW.nxt.dir[South][k] |= setS
 		b.reqW.nxt.dir[East][k] |= setE
 		b.reqW.nxt.dir[West][k] |= setW
-		b.reqW.nxt.any[k&wm] |= firedNew
+		b.reqW.nxt.any[bg.colOf[k]] |= firedNew
 	} else {
 		b.sentPair[k] |= firedNew
 		b.errOut[k] ^= firedNew
@@ -547,14 +560,13 @@ func (b *BatchMesh) fireWord(k int, reqGrant bool) {
 		b.pairW.nxt.dir[South][k] |= setS
 		b.pairW.nxt.dir[East][k] |= setE
 		b.pairW.nxt.dir[West][k] |= setW
-		b.pairW.nxt.any[k&wm] |= firedNew
+		b.pairW.nxt.any[bg.colOf[k]] |= firedNew
 	}
 }
 
 // handshakeWord completes the handshakes ready at one plane word.
 func (b *BatchMesh) handshakeWord(k int) {
 	bg := b.bg
-	wm := bg.wmask
 	rdN, rdE, rdS, rdW := b.reqDirs[North][k], b.reqDirs[East][k], b.reqDirs[South][k], b.reqDirs[West][k]
 	pend := (rdN &^ b.grants[North][k]) |
 		(rdE &^ b.grants[East][k]) |
@@ -574,5 +586,5 @@ func (b *BatchMesh) handshakeWord(k int) {
 	b.pairW.nxt.dir[East][k] |= pE
 	b.pairW.nxt.dir[South][k] |= pS
 	b.pairW.nxt.dir[West][k] |= pW
-	b.pairW.nxt.any[k&wm] |= pN | pE | pS | pW
+	b.pairW.nxt.any[bg.colOf[k]] |= pN | pE | pS | pW
 }
