@@ -101,8 +101,9 @@ type BatchMesh struct {
 // any flags are per-column OR-accumulators over every word written into
 // the respective plane set (any[c] covers the words of column block c);
 // they make per-lane quiescence checks O(1) and let the step and clear
-// skip column blocks that are already zero. cur and nxt point into sets, so the
-// per-clock swap is two pointer moves; a bwavefront must not be copied.
+// skip column blocks that are already zero. cur and nxt point into
+// sets, so the per-clock swap is two pointer moves; a bwavefront must
+// not be copied.
 type bwavefront struct {
 	cur, nxt *planeSet
 	sets     [2]planeSet
@@ -135,15 +136,17 @@ func (w *bwavefront) swap() { w.cur, w.nxt = w.nxt, w.cur }
 // signal of this class in flight.
 func (w *bwavefront) cols() uint {
 	a := &w.cur.any
-	var m uint
-	if a[0] != 0 {
-		m = 1
+	if a[1]|a[2]|a[3] == 0 {
+		// Column 0 alone: every step of the one-lane mesh.
+		if a[0] != 0 {
+			return 1
+		}
+		return 0
 	}
-	if a[1]|a[2]|a[3] != 0 {
-		for c := 1; c < 4; c++ {
-			if a[c] != 0 {
-				m |= 1 << uint(c)
-			}
+	var m uint
+	for c, x := range a {
+		if x != 0 {
+			m |= 1 << uint(c)
 		}
 	}
 	return m
