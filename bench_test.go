@@ -461,7 +461,7 @@ func hotPathSyndromes(b testing.TB, l *lattice.Lattice, g *lattice.Graph, count 
 // BenchmarkDecodeHotPath compares the legacy allocating Decode path with
 // the pooled DecodeInto path for every matching decoder at d ∈ {5,9,13},
 // on fixed seeded syndromes. ns/decode and allocs/decode are attached as
-// metrics; cmd/bench regenerates the same matrix into BENCH_pr2.json.
+// metrics; cmd/bench writes the same matrix as its decoder_rows.
 func BenchmarkDecodeHotPath(b *testing.B) {
 	for _, d := range []int{5, 9, 13} {
 		l := lattice.MustNew(d)
@@ -514,8 +514,8 @@ func BenchmarkDecodeHotPath(b *testing.B) {
 // batch width. cycles/decode is attached as a metric — it must be
 // identical across rows (the conformance suite enforces this; the
 // benchmark makes it visible). The batch case reports per-decode
-// metrics (one call advances Lanes() decodes). cmd/bench regenerates
-// the 1-lane versus batch comparison into BENCH_pr5.json.
+// metrics (one call advances Lanes() decodes). cmd/bench writes the
+// 1-lane versus batch comparison at every width as its kernel_rows.
 func BenchmarkSFQMesh(b *testing.B) {
 	for _, d := range []int{5, 7, 9, 13} {
 		l := lattice.MustNew(d)

@@ -3,7 +3,7 @@ package main
 // The two-level frontier: pure-mesh, two-level (mesh + escalation to
 // exact MWPM) and pure-MWPM decoding run head to head on identical
 // lifetime error streams, at several distances and physical rates. The
-// artifact (BENCH_pr7.json) records the accuracy-vs-latency frontier:
+// artifact (-out) records the accuracy-vs-latency frontier:
 // per point, the logical error rate of each decoder, the escalation
 // rate of the two-level policy, the modeled SFQ mesh latency, the
 // measured MWPM software latency, and the two-tier latency mixture
@@ -16,7 +16,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"log"
@@ -53,7 +52,7 @@ type frontierRow struct {
 	BacklogF float64 `json:"backlog_f,omitempty"` // DecodeNs / tGen at 400 ns
 }
 
-// frontierArtifact is the on-disk schema of BENCH_pr7.json.
+// frontierArtifact is the on-disk schema of a -frontier run.
 type frontierArtifact struct {
 	Manifest *obs.Manifest `json:"manifest"`
 	Rows     []frontierRow `json:"rows"`
@@ -103,7 +102,7 @@ func runFrontier(ctx context.Context, ds []int, ps []float64, cycles int, seed i
 	type cell struct {
 		d       int
 		p       float64
-		probe   *rowProbe   // mesh + two-level rows
+		probe   *rowProbe     // mesh + two-level rows
 		mwpmReg *obs.Registry // mwpm rows: wall-clock via scratch sampling
 	}
 	var cells []cell
@@ -246,16 +245,7 @@ func runFrontier(ctx context.Context, ds []int, ps []float64, cycles int, seed i
 		log.Printf("frontier d=%d: two-level beats mesh-PL and mwpm-latency at p=%v (%s)", d, wins, status)
 	}
 
-	f, err := os.Create(out)
-	if err != nil {
-		log.Fatal(err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(art); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := obs.WriteArtifact(out, art); err != nil {
 		log.Fatal(err)
 	}
 	log.Printf("wrote %s (%d rows)", out, len(art.Rows))

@@ -20,6 +20,8 @@
 //
 //	compare [-distances 3,5,7] [-p 0.03] [-cycles 20000] [-seed 1]
 //	        [-workers 0]
+//	compare -frontier -out PATH [-frontier-p 0.04,0.08,0.12] [-esc-hot 0]
+//	        [-strict] [-distances ...] [-cycles ...] [-seed ...]
 package main
 
 import (
@@ -99,7 +101,7 @@ func main() {
 	frontier := flag.Bool("frontier", false, "run the two-level accuracy-vs-latency frontier instead of the decoder table")
 	frontierPs := flag.String("frontier-p", "0.04,0.08,0.12", "physical rates of the frontier sweep")
 	escHot := flag.Int("esc-hot", 0, "frontier escalation policy: hot-check count threshold (0 = ~30% of checks per distance)")
-	out := flag.String("out", "BENCH_pr7.json", "frontier artifact path")
+	out := flag.String("out", "", "frontier artifact path (required with -frontier)")
 	strict := flag.Bool("strict", false, "exit nonzero if the frontier property fails at any distance")
 	flag.Parse()
 
@@ -113,6 +115,9 @@ func main() {
 	}
 
 	if *frontier {
+		if *out == "" {
+			log.Fatal("-frontier requires -out")
+		}
 		var fps []float64
 		for _, s := range strings.Split(*frontierPs, ",") {
 			v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)

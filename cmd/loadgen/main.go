@@ -1,7 +1,7 @@
 // Command loadgen drives a running serve instance with open-loop
 // Poisson traffic and writes the latency/shedding curve as a BENCH
-// artifact (BENCH_pr6.json), so the service's p99-vs-offered-load
-// behavior is tracked the same way the kernel benchmarks are.
+// artifact, so the service's p99-vs-offered-load behavior is tracked
+// the same way the kernel benchmarks are.
 //
 // The run has two phases. Calibration floods the server closed-loop
 // (a fixed population of back-to-back requesters) to estimate its
@@ -15,35 +15,33 @@
 //
 // Usage:
 //
-//	loadgen -addr 127.0.0.1:9000 [-d 9] [-etype z] [-conns 4]
+//	loadgen -addr 127.0.0.1:9000 -out PATH [-d 9] [-etype z] [-conns 4]
 //	        [-duration 2s] [-rates 1000,5000,10000] [-max-rate 50000]
-//	        [-density 0.08] [-seed 1] [-out BENCH_pr6.json]
-//	        [-trace-http http://127.0.0.1:9090] [-trace-out BENCH_pr10.json]
+//	        [-density 0.08] [-seed 1]
+//	        [-trace-http http://127.0.0.1:9090 [-trace-check]]
 //
-// With -trace-http and -trace-out set, loadgen scrapes the server's
-// /debug/traces flight recorder after the sweep and writes the
-// per-stage latency decomposition — stage p50/p99 rows, the embedded
-// PR 9 baseline with a before/after comparison, the worst-10 traces by
-// wall time, and every captured shed/drop decision — as its own
-// artifact. -trace-check makes the scrape's acceptance checks (≥1 shed
-// decision with controller inputs, ≥1 shed decision carrying
-// weight/sojourn inputs, ≥1 outlier trace whose stage durations sum to
-// its wall time, and serve_queue_wait_ns p99 ≥20% under the PR 9
-// baseline) fatal; ci.sh passes it.
+// With -trace-http set, loadgen scrapes the server's /debug/traces
+// flight recorder after the sweep and adds the per-stage latency
+// decomposition to the artifact's trace section — stage p50/p99 rows,
+// the embedded PR 9 baseline with a before/after comparison, the
+// worst-10 traces by wall time, and every captured shed/drop decision.
+// -trace-check makes the scrape's acceptance checks (≥1 shed decision
+// with controller inputs, ≥1 shed decision carrying weight/sojourn
+// inputs, ≥1 outlier trace whose stage durations sum to its wall time,
+// and serve_queue_wait_ns p99 ≥20% under the PR 9 baseline) fatal once
+// the artifact is written; it requires -trace-http.
 //
 // With -sweep, loadgen instead measures an in-process server at several
 // scheduler widths (workers × mixed-distance closed-loop traffic) and
-// appends lane-fill vs p99 rows to the BENCH_pr8.json artifact:
+// writes lane-fill vs p99 rows as its own artifact:
 //
-//	loadgen -sweep [-sweep-out BENCH_pr8.json] [-sweep-clients 16]
-//	        [-duration 2s] [-density 0.08] [-seed 1]
+//	loadgen -sweep -out PATH [-sweep-clients 16] [-duration 2s]
+//	        [-density 0.08] [-seed 1]
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"log"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -57,7 +55,7 @@ import (
 	"repro/internal/serve"
 )
 
-// Artifact is the on-disk schema of BENCH_pr6.json.
+// Artifact is the on-disk schema of a rate-mode run.
 type Artifact struct {
 	Manifest      *obs.Manifest `json:"manifest"`
 	CalibratedRPS float64       `json:"calibrated_rps"`
@@ -66,6 +64,9 @@ type Artifact struct {
 	// (1.0 before the batched-flush client fix).
 	ClientFlushes uint64 `json:"client_flushes"`
 	Rows          []Row  `json:"rows"`
+	// Trace is the /debug/traces decomposition, present when the run
+	// scraped the server (-trace-http).
+	Trace *TraceSection `json:"trace,omitempty"`
 }
 
 // Row is one offered-load point of the latency/shedding curve.
@@ -103,22 +104,29 @@ func main() {
 	maxRate := flag.Float64("max-rate", 50000, "cap on the calibrated rate (bounds goroutine fan-out)")
 	density := flag.Float64("density", 0.08, "per-check hot probability of generated syndromes")
 	seed := flag.Int64("seed", 1, "root seed of the syndrome and arrival streams")
-	out := flag.String("out", "BENCH_pr6.json", "artifact path")
+	out := flag.String("out", "", "artifact path (required)")
 	sweep := flag.Bool("sweep", false, "run the in-process multi-core sweep instead (workers × mixed-distance lane-fill/p99 rows)")
-	sweepOut := flag.String("sweep-out", "BENCH_pr8.json", "artifact the sweep appends its serve rows to")
 	sweepClients := flag.Int("sweep-clients", 16, "closed-loop requesters per sweep point")
-	traceHTTP := flag.String("trace-http", "", "serve HTTP base URL (http://host:port) to scrape /debug/traces from")
-	traceOut := flag.String("trace-out", "", "write the scraped per-stage trace decomposition to this artifact")
-	traceCheck := flag.Bool("trace-check", false, "fail if the trace scrape misses a shed decision or a consistent outlier trace")
+	traceHTTP := flag.String("trace-http", "", "serve HTTP base URL (http://host:port) to scrape /debug/traces from into the artifact")
+	traceCheck := flag.Bool("trace-check", false, "fail if the trace scrape misses a shed decision or a consistent outlier trace (requires -trace-http)")
 	flag.Parse()
+	if *out == "" {
+		log.Fatal("-out is required")
+	}
 	if *sweep {
-		if err := runSweep(*sweepOut, *sweepClients, *duration, *density, *seed); err != nil {
+		if *traceHTTP != "" || *traceCheck {
+			log.Fatal("-trace-http and -trace-check apply to rate mode, not -sweep")
+		}
+		if err := runSweep(*out, *sweepClients, *duration, *density, *seed); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
 	if *addr == "" {
 		log.Fatal("-addr is required")
+	}
+	if *traceCheck && *traceHTTP == "" {
+		log.Fatal("-trace-check requires -trace-http")
 	}
 	var e lattice.ErrorType
 	switch *etype {
@@ -189,28 +197,23 @@ func main() {
 		art.ClientFlushes += c.Flushes()
 	}
 
-	f, err := os.Create(*out)
-	if err != nil {
-		log.Fatal(err)
+	// A failed scrape or trace check still writes the rate rows, so the
+	// failure's evidence reaches disk.
+	var scrapeErr error
+	if *traceHTTP != "" {
+		art.Trace, scrapeErr = scrapeTraces(*traceHTTP)
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(art); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := obs.WriteArtifact(*out, art); err != nil {
 		log.Fatal(err)
 	}
 	log.Printf("wrote %s", *out)
-
-	if *traceOut != "" {
-		if *traceHTTP == "" {
-			log.Fatal("-trace-out requires -trace-http")
-		}
-		if err := scrapeTraces(*traceHTTP, *traceOut, art.Manifest, *traceCheck); err != nil {
+	if scrapeErr != nil {
+		log.Fatal(scrapeErr)
+	}
+	if *traceCheck {
+		if err := art.Trace.check(); err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("wrote %s", *traceOut)
 	}
 }
 

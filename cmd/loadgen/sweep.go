@@ -1,10 +1,7 @@
 package main
 
 import (
-	"encoding/json"
-	"fmt"
 	"log"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,6 +36,12 @@ type SweepRow struct {
 	MeanNs        float64 `json:"mean_ns"`
 }
 
+// SweepArtifact is the on-disk schema of a -sweep run.
+type SweepArtifact struct {
+	Manifest  *obs.Manifest `json:"manifest"`
+	ServeRows []SweepRow    `json:"serve_rows"`
+}
+
 // sweepDistances is the mixed-distance traffic blend: every request
 // draws round-robin from these queues (Z and X planes alternating), so
 // one run exercises several mesh sizes concurrently, as the paper's
@@ -46,7 +49,7 @@ type SweepRow struct {
 var sweepDistances = []int{5, 9, 13}
 
 // runSweep measures the decode service at several scheduler widths and
-// appends the rows to the BENCH_pr8.json artifact written by cmd/bench.
+// writes the rows as its own artifact to out.
 // Servers are in-process (requests go straight to Server.Decode), so
 // the sweep isolates the queue/drain/scheduler path from transport
 // noise and needs no running serve instance.
@@ -75,7 +78,10 @@ func runSweep(out string, clients int, dur time.Duration, density float64, seed 
 		}
 	}
 
-	var rows []SweepRow
+	art := SweepArtifact{Manifest: obs.NewManifest(map[string]any{
+		"mode": "sweep", "clients": clients, "duration": dur.String(),
+		"density": density, "seed": seed, "distances": sweepDistances,
+	})}
 	for _, workers := range []int{1, 2, 4, 8} {
 		reg := obs.NewRegistry()
 		srv := serve.New(serve.Config{
@@ -146,35 +152,14 @@ func runSweep(out string, clients int, dur time.Duration, density float64, seed 
 			P99Ns:         sum.P99,
 			MeanNs:        sum.Mean,
 		}
-		rows = append(rows, row)
+		art.ServeRows = append(art.ServeRows, row)
 		log.Printf("sweep workers=%d: %.0f req/s ok, lane fill %.1f over %d batches, p50 %s p99 %s",
 			workers, row.ThroughputRPS, row.MeanLaneFill, row.Batches,
 			time.Duration(row.P50Ns), time.Duration(row.P99Ns))
 	}
-	return appendServeRows(out, rows)
-}
-
-// appendServeRows merges the sweep rows into the artifact cmd/bench
-// wrote, preserving its kernel and scaling rows. A missing artifact
-// gets a minimal one (manifest + serve rows) so the sweep can run
-// standalone.
-func appendServeRows(path string, rows []SweepRow) error {
-	art := map[string]any{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &art); err != nil {
-			return fmt.Errorf("loadgen: %s exists but is not a JSON object: %w", path, err)
-		}
-	} else {
-		art["manifest"] = obs.NewManifest(map[string]any{"source": "loadgen -sweep"})
-	}
-	art["serve_rows"] = rows
-	data, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
+	if err := obs.WriteArtifact(out, art); err != nil {
 		return err
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	log.Printf("appended %d serve rows to %s", len(rows), path)
+	log.Printf("wrote %s (%d serve rows)", out, len(art.ServeRows))
 	return nil
 }

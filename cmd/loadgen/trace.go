@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"os"
 	"sort"
 	"time"
 
@@ -12,12 +11,12 @@ import (
 )
 
 // Trace scrape: after the rate sweep, pull the server's flight recorder
-// (/debug/traces on the -trace-http listener) and write the per-stage
-// latency decomposition as its own artifact (-trace-out,
-// BENCH_pr10.json), including a before/after comparison against the
-// embedded PR 9 baseline rows. The recorder accumulated over the whole
-// sweep, so the worst traces and the shed decisions captured at 2R are
-// still in the rings when the scrape runs.
+// (/debug/traces on the -trace-http listener) and add the per-stage
+// latency decomposition to the artifact's trace section, including a
+// before/after comparison against the embedded PR 9 baseline rows. The
+// recorder accumulated over the whole sweep, so the worst traces and
+// the shed decisions captured at 2R are still in the rings when the
+// scrape runs.
 
 // wallStages are the duration rows that telescope accept → resp_write;
 // their sum equals each trace's wall time exactly (shared stamps, no
@@ -65,7 +64,7 @@ type scrapedDoc struct {
 	Decisions    []scrapedDecision      `json:"decisions"`
 }
 
-// StageRow is one per-stage decomposition row of the trace artifact.
+// StageRow is one per-stage decomposition row of the trace section.
 type StageRow struct {
 	Stage string `json:"stage"`
 	Count uint64 `json:"count"`
@@ -114,9 +113,8 @@ type StageCompare struct {
 	ImprovementPct float64 `json:"improvement_pct"`
 }
 
-// TraceArtifact is the on-disk schema of BENCH_pr10.json.
-type TraceArtifact struct {
-	Manifest    *obs.Manifest     `json:"manifest"`
+// TraceSection is the trace part of a rate-mode artifact.
+type TraceSection struct {
 	SampleN     int               `json:"sample_n"`
 	Counters    map[string]uint64 `json:"counters"`
 	StageRows   []StageRow        `json:"stage_rows"`
@@ -128,39 +126,38 @@ type TraceArtifact struct {
 }
 
 // scrapeTraces pulls /debug/traces from the server's HTTP listener and
-// writes the decomposition artifact. With strict set, failed acceptance
-// checks are fatal — ci.sh runs the default R/2, R, 2R sweep first, so
-// the 2R point has forced shedding and the rings are warm.
-func scrapeTraces(httpBase, out string, manifest *obs.Manifest, strict bool) error {
+// builds the decomposition section. ci.sh runs the default R/2, R, 2R
+// sweep first, so the 2R point has forced shedding and the rings are
+// warm.
+func scrapeTraces(httpBase string) (*TraceSection, error) {
 	cl := &http.Client{Timeout: 10 * time.Second}
 	resp, err := cl.Get(httpBase + "/debug/traces")
 	if err != nil {
-		return fmt.Errorf("scrape %s/debug/traces: %w", httpBase, err)
+		return nil, fmt.Errorf("scrape %s/debug/traces: %w", httpBase, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("scrape %s/debug/traces: HTTP %d", httpBase, resp.StatusCode)
+		return nil, fmt.Errorf("scrape %s/debug/traces: HTTP %d", httpBase, resp.StatusCode)
 	}
 	var doc scrapedDoc
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return fmt.Errorf("decode /debug/traces: %w", err)
+		return nil, fmt.Errorf("decode /debug/traces: %w", err)
 	}
 
-	art := TraceArtifact{
-		Manifest: manifest,
+	sec := &TraceSection{
 		SampleN:  doc.SampleN,
 		Counters: doc.Counters,
 		Baseline: pr9Baseline,
 		Checks:   checkTraces(&doc),
 	}
 	for stage, sum := range doc.StageSummary {
-		art.StageRows = append(art.StageRows, StageRow{
+		sec.StageRows = append(sec.StageRows, StageRow{
 			Stage: stage, Count: sum.Count, P50Ns: sum.P50, P99Ns: sum.P99, MaxNs: sum.Max,
 		})
 	}
-	sort.Slice(art.StageRows, func(i, j int) bool { return art.StageRows[i].Stage < art.StageRows[j].Stage })
+	sort.Slice(sec.StageRows, func(i, j int) bool { return sec.StageRows[i].Stage < sec.StageRows[j].Stage })
 	for _, base := range pr9Baseline {
-		for _, row := range art.StageRows {
+		for _, row := range sec.StageRows {
 			if row.Stage != base.Stage {
 				continue
 			}
@@ -168,10 +165,10 @@ func scrapeTraces(httpBase, out string, manifest *obs.Manifest, strict bool) err
 			if base.P99Ns > 0 {
 				cmp.ImprovementPct = 100 * (1 - float64(row.P99Ns)/float64(base.P99Ns))
 			}
-			art.Comparison = append(art.Comparison, cmp)
+			sec.Comparison = append(sec.Comparison, cmp)
 			if row.Stage == "serve_queue_wait_ns" &&
 				float64(row.P99Ns) <= 0.8*float64(base.P99Ns) {
-				art.Checks.QueueWaitP99Improved = true
+				sec.Checks.QueueWaitP99Improved = true
 			}
 		}
 	}
@@ -180,41 +177,31 @@ func scrapeTraces(httpBase, out string, manifest *obs.Manifest, strict bool) err
 	if len(doc.Traces) > 10 {
 		doc.Traces = doc.Traces[:10]
 	}
-	art.WorstTraces = doc.Traces
-	art.Decisions = doc.Decisions
+	sec.WorstTraces = doc.Traces
+	sec.Decisions = doc.Decisions
+	return sec, nil
+}
 
-	f, err := os.Create(out)
-	if err != nil {
-		return err
+// check turns the first failed acceptance check into an error
+// (-trace-check).
+func (sec *TraceSection) check() error {
+	if !sec.Checks.ShedDecisionWithInputs {
+		return fmt.Errorf("trace check failed: no shed decision with controller inputs in %d decisions", len(sec.Decisions))
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(art); err != nil {
-		f.Close()
-		return err
+	if !sec.Checks.OutlierStageSum {
+		return fmt.Errorf("trace check failed: no outlier trace whose stage durations sum to its wall time")
 	}
-	if err := f.Close(); err != nil {
-		return err
+	if !sec.Checks.ShedDecisionWeighted {
+		return fmt.Errorf("trace check failed: no shed decision carrying weight/sojourn inputs in %d decisions", len(sec.Decisions))
 	}
-	if strict {
-		if !art.Checks.ShedDecisionWithInputs {
-			return fmt.Errorf("trace check failed: no shed decision with controller inputs in %d decisions", len(art.Decisions))
-		}
-		if !art.Checks.OutlierStageSum {
-			return fmt.Errorf("trace check failed: no outlier trace whose stage durations sum to its wall time")
-		}
-		if !art.Checks.ShedDecisionWeighted {
-			return fmt.Errorf("trace check failed: no shed decision carrying weight/sojourn inputs in %d decisions", len(art.Decisions))
-		}
-		if !art.Checks.QueueWaitP99Improved {
-			p99 := uint64(0)
-			for _, row := range art.StageRows {
-				if row.Stage == "serve_queue_wait_ns" {
-					p99 = row.P99Ns
-				}
+	if !sec.Checks.QueueWaitP99Improved {
+		p99 := uint64(0)
+		for _, row := range sec.StageRows {
+			if row.Stage == "serve_queue_wait_ns" {
+				p99 = row.P99Ns
 			}
-			return fmt.Errorf("trace check failed: serve_queue_wait_ns p99 %d ns not ≥20%% under the PR 9 baseline (7340031 ns)", p99)
 		}
+		return fmt.Errorf("trace check failed: serve_queue_wait_ns p99 %d ns not ≥20%% under the PR 9 baseline (7340031 ns)", p99)
 	}
 	return nil
 }
@@ -244,13 +231,11 @@ func checkTraces(doc *scrapedDoc) TraceChecks {
 		for _, st := range wallStages {
 			sum += t.Stages[st]
 		}
-		if diff := sum - t.WallNs; diff < 0 {
+		diff := sum - t.WallNs
+		if diff < 0 {
 			diff = -diff
-			if float64(diff) <= 0.05*float64(t.WallNs) {
-				c.OutlierStageSum = true
-				break
-			}
-		} else if float64(diff) <= 0.05*float64(t.WallNs) {
+		}
+		if float64(diff) <= 0.05*float64(t.WallNs) {
 			c.OutlierStageSum = true
 			break
 		}

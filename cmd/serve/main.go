@@ -13,15 +13,14 @@
 //	      [-escalate] [-esc-hot 4] [-esc-queue 256] [-esc-workers 1]
 //	      [-trace-sample 0] [-trace-depth 256] [-runtime-metrics]
 //	      [-max-queue-wait 3ms] [-flush-every 8] [-flush-interval 200µs]
-//	      [-no-weighted-shed]
 //
 // -max-queue-wait is the CoDel-style sojourn bound: under sustained
 // backlog, queued requests older than the bound are dropped
 // (StatusShed) while fresher work remains, keeping the queue-wait tail
 // near the bound instead of QueueDepth × the service time. 0 disables
-// dropping. -no-weighted-shed turns off cost-weighted admission (by
-// default overload sheds cheap low-distance traffic before expensive
-// high-distance traffic, in proportion to measured decode cost).
+// dropping. Admission is cost-weighted: overload sheds cheap
+// low-distance traffic before expensive high-distance traffic, in
+// proportion to measured decode cost.
 //
 // -escalate turns on two-level decoding: responses still carry the
 // level-1 mesh correction at mesh latency, but suspect ones are flagged
@@ -91,8 +90,6 @@ func main() {
 	flushEvery := flag.Int("flush-every", 8, "flush a connection's responses after this many unflushed")
 	flushInterval := flag.Duration("flush-interval", 200*time.Microsecond,
 		"flush a connection's responses after the oldest has waited this long")
-	noWeighted := flag.Bool("no-weighted-shed", false,
-		"disable cost-weighted admission (shed all classes uniformly; REPRO_SERVE_WEIGHTED=0 is equivalent)")
 	runtimeMetrics := flag.Bool("runtime-metrics", knob.Bool("REPRO_RUNTIME_METRICS"),
 		"bridge runtime/metrics (GC pauses, sched latency, goroutines, heap) into the registry")
 	flag.Parse()
@@ -118,7 +115,7 @@ func main() {
 		"trace_sample": *traceSample, "trace_depth": *traceDepth,
 		"runtime_metrics":   *runtimeMetrics,
 		"max_queue_wait_ns": int64(*maxQueueWait), "flush_every": *flushEvery,
-		"flush_interval_ns": int64(*flushInterval), "weighted_shed": !*noWeighted,
+		"flush_interval_ns": int64(*flushInterval),
 	}))
 	if *runtimeMetrics {
 		bridge := obs.StartRuntimeBridge(obs.Default(), time.Second)
@@ -131,25 +128,24 @@ func main() {
 		escPol = &p
 	}
 	s := serve.New(serve.Config{
-		Variant:             v,
-		Distances:           ds,
-		Workers:             *workers,
-		Lanes:               *lanes,
-		QueueDepth:          *queue,
-		Window:              *window,
-		Enter:               *enter,
-		Exit:                *exit,
-		EvalEvery:           time.Duration(*evalMs) * time.Millisecond,
-		Escalate:            *escalate,
-		EscalatePolicy:      escPol,
-		EscQueueDepth:       *escQueue,
-		EscWorkers:          *escWorkers,
-		TraceSample:         *traceSample,
-		TraceDepth:          *traceDepth,
-		MaxQueueWait:        *maxQueueWait,
-		FlushEvery:          *flushEvery,
-		FlushInterval:       *flushInterval,
-		DisableWeightedShed: *noWeighted,
+		Variant:        v,
+		Distances:      ds,
+		Workers:        *workers,
+		Lanes:          *lanes,
+		QueueDepth:     *queue,
+		Window:         *window,
+		Enter:          *enter,
+		Exit:           *exit,
+		EvalEvery:      time.Duration(*evalMs) * time.Millisecond,
+		Escalate:       *escalate,
+		EscalatePolicy: escPol,
+		EscQueueDepth:  *escQueue,
+		EscWorkers:     *escWorkers,
+		TraceSample:    *traceSample,
+		TraceDepth:     *traceDepth,
+		MaxQueueWait:   *maxQueueWait,
+		FlushEvery:     *flushEvery,
+		FlushInterval:  *flushInterval,
 	})
 
 	tcpLn, err := net.Listen("tcp", *tcpAddr)

@@ -3,7 +3,7 @@
 // Before this package, each knob was read ad hoc (os.Getenv scattered
 // across cmd/bench, the sfq kernel switches, the Monte-Carlo short-trial
 // tests and the obs overhead guard), which made a typo'd value — say
-// REPRO_SFQ_WIDTH=atuo — silently fall back to the default and measure
+// REPRO_MC_SHORT=ture — silently fall back to the default and measure
 // the wrong thing. Here every knob is declared once in a
 // registry with its legal values; accessors validate strictly and fail
 // loudly on anything else, and CheckEnv rejects unknown REPRO_* names
@@ -52,21 +52,11 @@ var defs = []Def{
 		Allowed: boolValues,
 	},
 	{
-		Name:    "REPRO_SFQ_WIDTH",
-		Desc:    "plane width of the SFQ batch kernel in 64-bit words; auto picks from the CPU word size",
-		Allowed: []string{"auto", "1", "2", "4"},
-	},
-	{
 		// Free-form because the value is an integer period; the trace
 		// layer parses it strictly and panics on anything that is not a
 		// positive integer, "0" or "off".
 		Name: "REPRO_TRACE_SAMPLE",
 		Desc: "request-trace sampling period N (record 1 in N requests; outliers and shed decisions are always recorded; 0/off disables tracing; default 16)",
-	},
-	{
-		Name:    "REPRO_SERVE_WEIGHTED",
-		Desc:    "cost-weighted admission in the decode service: shed cheap low-distance traffic before expensive high-distance traffic (default on; 0 restores uniform shedding)",
-		Allowed: boolValues,
 	},
 	{
 		Name:    "REPRO_RUNTIME_METRICS",

@@ -111,9 +111,7 @@ func (c *Controller) PredictRatio(arrivalNs float64, snap obs.Snapshot) float64 
 // the shed-ordering property test pins.
 //
 // ShedClass is a pure function of its arguments; the server evaluates
-// it only while Controller.Shedding() holds, so with weighting disabled
-// (REPRO_SERVE_WEIGHTED=0) substituting a constant true restores the
-// uniform pre-weighting behavior exactly.
+// it only while Controller.Shedding() holds.
 func ShedClass(w, minW, ratio, enter float64) bool {
 	if w <= minW {
 		return true // the cheapest class always sheds first

@@ -334,37 +334,6 @@ func TestWeightedShedOrdering(t *testing.T) {
 	}
 }
 
-// TestWeightedShedDisabled pins that REPRO_SERVE_WEIGHTED=0 restores
-// the old uniform behavior bit-identically: while the controller sheds,
-// every class sheds, exactly as before cost weighting existed.
-func TestWeightedShedDisabled(t *testing.T) {
-	t.Setenv("REPRO_SERVE_WEIGHTED", "0")
-	const n = 50
-	s := shedServer(t, 1.2)
-	defer s.Close()
-	if s.weighted {
-		t.Fatal("REPRO_SERVE_WEIGHTED=0 did not disable weighting")
-	}
-	shed := shedCount(t, s, n)
-	for _, d := range []int{3, 9, 13} {
-		if shed[d] != n {
-			t.Fatalf("uniform mode: d=%d shed %d/%d, want all (old behavior)", d, shed[d], n)
-		}
-	}
-}
-
-// TestConfigDisableWeightedShed is the Config spelling of the same
-// switch.
-func TestConfigDisableWeightedShed(t *testing.T) {
-	pool := sfq.NewPool(sfq.Final)
-	s := New(Config{Variant: sfq.Final, Distances: []int{3}, Pool: pool,
-		Registry: obs.NewRegistry(), DisableWeightedShed: true, TraceSample: -1})
-	defer s.Close()
-	if s.weighted {
-		t.Fatal("Config.DisableWeightedShed did not disable weighting")
-	}
-}
-
 // TestSojournDrop pins the CoDel-style drop policy: a drain that pops a
 // request older than MaxQueueWait while more work is queued drops it
 // (StatusShed, ReasonSojourn, counted in serve_sojourn_dropped_total),
@@ -415,7 +384,7 @@ func TestSojournDrop(t *testing.T) {
 		t.Fatalf("serve_sojourn_dropped_total = %d, want 2", c)
 	}
 	// The decision records carry the measured sojourn and the class
-	// weight — the inputs the BENCH_pr10 trace check asserts on.
+	// weight — the inputs loadgen -trace-check asserts on.
 	snap := s.Tracer().Snapshot()
 	sojourns := 0
 	for _, dec := range snap.Decisions {

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/decodepool"
 	"repro/internal/decoder/mwpm"
-	"repro/internal/knob"
 	"repro/internal/lattice"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
@@ -115,11 +114,6 @@ type Config struct {
 	// unflushed while the writer keeps draining (default 200µs). The
 	// count and elapsed-time conditions are OR'd.
 	FlushInterval time.Duration
-	// DisableWeightedShed turns off cost-weighted admission, restoring
-	// the uniform pre-PR-10 shed behavior (every class sheds while the
-	// controller sheds). The REPRO_SERVE_WEIGHTED=0 knob is the
-	// environment spelling of the same switch.
-	DisableWeightedShed bool
 }
 
 // task is one admitted request in a decode queue. deliver is invoked
@@ -250,11 +244,9 @@ type Server struct {
 	ctl    *Controller
 	meter  arrivalMeter
 
-	// weighted gates cost-weighted admission (Config.DisableWeightedShed
-	// and REPRO_SERVE_WEIGHTED=0 both clear it); minWeightBits is the
-	// smallest queue weight, maintained by updateWeights alongside the
-	// per-queue weights, read lock-free by the shed predicate.
-	weighted      bool
+	// minWeightBits is the smallest queue weight, maintained by
+	// updateWeights alongside the per-queue weights, read lock-free by
+	// the shed predicate.
 	minWeightBits atomic.Uint64
 
 	// Response free list: the steady-state serve path recycles Response
@@ -358,13 +350,6 @@ func New(cfg Config) *Server {
 		outDepth:    cfg.Registry.Gauge("serve_out_queue_depth"),
 		tickerStop:  make(chan struct{}),
 		tickerDone:  make(chan struct{}),
-	}
-	// Cost-weighted admission defaults on; Config and the knob are two
-	// spellings of the same off switch (either wins).
-	s.weighted = !cfg.DisableWeightedShed
-	switch knob.String("REPRO_SERVE_WEIGHTED") {
-	case "0", "false":
-		s.weighted = false
 	}
 	s.minWeightBits.Store(math.Float64bits(1.0))
 	// Flight recorder: TraceSample 0 defers to the REPRO_TRACE_SAMPLE
@@ -638,13 +623,8 @@ func (s *Server) updateWeights() {
 }
 
 // shedClass applies the cost-weighted admission predicate to q while
-// the controller is shedding. With weighting disabled it is uniformly
-// true — the pre-weighting behavior, bit-identical because the rest of
-// the shed path is unchanged.
+// the controller is shedding.
 func (s *Server) shedClass(q *queue) bool {
-	if !s.weighted {
-		return true
-	}
 	return ShedClass(q.weight(), math.Float64frombits(s.minWeightBits.Load()),
 		s.ctl.Ratio(), s.ctl.Enter)
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // /debug/traces: the flight recorder's read side. The JSON document is
-// what cmd/loadgen -trace-out scrapes; ?format=text renders the same
+// what cmd/loadgen -trace-http scrapes; ?format=text renders the same
 // traces as a terminal table for eyeball debugging. Each trace view
 // carries both stage offsets (from accept) and the consecutive-stage
 // durations, which telescope to the wall time — the sum check the

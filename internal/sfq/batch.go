@@ -14,8 +14,8 @@ import (
 // BatchMesh is the SFQ mesh kernel: up to MaxBatchLanes(d) independent
 // decoder meshes packed d-major into the same []uint64 planes (see
 // batchGeom), advanced by one shared fused wavefront step per clock
-// (step.go). Planes are W words per row (W ∈ {1, 2, 4}, chosen by
-// REPRO_SFQ_WIDTH or the CPU auto-pick), so every sweep progresses
+// (step.go). Planes are W words per row (W ∈ {1, 2, 4}; NewBatch
+// uses BatchWords, picked from the CPU word size), so every sweep progresses
 // W·⌊64/(2d+1)⌋ in-flight decodes; a mesh wider than one word (side
 // > 64, d ≥ 32) spans ⌈side/64⌉ words per row as a single lane. Mesh is
 // this kernel at one lane.

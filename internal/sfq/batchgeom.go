@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"sync"
 
-	"repro/internal/knob"
 	"repro/internal/lattice"
 )
 
@@ -80,23 +79,9 @@ type batchGeom struct {
 }
 
 // BatchWords is the plane width of the batch kernel in 64-bit words:
-// how many word columns NewBatch packs side by side. It is the
-// REPRO_SFQ_WIDTH knob ("1", "2", "4"; "auto" or unset picks the widest
-// layout the host word size profitably supports) resolved once at
-// process start.
-var BatchWords = batchWordsFromEnv()
-
-func batchWordsFromEnv() int {
-	switch v := knob.String("REPRO_SFQ_WIDTH"); v {
-	case "1":
-		return 1
-	case "2":
-		return 2
-	case "4":
-		return 4
-	}
-	return autoBatchWords()
-}
+// how many word columns NewBatch packs side by side, picked once at
+// process start from the CPU word size.
+var BatchWords = autoBatchWords()
 
 // autoBatchWords picks the plane width from the CPU: a 64-bit host gets
 // the four-word layout — one call advances four lane columns, so the

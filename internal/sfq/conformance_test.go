@@ -314,7 +314,7 @@ func TestBatchMeshSingleDecodeAdapters(t *testing.T) {
 
 // TestBatchMeshWidthsAgree decodes one syndrome set at every plane
 // width and requires identical corrections and LaneStats lane for lane,
-// so REPRO_SFQ_WIDTH can never change results even where the oracle is
+// so the plane width can never change results even where the oracle is
 // not consulted.
 func TestBatchMeshWidthsAgree(t *testing.T) {
 	for _, d := range []int{5, 9} {
