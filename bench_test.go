@@ -514,8 +514,9 @@ func BenchmarkDecodeHotPath(b *testing.B) {
 // batch width. cycles/decode is attached as a metric — it must be
 // identical across rows (the conformance suite enforces this; the
 // benchmark makes it visible). The batch case reports per-decode
-// metrics (one call advances Lanes() decodes). cmd/bench writes the
-// 1-lane versus batch comparison at every width as its kernel_rows.
+// metrics (one call advances Lanes() decodes). cmd/bench times the same
+// three rows as its kernel_rows, the 1-lane and batch cells as ratios to
+// the oracle timed alongside them.
 func BenchmarkSFQMesh(b *testing.B) {
 	for _, d := range []int{5, 7, 9, 13} {
 		l := lattice.MustNew(d)

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/decodepool"
@@ -14,40 +15,41 @@ import (
 	"repro/internal/noise"
 	"repro/internal/sched"
 	"repro/internal/sfq"
+	"repro/internal/sfq/oracle"
 	"repro/internal/stats"
 )
 
-// KernelRow is one (distance, plane width) measurement of the batch
-// kernel. Lanes is the full lane complement at that width;
-// SpeedupVsMesh is the per-decode throughput ratio against the one-lane
-// sfq.Mesh of the same distance, measured in the same run
-// (MeshNsPerDecode), so ≥1 means batching pays for its lane
-// bookkeeping. Corrections and cycle counts are cross-checked
-// bit-exactly against the mesh before timing.
+// KernelRow is one cell of the kernel comparison at one distance: the
+// one-lane sfq.Mesh ("1-lane") or the full batch per lane ("batch"),
+// timed Repeats times, each repeat interleaved with the reference model
+// (internal/sfq/oracle) on the same syndromes. Ratio is the median over
+// repeats of cell ÷ oracle ns/decode and RatioIQR its interquartile
+// range. The oracle is frozen test code, so the ratio cancels host
+// speed; it is what -compare tests.
 type KernelRow struct {
-	Distance             int     `json:"d"`
-	Words                int     `json:"words"`
-	Lanes                int     `json:"lanes"`
-	Iters                int     `json:"iters"`
-	NsPerDecode          float64 `json:"ns_per_decode"`
-	DecodesPerSec        float64 `json:"decodes_per_sec"`
-	MeshNsPerDecode      float64 `json:"mesh_ns_per_decode"`
-	SpeedupVsMesh        float64 `json:"speedup_vs_mesh"`
-	CyclesPerDecode      float64 `json:"cycles_per_decode"`
-	BatchAllocsPerDecode float64 `json:"batch_allocs_per_decode"`
+	Distance        int     `json:"d"`
+	Cell            string  `json:"cell"`
+	Lanes           int     `json:"lanes"`
+	Iters           int     `json:"iters"`
+	Repeats         int     `json:"repeats"`
+	NsPerDecode     float64 `json:"ns_per_decode"`
+	OracleNs        float64 `json:"oracle_ns_per_decode"`
+	Ratio           float64 `json:"ratio_median"`
+	RatioIQR        float64 `json:"ratio_iqr"`
+	CyclesPerDecode float64 `json:"cycles_per_decode"`
+	AllocsPerDecode float64 `json:"allocs_per_decode"`
 }
 
 // ScaleRow is one Monte-Carlo sweep wall-clock measurement at a worker
 // count. Fingerprint hashes every returned point; all rows of a run
 // must agree (the harness fails otherwise), which pins bit-identical
-// sweep output across worker counts, steal schedules, and plane widths.
-// Ideal is min(workers, NumCPU) — on a box with fewer cores than
-// workers, oversubscription cannot speed anything up and Efficiency is
-// measured against what the silicon can actually deliver.
+// sweep output across worker counts and steal schedules. Ideal is
+// min(workers, NumCPU) — on a box with fewer cores than workers,
+// oversubscription cannot speed anything up and Efficiency is measured
+// against what the silicon can actually deliver.
 type ScaleRow struct {
 	Workers     int     `json:"workers"`
 	ForceSteal  bool    `json:"force_steal,omitempty"`
-	Words       int     `json:"words,omitempty"` // 0: process default width
 	WallMs      float64 `json:"wall_ms"`
 	SpeedupVs1  float64 `json:"speedup_vs_1"`
 	Ideal       int     `json:"ideal"`
@@ -58,112 +60,196 @@ type ScaleRow struct {
 	Parks       uint64  `json:"parks"`
 }
 
-// benchKernel times the batch kernel at every supported plane width
-// on identical seeded syndromes, against the one-lane sfq.Mesh timed on
-// the same syndromes. Each width is conformance-checked against the
-// mesh (bit-identical corrections and cycle counts) before its timing
-// loop, so the rows are also a width-conformance record. NewBatch's
-// layout on 64-bit hosts is the W=4 row.
+// kernelRepeats is how many times each kernel cell is timed, and
+// kernelChunks how many slices one repeat of a distance alternates its
+// oracle and cells in, so they share the host's momentary speed. The
+// -compare band is an IQR, which does not shrink with more repeats
+// while the median's noise does: under normal noise, two identical runs
+// of five repeats differ by more than the band in 7% of cells (45% of
+// eight-cell runs), of 21 repeats in 0.06% (0.5%).
+const (
+	kernelRepeats = 21
+	kernelChunks  = 16
+)
+
+// kernelCell is one timed decoder configuration at one distance: call i
+// of decode completes perCall decodes, and a repeat makes calls calls
+// (a multiple of kernelChunks).
+type kernelCell struct {
+	name    string
+	calls   int
+	perCall int
+	decode  func(i int) error
+	ns      []float64 // ns/decode per repeat
+	allocs  float64   // allocs/decode, the worst repeat
+
+	// The open repeat: calls made, their wall time and heap allocations.
+	done    int
+	elapsed time.Duration
+	mallocs uint64
+}
+
+// run times the open repeat's next calls/kernelChunks calls. Unlike
+// measure it forces no GC per slice: a collection between slices would
+// land in one side's time and widen the band.
+func (c *kernelCell) run() error {
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	start := time.Now()
+	for end := c.done + c.calls/kernelChunks; c.done < end; c.done++ {
+		if err := c.decode(c.done); err != nil {
+			return fmt.Errorf("%s: %w", c.name, err)
+		}
+	}
+	c.elapsed += time.Since(start)
+	runtime.ReadMemStats(&ms1)
+	c.mallocs += ms1.Mallocs - ms0.Mallocs
+	return nil
+}
+
+// close records the open repeat's per-decode figures.
+func (c *kernelCell) close() {
+	decodes := float64(c.done * c.perCall)
+	c.ns = append(c.ns, float64(c.elapsed.Nanoseconds())/decodes)
+	c.allocs = max(c.allocs, float64(c.mallocs)/decodes)
+	c.done, c.elapsed, c.mallocs = 0, 0, 0
+}
+
+// benchKernel times, at each d ∈ {5, 7, 9, 13}, the one-lane sfq.Mesh
+// and the full batch per lane against the oracle on the same seeded
+// syndromes. A repeat times, distance by distance, the oracle and each
+// cell over whole passes of the syndrome set, alternating between them
+// in kernelChunks slices, so every cell ratio pairs with an oracle
+// measurement taken over the same stretch of time, and the
+// kernelRepeats repeats of a cell spread over the whole run. The oracle
+// is 10–50× slower than the kernel, so it makes a sixteenth of the
+// cells' iters decodes.
 func benchKernel(iters int) ([]KernelRow, error) {
 	var rows []KernelRow
-	for _, d := range []int{5, 7, 9, 13} {
-		l := lattice.MustNew(d)
-		g := l.MatchingGraph(lattice.ZErrors)
-		syndromes, err := sampleSyndromes(l, g, 64, int64(100+d))
+	var cells [][]*kernelCell // per distance: the oracle, then the cells
+	cycles := map[int]float64{}
+	dists := []int{5, 7, 9, 13}
+	for _, d := range dists {
+		cs, cyc, err := kernelCells(d, iters)
 		if err != nil {
 			return nil, err
 		}
-		n := len(syndromes)
-		mesh := sfq.New(g, sfq.Final)
-		ss := decodepool.NewScratch()
-		cycles := 0
-		for _, syn := range syndromes {
-			if _, err := mesh.DecodeInto(g, syn, ss); err != nil {
-				return nil, err
+		cells, cycles[d] = append(cells, cs), cyc
+	}
+	for r := 0; r < kernelRepeats; r++ {
+		for i, cs := range cells {
+			runtime.GC()
+			for ch := 0; ch < kernelChunks; ch++ {
+				for _, c := range cs {
+					if err := c.run(); err != nil {
+						return nil, fmt.Errorf("kernel d=%d %w", dists[i], err)
+					}
+				}
 			}
-			cycles += mesh.Stats().Cycles
+			for _, c := range cs {
+				c.close()
+			}
 		}
-		one, err := measure(iters, n, func(i int) error {
-			_, err := mesh.DecodeInto(g, syndromes[i%n], ss)
-			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("kernel d=%d mesh: %w", d, err)
-		}
-		for _, words := range []int{1, 2, 4} {
-			batch := sfq.NewBatchWithWidth(g, sfq.Final, words)
-			if batch.Words() != words {
-				return nil, fmt.Errorf("kernel d=%d: NewBatchWithWidth(%d) built a %d-word layout", d, words, batch.Words())
+	}
+	for i, cs := range cells {
+		ref := cs[0]
+		for _, c := range cs[1:] {
+			ratio := make([]float64, kernelRepeats)
+			for r := range ratio {
+				ratio[r] = c.ns[r] / ref.ns[r]
 			}
-			lanes := batch.Lanes()
-			// Rotating lane windows over the syndrome set, as in
-			// BenchmarkSFQMesh/batch.
-			wins := make([][][]bool, n)
-			for i := range wins {
-				win := make([][]bool, lanes)
-				for j := range win {
-					win[j] = syndromes[(i+j)%n]
-				}
-				wins[i] = win
-			}
-			sb := decodepool.NewScratch()
-			for wi, win := range wins {
-				corrs, err := batch.DecodeBatchInto(g, win, sb)
-				if err != nil {
-					return nil, fmt.Errorf("kernel d=%d W=%d window %d: %w", d, words, wi, err)
-				}
-				for j, syn := range win {
-					want, err := mesh.DecodeInto(g, syn, ss)
-					if err != nil {
-						return nil, err
-					}
-					if fmt.Sprint(want.Qubits) != fmt.Sprint(corrs[j].Qubits) {
-						return nil, fmt.Errorf("d=%d W=%d window %d lane %d: corrections diverge: mesh %v, batch %v",
-							d, words, wi, j, want.Qubits, corrs[j].Qubits)
-					}
-					if got := batch.LaneStats(j).Cycles; got != mesh.Stats().Cycles {
-						return nil, fmt.Errorf("d=%d W=%d window %d lane %d: cycles diverge: mesh %d, batch %d",
-							d, words, wi, j, mesh.Stats().Cycles, got)
-					}
-				}
-			}
-			// Enough windows to complete at least iters decodes; the
-			// per-call figures are normalized by lanes.
-			calls := (iters + lanes - 1) / lanes
-			bat, err := measure(calls, n, func(i int) error {
-				_, err := batch.DecodeBatchInto(g, wins[i%n], sb)
-				return err
-			})
-			if err != nil {
-				return nil, fmt.Errorf("kernel d=%d W=%d: %w", d, words, err)
-			}
-			ns := bat.NsPerDecode / float64(lanes)
 			row := KernelRow{
-				Distance:             d,
-				Words:                words,
-				Lanes:                lanes,
-				Iters:                calls * lanes,
-				NsPerDecode:          ns,
-				DecodesPerSec:        1e9 / ns,
-				MeshNsPerDecode:      one.NsPerDecode,
-				SpeedupVsMesh:        one.NsPerDecode / ns,
-				CyclesPerDecode:      float64(cycles) / float64(n),
-				BatchAllocsPerDecode: bat.AllocsPerDecode / float64(lanes),
+				Distance:        dists[i],
+				Cell:            c.name,
+				Lanes:           c.perCall,
+				Iters:           c.calls * c.perCall,
+				Repeats:         kernelRepeats,
+				NsPerDecode:     stats.Percentile(c.ns, 0.5),
+				OracleNs:        stats.Percentile(ref.ns, 0.5),
+				Ratio:           stats.Percentile(ratio, 0.5),
+				RatioIQR:        stats.Percentile(ratio, 0.75) - stats.Percentile(ratio, 0.25),
+				CyclesPerDecode: cycles[dists[i]],
+				AllocsPerDecode: c.allocs,
 			}
 			rows = append(rows, row)
-			fmt.Printf("sfq kernel  d=%-3d W=%d %3d lanes %9.0f ns/decode | %.2fx vs 1-lane mesh  (%.0f decodes/sec, %.2f allocs)\n",
-				d, words, lanes, row.NsPerDecode, row.SpeedupVsMesh, row.DecodesPerSec,
-				row.BatchAllocsPerDecode)
+			fmt.Printf("sfq kernel  d=%-3d %-6s %2d lanes %9.0f ns/decode | %.4f ± %.4f of the oracle (%.0f ns/decode, %.2f allocs)\n",
+				row.Distance, c.name, row.Lanes, row.NsPerDecode, row.Ratio, row.RatioIQR, row.OracleNs, row.AllocsPerDecode)
 		}
 	}
 	return rows, nil
 }
 
-// scaleSweep runs one mixed-distance Monte-Carlo sweep and returns its
-// points, wall-clock, and scheduler counters. words > 0 pins every mesh
-// to that plane width; 0 uses the process default through the batch
-// decoder pool.
-func scaleSweep(cycles, workers, words int, forceSteal bool) ([]stats.Point, time.Duration, sched.Stats, error) {
+// kernelCells builds the oracle, one-lane and batch cells of one
+// distance, after checking both kernel cells bit-identical to the
+// oracle (corrections and cycle counts) on every syndrome, and returns
+// them with the mean cycles per decode.
+func kernelCells(d, iters int) ([]*kernelCell, float64, error) {
+	l := lattice.MustNew(d)
+	g := l.MatchingGraph(lattice.ZErrors)
+	syndromes, err := sampleSyndromes(l, g, 64, int64(100+d))
+	if err != nil {
+		return nil, 0, err
+	}
+	n := len(syndromes)
+	ref := oracle.New(g, sfq.Final)
+	mesh := sfq.New(g, sfq.Final)
+	ss := decodepool.NewScratch()
+	batch := sfq.NewBatch(g, sfq.Final)
+	sb := decodepool.NewScratch()
+	corrs, err := batch.DecodeBatchInto(g, syndromes, sb)
+	if err != nil {
+		return nil, 0, err
+	}
+	cycles := 0
+	for i, syn := range syndromes {
+		q, st, err := ref.Decode(syn, nil)
+		if err != nil {
+			return nil, 0, err
+		}
+		c, err := mesh.DecodeInto(g, syn, ss)
+		if err != nil {
+			return nil, 0, err
+		}
+		if !slices.Equal(c.Qubits, q) || mesh.Stats().Cycles != st.Cycles ||
+			!slices.Equal(corrs[i].Qubits, q) || batch.LaneStats(i).Cycles != st.Cycles {
+			return nil, 0, fmt.Errorf("kernel d=%d syndrome %d: oracle %v in %d cycles, 1-lane %v in %d, batch %v in %d",
+				d, i, q, st.Cycles, c.Qubits, mesh.Stats().Cycles, corrs[i].Qubits, batch.LaneStats(i).Cycles)
+		}
+		cycles += st.Cycles
+	}
+	// Rotating lane windows over the syndrome set, as in
+	// BenchmarkSFQMesh/batch: over n windows every syndrome decodes in
+	// every lane once.
+	lanes := batch.Lanes()
+	wins := make([][][]bool, n)
+	for i := range wins {
+		wins[i] = make([][]bool, lanes)
+		for j := range wins[i] {
+			wins[i][j] = syndromes[(i+j)%n]
+		}
+	}
+	var refQ []int
+	return []*kernelCell{
+		{name: "oracle", calls: (iters + 16*n - 1) / (16 * n) * n, perCall: 1, decode: func(i int) error {
+			var err error
+			refQ, _, err = ref.Decode(syndromes[i%n], refQ[:0])
+			return err
+		}},
+		{name: "1-lane", calls: (iters + n - 1) / n * n, perCall: 1, decode: func(i int) error {
+			_, err := mesh.DecodeInto(g, syndromes[i%n], ss)
+			return err
+		}},
+		{name: "batch", calls: (iters + n*lanes - 1) / (n * lanes) * n, perCall: lanes, decode: func(i int) error {
+			_, err := batch.DecodeBatchInto(g, wins[i%n], sb)
+			return err
+		}},
+	}, float64(cycles) / float64(n), nil
+}
+
+// scaleSweep runs one mixed-distance Monte-Carlo sweep through the
+// batch decoder pool and returns its points, wall-clock, and scheduler
+// counters.
+func scaleSweep(cycles, workers int, forceSteal bool) ([]stats.Point, time.Duration, sched.Stats, error) {
 	var ss sched.Stats
 	cfg := stats.CurveConfig{
 		Distances:  []int{5, 9, 13},
@@ -176,15 +262,9 @@ func scaleSweep(cycles, workers, words int, forceSteal bool) ([]stats.Point, tim
 		SchedStats: &ss,
 		Batch:      true,
 	}
-	if words > 0 {
-		cfg.NewDecoderZ = func(d int) decoder.Decoder {
-			return sfq.NewBatchWithWidth(lattice.MustNew(d).MatchingGraph(lattice.ZErrors), sfq.Final, words)
-		}
-	} else {
-		pool := sfq.NewPool(sfq.Final)
-		cfg.NewDecoderZ = func(d int) decoder.Decoder { return pool.GetBatch(d, lattice.ZErrors) }
-		cfg.FreeDecoder = pool.Release
-	}
+	pool := sfq.NewPool(sfq.Final)
+	cfg.NewDecoderZ = func(d int) decoder.Decoder { return pool.GetBatch(d, lattice.ZErrors) }
+	cfg.FreeDecoder = pool.Release
 	start := time.Now()
 	points, err := stats.Curves(cfg)
 	return points, time.Since(start), ss, err
@@ -211,35 +291,32 @@ func fingerprintPoints(points []stats.Point) string {
 }
 
 // benchScaling measures the work-stealing engine's throughput scaling:
-// the same mixed-distance sweep at 1/2/4/8 workers, once more at 8
-// workers with forced stealing, and once per explicit plane width at 2
-// workers. Every run must produce the same point fingerprint — the
-// multi-core path is only fast if it is also exact.
+// the same mixed-distance sweep at 1/2/4/8 workers and once more at 8
+// workers with forced stealing. Every run must produce the same point
+// fingerprint — the multi-core path is only fast if it is also exact.
 func benchScaling(cycles int) ([]ScaleRow, error) {
 	type run struct {
 		workers    int
-		words      int
 		forceSteal bool
 	}
 	runs := []run{
 		{workers: 1}, {workers: 2}, {workers: 4}, {workers: 8},
 		{workers: 8, forceSteal: true},
-		{workers: 2, words: 1}, {workers: 2, words: 2}, {workers: 2, words: 4},
 	}
 	var rows []ScaleRow
 	var baseWall time.Duration
 	baseFP := ""
 	for _, r := range runs {
-		points, wall, ss, err := scaleSweep(cycles, r.workers, r.words, r.forceSteal)
+		points, wall, ss, err := scaleSweep(cycles, r.workers, r.forceSteal)
 		if err != nil {
-			return nil, fmt.Errorf("scaling workers=%d W=%d: %w", r.workers, r.words, err)
+			return nil, fmt.Errorf("scaling workers=%d: %w", r.workers, err)
 		}
 		fp := fingerprintPoints(points)
 		if baseFP == "" {
 			baseFP, baseWall = fp, wall
 		} else if fp != baseFP {
-			return nil, fmt.Errorf("scaling workers=%d W=%d forceSteal=%v: point fingerprint %s diverges from baseline %s — sweep results depend on the schedule",
-				r.workers, r.words, r.forceSteal, fp, baseFP)
+			return nil, fmt.Errorf("scaling workers=%d forceSteal=%v: point fingerprint %s diverges from baseline %s — sweep results depend on the schedule",
+				r.workers, r.forceSteal, fp, baseFP)
 		}
 		ideal := r.workers
 		if n := runtime.NumCPU(); ideal > n {
@@ -249,7 +326,6 @@ func benchScaling(cycles int) ([]ScaleRow, error) {
 		row := ScaleRow{
 			Workers:     r.workers,
 			ForceSteal:  r.forceSteal,
-			Words:       r.words,
 			WallMs:      float64(wall.Microseconds()) / 1e3,
 			SpeedupVs1:  speedup,
 			Ideal:       ideal,
@@ -260,18 +336,11 @@ func benchScaling(cycles int) ([]ScaleRow, error) {
 			Parks:       ss.Parks,
 		}
 		rows = append(rows, row)
-		fmt.Printf("mc scaling  workers=%d%s%s %8.1f ms | %.2fx vs 1 worker (ideal %d, efficiency %.2f) | %d steals / %d stolen\n",
-			r.workers, wordsTag(r.words), stealTag(r.forceSteal),
+		fmt.Printf("mc scaling  workers=%d%s %8.1f ms | %.2fx vs 1 worker (ideal %d, efficiency %.2f) | %d steals / %d stolen\n",
+			r.workers, stealTag(r.forceSteal),
 			row.WallMs, row.SpeedupVs1, row.Ideal, row.Efficiency, ss.Steals, ss.Stolen)
 	}
 	return rows, nil
-}
-
-func wordsTag(w int) string {
-	if w == 0 {
-		return ""
-	}
-	return fmt.Sprintf(" W=%d", w)
 }
 
 func stealTag(f bool) string {

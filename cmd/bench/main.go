@@ -7,28 +7,32 @@
 //     legacy allocating Decode path and the pooled zero-allocation
 //     DecodeInto path on identical seeded syndromes, with ns/decode and
 //     allocation counts from runtime.MemStats deltas;
-//   - kernel_rows: the batch kernel at every plane width W ∈ {1, 2, 4}
-//     and d ∈ {5, 7, 9, 13} against the one-lane sfq.Mesh timed on the
-//     same syndromes, each width cross-checked bit-exactly (corrections
-//     and cycle counts) against the mesh before timing;
+//   - kernel_rows: for d ∈ {5, 7, 9, 13}, the one-lane sfq.Mesh and the
+//     full batch per lane, each timed 21 times interleaved with the
+//     reference model (internal/sfq/oracle) on the same syndromes and
+//     reported as the median and IQR of cell ÷ oracle, after a
+//     bit-exact cross-check (corrections and cycle counts) against it;
 //   - scaling_rows: the multi-core Monte-Carlo sweep at several worker
-//     counts, steal schedules and plane widths, which must all produce
-//     the same point fingerprint.
+//     counts and steal schedules, which must all produce the same point
+//     fingerprint.
 //
 // The artifact embeds the run manifest (git SHA + dirty flag, Go
 // version, GOMAXPROCS, CPU count, env knobs) so a number in the perf
 // trajectory is attributable to the machine and tree that produced it.
-// It is written before the floors are checked (W=4 ≥ 1.5× the one-lane
-// mesh at d ≥ 9 and allocation-free; ≥ 0.8× ideal scaling where the
-// cores exist), so a failing floor exits non-zero with its evidence on
-// disk.
+// It is written before the floors are checked (batch rows
+// allocation-free; ≥ 0.8× ideal scaling where the cores exist), so a
+// failing floor exits non-zero with its evidence on disk. With
+// -compare, every kernel cell must also be no worse than the same cell
+// of an earlier artifact: its median ratio may exceed the earlier one
+// by at most the larger of the two IQRs.
 //
 // Usage:
 //
-//	bench -out PATH [-iters 2000] [-scale-cycles 4000] [-allow-dirty] [-obs :9090]
+//	bench -out PATH [-compare BASE.json] [-iters 2000] [-scale-cycles 4000] [-allow-dirty] [-obs :9090]
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -46,7 +50,6 @@ import (
 	"repro/internal/noise"
 	"repro/internal/obs"
 	"repro/internal/pauli"
-	"repro/internal/sfq"
 )
 
 // Artifact is the on-disk schema of one bench run: the manifest plus
@@ -75,6 +78,7 @@ func main() {
 		os.Exit(1)
 	}
 	out := flag.String("out", "", "artifact path (required)")
+	compare := flag.String("compare", "", "earlier artifact whose kernel cells this run must not regress against")
 	iters := flag.Int("iters", 2000, "timed decodes per cell")
 	scaleCycles := flag.Int("scale-cycles", 4000, "Monte-Carlo cycles per point in the scaling sweep")
 	allowDirty := flag.Bool("allow-dirty", false, "permit benchmarking an uncommitted tree (artifact still records git_dirty)")
@@ -86,9 +90,8 @@ func main() {
 	}
 
 	manifest := obs.NewManifest(map[string]any{
-		"iters":           *iters,
-		"scale_cycles":    *scaleCycles,
-		"sfq_batch_words": sfq.BatchWords,
+		"iters":        *iters,
+		"scale_cycles": *scaleCycles,
 	})
 	if manifest.GitDirty && !*allowDirty {
 		fmt.Fprintf(os.Stderr,
@@ -122,36 +125,72 @@ func main() {
 	}
 	fmt.Printf("wrote %s (%d decoder, %d kernel, %d scaling rows)\n",
 		*out, len(art.DecoderRows), len(art.KernelRows), len(art.ScalingRows))
-	if err := checkFloors(art); err != nil {
+	errs := []error{checkFloors(art)}
+	if *compare != "" {
+		errs = append(errs, compareKernel(art, *compare))
+	}
+	if err := errors.Join(errs...); err != nil {
 		log.Fatal(err)
 	}
 }
 
 // checkFloors applies the acceptance floors to a written artifact and
-// joins every violation. At d ≥ 9 the four-word layout must beat the
-// one-lane sfq.Mesh measured in the same run by ≥1.5× per decode,
-// allocation-free; whenever the cores exist (workers ≤ NumCPU) the
-// default-width scaling sweep must reach ≥0.8× ideal. Oversubscribed
-// scaling rows are diagnostics — on a 1-CPU box running 8 workers,
-// scheduler overhead is the measurement, not a regression.
+// joins every violation: every batch row must be allocation-free, and
+// whenever the cores exist (workers ≤ NumCPU) the scaling sweep must
+// reach ≥0.8× ideal. Oversubscribed scaling rows are diagnostics — on a
+// 1-CPU box running 8 workers, scheduler overhead is the measurement,
+// not a regression.
 func checkFloors(art Artifact) error {
 	var errs []error
 	for _, row := range art.KernelRows {
-		if row.Words != 4 || row.Distance < 9 {
-			continue
-		}
-		if row.SpeedupVsMesh < 1.5 {
-			errs = append(errs, fmt.Errorf("kernel d=%d W=4: %.2fx vs the 1-lane mesh is below the 1.5x floor", row.Distance, row.SpeedupVsMesh))
-		}
-		if row.BatchAllocsPerDecode > 0.01 {
-			errs = append(errs, fmt.Errorf("kernel d=%d W=4: %.2f allocs/decode, want 0", row.Distance, row.BatchAllocsPerDecode))
+		if row.Cell == "batch" && row.AllocsPerDecode > 0.01 {
+			errs = append(errs, fmt.Errorf("kernel d=%d batch: %.2f allocs/decode, want 0", row.Distance, row.AllocsPerDecode))
 		}
 	}
 	for _, row := range art.ScalingRows {
-		if row.Workers <= runtime.NumCPU() && row.Words == 0 && row.Efficiency < 0.8 {
+		if row.Workers <= runtime.NumCPU() && row.Efficiency < 0.8 {
 			errs = append(errs, fmt.Errorf("scaling workers=%d%s: efficiency %.2f is below the 0.8 floor at ideal=%d",
 				row.Workers, stealTag(row.ForceSteal), row.Efficiency, row.Ideal))
 		}
+	}
+	return errors.Join(errs...)
+}
+
+// compareKernel fails every kernel cell of art whose median
+// cell ÷ oracle ratio is worse than the same (d, cell) of the artifact
+// at basePath by more than the larger of the two IQRs. Cells absent
+// from the base are skipped; a base sharing no cell is an error.
+func compareKernel(art Artifact, basePath string) error {
+	raw, err := os.ReadFile(basePath)
+	if err != nil {
+		return err
+	}
+	var base Artifact
+	if err := json.Unmarshal(raw, &base); err != nil {
+		return fmt.Errorf("compare %s: %w", basePath, err)
+	}
+	key := func(r KernelRow) string { return fmt.Sprintf("%d/%s", r.Distance, r.Cell) }
+	prev := map[string]KernelRow{}
+	for _, row := range base.KernelRows {
+		prev[key(row)] = row
+	}
+	var errs []error
+	matched := 0
+	for _, row := range art.KernelRows {
+		b, ok := prev[key(row)]
+		if !ok {
+			continue
+		}
+		matched++
+		band := max(row.RatioIQR, b.RatioIQR)
+		fmt.Printf("compare     d=%-3d %-6s ratio %.4f vs %.4f (band %.4f)\n", row.Distance, row.Cell, row.Ratio, b.Ratio, band)
+		if row.Ratio-b.Ratio > band {
+			errs = append(errs, fmt.Errorf("kernel d=%d %s: ratio %.4f is worse than %s's %.4f by more than the band %.4f",
+				row.Distance, row.Cell, row.Ratio, basePath, b.Ratio, band))
+		}
+	}
+	if matched == 0 {
+		errs = append(errs, fmt.Errorf("compare %s: no kernel cell in common", basePath))
 	}
 	return errors.Join(errs...)
 }

@@ -81,20 +81,24 @@ func TestBatchMeshZeroAllocs(t *testing.T) {
 }
 
 // TestBatchMeshWidthZeroAllocs extends the zero-allocation guarantee to
-// every plane width: warmed-up wide meshes decode full batches without
+// every lane width and layout shape: one lane, a partly filled and a
+// full word at d = 9, and the spanning layout at d = 33 (one lane over
+// two words per row). Warmed-up meshes decode full batches without
 // touching the heap.
 func TestBatchMeshWidthZeroAllocs(t *testing.T) {
-	l := lattice.MustNew(9)
-	g := l.MatchingGraph(lattice.ZErrors)
 	rng := rand.New(rand.NewSource(7))
-	for _, words := range []int{1, 2, 4} {
-		batch := NewBatchWithWidth(g, Final, words)
+	for _, c := range []struct {
+		d, lanes int
+		p        float64
+	}{{9, 1, 0.08}, {9, 2, 0.08}, {9, MaxBatchLanes(9), 0.08}, {33, 1, 0.01}} {
+		g := lattice.MustNew(c.d).MatchingGraph(lattice.ZErrors)
+		batch := NewBatchWithLanes(g, Final, c.lanes)
 		n := 2 * batch.Lanes()
 		syns := make([][]bool, n)
 		for i := range syns {
 			syns[i] = make([]bool, g.NumChecks())
 			for j := range syns[i] {
-				syns[i][j] = rng.Float64() < 0.08
+				syns[i][j] = rng.Float64() < c.p
 			}
 		}
 		s := decodepool.NewScratch()
@@ -109,7 +113,7 @@ func TestBatchMeshWidthZeroAllocs(t *testing.T) {
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("W=%d: %.1f allocs/batch, want 0", words, allocs)
+			t.Errorf("d=%d lanes=%d: %.1f allocs/batch, want 0", c.d, c.lanes, allocs)
 		}
 	}
 }

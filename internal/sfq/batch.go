@@ -12,13 +12,12 @@ import (
 )
 
 // BatchMesh is the SFQ mesh kernel: up to MaxBatchLanes(d) independent
-// decoder meshes packed d-major into the same []uint64 planes (see
-// batchGeom), advanced by one shared fused wavefront step per clock
-// (step.go). Planes are W words per row (W ∈ {1, 2, 4}; NewBatch
-// uses BatchWords, picked from the CPU word size), so every sweep progresses
-// W·⌊64/(2d+1)⌋ in-flight decodes; a mesh wider than one word (side
-// > 64, d ≥ 32) spans ⌈side/64⌉ words per row as a single lane. Mesh is
-// this kernel at one lane.
+// decoder meshes packed side by side into the same []uint64 planes, one
+// word per row (see batchGeom), advanced by one shared fused wavefront
+// step per clock (step.go), so every sweep progresses ⌊64/(2d+1)⌋
+// in-flight decodes; a mesh wider than one word (side > 64, d ≥ 32)
+// spans ⌈side/64⌉ words per row as a single lane. Mesh is this kernel
+// at one lane.
 //
 // Lanes never interact — the lane masks stop every shift at the lane
 // seam and all cross-plane operations are pure bitwise combinations —
@@ -34,11 +33,11 @@ import (
 // Stats bit-identical to the reference model (internal/sfq/oracle).
 //
 // The per-lane quiescence test leans on one invariant: every wavefront
-// `any` flag is the exact OR of its current planes in that flag's word
-// column (signals are always accumulated with true ORs — including the
-// initial grow emission — and lane scrubs clear plane bits and flag
-// bits together), so `any[laneCol[l]] & laneBits[l]` precisely answers
-// "does lane l have a signal in flight".
+// `any` flag is the exact OR of its current planes (signals are always
+// accumulated with true ORs — including the initial grow emission — and
+// lane scrubs clear plane bits and flag bits together), so
+// `any & laneBits[l]` precisely answers "does lane l have a signal in
+// flight".
 //
 // A BatchMesh is reusable across DecodeBatchInto calls but not safe for
 // concurrent use.
@@ -53,9 +52,13 @@ type BatchMesh struct {
 	MaxCycles  int
 	maxRetries int
 
-	// Shared planes, W words per row, all lanes interleaved.
+	// Shared planes, all lanes side by side in each word. The 17 module
+	// state planes lie back to back in state, in field order, so a reset
+	// or scrub is one sweep; latches is the tail of state from fired on,
+	// what laneGlobalReset clears.
 	hot, errOut, fired, sentPair, granted []uint64
 	growFrom, reqDirs, grants             [4][]uint64
+	state, latches                        []uint64
 	growW, reqW, grantW, pairW, pairBW    bwavefront
 
 	// Per-lane control state.
@@ -67,13 +70,13 @@ type BatchMesh struct {
 	laneStats     []Stats
 	anyPrio       int // lanes with a nonzero priority offset (slow-path gate)
 
-	// Dirty-word bitmaps of the fused step (one bit per plane word):
-	// fireDirty marks words where fire eligibility may have changed this
-	// step (a grow latch landed or a hot module terminated), hsDirty
-	// where a handshake may have completed (a grant was consumed).
-	// fireComplete visits only marked words; see step.go for the event
-	// analysis.
-	fireDirty, hsDirty []uint64
+	// Dirty-band masks of the fused step (one bit per occupancy band, as
+	// in planeSet.rows): fireDirty marks rows where fire eligibility may
+	// have changed this step (a grow latch landed or a hot module
+	// terminated), hsDirty where a handshake may have completed (a grant
+	// was consumed). fireComplete visits only marked rows; see step.go
+	// for the event analysis.
+	fireDirty, hsDirty uint64
 
 	// In-flight batch bookkeeping (valid only inside run).
 	syns   [][]bool
@@ -97,34 +100,37 @@ type BatchMesh struct {
 	pooled bool
 }
 
-// bwavefront is the double-buffered plane set of one signal class. The
-// any flags are per-column OR-accumulators over every word written into
-// the respective plane set (any[c] covers the words of column block c);
-// they make per-lane quiescence checks O(1) and let the step and clear
-// skip column blocks that are already zero. cur and nxt point into
-// sets, so the per-clock swap is two pointer moves; a bwavefront must
-// not be copied.
+// bwavefront is the double-buffered plane set of one signal class. cur
+// and nxt point into sets, so the per-clock swap is two pointer moves;
+// a bwavefront must not be copied.
 type bwavefront struct {
 	cur, nxt *planeSet
 	sets     [2]planeSet
 }
 
 // planeSet is one buffer of a wavefront: a plane per travel direction,
-// laid out back to back in all so one clear covers the set.
+// and two occupancy flags that every write into the set updates (mark):
+//
+//   - any is the exact OR of the set's words; it makes per-lane
+//     quiescence checks O(1).
+//   - rows has bit j set for every occupancy band j (a row, when
+//     packed; see batchGeom) holding a nonzero word. It may also mark
+//     bands that have since emptied, never miss one, so each phase
+//     sweeps only the marked rows and their vertical neighbours, and
+//     clear and maskLane touch only the marked rows.
 type planeSet struct {
-	dir [4][]uint64
-	all []uint64
-	any [4]uint64
+	dir  [4][]uint64
+	any  uint64
+	rows uint64
 }
 
 // init carves the wavefront's two plane sets out of backing, which must
 // hold 8n words.
 func (w *bwavefront) init(backing []uint64, n int) {
 	for i := range w.sets {
-		ps := &w.sets[i]
-		ps.all = backing[i*4*n : (i+1)*4*n : (i+1)*4*n]
-		for d := range ps.dir {
-			ps.dir[d] = ps.all[d*n : (d+1)*n : (d+1)*n]
+		for d := range w.sets[i].dir {
+			o := (4*i + d) * n
+			w.sets[i].dir[d] = backing[o : o+n : o+n]
 		}
 	}
 	w.cur, w.nxt = &w.sets[0], &w.sets[1]
@@ -132,83 +138,43 @@ func (w *bwavefront) init(backing []uint64, n int) {
 
 func (w *bwavefront) swap() { w.cur, w.nxt = w.nxt, w.cur }
 
-// cols returns the set of lane columns (bit c for column c) with a
-// signal of this class in flight.
-func (w *bwavefront) cols() uint {
-	a := &w.cur.any
-	if a[1]|a[2]|a[3] == 0 {
-		// Column 0 alone: every step of the one-lane mesh.
-		if a[0] != 0 {
-			return 1
-		}
-		return 0
-	}
-	var m uint
-	for c, x := range a {
-		if x != 0 {
-			m |= 1 << uint(c)
-		}
-	}
-	return m
+// mark records a write of the bits x into the bands rows of the set.
+func (ps *planeSet) mark(rows, x uint64) {
+	ps.any |= x
+	ps.rows |= rows
 }
 
-// clear zeroes the column blocks of a plane set that anything was
-// written into: the whole set in one sweep when every column was, else
-// block by block.
+// clear zeroes the marked rows of a plane set. An unmarked set is
+// empty (any nonzero word lies in a marked row), so the common idle
+// case stays inline.
 func (ps *planeSet) clear(bg *batchGeom) {
-	a := &ps.any
-	if a[0]|a[1]|a[2]|a[3] == 0 {
-		return
+	if ps.rows != 0 {
+		ps.clearRows(bg)
 	}
-	if bg.ncol == 1 || a[0] != 0 && a[1] != 0 && a[2] != 0 && a[3] != 0 {
-		clearPlane(ps.all)
-	} else {
-		for c, a := range ps.any[:bg.ncol] {
-			if a == 0 {
-				continue
-			}
-			lo, hi := bg.block(c)
-			for _, p := range ps.dir {
-				clearPlane(p[lo:hi])
-			}
-		}
-	}
-	ps.any = [4]uint64{}
 }
 
-// orAny folds a phase's per-column accumulator into the next-cycle
-// flags.
-func (w *bwavefront) orAny(acc *[4]uint64) {
-	w.nxt.any[0] |= acc[0]
-	w.nxt.any[1] |= acc[1]
-	w.nxt.any[2] |= acc[2]
-	w.nxt.any[3] |= acc[3]
+func (ps *planeSet) clearRows(bg *batchGeom) {
+	pN, pE, pS, pW := ps.dir[North], ps.dir[East], ps.dir[South], ps.dir[West]
+	bd := bg.band
+	for v := ps.rows; v != 0; v &= v - 1 {
+		lo, hi := bd.words(bits.TrailingZeros64(v))
+		for k := lo; k < hi; k++ {
+			pN[k], pE[k], pS[k], pW[k] = 0, 0, 0, 0
+		}
+	}
+	ps.any, ps.rows = 0, 0
 }
 
 // NewBatch builds a SWAR batch mesh for the matching graph at the
-// maximum lane width for its distance (W·⌊64/(2d+1)⌋ lanes at the
-// process-wide BatchWords plane width).
+// maximum lane count for its distance, MaxBatchLanes(d).
 func NewBatch(g *lattice.Graph, v Variant) *BatchMesh {
 	return NewBatchWithLanes(g, v, MaxBatchLanes(g.Lattice().Distance()))
 }
 
-// NewBatchWithWidth builds a batch mesh with an explicit plane width in
-// words (1, 2 or 4, fully occupied); other widths fall back to the
-// process default. Explicit widths exist for the width-conformance
-// tests and the bench harness.
-func NewBatchWithWidth(g *lattice.Graph, v Variant, words int) *BatchMesh {
-	if words != 1 && words != 2 && words != 4 {
-		words = BatchWords
-	}
-	return NewBatchWithLanes(g, v, MaxBatchLanesAt(g.Lattice().Distance(), words))
-}
-
 // NewBatchWithLanes builds a batch mesh with an explicit lane count;
-// widths outside [1, MaxBatchLanes(d)] are clamped to the maximum. The
-// plane word count is the narrowest power-of-two layout that holds the
-// lanes (⌈side/64⌉ for a mesh wider than a word). Narrow widths exist
-// for tests, for Mesh (one lane), and for callers bounding batch
-// latency.
+// counts outside [1, MaxBatchLanes(d)] are clamped to the maximum.
+// Narrow batches exist for tests, for Mesh (one lane), and for callers
+// bounding batch latency.
 func NewBatchWithLanes(g *lattice.Graph, v Variant, lanes int) *BatchMesh {
 	geo := geomFor(g)
 	if max := MaxBatchLanes(geo.d); lanes < 1 || lanes > max {
@@ -229,6 +195,7 @@ func NewBatchWithLanes(g *lattice.Graph, v Variant, lanes int) *BatchMesh {
 	// One backing array for all planes: 5 state + 3×4 latch + 5×2×4
 	// wavefront = 57 planes.
 	backing := make([]uint64, 57*n)
+	b.state, b.latches = backing[:17*n:17*n], backing[2*n:17*n:17*n]
 	next := func(planes int) []uint64 {
 		p := backing[: planes*n : planes*n]
 		backing = backing[planes*n:]
@@ -241,8 +208,6 @@ func NewBatchWithLanes(g *lattice.Graph, v Variant, lanes int) *BatchMesh {
 	for _, w := range []*bwavefront{&b.growW, &b.reqW, &b.grantW, &b.pairW, &b.pairBW} {
 		w.init(next(8), n)
 	}
-	b.fireDirty = make([]uint64, (n+63)/64)
-	b.hsDirty = make([]uint64, (n+63)/64)
 	b.laneSyn = make([]int, lanes)
 	b.laneHot = make([]int, lanes)
 	b.laneCountdown = make([]int, lanes)
@@ -264,10 +229,6 @@ func (b *BatchMesh) Variant() Variant { return b.variant }
 // Lanes returns how many syndromes one DecodeBatchInto call advances
 // concurrently.
 func (b *BatchMesh) Lanes() int { return b.lanes }
-
-// Words returns the mesh's plane width in 64-bit words per row
-// (⌈side/64⌉ when one lane spans the row).
-func (b *BatchMesh) Words() int { return b.bg.words }
 
 // BatchWidth implements decodepool.BatchDecoder.
 func (b *BatchMesh) BatchWidth() int { return b.lanes }
@@ -384,7 +345,7 @@ func (b *BatchMesh) run(syns [][]bool, spans [][2]int32, q []int) []int {
 			if b.laneSyn[l] < 0 {
 				continue
 			}
-			if b.laneHot[l] == 0 && b.pairW.cur.any[b.bg.laneCol[l]]&b.bg.laneBits[l] == 0 && b.laneCountdown[l] == 0 {
+			if b.laneHot[l] == 0 && b.pairW.cur.any&b.bg.laneBits[l] == 0 && b.laneCountdown[l] == 0 {
 				b.finalizeLane(l)
 				continue
 			}
@@ -439,23 +400,14 @@ func batchCorrections(s *decodepool.Scratch, q []int, spans [][2]int32) []decode
 	return corr
 }
 
-// resetAll clears every plane and lane control.
+// resetAll clears every plane and lane control. Every write into a
+// wavefront marks its row, so clearing the marked rows of both buffers
+// empties it.
 func (b *BatchMesh) resetAll() {
-	clearPlane(b.hot)
-	clearPlane(b.errOut)
-	clearPlane(b.fired)
-	clearPlane(b.sentPair)
-	clearPlane(b.granted)
-	for d := 0; d < 4; d++ {
-		clearPlane(b.growFrom[d])
-		clearPlane(b.reqDirs[d])
-		clearPlane(b.grants[d])
-	}
+	clearPlane(b.state)
 	for _, w := range []*bwavefront{&b.growW, &b.reqW, &b.grantW, &b.pairW, &b.pairBW} {
 		w.cur.clear(b.bg)
-		// Wipe unconditionally: an aborted decode may leave stale bits.
-		clearPlane(w.nxt.all)
-		w.nxt.any = [4]uint64{}
+		w.nxt.clear(b.bg)
 	}
 	for l := range b.laneSyn {
 		b.laneSyn[l] = -1
@@ -466,8 +418,7 @@ func (b *BatchMesh) resetAll() {
 		b.laneStats[l] = Stats{}
 	}
 	b.anyPrio = 0
-	clearPlane(b.fireDirty)
-	clearPlane(b.hsDirty)
+	b.fireDirty, b.hsDirty = 0, 0
 	b.next = 0
 	b.active = 0
 }
@@ -512,16 +463,14 @@ func (b *BatchMesh) loadLaneNext(l int) {
 }
 
 // emitGrows ORs lane l's hot modules into all four direction planes of
-// ps. The OR into the column's any flag is exact (not a flag) — per-lane
-// quiescence tests depend on it.
+// ps. The OR into the any flag is exact — per-lane quiescence tests
+// depend on it.
 func (b *BatchMesh) emitGrows(ps *planeSet, l int) {
 	bg := b.bg
 	lane := bg.laneBits[l]
-	col := bg.laneCol[l]
-	lo, hi := bg.block(col)
-	var acc uint64
-	for k := lo; k < hi; k++ {
-		hl := b.hot[k] & lane
+	var acc, rows uint64
+	for k, h := range b.hot[:bg.n] {
+		hl := h & lane
 		if hl == 0 {
 			continue
 		}
@@ -530,8 +479,9 @@ func (b *BatchMesh) emitGrows(ps *planeSet, l int) {
 		ps.dir[South][k] |= hl
 		ps.dir[West][k] |= hl
 		acc |= hl
+		rows |= bg.band.bit(k)
 	}
-	ps.any[col] |= acc
+	ps.mark(rows, acc)
 }
 
 // finalizeLane extracts lane l's finished correction and Stats, records
@@ -569,11 +519,10 @@ func (b *BatchMesh) extractLane(l int) {
 // plane p, in ascending cell order (rows, then columns).
 func (b *BatchMesh) forLaneCells(p []uint64, l int, f func(i int)) {
 	geo, bg := b.geo, b.bg
-	base := bg.laneCol[l] * bg.blk
-	shift := bg.laneOff[l]
+	shift := uint(l * geo.m)
 	for r := 0; r < geo.m; r++ {
-		for j := 0; j < bg.span; j++ {
-			w := p[base+r*bg.vs+j] >> shift & bg.laneLow
+		for j := 0; j < bg.vs; j++ {
+			w := p[r*bg.vs+j] >> shift & bg.laneLow
 			for w != 0 {
 				c := bits.TrailingZeros64(w)
 				w &= w - 1
@@ -583,27 +532,57 @@ func (b *BatchMesh) forLaneCells(p []uint64, l int, f func(i int)) {
 	}
 }
 
-// maskPlaneCol clears the bits outside mask from every word of the
-// plane's lane column block [lo, hi).
-func maskPlaneCol(p []uint64, mask uint64, lo, hi int) {
-	p = p[lo:hi]
+// maskPlane clears the bits outside mask from every word of the plane;
+// a zero mask is a plain clear.
+func maskPlane(p []uint64, mask uint64) {
+	if mask == 0 {
+		clearPlane(p)
+		return
+	}
 	for k := range p {
 		p[k] &= mask
 	}
 }
 
-// maskLaneCol clears one lane's bits from the in-flight planes of
-// column col (block [lo, hi)), keeping cur.any[col] an exact OR of the
-// column's remaining plane contents (lane masks of distinct lanes in
-// one column are disjoint).
-func (w *bwavefront) maskLaneCol(lane uint64, col, lo, hi int) {
-	if w.cur.any[col]&lane == 0 {
+// keepMask returns the state-plane mask that erases lane l: the
+// complement of its lane bits, or zero in a one-lane layout, whose
+// state planes hold no bit outside lane 0.
+func (b *BatchMesh) keepMask(l int) uint64 {
+	if b.lanes == 1 {
+		return 0
+	}
+	return ^b.bg.laneBits[l]
+}
+
+// maskLane clears one lane's bits from the in-flight planes, touching
+// only the marked rows and unmarking those it leaves empty. cur.any
+// stays an exact OR of the remaining plane contents (lane masks are
+// disjoint).
+func (w *bwavefront) maskLane(bg *batchGeom, lane uint64) {
+	ps := w.cur
+	if ps.any&lane == 0 {
 		return
 	}
-	for _, p := range w.cur.dir {
-		maskPlaneCol(p, ^lane, lo, hi)
+	pN, pE, pS, pW := ps.dir[North], ps.dir[East], ps.dir[South], ps.dir[West]
+	bd := bg.band
+	var rows uint64
+	for v := ps.rows; v != 0; v &= v - 1 {
+		j := bits.TrailingZeros64(v)
+		lo, hi := bd.words(j)
+		var live uint64
+		for k := lo; k < hi; k++ {
+			pN[k] &^= lane
+			pE[k] &^= lane
+			pS[k] &^= lane
+			pW[k] &^= lane
+			live |= pN[k] | pE[k] | pS[k] | pW[k]
+		}
+		if live != 0 {
+			rows |= 1 << uint(j)
+		}
 	}
-	w.cur.any[col] &^= lane
+	ps.any &^= lane
+	ps.rows = rows
 }
 
 // scrubLane erases every trace of lane l so the lane is ready for the
@@ -612,24 +591,12 @@ func (w *bwavefront) maskLaneCol(lane uint64, col, lo, hi int) {
 func (b *BatchMesh) scrubLane(l int) {
 	bg := b.bg
 	lane := bg.laneBits[l]
-	col := bg.laneCol[l]
-	lo, hi := bg.block(col)
-	mask := ^lane
-	maskPlaneCol(b.hot, mask, lo, hi)
-	maskPlaneCol(b.errOut, mask, lo, hi)
-	maskPlaneCol(b.fired, mask, lo, hi)
-	maskPlaneCol(b.sentPair, mask, lo, hi)
-	maskPlaneCol(b.granted, mask, lo, hi)
-	for d := 0; d < 4; d++ {
-		maskPlaneCol(b.growFrom[d], mask, lo, hi)
-		maskPlaneCol(b.reqDirs[d], mask, lo, hi)
-		maskPlaneCol(b.grants[d], mask, lo, hi)
-	}
-	b.growW.maskLaneCol(lane, col, lo, hi)
-	b.reqW.maskLaneCol(lane, col, lo, hi)
-	b.grantW.maskLaneCol(lane, col, lo, hi)
-	b.pairW.maskLaneCol(lane, col, lo, hi)
-	b.pairBW.maskLaneCol(lane, col, lo, hi)
+	maskPlane(b.state, b.keepMask(l))
+	b.growW.maskLane(bg, lane)
+	b.reqW.maskLane(bg, lane)
+	b.grantW.maskLane(bg, lane)
+	b.pairW.maskLane(bg, lane)
+	b.pairBW.maskLane(bg, lane)
 	b.laneHot[l] = 0
 	b.laneCountdown[l] = 0
 	b.laneRetries[l] = 0
@@ -642,20 +609,10 @@ func (b *BatchMesh) scrubLane(l int) {
 func (b *BatchMesh) laneGlobalReset(l int) {
 	bg := b.bg
 	lane := bg.laneBits[l]
-	col := bg.laneCol[l]
-	lo, hi := bg.block(col)
-	mask := ^lane
-	for d := 0; d < 4; d++ {
-		maskPlaneCol(b.growFrom[d], mask, lo, hi)
-		maskPlaneCol(b.reqDirs[d], mask, lo, hi)
-		maskPlaneCol(b.grants[d], mask, lo, hi)
-	}
-	maskPlaneCol(b.fired, mask, lo, hi)
-	maskPlaneCol(b.sentPair, mask, lo, hi)
-	maskPlaneCol(b.granted, mask, lo, hi)
-	b.growW.maskLaneCol(lane, col, lo, hi)
-	b.reqW.maskLaneCol(lane, col, lo, hi)
-	b.grantW.maskLaneCol(lane, col, lo, hi)
+	maskPlane(b.latches, b.keepMask(l))
+	b.growW.maskLane(bg, lane)
+	b.reqW.maskLane(bg, lane)
+	b.grantW.maskLane(bg, lane)
 	// pair planes and errOut survive by design.
 	b.laneCountdown[l] = ResetDepth
 }
@@ -677,8 +634,7 @@ func (b *BatchMesh) setLanePrio(l, v int) {
 // laneQuiescent reports whether lane l has no signal of any kind in
 // flight. Exact because the any flags are exact ORs (see type comment).
 func (b *BatchMesh) laneQuiescent(l int) bool {
-	col := b.bg.laneCol[l]
-	return (b.growW.cur.any[col]|b.reqW.cur.any[col]|b.grantW.cur.any[col]|b.pairW.cur.any[col])&
+	return (b.growW.cur.any|b.reqW.cur.any|b.grantW.cur.any|b.pairW.cur.any)&
 		b.bg.laneBits[l] == 0
 }
 
@@ -696,21 +652,20 @@ func (b *BatchMesh) step() {
 	b.pairW.nxt.clear(bg)
 	b.pairBW.nxt.clear(bg)
 
-	// Each phase visits only the column blocks its wavefront has a
-	// signal in — exact, since a block fed an all-zero wavefront writes
-	// nothing (the any flags are exact).
+	// Each phase runs only when its wavefront has a signal in flight
+	// (the any flags are exact) and sweeps only the rows around it.
 	var done uint64
-	if cols := b.growW.cols(); cols != 0 {
-		b.moveGrows(cols)
+	if b.growW.cur.any != 0 {
+		b.moveGrows()
 	}
-	if cols := b.reqW.cols(); cols != 0 {
-		b.moveReqs(cols)
+	if b.reqW.cur.any != 0 {
+		b.moveReqs()
 	}
-	if cols := b.grantW.cols(); cols != 0 {
-		b.moveGrants(cols)
+	if b.grantW.cur.any != 0 {
+		b.moveGrants()
 	}
-	if cols := b.pairW.cols(); cols != 0 {
-		done = b.movePairs(cols)
+	if b.pairW.cur.any != 0 {
+		done = b.movePairs()
 	}
 	b.fireComplete()
 

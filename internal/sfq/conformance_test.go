@@ -16,11 +16,11 @@ import (
 
 // The conformance suite pins the production kernel bit-identical to the
 // reference model in internal/sfq/oracle: same correction qubits and
-// same Stats for every syndrome, across variants, error types, plane
-// widths, lane counts from 1 (sfq.Mesh) to the maximum, the spanning
-// layout (side > 64), and the decode orders dynamic lane refill
-// induces. Every mesh is reused across its whole syndrome set, so state
-// leaking between decodes diverges too.
+// same Stats for every syndrome, across variants, error types, lane
+// counts from 1 (sfq.Mesh) to the maximum, the spanning layout (side >
+// 64), and the decode orders dynamic lane refill induces. Every mesh is
+// reused across its whole syndrome set, so state leaking between
+// decodes diverges too.
 
 var variants = []sfq.Variant{sfq.Baseline, sfq.WithReset, sfq.WithBoundary, sfq.Final}
 
@@ -91,29 +91,13 @@ func assertBatch(t testing.TB, g *lattice.Graph, b *sfq.BatchMesh, s *decodepool
 	}
 }
 
-// widthBatch builds a batch at an explicit plane width and fails unless
-// it has that layout: W words per row and the full lane complement, so
-// a width test can never silently run a narrower layout.
-func widthBatch(t testing.TB, g *lattice.Graph, v sfq.Variant, words int) *sfq.BatchMesh {
-	t.Helper()
-	b := sfq.NewBatchWithWidth(g, v, words)
-	d := g.Lattice().Distance()
-	if want := sfq.MaxBatchLanesAt(d, words); b.Words() != words || b.Lanes() != want {
-		t.Fatalf("d=%d: NewBatchWithWidth(%d) built %d lanes over %d words, want %d over %d",
-			d, words, b.Lanes(), b.Words(), want, words)
-	}
-	return b
-}
-
 // laneCounts lists the lane counts a distance is checked at: every
-// count from 1 to the maximum, or in short mode the counts at which the
-// layout changes shape (one lane, a full and an overfull word column,
-// and the maximum).
+// count from 1 to the maximum, or in short mode one lane, two (the first
+// lane seam) and the maximum.
 func laneCounts(d int) []int {
 	max := sfq.MaxBatchLanes(d)
-	perWord := sfq.MaxBatchLanesAt(d, 1)
 	if confShort() {
-		return slices.Compact([]int{1, min(2, max), perWord, min(perWord+1, max), max})
+		return slices.Compact([]int{1, min(2, max), max})
 	}
 	counts := make([]int, max)
 	for i := range counts {
@@ -184,11 +168,8 @@ func TestBatchMeshConformanceLowWeight(t *testing.T) {
 				desc := fmt.Sprintf("d=%d %v %s", d, etype, v.Name())
 				wants := oracleDecode(t, g, v, 0, syns)
 				assertMesh(t, sfq.New(g, v), syns, wants, desc+" mesh")
-				s := decodepool.NewScratch()
-				for _, words := range []int{1, 2, 4} {
-					b := widthBatch(t, g, v, words)
-					assertBatch(t, g, b, s, syns, wants, fmt.Sprintf("%s W=%d", desc, words))
-				}
+				b := sfq.NewBatch(g, v)
+				assertBatch(t, g, b, decodepool.NewScratch(), syns, wants, fmt.Sprintf("%s lanes=%d", desc, b.Lanes()))
 			}
 		}
 	}
@@ -233,8 +214,8 @@ func TestBatchMeshConformanceRandom(t *testing.T) {
 				wants := oracleDecode(t, g, v, 0, syns)
 				assertMesh(t, sfq.New(g, v), syns, wants, desc+" mesh")
 				b := sfq.NewBatch(g, v)
-				if d == 33 && (b.Lanes() != 1 || b.Words() != 2) {
-					t.Fatalf("%s: spanning layout has %d lanes over %d words per row, want 1 over 2", desc, b.Lanes(), b.Words())
+				if d == 33 && b.Lanes() != 1 {
+					t.Fatalf("%s: spanning layout has %d lanes, want 1", desc, b.Lanes())
 				}
 				assertBatch(t, g, b, decodepool.NewScratch(), syns, wants, fmt.Sprintf("%s lanes=%d", desc, b.Lanes()))
 			}
@@ -243,10 +224,8 @@ func TestBatchMeshConformanceRandom(t *testing.T) {
 }
 
 // TestBatchMeshWidthConformance runs the random sets of d ≤ 13 through
-// a batch at every lane count from 1 to the maximum — every plane width
-// W ∈ {1, 2, 4}, full and partly filled word columns, and the lane
-// refill orders each count induces. Each batch must take the narrowest
-// width that holds its lanes.
+// a batch at every lane count from 1 to the maximum — full and partly
+// filled words, and the lane refill orders each count induces.
 func TestBatchMeshWidthConformance(t *testing.T) {
 	perRate := 12
 	if confShort() {
@@ -262,16 +241,11 @@ func TestBatchMeshWidthConformance(t *testing.T) {
 				s := decodepool.NewScratch()
 				for _, lanes := range laneCounts(d) {
 					b := sfq.NewBatchWithLanes(g, v, lanes)
-					words := 1
-					for words*sfq.MaxBatchLanesAt(d, 1) < lanes {
-						words *= 2
-					}
-					if b.Lanes() != lanes || b.Words() != words {
-						t.Fatalf("d=%d: NewBatchWithLanes(%d) built %d lanes over %d words, want %d over %d",
-							d, lanes, b.Lanes(), b.Words(), lanes, words)
+					if b.Lanes() != lanes {
+						t.Fatalf("d=%d: NewBatchWithLanes(%d) built %d lanes", d, lanes, b.Lanes())
 					}
 					assertBatch(t, g, b, s, syns, wants,
-						fmt.Sprintf("d=%d %v %s lanes=%d W=%d", d, etype, v.Name(), lanes, b.Words()))
+						fmt.Sprintf("d=%d %v %s lanes=%d", d, etype, v.Name(), lanes))
 				}
 			}
 		}
@@ -308,41 +282,6 @@ func TestBatchMeshSingleDecodeAdapters(t *testing.T) {
 		}
 		if !slices.Equal(got2.Qubits, wants[i].q) {
 			t.Fatalf("syndrome %d: Decode %v != oracle %v", i, got2.Qubits, wants[i].q)
-		}
-	}
-}
-
-// TestBatchMeshWidthsAgree decodes one syndrome set at every plane
-// width and requires identical corrections and LaneStats lane for lane,
-// so the plane width can never change results even where the oracle is
-// not consulted.
-func TestBatchMeshWidthsAgree(t *testing.T) {
-	for _, d := range []int{5, 9} {
-		g := lattice.MustNew(d).MatchingGraph(lattice.ZErrors)
-		rng := rand.New(rand.NewSource(int64(31 * d)))
-		syns := randomSyndromes(rng, g, 0.08, 3*sfq.MaxBatchLanesAt(d, 4)+2)
-		s := decodepool.NewScratch()
-		var ref []want
-		for _, words := range []int{1, 2, 4} {
-			b := widthBatch(t, g, sfq.Final, words)
-			corr, err := b.DecodeBatchInto(g, syns, s)
-			if err != nil {
-				t.Fatalf("d=%d W=%d: %v", d, words, err)
-			}
-			got := make([]want, len(corr))
-			for i := range corr {
-				got[i] = want{slices.Clone(corr[i].Qubits), b.LaneStats(i)}
-			}
-			if ref == nil {
-				ref = got
-				continue
-			}
-			for i := range got {
-				if !slices.Equal(got[i].q, ref[i].q) || got[i].st != ref[i].st {
-					t.Fatalf("d=%d W=%d syndrome %d diverges from W=1:\nW=1 %v %+v\nW=%d %v %+v",
-						d, words, i, ref[i].q, ref[i].st, words, got[i].q, got[i].st)
-				}
-			}
 		}
 	}
 }
@@ -384,14 +323,14 @@ func fuzzSyndromes(g *lattice.Graph, synBytes []byte, n int) [][]bool {
 func fuzzCheck(t *testing.T, g *lattice.Graph, v sfq.Variant, b *sfq.BatchMesh, synBytes []byte) {
 	syns := fuzzSyndromes(g, synBytes, 2*b.Lanes()+1)
 	wants := oracleDecode(t, g, v, 0, syns)
-	desc := fmt.Sprintf("fuzz d=%d v=%s lanes=%d W=%d", g.Lattice().Distance(), v.Name(), b.Lanes(), b.Words())
+	desc := fmt.Sprintf("fuzz d=%d v=%s lanes=%d", g.Lattice().Distance(), v.Name(), b.Lanes())
 	assertMesh(t, sfq.New(g, v), syns, wants, desc+" mesh")
 	assertBatch(t, g, b, decodepool.NewScratch(), syns, wants, desc)
 }
 
 // fuzzLanes is the body of FuzzMesh and FuzzBatchMesh: a fuzzer-chosen
 // (distance, variant, lane count, syndromes) tuple. Lane counts run from
-// 1 to the maximum, so they span every plane width W ∈ {1, 2, 4}.
+// 1 to MaxBatchLanes(d).
 func fuzzLanes(graphs map[int]*lattice.Graph) func(*testing.T, uint8, uint8, uint8, []byte) {
 	return func(t *testing.T, dSel, vSel, lSel uint8, synBytes []byte) {
 		d := fuzzDists[int(dSel)%len(fuzzDists)]
@@ -419,22 +358,4 @@ func FuzzBatchMesh(f *testing.F) {
 	f.Add(uint8(2), uint8(2), uint8(1), []byte{0x03, 0x00, 0x81, 0xaa, 0x55})
 	f.Add(uint8(3), uint8(1), uint8(7), []byte{0xaa, 0x55, 0xaa, 0x55, 0x0f, 0xf0})
 	f.Fuzz(fuzzLanes(fuzzGraphs()))
-}
-
-// FuzzWideBatch cross-checks every plane width W ∈ {1, 2, 4}, at its
-// full lane complement, on fuzzer-chosen (distance, variant, width,
-// syndromes) tuples.
-func FuzzWideBatch(f *testing.F) {
-	f.Add(uint8(0), uint8(3), uint8(1), []byte{0x01, 0x80, 0x03})
-	f.Add(uint8(1), uint8(3), uint8(2), []byte{0xff, 0x10, 0x00, 0x42})
-	f.Add(uint8(2), uint8(0), uint8(4), []byte{0x03, 0x00, 0x81, 0xaa, 0x55})
-	f.Add(uint8(3), uint8(2), uint8(2), []byte{0xaa, 0x55, 0xaa, 0x55, 0x0f, 0xf0})
-	graphs := fuzzGraphs()
-	widths := []int{1, 2, 4}
-	f.Fuzz(func(t *testing.T, dSel, vSel, wSel uint8, synBytes []byte) {
-		d := fuzzDists[int(dSel)%len(fuzzDists)]
-		g := graphs[d]
-		v := variants[vSel%4]
-		fuzzCheck(t, g, v, widthBatch(t, g, v, widths[int(wSel)%len(widths)]), synBytes)
-	})
 }

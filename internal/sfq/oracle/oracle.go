@@ -5,7 +5,8 @@
 // geometry. It exists to be compared against: the conformance suite
 // and fuzzer in internal/sfq require sfq.Mesh and sfq.BatchMesh to
 // reproduce its corrections and Stats bit for bit, and BenchmarkSFQMesh
-// times it as the reference row. Production code never imports it.
+// and cmd/bench time it as the reference row. Production code never
+// imports it.
 package oracle
 
 import (

@@ -4,15 +4,15 @@ import "math/bits"
 
 // The fused step. Every phase of the kernel is word-local once the
 // shifted arrival values are in hand — vertical shifts read the
-// neighbouring row's word of the same column block, horizontal shifts
-// stay inside the word except for the spanning layout's carry bit — so
-// each phase is a single sweep that materializes all four directions'
-// arrivals in registers, skips words with no signal early, and touches
-// every plane word at most once. A sweep visits only the column blocks
-// its wavefront has a signal in (the cols mask from the any flags), so
-// lane columns whose decodes are idle in that phase, or finished, cost
-// nothing. The conformance suite pins every layout bit-identical to the
-// reference model in internal/sfq/oracle.
+// neighbouring row's word, horizontal shifts stay inside the word
+// except for the spanning layout's carry bit — so each phase is a
+// single sweep that materializes all four directions' arrivals in
+// registers, skips words with no signal early, and touches every plane
+// word at most once. A sweep visits only the rows its wavefront
+// occupies and their vertical neighbours (the rows flags, see
+// planeSet), so the empty rows of a sparse wavefront cost nothing. The
+// conformance suite pins every layout bit-identical to the reference
+// model in internal/sfq/oracle.
 //
 // Ordering notes (the oracle processes signal sources in ascending
 // cell index, so signals converging on one destination in one cycle
@@ -58,10 +58,11 @@ func hshift(e, w []uint64, k int, em, wm, ce, cw uint64) (uint64, uint64) {
 // swept, so the meeting module is the unique intermediate on the line.
 // All arrivals at a word latch before propagation is decided there, so
 // head-on meetings stop both fronts symmetrically.
-func (b *BatchMesh) moveGrows(cols uint) {
+func (b *BatchMesh) moveGrows() {
 	bg, v := b.bg, b.variant
 	n := bg.n
 	vs := bg.vs
+	bd := bg.band
 	em, wmk, ce, cw := bg.eastMask, bg.westMask, bg.eastCarry, bg.westCarry
 	interior := bg.interior[:n]
 	boundary := bg.boundary[:n]
@@ -80,16 +81,17 @@ func (b *BatchMesh) moveGrows(cols uint) {
 	fired := b.fired[:n]
 	bdry := v.Boundary
 	reqGrant := v.ReqGrant
-	var acc [4]uint64
-	for ; cols != 0; cols &= cols - 1 {
-		c := bits.TrailingZeros(cols) & 3
-		lo, hi := bg.block(c)
+	var acc, occ uint64
+	for vis := bd.visit(b.growW.cur.rows); vis != 0; vis &= vis - 1 {
+		j := bits.TrailingZeros64(vis)
+		row := uint64(1) << uint(j)
+		lo, hi := bd.words(j)
 		for k := lo; k < hi; k++ {
 			var shN, shS uint64
-			if k+vs < hi {
+			if k+vs < n {
 				shN = curN[k+vs]
 			}
-			if k-vs >= lo {
+			if k >= vs {
 				shS = curS[k-vs]
 			}
 			shE, shW := hshift(curE, curW, k, em, wmk, ce, cw)
@@ -100,7 +102,7 @@ func (b *BatchMesh) moveGrows(cols uint) {
 			if (shN|shS|shE|shW)&in != 0 {
 				// A latch is landing at this word: fire eligibility may
 				// change, so fireComplete must re-evaluate it.
-				b.fireDirty[k>>6] |= 1 << (uint(k) & 63)
+				b.fireDirty |= row
 			}
 			// Latch interior arrivals by entry side (pass 1), then
 			// propagate into territory no opposite front has swept (pass
@@ -120,7 +122,8 @@ func (b *BatchMesh) moveGrows(cols uint) {
 				nxtE[k] |= pE
 				nxtS[k] |= pS
 				nxtW[k] |= pW
-				acc[c] |= p
+				acc |= p
+				occ |= row
 			}
 			if !bdry {
 				continue
@@ -152,32 +155,33 @@ func (b *BatchMesh) moveGrows(cols uint) {
 				b.reqW.nxt.dir[West][k] |= fbE
 				b.reqW.nxt.dir[North][k] |= fbS
 				b.reqW.nxt.dir[East][k] |= fbW
-				b.reqW.nxt.any[c] |= fb
+				b.reqW.nxt.mark(row, fb)
 			} else {
 				b.sentPair[k] |= fb
 				b.pairW.nxt.dir[South][k] |= fbN
 				b.pairW.nxt.dir[West][k] |= fbE
 				b.pairW.nxt.dir[North][k] |= fbS
 				b.pairW.nxt.dir[East][k] |= fbW
-				b.pairW.nxt.any[c] |= fb
+				b.pairW.nxt.mark(row, fb)
 				b.pairBW.nxt.dir[South][k] |= fbN
 				b.pairBW.nxt.dir[West][k] |= fbE
 				b.pairBW.nxt.dir[North][k] |= fbS
 				b.pairBW.nxt.dir[East][k] |= fbW
-				b.pairBW.nxt.any[c] |= fb
+				b.pairBW.nxt.mark(row, fb)
 			}
 		}
 	}
-	b.growW.orAny(&acc)
+	b.growW.nxt.mark(occ, acc)
 }
 
 // moveReqs advances pair requests; requests stop at hot modules, which
 // grant at most one, by the hardware priority. The rotated-priority slow
-// path (some lane mid-retry) runs per lane over the word's column.
-func (b *BatchMesh) moveReqs(cols uint) {
+// path (some lane mid-retry) runs per lane over the word.
+func (b *BatchMesh) moveReqs() {
 	bg := b.bg
 	n := bg.n
 	vs := bg.vs
+	bd := bg.band
 	em, wmk, ce, cw := bg.eastMask, bg.westMask, bg.eastCarry, bg.westCarry
 	interior := bg.interior[:n]
 	curN := b.reqW.cur.dir[North][:n]
@@ -194,16 +198,18 @@ func (b *BatchMesh) moveReqs(cols uint) {
 	gnW := b.grantW.nxt.dir[West][:n]
 	hotP := b.hot[:n]
 	grantedP := b.granted[:n]
-	var acc [4]uint64
-	for ; cols != 0; cols &= cols - 1 {
-		c := bits.TrailingZeros(cols) & 3
-		lo, hi := bg.block(c)
+	gnxt := b.grantW.nxt
+	var acc, occ uint64
+	for vis := bd.visit(b.reqW.cur.rows); vis != 0; vis &= vis - 1 {
+		j := bits.TrailingZeros64(vis)
+		row := uint64(1) << uint(j)
+		lo, hi := bd.words(j)
 		for k := lo; k < hi; k++ {
 			var aN, aS uint64
-			if k+vs < hi {
+			if k+vs < n {
 				aN = curN[k+vs]
 			}
-			if k-vs >= lo {
+			if k >= vs {
 				aS = curS[k-vs]
 			}
 			aE, aW := hshift(curE, curW, k, em, wmk, ce, cw)
@@ -231,7 +237,8 @@ func (b *BatchMesh) moveReqs(cols uint) {
 				nxtE[k] |= psE
 				nxtS[k] |= psS
 				nxtW[k] |= psW
-				acc[c] |= ps
+				acc |= ps
+				occ |= row
 			}
 			elig := (latN | latE | latS | latW) &^ grantedP[k]
 			if elig == 0 {
@@ -252,10 +259,10 @@ func (b *BatchMesh) moveReqs(cols uint) {
 				gnW[k] |= cW
 				gnE[k] |= cE
 				gnS[k] |= cS
-				b.grantW.nxt.any[c] |= taken
+				gnxt.mark(row, taken)
 			} else {
 				lat := [4]uint64{latN, latE, latS, latW}
-				for l := c * bg.perWord; l < bg.colEnd[c]; l++ {
+				for l := range bg.laneBits {
 					el := elig & bg.laneBits[l]
 					if el == 0 {
 						continue
@@ -266,8 +273,8 @@ func (b *BatchMesh) moveReqs(cols uint) {
 						for _, e := range grantPrio {
 							g := lat[e.Opposite()] & el &^ taken
 							if g != 0 {
-								b.grantW.nxt.dir[e][k] |= g
-								b.grantW.nxt.any[c] |= g
+								gnxt.dir[e][k] |= g
+								gnxt.mark(row, g)
 								taken |= g
 							}
 						}
@@ -284,8 +291,8 @@ func (b *BatchMesh) moveReqs(cols uint) {
 							e := grantPrio[(j+off)%4]
 							g := lat[e.Opposite()] & ecls &^ taken
 							if g != 0 {
-								b.grantW.nxt.dir[e][k] |= g
-								b.grantW.nxt.any[c] |= g
+								gnxt.dir[e][k] |= g
+								gnxt.mark(row, g)
 								taken |= g
 							}
 						}
@@ -295,16 +302,17 @@ func (b *BatchMesh) moveReqs(cols uint) {
 			grantedP[k] |= elig
 		}
 	}
-	b.reqW.orAny(&acc)
+	b.reqW.nxt.mark(occ, acc)
 }
 
 // moveGrants advances pair grants; a grant is consumed by the first
 // module that requested along its line (the intermediate, or a boundary
 // module). Directions run in pairOrder per word.
-func (b *BatchMesh) moveGrants(cols uint) {
+func (b *BatchMesh) moveGrants() {
 	bg := b.bg
 	n := bg.n
 	vs := bg.vs
+	bd := bg.band
 	em, wmk, ce, cw := bg.eastMask, bg.westMask, bg.eastCarry, bg.westCarry
 	interior := bg.interior[:n]
 	boundary := bg.boundary[:n]
@@ -312,16 +320,16 @@ func (b *BatchMesh) moveGrants(cols uint) {
 	curE := b.grantW.cur.dir[East][:n]
 	curS := b.grantW.cur.dir[South][:n]
 	curW := b.grantW.cur.dir[West][:n]
-	var acc [4]uint64
-	for ; cols != 0; cols &= cols - 1 {
-		c := bits.TrailingZeros(cols) & 3
-		lo, hi := bg.block(c)
+	for vis := bd.visit(b.grantW.cur.rows); vis != 0; vis &= vis - 1 {
+		j := bits.TrailingZeros64(vis)
+		row := uint64(1) << uint(j)
+		lo, hi := bd.words(j)
 		for k := lo; k < hi; k++ {
 			var mvN, mvS uint64
-			if k+vs < hi {
+			if k+vs < n {
 				mvN = curN[k+vs]
 			}
-			if k-vs >= lo {
+			if k >= vs {
 				mvS = curS[k-vs]
 			}
 			mvE, mvW := hshift(curE, curW, k, em, wmk, ce, cw)
@@ -333,26 +341,25 @@ func (b *BatchMesh) moveGrants(cols uint) {
 			f := b.fired[k]
 			// pairOrder: South, East, West, North; e = opposite(travel).
 			if mvS != 0 {
-				b.grantConsume(k, c, mvS, in, bd, f, North, South, &acc)
+				b.grantConsume(k, row, mvS, in, bd, f, North, South)
 			}
 			if mvE != 0 {
-				b.grantConsume(k, c, mvE, in, bd, f, West, East, &acc)
+				b.grantConsume(k, row, mvE, in, bd, f, West, East)
 			}
 			if mvW != 0 {
-				b.grantConsume(k, c, mvW, in, bd, f, East, West, &acc)
+				b.grantConsume(k, row, mvW, in, bd, f, East, West)
 			}
 			if mvN != 0 {
-				b.grantConsume(k, c, mvN, in, bd, f, South, North, &acc)
+				b.grantConsume(k, row, mvN, in, bd, f, South, North)
 			}
 		}
 	}
-	b.grantW.orAny(&acc)
 }
 
-// grantConsume is one travel direction of moveGrants at word k of
-// column c: interior consumption, pass-through, and the boundary
+// grantConsume is one travel direction of moveGrants at word k, in the
+// band row: interior consumption, pass-through, and the boundary
 // sentPair latch.
-func (b *BatchMesh) grantConsume(k, c int, mv, in, bd, f uint64, e, d Dir, acc *[4]uint64) {
+func (b *BatchMesh) grantConsume(k int, row, mv, in, bd, f uint64, e, d Dir) {
 	mvI := mv & in
 	rde := b.reqDirs[e][k]
 	cons := mvI & f & rde &^ b.grants[e][k]
@@ -360,18 +367,19 @@ func (b *BatchMesh) grantConsume(k, c int, mv, in, bd, f uint64, e, d Dir, acc *
 		b.grants[e][k] |= cons
 		// A grant was consumed: the module's handshake may now be
 		// complete, so fireComplete must re-check this word.
-		b.hsDirty[k>>6] |= 1 << (uint(k) & 63)
+		b.hsDirty |= row
 	}
-	pass := mvI &^ cons
-	b.grantW.nxt.dir[d][k] |= pass
-	acc[c] |= pass
+	if pass := mvI &^ cons; pass != 0 {
+		b.grantW.nxt.dir[d][k] |= pass
+		b.grantW.nxt.mark(row, pass)
+	}
 	bc := mv & bd & f & rde &^ b.sentPair[k]
 	if bc != 0 {
 		b.sentPair[k] |= bc
 		b.pairW.nxt.dir[e][k] |= bc
-		b.pairW.nxt.any[c] |= bc
+		b.pairW.nxt.mark(row, bc)
 		b.pairBW.nxt.dir[e][k] |= bc
-		b.pairBW.nxt.any[c] |= bc
+		b.pairBW.nxt.mark(row, bc)
 	}
 }
 
@@ -382,10 +390,11 @@ func (b *BatchMesh) grantConsume(k, c int, mv, in, bd, f uint64, e, d Dir, acc *
 // owning lane's hot counter and Stats. Directions run in pairOrder per
 // word. The returned mask has bit l set when lane l completed a pairing
 // this cycle.
-func (b *BatchMesh) movePairs(cols uint) (done uint64) {
+func (b *BatchMesh) movePairs() (done uint64) {
 	bg := b.bg
 	n := bg.n
 	vs := bg.vs
+	bd := bg.band
 	em, wmk, ce, cw := bg.eastMask, bg.westMask, bg.eastCarry, bg.westCarry
 	interior := bg.interior[:n]
 	curN := b.pairW.cur.dir[North][:n]
@@ -396,16 +405,19 @@ func (b *BatchMesh) movePairs(cols uint) (done uint64) {
 	curBE := b.pairBW.cur.dir[East][:n]
 	curBS := b.pairBW.cur.dir[South][:n]
 	curBW := b.pairBW.cur.dir[West][:n]
-	for ; cols != 0; cols &= cols - 1 {
-		c := bits.TrailingZeros(cols) & 3
-		lo, hi := bg.block(c)
+	// Boundary provenance rides only on pair signals (pairBW ⊆ pairW),
+	// so the pair rows cover it.
+	for vis := bd.visit(b.pairW.cur.rows); vis != 0; vis &= vis - 1 {
+		j := bits.TrailingZeros64(vis)
+		row := uint64(1) << uint(j)
+		lo, hi := bd.words(j)
 		for k := lo; k < hi; k++ {
 			var aN, aS, bN, bS uint64
-			if k+vs < hi {
+			if k+vs < n {
 				aN = curN[k+vs]
 				bN = curBN[k+vs]
 			}
-			if k-vs >= lo {
+			if k >= vs {
 				aS = curS[k-vs]
 				bS = curBS[k-vs]
 			}
@@ -416,19 +428,19 @@ func (b *BatchMesh) movePairs(cols uint) (done uint64) {
 			bE, bW := hshift(curBE, curBW, k, em, wmk, ce, cw)
 			in := interior[k]
 			// pairOrder: South, East, West, North.
-			done |= b.pairStep(k, c, aS&in, bS, South)
-			done |= b.pairStep(k, c, aE&in, bE, East)
-			done |= b.pairStep(k, c, aW&in, bW, West)
-			done |= b.pairStep(k, c, aN&in, bN, North)
+			done |= b.pairStep(k, row, aS&in, bS, South)
+			done |= b.pairStep(k, row, aE&in, bE, East)
+			done |= b.pairStep(k, row, aW&in, bW, West)
+			done |= b.pairStep(k, row, aN&in, bN, North)
 		}
 	}
 	return done
 }
 
-// pairStep is one travel direction of movePairs at word k of column c:
-// error marking, hot termination with per-lane accounting, and
+// pairStep is one travel direction of movePairs at word k, in the band
+// row: error marking, hot termination with per-lane accounting, and
 // pass-through with boundary provenance.
-func (b *BatchMesh) pairStep(k, c int, mv, pb uint64, d Dir) (done uint64) {
+func (b *BatchMesh) pairStep(k int, row, mv, pb uint64, d Dir) (done uint64) {
 	if mv == 0 {
 		return 0
 	}
@@ -438,10 +450,10 @@ func (b *BatchMesh) pairStep(k, c int, mv, pb uint64, d Dir) (done uint64) {
 	if hits != 0 {
 		b.hot[k] &^= hits
 		// A hot module terminated: cells here left the hot mask, so
-		// their latched grows may now fire — re-evaluate the word.
-		b.fireDirty[k>>6] |= 1 << (uint(k) & 63)
-		for l := c * bg.perWord; l < bg.colEnd[c]; l++ {
-			hl := hits & bg.laneBits[l]
+		// their latched grows may now fire — re-evaluate the row.
+		b.fireDirty |= row
+		for l, lane := range bg.laneBits {
+			hl := hits & lane
 			if hl == 0 {
 				continue
 			}
@@ -452,19 +464,21 @@ func (b *BatchMesh) pairStep(k, c int, mv, pb uint64, d Dir) (done uint64) {
 			done |= uint64(1) << uint(l)
 		}
 	}
-	pass := mv &^ hits
-	b.pairW.nxt.dir[d][k] |= pass
-	b.pairW.nxt.any[c] |= pass
-	bp := pb & pass
-	b.pairBW.nxt.dir[d][k] |= bp
-	b.pairBW.nxt.any[c] |= bp
+	if pass := mv &^ hits; pass != 0 {
+		b.pairW.nxt.dir[d][k] |= pass
+		b.pairW.nxt.mark(row, pass)
+		if bp := pb & pass; bp != 0 {
+			b.pairBW.nxt.dir[d][k] |= bp
+			b.pairBW.nxt.mark(row, bp)
+		}
+	}
 	return done
 }
 
 // fireComplete turns modules holding grows from two distinct directions
 // into intermediates (fireWord) and lets intermediates holding grants
 // from every request direction emit their pair signals (handshakeWord),
-// restricted to the dirty words the earlier phases marked this step.
+// restricted to the dirty rows the earlier phases marked this step.
 // Both scans are event-driven:
 //
 //   - Fire eligibility at a word changes only when a grow latch lands
@@ -478,38 +492,30 @@ func (b *BatchMesh) pairStep(k, c int, mv, pb uint64, d Dir) (done uint64) {
 //     be ready in the step it fires, and sentPair/reqDirs updates only
 //     remove readiness.
 //
-// Stale marks are harmless (the word re-evaluates to a no-op); the maps
-// are consumed and cleared every step, so each event is paid once.
+// Stale marks are harmless (the word re-evaluates to a no-op), which
+// also lets a spanning-layout band mark all its words at once; the
+// masks are consumed and cleared every step, so each event is paid
+// once.
 // Processing all fire words before all handshake words preserves the
 // oracle's two-sweep order; every update is word-local, so the
 // sparse visit order within a sweep cannot change the outcome.
 func (b *BatchMesh) fireComplete() {
 	reqGrant := b.variant.ReqGrant
-	// Neither fireWord nor handshakeWord marks a dirty map, so each map
-	// can be consumed in place.
-	for g, m := range b.fireDirty {
-		if m == 0 {
-			continue
-		}
-		b.fireDirty[g] = 0
-		for m != 0 {
-			k := g<<6 + bits.TrailingZeros64(m)
-			m &= m - 1
+	bd := b.bg.band
+	fire, hs := b.fireDirty, b.hsDirty
+	b.fireDirty, b.hsDirty = 0, 0
+	for ; fire != 0; fire &= fire - 1 {
+		lo, hi := bd.words(bits.TrailingZeros64(fire))
+		for k := lo; k < hi; k++ {
 			b.fireWord(k, reqGrant)
 		}
 	}
 	if !reqGrant {
-		clearPlane(b.hsDirty)
 		return
 	}
-	for g, m := range b.hsDirty {
-		if m == 0 {
-			continue
-		}
-		b.hsDirty[g] = 0
-		for m != 0 {
-			k := g<<6 + bits.TrailingZeros64(m)
-			m &= m - 1
+	for ; hs != 0; hs &= hs - 1 {
+		lo, hi := bd.words(bits.TrailingZeros64(hs))
+		for k := lo; k < hi; k++ {
 			b.handshakeWord(k)
 		}
 	}
@@ -552,7 +558,7 @@ func (b *BatchMesh) fireWord(k int, reqGrant bool) {
 		b.reqW.nxt.dir[South][k] |= setS
 		b.reqW.nxt.dir[East][k] |= setE
 		b.reqW.nxt.dir[West][k] |= setW
-		b.reqW.nxt.any[bg.colOf[k]] |= firedNew
+		b.reqW.nxt.mark(bg.band.bit(k), firedNew)
 	} else {
 		b.sentPair[k] |= firedNew
 		b.errOut[k] ^= firedNew
@@ -560,7 +566,7 @@ func (b *BatchMesh) fireWord(k int, reqGrant bool) {
 		b.pairW.nxt.dir[South][k] |= setS
 		b.pairW.nxt.dir[East][k] |= setE
 		b.pairW.nxt.dir[West][k] |= setW
-		b.pairW.nxt.any[bg.colOf[k]] |= firedNew
+		b.pairW.nxt.mark(bg.band.bit(k), firedNew)
 	}
 }
 
@@ -586,5 +592,5 @@ func (b *BatchMesh) handshakeWord(k int) {
 	b.pairW.nxt.dir[East][k] |= pE
 	b.pairW.nxt.dir[South][k] |= pS
 	b.pairW.nxt.dir[West][k] |= pW
-	b.pairW.nxt.any[bg.colOf[k]] |= pN | pE | pS | pW
+	b.pairW.nxt.mark(bg.band.bit(k), pN|pE|pS|pW)
 }
