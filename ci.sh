@@ -16,9 +16,10 @@
 #      the detector's tenfold slowdown). Both use -count=1, so a cached
 #      result never stands in for a run.
 #   3. Five native-fuzz smokes: the blossom matcher, decode dispatch, the
-#      SFQ mesh against its reference model (FuzzMesh: the one-lane Mesh
-#      and a batch of fuzzer-chosen lane count, 1 to MaxBatchLanes(d)),
-#      the wire frame decoder and the two-level decoder.
+#      SFQ mesh against its reference model (FuzzMesh: the mesh at one
+#      lane, as sfq.New builds it, and at a fuzzer-chosen lane count, 1
+#      to MaxBatchLanes(d)), the wire frame decoder and the two-level
+#      decoder.
 #   4. The opt-in wall-clock guards (REPRO_OBS_GUARD=1): telemetry within
 #      5% and request tracing within 2% of the uninstrumented decode
 #      path. Nothing else runs them.
@@ -33,7 +34,8 @@
 #   9. The history guard: committed BENCH_*.json files are unchanged.
 #  10. cmd/bench last, compared against BENCH_pr16.json. It writes its
 #      artifact, then hard-fails if a batch row allocates, a scaling row
-#      with workers <= NumCPU drops below 0.8x ideal, the sweep
+#      with workers <= NumCPU drops below 0.8x ideal (on median walls of
+#      five repeats per worker count, the counts alternating), the sweep
 #      fingerprint differs across any worker/steal schedule, or a kernel
 #      cell (one-lane mesh or batch per lane, d in {5, 7, 9, 13}) has a
 #      median time ratio to the reference model worse than

@@ -20,7 +20,8 @@ import (
 )
 
 // KernelRow is one cell of the kernel comparison at one distance: the
-// one-lane sfq.Mesh ("1-lane") or the full batch per lane ("batch"),
+// mesh at one lane ("1-lane", sfq.New's sfq.Mesh, decoded one syndrome
+// per DecodeInto call) or the full batch per lane ("batch"),
 // timed Repeats times, each repeat interleaved with the reference model
 // (internal/sfq/oracle) on the same syndromes. Ratio is the median over
 // repeats of cell ÷ oracle ns/decode and RatioIQR its interquartile
@@ -40,25 +41,37 @@ type KernelRow struct {
 	AllocsPerDecode float64 `json:"allocs_per_decode"`
 }
 
-// ScaleRow is one Monte-Carlo sweep wall-clock measurement at a worker
-// count. Fingerprint hashes every returned point; all rows of a run
-// must agree (the harness fails otherwise), which pins bit-identical
-// sweep output across worker counts and steal schedules. Ideal is
-// min(workers, NumCPU) — on a box with fewer cores than workers,
-// oversubscription cannot speed anything up and Efficiency is measured
-// against what the silicon can actually deliver.
+// ScaleRow is one Monte-Carlo sweep schedule (worker count and steal
+// mode), run Repeats times. WallsMs lists every repeat's wall clock in
+// run order and WallMs is their median; SpeedupVs1 is the one-worker
+// median wall over this row's. Fingerprint hashes every returned
+// point; every repeat of every row must agree (the harness fails
+// otherwise), which pins bit-identical sweep output across worker
+// counts and steal schedules. Ideal is min(workers, NumCPU) — on a box
+// with fewer cores than workers, oversubscription cannot speed
+// anything up and Efficiency is measured against what the silicon can
+// actually deliver. The scheduler counters are summed over the
+// repeats.
 type ScaleRow struct {
-	Workers     int     `json:"workers"`
-	ForceSteal  bool    `json:"force_steal,omitempty"`
-	WallMs      float64 `json:"wall_ms"`
-	SpeedupVs1  float64 `json:"speedup_vs_1"`
-	Ideal       int     `json:"ideal"`
-	Efficiency  float64 `json:"efficiency"`
-	Fingerprint string  `json:"fingerprint"`
-	Steals      uint64  `json:"steals"`
-	Stolen      uint64  `json:"stolen"`
-	Parks       uint64  `json:"parks"`
+	Workers     int       `json:"workers"`
+	ForceSteal  bool      `json:"force_steal,omitempty"`
+	Repeats     int       `json:"repeats"`
+	WallsMs     []float64 `json:"walls_ms"`
+	WallMs      float64   `json:"wall_ms"`
+	SpeedupVs1  float64   `json:"speedup_vs_1"`
+	Ideal       int       `json:"ideal"`
+	Efficiency  float64   `json:"efficiency"`
+	Fingerprint string    `json:"fingerprint"`
+	Steals      uint64    `json:"steals"`
+	Stolen      uint64    `json:"stolen"`
+	Parks       uint64    `json:"parks"`
 }
+
+// scaleRepeats is how many times the scaling sweep runs each schedule.
+// The schedules alternate within a repeat, so every row's median wall
+// is taken over the same stretch of host speed; one slow sweep moves a
+// median of five by at most one rank instead of setting the row.
+const scaleRepeats = 5
 
 // kernelRepeats is how many times each kernel cell is timed, and
 // kernelChunks how many slices one repeat of a distance alternates its
@@ -292,53 +305,47 @@ func fingerprintPoints(points []stats.Point) string {
 
 // benchScaling measures the work-stealing engine's throughput scaling:
 // the same mixed-distance sweep at 1/2/4/8 workers and once more at 8
-// workers with forced stealing. Every run must produce the same point
-// fingerprint — the multi-core path is only fast if it is also exact.
+// workers with forced stealing, scaleRepeats times each, alternating
+// the schedules. Every run must produce the same point fingerprint —
+// the multi-core path is only fast if it is also exact.
 func benchScaling(cycles int) ([]ScaleRow, error) {
-	type run struct {
-		workers    int
-		forceSteal bool
+	rows := []ScaleRow{
+		{Workers: 1}, {Workers: 2}, {Workers: 4}, {Workers: 8},
+		{Workers: 8, ForceSteal: true},
 	}
-	runs := []run{
-		{workers: 1}, {workers: 2}, {workers: 4}, {workers: 8},
-		{workers: 8, forceSteal: true},
-	}
-	var rows []ScaleRow
-	var baseWall time.Duration
 	baseFP := ""
-	for _, r := range runs {
-		points, wall, ss, err := scaleSweep(cycles, r.workers, r.forceSteal)
-		if err != nil {
-			return nil, fmt.Errorf("scaling workers=%d: %w", r.workers, err)
+	for rep := 0; rep < scaleRepeats; rep++ {
+		for i := range rows {
+			r := &rows[i]
+			points, wall, ss, err := scaleSweep(cycles, r.Workers, r.ForceSteal)
+			if err != nil {
+				return nil, fmt.Errorf("scaling workers=%d: %w", r.Workers, err)
+			}
+			fp := fingerprintPoints(points)
+			if baseFP == "" {
+				baseFP = fp
+			} else if fp != baseFP {
+				return nil, fmt.Errorf("scaling workers=%d forceSteal=%v repeat %d: point fingerprint %s diverges from baseline %s — sweep results depend on the schedule",
+					r.Workers, r.ForceSteal, rep, fp, baseFP)
+			}
+			r.WallsMs = append(r.WallsMs, float64(wall.Microseconds())/1e3)
+			r.Steals += ss.Steals
+			r.Stolen += ss.Stolen
+			r.Parks += ss.Parks
 		}
-		fp := fingerprintPoints(points)
-		if baseFP == "" {
-			baseFP, baseWall = fp, wall
-		} else if fp != baseFP {
-			return nil, fmt.Errorf("scaling workers=%d forceSteal=%v: point fingerprint %s diverges from baseline %s — sweep results depend on the schedule",
-				r.workers, r.forceSteal, fp, baseFP)
-		}
-		ideal := r.workers
-		if n := runtime.NumCPU(); ideal > n {
-			ideal = n
-		}
-		speedup := float64(baseWall) / float64(wall)
-		row := ScaleRow{
-			Workers:     r.workers,
-			ForceSteal:  r.forceSteal,
-			WallMs:      float64(wall.Microseconds()) / 1e3,
-			SpeedupVs1:  speedup,
-			Ideal:       ideal,
-			Efficiency:  speedup / float64(ideal),
-			Fingerprint: fp,
-			Steals:      ss.Steals,
-			Stolen:      ss.Stolen,
-			Parks:       ss.Parks,
-		}
-		rows = append(rows, row)
-		fmt.Printf("mc scaling  workers=%d%s %8.1f ms | %.2fx vs 1 worker (ideal %d, efficiency %.2f) | %d steals / %d stolen\n",
-			r.workers, stealTag(r.forceSteal),
-			row.WallMs, row.SpeedupVs1, row.Ideal, row.Efficiency, ss.Steals, ss.Stolen)
+	}
+	baseWall := stats.Percentile(rows[0].WallsMs, 0.5)
+	for i := range rows {
+		r := &rows[i]
+		r.Repeats = scaleRepeats
+		r.WallMs = stats.Percentile(r.WallsMs, 0.5)
+		r.SpeedupVs1 = baseWall / r.WallMs
+		r.Ideal = min(r.Workers, runtime.NumCPU())
+		r.Efficiency = r.SpeedupVs1 / float64(r.Ideal)
+		r.Fingerprint = baseFP
+		fmt.Printf("mc scaling  workers=%d%s %8.1f ms median of %v | %.2fx vs 1 worker (ideal %d, efficiency %.2f) | %d steals / %d stolen\n",
+			r.Workers, stealTag(r.ForceSteal), r.WallMs, r.WallsMs,
+			r.SpeedupVs1, r.Ideal, r.Efficiency, r.Steals, r.Stolen)
 	}
 	return rows, nil
 }

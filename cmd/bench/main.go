@@ -13,15 +13,16 @@
 //     reported as the median and IQR of cell ÷ oracle, after a
 //     bit-exact cross-check (corrections and cycle counts) against it;
 //   - scaling_rows: the multi-core Monte-Carlo sweep at several worker
-//     counts and steal schedules, which must all produce the same point
-//     fingerprint.
+//     counts and steal schedules, five repeats each with the schedules
+//     alternating, which must all produce the same point fingerprint.
 //
 // The artifact embeds the run manifest (git SHA + dirty flag, Go
 // version, GOMAXPROCS, CPU count, env knobs) so a number in the perf
 // trajectory is attributable to the machine and tree that produced it.
 // It is written before the floors are checked (batch rows
-// allocation-free; ≥ 0.8× ideal scaling where the cores exist), so a
-// failing floor exits non-zero with its evidence on disk. With
+// allocation-free; ≥ 0.8× ideal scaling of the median walls where the
+// cores exist), so a failing floor exits non-zero with its evidence on
+// disk. With
 // -compare, every kernel cell must also be no worse than the same cell
 // of an earlier artifact: its median ratio may exceed the earlier one
 // by at most the larger of the two IQRs.
@@ -136,8 +137,9 @@ func main() {
 
 // checkFloors applies the acceptance floors to a written artifact and
 // joins every violation: every batch row must be allocation-free, and
-// whenever the cores exist (workers ≤ NumCPU) the scaling sweep must
-// reach ≥0.8× ideal. Oversubscribed scaling rows are diagnostics — on a
+// whenever the cores exist (workers ≤ NumCPU) the scaling sweep's
+// median walls must reach ≥0.8× ideal. Oversubscribed scaling rows are
+// diagnostics — on a
 // 1-CPU box running 8 workers, scheduler overhead is the measurement,
 // not a regression.
 func checkFloors(art Artifact) error {
@@ -149,8 +151,8 @@ func checkFloors(art Artifact) error {
 	}
 	for _, row := range art.ScalingRows {
 		if row.Workers <= runtime.NumCPU() && row.Efficiency < 0.8 {
-			errs = append(errs, fmt.Errorf("scaling workers=%d%s: efficiency %.2f is below the 0.8 floor at ideal=%d",
-				row.Workers, stealTag(row.ForceSteal), row.Efficiency, row.Ideal))
+			errs = append(errs, fmt.Errorf("scaling workers=%d%s: median-wall efficiency %.2f is below the 0.8 floor at ideal=%d (walls %v ms)",
+				row.Workers, stealTag(row.ForceSteal), row.Efficiency, row.Ideal, row.WallsMs))
 		}
 	}
 	return errors.Join(errs...)

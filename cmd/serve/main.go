@@ -9,10 +9,10 @@
 //
 //	serve [-tcp 127.0.0.1:9000] [-http 127.0.0.1:9090] [-d 3,5,7,9]
 //	      [-variant final] [-workers 1] [-lanes 0] [-queue 64]
-//	      [-window 32] [-enter 1.0] [-exit 0.85] [-addr-file PATH]
+//	      [-window 32] [-addr-file PATH]
 //	      [-escalate] [-esc-hot 4] [-esc-queue 256] [-esc-workers 1]
 //	      [-trace-sample 0] [-trace-depth 256] [-runtime-metrics]
-//	      [-max-queue-wait 3ms] [-flush-every 8] [-flush-interval 200µs]
+//	      [-max-queue-wait 3ms]
 //
 // -max-queue-wait is the CoDel-style sojourn bound: under sustained
 // backlog, queued requests older than the bound are dropped
@@ -74,8 +74,6 @@ func main() {
 	lanes := flag.Int("lanes", 0, "batch lane width (0 = pooled maximum for each distance)")
 	queue := flag.Int("queue", 64, "per-queue depth before hard shedding")
 	window := flag.Int("window", 32, "per-connection in-flight request window")
-	enter := flag.Float64("enter", 1.0, "backlog ratio above which shedding engages")
-	exit := flag.Float64("exit", 0.85, "backlog ratio below which shedding releases")
 	evalMs := flag.Int("eval-ms", 50, "controller evaluation period (ms)")
 	pprof := flag.Bool("pprof", true, "expose /debug/pprof on the HTTP listener")
 	addrFile := flag.String("addr-file", "", "write bound addresses to this file")
@@ -87,9 +85,6 @@ func main() {
 	traceDepth := flag.Int("trace-depth", 256, "flight-recorder ring depth (traces and decisions)")
 	maxQueueWait := flag.Duration("max-queue-wait", 3*time.Millisecond,
 		"sojourn bound: drop queued requests older than this while more work is queued (0 = never drop)")
-	flushEvery := flag.Int("flush-every", 8, "flush a connection's responses after this many unflushed")
-	flushInterval := flag.Duration("flush-interval", 200*time.Microsecond,
-		"flush a connection's responses after the oldest has waited this long")
 	runtimeMetrics := flag.Bool("runtime-metrics", knob.Bool("REPRO_RUNTIME_METRICS"),
 		"bridge runtime/metrics (GC pauses, sched latency, goroutines, heap) into the registry")
 	flag.Parse()
@@ -109,13 +104,12 @@ func main() {
 
 	obs.Default().SetManifest(obs.NewManifest(map[string]any{
 		"variant": *variant, "distances": ds, "workers": *workers, "lanes": *lanes,
-		"queue": *queue, "window": *window, "enter": *enter, "exit": *exit,
+		"queue": *queue, "window": *window,
 		"escalate": *escalate, "esc_hot": *escHot,
 		"esc_queue": *escQueue, "esc_workers": *escWorkers,
 		"trace_sample": *traceSample, "trace_depth": *traceDepth,
 		"runtime_metrics":   *runtimeMetrics,
-		"max_queue_wait_ns": int64(*maxQueueWait), "flush_every": *flushEvery,
-		"flush_interval_ns": int64(*flushInterval),
+		"max_queue_wait_ns": int64(*maxQueueWait),
 	}))
 	if *runtimeMetrics {
 		bridge := obs.StartRuntimeBridge(obs.Default(), time.Second)
@@ -134,8 +128,6 @@ func main() {
 		Lanes:          *lanes,
 		QueueDepth:     *queue,
 		Window:         *window,
-		Enter:          *enter,
-		Exit:           *exit,
 		EvalEvery:      time.Duration(*evalMs) * time.Millisecond,
 		Escalate:       *escalate,
 		EscalatePolicy: escPol,
@@ -144,8 +136,6 @@ func main() {
 		TraceSample:    *traceSample,
 		TraceDepth:     *traceDepth,
 		MaxQueueWait:   *maxQueueWait,
-		FlushEvery:     *flushEvery,
-		FlushInterval:  *flushInterval,
 	})
 
 	tcpLn, err := net.Listen("tcp", *tcpAddr)

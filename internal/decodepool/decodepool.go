@@ -102,49 +102,6 @@ type BatchDecoder interface {
 	DecodeBatchInto(g *lattice.Graph, syns [][]bool, s *Scratch) ([]decoder.Correction, error)
 }
 
-// DecodeBatch decodes the syndromes through dec's native batch path
-// when it implements BatchDecoder (and s is non-nil), and otherwise
-// loops Decode per syndrome, copying each result into the scratch's
-// shared batch buffer — a per-call Decode reuses its own buffers, so
-// earlier corrections must be captured before the next call clobbers
-// them. Both paths follow the BatchDecoder ownership rules.
-func DecodeBatch(dec decoder.Decoder, g *lattice.Graph, syns [][]bool, s *Scratch) ([]decoder.Correction, error) {
-	if bd, ok := dec.(BatchDecoder); ok && s != nil {
-		return bd.DecodeBatchInto(g, syns, s)
-	}
-	var q []int
-	var spans [][2]int32
-	if s != nil {
-		q = s.TakeBatchQubits()
-		spans = s.BatchSpans(len(syns))
-	} else {
-		spans = make([][2]int32, len(syns))
-	}
-	for i, syn := range syns {
-		c, err := Decode(dec, g, syn, s)
-		if err != nil {
-			if s != nil {
-				s.PutBatchQubits(q)
-			}
-			return nil, err
-		}
-		start := int32(len(q))
-		q = append(q, c.Qubits...)
-		spans[i] = [2]int32{start, int32(len(q))}
-	}
-	var corr []decoder.Correction
-	if s != nil {
-		s.PutBatchQubits(q)
-		corr = s.BatchCorrections(len(syns))
-	} else {
-		corr = make([]decoder.Correction, len(syns))
-	}
-	for i, sp := range spans {
-		corr[i] = decoder.Correction{Qubits: q[sp[0]:sp[1]:sp[1]]}
-	}
-	return corr, nil
-}
-
 // Geometry holds the immutable decode tables of one matching graph:
 // all-pairs check distances, boundary distances, the minimum-length
 // error chains realizing them (flattened), and the union-find decoding

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/decodepool"
-	"repro/internal/decoder"
 	"repro/internal/decoder/greedy"
 	"repro/internal/decoder/mwpm"
 	"repro/internal/decoder/unionfind"
@@ -53,11 +52,9 @@ func TestInstrumentedDecodeIntoZeroAllocSteadyState(t *testing.T) {
 }
 
 // The batched decode entry point must hold the same zero-allocation
-// steady state with telemetry attached, on both of its paths: the
-// fallback loop over an IntoDecoder (which samples wall-clock latency
-// through the instrumented scratch) and the SWAR batch kernel's native
-// path (which records per-lane cycle histograms into its own flushed
-// recorder).
+// steady state with telemetry attached: the SWAR batch kernel records
+// per-lane cycle histograms into its own flushed recorder while its
+// caller's scratch is instrumented.
 func TestInstrumentedBatchDecodeZeroAllocSteadyState(t *testing.T) {
 	if decodepool.RaceEnabled {
 		t.Skip("allocation accounting is not meaningful under -race")
@@ -69,21 +66,20 @@ func TestInstrumentedBatchDecodeZeroAllocSteadyState(t *testing.T) {
 	for i := range syns {
 		syns[i] = randomSyndrome(rng, l, g, 0.05)
 	}
-	for _, dec := range []decoder.Decoder{greedy.New(), sfq.NewBatch(g, sfq.Final)} {
-		s := decodepool.NewScratch()
-		s.Instrument(obs.NewHistogram(), obs.Default().Counter("decoder_test_batch_decodes_total"), 1)
-		for i := 0; i < 4; i++ { // warm-up grows the arenas to steady state
-			if _, err := decodepool.DecodeBatch(dec, g, syns, s); err != nil {
-				t.Fatalf("%s: warm-up: %v", dec.Name(), err)
-			}
+	var dec decodepool.BatchDecoder = sfq.NewBatch(g, sfq.Final)
+	s := decodepool.NewScratch()
+	s.Instrument(obs.NewHistogram(), obs.Default().Counter("decoder_test_batch_decodes_total"), 1)
+	for i := 0; i < 4; i++ { // warm-up grows the arenas to steady state
+		if _, err := dec.DecodeBatchInto(g, syns, s); err != nil {
+			t.Fatalf("%s: warm-up: %v", dec.Name(), err)
 		}
-		avg := testing.AllocsPerRun(64, func() {
-			if _, err := decodepool.DecodeBatch(dec, g, syns, s); err != nil {
-				t.Fatalf("%s: %v", dec.Name(), err)
-			}
-		})
-		if avg != 0 {
-			t.Errorf("%s d=9: %v allocs per instrumented batch call, want 0", dec.Name(), avg)
+	}
+	avg := testing.AllocsPerRun(64, func() {
+		if _, err := dec.DecodeBatchInto(g, syns, s); err != nil {
+			t.Fatalf("%s: %v", dec.Name(), err)
 		}
+	})
+	if avg != 0 {
+		t.Errorf("%s d=9: %v allocs per instrumented batch call, want 0", dec.Name(), avg)
 	}
 }

@@ -170,22 +170,26 @@ func (c *srvConn) readLoop() {
 	c.mu.Unlock()
 }
 
+// The out-queue flush bounds of writeLoop.
+const (
+	outFlushEvery    = 8
+	outFlushInterval = 200 * time.Microsecond
+)
+
 // writeLoop writes responses in delivery order until the connection is
 // drained: reader stopped, no request in flight, ring empty. After a
 // write failure it keeps consuming (discarding) responses so the
 // drained condition is still reached and no worker blocks.
 //
 // Flushing is batched: besides the queue-empty flush, the writer also
-// flushes after FlushEvery unflushed responses or once the oldest
-// unflushed response has waited FlushInterval. Under the old
+// flushes after outFlushEvery unflushed responses or once the oldest
+// unflushed response has waited outFlushInterval. Under the old
 // only-on-empty policy one slow escalated response could pin the ring
 // non-empty while dozens of completed responses aged in the bufio
 // buffer — the 19 ms resp_write outlier in the PR 9 traces.
 func (c *srvConn) writeLoop() {
 	bw := bufio.NewWriter(c.nc)
 	var buf []byte
-	flushEvery := c.s.cfg.FlushEvery
-	flushNs := int64(c.s.cfg.FlushInterval)
 	unflushed := 0
 	var oldestNs int64 // wall clock of the first unflushed response
 	for {
@@ -218,7 +222,7 @@ func (c *srvConn) writeLoop() {
 					oldestNs = now
 				}
 				unflushed++
-				if last || unflushed >= flushEvery || now-oldestNs >= flushNs {
+				if last || unflushed >= outFlushEvery || now-oldestNs >= int64(outFlushInterval) {
 					err = bw.Flush()
 					unflushed = 0
 				}

@@ -52,9 +52,6 @@ type Config struct {
 	// A connection at its window stops being read, pushing backpressure
 	// into the client's TCP send buffer.
 	Window int
-	// Enter and Exit override the controller's hysteresis bounds when
-	// both are nonzero (defaults 1.0 and 0.85).
-	Enter, Exit float64
 	// EvalEvery is the controller's re-evaluation period (default 50ms).
 	EvalEvery time.Duration
 	// Pool supplies decoder meshes (default: a fresh pool for Variant).
@@ -90,9 +87,6 @@ type Config struct {
 	// TraceDepth sizes the flight recorder's trace and decision rings
 	// (default 256 each).
 	TraceDepth int
-	// TraceSpans bounds concurrently traced in-flight requests (default
-	// 4096); requests beyond the bound go untraced, never blocked.
-	TraceSpans int
 	// MaxQueueWait, when positive, is the CoDel-style sojourn bound on
 	// the decode queues: a drain that pops a request older than the
 	// bound while more work is still queued behind it drops the request
@@ -104,16 +98,6 @@ type Config struct {
 	// backlog check (len(q.ch) > 0) means the last queued request is
 	// always decoded, however stale, so an idle service still answers.
 	MaxQueueWait time.Duration
-	// FlushEvery is the out-queue flush batch: a connection writer
-	// flushes its bufio writer after this many unflushed responses even
-	// while more are queued (default 8). Only-on-empty flushing — the
-	// old policy — let one slow escalated response serialize tens of
-	// milliseconds of completed responses behind a never-empty queue.
-	FlushEvery int
-	// FlushInterval bounds how long a completed response may sit
-	// unflushed while the writer keeps draining (default 200µs). The
-	// count and elapsed-time conditions are OR'd.
-	FlushInterval time.Duration
 }
 
 // task is one admitted request in a decode queue. deliver is invoked
@@ -313,12 +297,6 @@ func New(cfg Config) *Server {
 	if cfg.EvalEvery <= 0 {
 		cfg.EvalEvery = 50 * time.Millisecond
 	}
-	if cfg.FlushEvery <= 0 {
-		cfg.FlushEvery = 8
-	}
-	if cfg.FlushInterval <= 0 {
-		cfg.FlushInterval = 200 * time.Microsecond
-	}
 	if cfg.PoolWorkers <= 0 {
 		cfg.PoolWorkers = runtime.GOMAXPROCS(0)
 	}
@@ -366,7 +344,6 @@ func New(cfg Config) *Server {
 		s.tracer = trace.New(trace.Config{
 			Depth:         cfg.TraceDepth,
 			DecisionDepth: cfg.TraceDepth,
-			MaxInFlight:   cfg.TraceSpans,
 			SampleN:       sampleN,
 		})
 		s.queueWaitNs = cfg.Registry.Histogram("serve_queue_wait_ns")
@@ -431,9 +408,6 @@ func New(cfg Config) *Server {
 		}
 	}
 	s.ctl = NewController(capacity)
-	if cfg.Enter != 0 && cfg.Exit != 0 {
-		s.ctl.Enter, s.ctl.Exit = cfg.Enter, cfg.Exit
-	}
 	go s.controlLoop()
 	return s
 }
@@ -866,7 +840,7 @@ func (s *Server) decodeTasks(dt *drainTask) {
 		dt.syns = append(dt.syns, tasks[i].syn)
 	}
 	start := time.Now()
-	cs, err := decodepool.DecodeBatch(b, g, dt.syns, dt.scr)
+	cs, err := b.DecodeBatchInto(g, dt.syns, dt.scr)
 	elapsed := time.Since(start)
 	if err != nil {
 		s.errTotal.Add(int64(len(tasks)))
@@ -1056,7 +1030,7 @@ func (s *Server) Close() error {
 	for _, q := range s.queues {
 		for _, dt := range q.drains {
 			if dt.pooled {
-				s.pool.PutBatch(dt.b)
+				s.pool.Put(dt.b)
 			}
 		}
 	}

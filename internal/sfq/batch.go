@@ -16,8 +16,8 @@ import (
 // word per row (see batchGeom), advanced by one shared fused wavefront
 // step per clock (step.go), so every sweep progresses ⌊64/(2d+1)⌋
 // in-flight decodes; a mesh wider than one word (side > 64, d ≥ 32)
-// spans ⌈side/64⌉ words per row as a single lane. Mesh is this kernel
-// at one lane.
+// spans ⌈side/64⌉ words per row as a single lane. Mesh is this type,
+// and New builds it at one lane.
 //
 // Lanes never interact — the lane masks stop every shift at the lane
 // seam and all cross-plane operations are pure bitwise combinations —
@@ -39,8 +39,8 @@ import (
 // `any & laneBits[l]` precisely answers "does lane l have a signal in
 // flight".
 //
-// A BatchMesh is reusable across DecodeBatchInto calls but not safe for
-// concurrent use.
+// A BatchMesh is reusable across decodes but not safe for concurrent
+// use.
 type BatchMesh struct {
 	g       *lattice.Graph
 	variant Variant
@@ -48,7 +48,9 @@ type BatchMesh struct {
 	bg      *batchGeom
 	lanes   int
 
-	// MaxCycles bounds each lane's decode, as Mesh.MaxCycles does.
+	// MaxCycles bounds each lane's decode; a lane gives up (draining to
+	// a boundary when the variant has one) beyond it. Defaults to
+	// 200 × mesh side; read at every decode.
 	MaxCycles  int
 	maxRetries int
 
@@ -85,17 +87,17 @@ type BatchMesh struct {
 	next   int
 	active int
 
-	statsBuf []Stats // per-syndrome Stats of the last batch
+	statsBuf []Stats // per-syndrome Stats of the last decode
 	lastN    int
-	stat     Stats // Stats of the last single-syndrome adapter decode
 
-	one        [][]bool // single-syndrome adapter buffer
+	one        [1][]bool // single-syndrome adapter buffer
 	ownScratch *decodepool.Scratch
-	tracer     Tracer // per-clock frame hook of lane 0 (set through Mesh)
+	tracer     Tracer // per-clock frame hook of lane 0
 
 	obsCycles *obs.Local
 
-	// Pool bookkeeping, mirroring Mesh.
+	// Pool bookkeeping (see Pool): which pool handed this mesh out, and
+	// whether it is currently parked on a free list.
 	owner  *Pool
 	pooled bool
 }
@@ -173,7 +175,7 @@ func NewBatch(g *lattice.Graph, v Variant) *BatchMesh {
 
 // NewBatchWithLanes builds a batch mesh with an explicit lane count;
 // counts outside [1, MaxBatchLanes(d)] are clamped to the maximum.
-// Narrow batches exist for tests, for Mesh (one lane), and for callers
+// Narrow batches exist for tests, for New (one lane), and for callers
 // bounding batch latency.
 func NewBatchWithLanes(g *lattice.Graph, v Variant, lanes int) *BatchMesh {
 	geo := geomFor(g)
@@ -221,7 +223,7 @@ func NewBatchWithLanes(g *lattice.Graph, v Variant, lanes int) *BatchMesh {
 }
 
 // Name implements decoder.Decoder.
-func (b *BatchMesh) Name() string { return "sfq-batch-" + b.variant.Name() }
+func (b *BatchMesh) Name() string { return "sfq-" + b.variant.Name() }
 
 // Variant returns the mesh's design variant.
 func (b *BatchMesh) Variant() Variant { return b.variant }
@@ -234,8 +236,14 @@ func (b *BatchMesh) Lanes() int { return b.lanes }
 func (b *BatchMesh) BatchWidth() int { return b.lanes }
 
 // Stats returns the statistics of the most recent single-syndrome
-// Decode/DecodeInto call. For batched decodes use LaneStats.
-func (b *BatchMesh) Stats() Stats { return b.stat }
+// decode (of the first syndrome after a DecodeBatchInto call), or zero
+// Stats after Reset. For batched decodes use LaneStats.
+func (b *BatchMesh) Stats() Stats {
+	if b.lastN == 0 {
+		return Stats{}
+	}
+	return b.statsBuf[0]
+}
 
 // BatchStats returns the per-syndrome statistics of the last
 // DecodeBatchInto call, indexed like its syndromes. The slice is valid
@@ -249,16 +257,17 @@ func (b *BatchMesh) LaneStats(i int) Stats { return b.statsBuf[i] }
 // parking so no stale decode state crosses owners.
 func (b *BatchMesh) Reset() {
 	b.resetAll()
-	b.stat = Stats{}
 	b.lastN = 0
 }
 
 // FlushObs merges pending telemetry into the shared registry
-// histograms (one cycle sample was recorded per lane decode).
+// histograms (one cycle sample was recorded per lane decode). The pool
+// calls it when a mesh is parked; call it directly before scraping when
+// a mesh is long-lived outside a pool.
 func (b *BatchMesh) FlushObs() { b.obsCycles.Flush() }
 
-// compatible mirrors Mesh.compatible: pooled batch meshes accept any
-// structurally identical graph.
+// compatible reports whether g may be decoded on this mesh: pooled
+// meshes accept any structurally identical graph.
 func (b *BatchMesh) compatible(g *lattice.Graph) bool {
 	if g == b.g {
 		return true
@@ -268,8 +277,9 @@ func (b *BatchMesh) compatible(g *lattice.Graph) bool {
 		g.NumChecks() == b.g.NumChecks()
 }
 
-// Decode implements decoder.Decoder on the batch mesh (one lane used).
-// The returned correction is private to the caller.
+// Decode implements decoder.Decoder through lane 0. The graph must be
+// structurally identical to the one the mesh was built for; the
+// returned correction is private to the caller.
 func (b *BatchMesh) Decode(g *lattice.Graph, syn []bool) (decoder.Correction, error) {
 	if b.ownScratch == nil {
 		b.ownScratch = decodepool.NewScratch()
@@ -281,21 +291,30 @@ func (b *BatchMesh) Decode(g *lattice.Graph, syn []bool) (decoder.Correction, er
 	return decoder.Correction{Qubits: append([]int(nil), c.Qubits...)}, nil
 }
 
+// DecodeWithStats decodes one syndrome on the mesh's own graph and also
+// returns its cycle statistics. The correction is private to the
+// caller and may leave checks uncleared when the design variant cannot
+// resolve them (Stats.Unresolved counts them); the final variant
+// resolves everything it is given.
+func (b *BatchMesh) DecodeWithStats(syn []bool) (decoder.Correction, Stats, error) {
+	c, err := b.Decode(b.g, syn)
+	if err != nil {
+		return decoder.Correction{}, Stats{}, err
+	}
+	return c, b.Stats(), nil
+}
+
 // DecodeInto implements decodepool.IntoDecoder: a single-syndrome
 // decode through lane 0, zero allocations in steady state. The
 // correction aliases the scratch's batch buffer and is valid until the
 // next decode through it.
 func (b *BatchMesh) DecodeInto(g *lattice.Graph, syn []bool, s *decodepool.Scratch) (decoder.Correction, error) {
-	if b.one == nil {
-		b.one = make([][]bool, 1)
-	}
 	b.one[0] = syn
-	cs, err := b.DecodeBatchInto(g, b.one, s)
+	cs, err := b.DecodeBatchInto(g, b.one[:], s)
 	b.one[0] = nil
 	if err != nil {
 		return decoder.Correction{}, err
 	}
-	b.stat = b.statsBuf[0]
 	return cs[0], nil
 }
 
@@ -308,7 +327,7 @@ func (b *BatchMesh) DecodeInto(g *lattice.Graph, syn []bool, s *decodepool.Scrat
 // state.
 func (b *BatchMesh) DecodeBatchInto(g *lattice.Graph, syns [][]bool, s *decodepool.Scratch) ([]decoder.Correction, error) {
 	if !b.compatible(g) {
-		return nil, fmt.Errorf("sfq: batch mesh bound to a different matching graph")
+		return nil, fmt.Errorf("sfq: mesh bound to a different matching graph")
 	}
 	nc := b.g.NumChecks()
 	for i, syn := range syns {
@@ -488,7 +507,7 @@ func (b *BatchMesh) emitGrows(ps *planeSet, l int) {
 // its telemetry sample (one per lane decode), scrubs the lane's bits
 // out of every plane, and refills the lane from the pending queue. The
 // batch's last decode is left unscrubbed: nothing steps after it, the
-// next run starts from resetAll, and Mesh.Render shows its final state.
+// next run starts from resetAll, and Render shows its final state.
 func (b *BatchMesh) finalizeLane(l int) {
 	idx := b.laneSyn[l]
 	start := int32(len(b.q))
@@ -725,8 +744,7 @@ func (b *BatchMesh) drainLane(l int) {
 	})
 }
 
-// render draws lane l's planes as one glyph per module (see
-// Mesh.Render).
+// render draws lane l's planes as one glyph per module (see Render).
 func (b *BatchMesh) render(l int) string {
 	geo, bg := b.geo, b.bg
 	set := func(p []uint64, i int) bool {

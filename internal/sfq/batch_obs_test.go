@@ -38,38 +38,54 @@ func TestBatchMeshCycleTelemetry(t *testing.T) {
 		}
 		decodes += len(syns)
 	}
-	p.PutBatch(b)
+	p.Put(b)
 	if got := hist.Count() - before; got != uint64(decodes) {
-		t.Fatalf("histogram grew by %d after PutBatch, want %d (one per lane decode)", got, decodes)
+		t.Fatalf("histogram grew by %d after Put, want %d (one per lane decode)", got, decodes)
 	}
 
 	// The mesh is parked now; a double Put is rejected and must not
 	// flush anything new.
-	p.PutBatch(b)
+	p.Put(b)
 	if got := hist.Count() - before; got != uint64(decodes) {
-		t.Fatalf("double PutBatch replayed samples: histogram grew to %d, want %d", got, decodes)
+		t.Fatalf("double Put replayed samples: histogram grew to %d, want %d", got, decodes)
 	}
 }
 
-// The single-decode adapters share the batch kernel's recorder: Decode
-// and DecodeInto each record one sample, flushed by FlushObs.
+// The single-decode entries share the kernel's recorder at every lane
+// count: each DecodeInto and DecodeWithStats records one sample,
+// flushed by FlushObs, and leaves its cycles readable through Stats.
 func TestBatchMeshAdapterTelemetry(t *testing.T) {
 	g := lattice.MustNew(3).MatchingGraph(lattice.XErrors)
 	hist := obs.Default().Histogram("sfq_decode_cycles_d3")
-	before := hist.Count()
-
-	b := NewBatch(g, Final)
-	s := decodepool.NewScratch()
 	syn := make([]bool, g.NumChecks())
 	syn[0], syn[1] = true, true
-	const decodes = 10
-	for i := 0; i < decodes; i++ {
-		if _, err := b.DecodeInto(g, syn, s); err != nil {
-			t.Fatal(err)
+	s := decodepool.NewScratch()
+	for _, lanes := range []int{1, MaxBatchLanes(3)} {
+		for _, entry := range []struct {
+			name   string
+			decode func(b *BatchMesh) error
+		}{
+			{"DecodeInto", func(b *BatchMesh) error { _, err := b.DecodeInto(g, syn, s); return err }},
+			{"DecodeWithStats", func(b *BatchMesh) error { _, _, err := b.DecodeWithStats(syn); return err }},
+		} {
+			before := hist.Count()
+			b := NewBatchWithLanes(g, Final, lanes)
+			const decodes = 10
+			for i := 0; i < decodes; i++ {
+				if err := entry.decode(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			b.FlushObs()
+			if got := hist.Count() - before; got != decodes {
+				t.Fatalf("lanes=%d %s: histogram grew by %d, want %d", lanes, entry.name, got, decodes)
+			}
+			if b.Stats().Cycles == 0 {
+				t.Fatalf("lanes=%d %s: decode reported zero cycles", lanes, entry.name)
+			}
+			if max := hist.Snapshot().Max; max == 0 {
+				t.Fatalf("lanes=%d %s: histogram recorded zero max cycles", lanes, entry.name)
+			}
 		}
-	}
-	b.FlushObs()
-	if got := hist.Count() - before; got != decodes {
-		t.Fatalf("histogram grew by %d, want %d", got, decodes)
 	}
 }

@@ -362,6 +362,9 @@ func TestAccessors(t *testing.T) {
 	if mesh.Name() != "sfq-resets+boundaries" {
 		t.Errorf("Name = %q", mesh.Name())
 	}
+	if b := NewBatch(g, WithBoundary); b.Name() != mesh.Name() {
+		t.Errorf("%d-lane Name = %q, one-lane %q", b.Lanes(), b.Name(), mesh.Name())
+	}
 	if mesh.Variant() != WithBoundary {
 		t.Error("Variant accessor wrong")
 	}

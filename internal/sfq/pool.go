@@ -23,11 +23,10 @@ import (
 type Pool struct {
 	variant Variant
 
-	mu        sync.Mutex
-	graphs    map[poolKey]*lattice.Graph
-	free      map[poolKey][]*Mesh
-	freeBatch map[batchPoolKey][]*BatchMesh
-	stats     PoolStats
+	mu     sync.Mutex
+	graphs map[graphKey]*lattice.Graph
+	free   map[meshKey][]*BatchMesh
+	stats  PoolStats
 }
 
 // PoolStats is a pool's cumulative accounting. Hits + Misses == Gets,
@@ -43,17 +42,16 @@ type PoolStats struct {
 	Outstanding int64 // handed out and not yet returned
 }
 
-type poolKey struct {
+type graphKey struct {
 	d int
 	e lattice.ErrorType
 }
 
-// batchPoolKey keys the batch free lists by (d, e, lane width): batch
-// meshes of different widths have different plane layouts and must
-// never mix.
-type batchPoolKey struct {
-	d     int
-	e     lattice.ErrorType
+// meshKey keys the free lists by (d, e, lane count): meshes of
+// different lane counts have different plane layouts and must never
+// mix.
+type meshKey struct {
+	graphKey
 	lanes int
 }
 
@@ -71,10 +69,9 @@ var (
 // NewPool returns a pool of meshes with the given design variant.
 func NewPool(v Variant) *Pool {
 	return &Pool{
-		variant:   v,
-		graphs:    map[poolKey]*lattice.Graph{},
-		free:      map[poolKey][]*Mesh{},
-		freeBatch: map[batchPoolKey][]*BatchMesh{},
+		variant: v,
+		graphs:  map[graphKey]*lattice.Graph{},
+		free:    map[meshKey][]*BatchMesh{},
 	}
 }
 
@@ -91,10 +88,10 @@ func (p *Pool) Stats() PoolStats {
 func (p *Pool) Graph(d int, e lattice.ErrorType) *lattice.Graph {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.graphLocked(poolKey{d, e})
+	return p.graphLocked(graphKey{d, e})
 }
 
-func (p *Pool) graphLocked(k poolKey) *lattice.Graph {
+func (p *Pool) graphLocked(k graphKey) *lattice.Graph {
 	g := p.graphs[k]
 	if g == nil {
 		g = lattice.MustNew(k.d).MatchingGraph(k.e)
@@ -103,94 +100,28 @@ func (p *Pool) graphLocked(k poolKey) *lattice.Graph {
 	return g
 }
 
-// Get returns an idle mesh for (d, e), reusing a previously Put mesh
-// when one is available.
-func (p *Pool) Get(d int, e lattice.ErrorType) *Mesh {
-	k := poolKey{d, e}
+// Get returns an idle one-lane mesh for (d, e), reusing a previously
+// Put mesh when one is available.
+func (p *Pool) Get(d int, e lattice.ErrorType) *Mesh { return p.get(d, e, 1) }
+
+// GetBatch returns an idle batch mesh for (d, e) at the maximum lane
+// count for d, MaxBatchLanes(d), reusing a previously Put mesh when
+// one is available.
+func (p *Pool) GetBatch(d int, e lattice.ErrorType) *BatchMesh {
+	return p.get(d, e, MaxBatchLanes(d))
+}
+
+func (p *Pool) get(d int, e lattice.ErrorType, lanes int) *BatchMesh {
+	k := meshKey{graphKey{d, e}, lanes}
 	p.mu.Lock()
 	p.stats.Gets++
 	p.stats.Outstanding++
 	poolGets.Inc()
 	poolOutstanding.Add(1)
 	if list := p.free[k]; len(list) > 0 {
-		m := list[len(list)-1]
-		list[len(list)-1] = nil
-		p.free[k] = list[:len(list)-1]
-		m.pooled = false
-		p.stats.Hits++
-		p.mu.Unlock()
-		poolHits.Inc()
-		return m
-	}
-	p.stats.Misses++
-	g := p.graphLocked(k)
-	p.mu.Unlock()
-	poolMisses.Inc()
-	m := New(g, p.variant)
-	m.owner = p
-	return m
-}
-
-// Put resets the mesh, flushes its pending telemetry, and parks it on
-// the free list. Rejected — counted, never mixed in — are meshes whose
-// variant differs from the pool's, meshes owned by another
-// pool, and meshes already parked here (a double Put would alias one
-// mesh into two future Gets). A compatible mesh built outside any pool
-// is adopted without touching the outstanding count.
-func (p *Pool) Put(m *Mesh) {
-	if m == nil || m.Variant() != p.variant {
-		p.mu.Lock()
-		p.stats.Foreign++
-		p.mu.Unlock()
-		poolForeign.Inc()
-		return
-	}
-	m.Reset()
-	m.SetTracer(nil)
-	m.FlushObs()
-	k := poolKey{d: m.b.geo.d, e: m.b.geo.e}
-	p.mu.Lock()
-	switch {
-	case m.pooled && m.owner == p:
-		p.stats.DoublePuts++
-		p.mu.Unlock()
-		poolDoublePuts.Inc()
-		return
-	case m.owner != nil && m.owner != p:
-		p.stats.Foreign++
-		p.mu.Unlock()
-		poolForeign.Inc()
-		return
-	}
-	wasOurs := m.owner == p
-	m.owner = p
-	m.pooled = true
-	p.free[k] = append(p.free[k], m)
-	p.stats.Puts++
-	if wasOurs {
-		p.stats.Outstanding--
-	}
-	p.mu.Unlock()
-	poolPuts.Inc()
-	if wasOurs {
-		poolOutstanding.Add(-1)
-	}
-}
-
-// GetBatch returns an idle SWAR batch mesh for (d, e) at the maximum
-// lane width for d, reusing a previously PutBatch mesh when one is
-// available. Batch meshes share the pool's accounting.
-func (p *Pool) GetBatch(d int, e lattice.ErrorType) *BatchMesh {
-	k := batchPoolKey{d: d, e: e, lanes: MaxBatchLanes(d)}
-	p.mu.Lock()
-	p.stats.Gets++
-	p.stats.Outstanding++
-	poolGets.Inc()
-	poolOutstanding.Add(1)
-	if list := p.freeBatch[k]; len(list) > 0 {
 		b := list[len(list)-1]
 		list[len(list)-1] = nil
-		p.freeBatch[k] = list[:len(list)-1]
+		p.free[k] = list[:len(list)-1]
 		b.pooled = false
 		p.stats.Hits++
 		p.mu.Unlock()
@@ -198,18 +129,22 @@ func (p *Pool) GetBatch(d int, e lattice.ErrorType) *BatchMesh {
 		return b
 	}
 	p.stats.Misses++
-	g := p.graphLocked(poolKey{d: d, e: e})
+	g := p.graphLocked(k.graphKey)
 	p.mu.Unlock()
 	poolMisses.Inc()
-	b := NewBatchWithLanes(g, p.variant, k.lanes)
+	b := NewBatchWithLanes(g, p.variant, lanes)
 	b.owner = p
 	return b
 }
 
-// PutBatch resets the batch mesh, flushes its pending telemetry (the
-// histogram holds one cycle sample per lane decode), and parks it,
-// under the same exactly-once rules as Put.
-func (p *Pool) PutBatch(b *BatchMesh) {
+// Put resets the mesh, clears its tracer, flushes its pending
+// telemetry (one cycle sample per lane decode), and parks it on the
+// free list of its lane count. Rejected — counted, never mixed in —
+// are meshes whose variant differs from the pool's, meshes owned by
+// another pool, and meshes already parked here (a double Put would
+// alias one mesh into two future Gets). A compatible mesh built outside
+// any pool is adopted without touching the outstanding count.
+func (p *Pool) Put(b *BatchMesh) {
 	if b == nil || b.variant != p.variant {
 		p.mu.Lock()
 		p.stats.Foreign++
@@ -218,8 +153,9 @@ func (p *Pool) PutBatch(b *BatchMesh) {
 		return
 	}
 	b.Reset()
+	b.SetTracer(nil)
 	b.FlushObs()
-	k := batchPoolKey{d: b.geo.d, e: b.geo.e, lanes: b.lanes}
+	k := meshKey{graphKey{b.geo.d, b.geo.e}, b.lanes}
 	p.mu.Lock()
 	switch {
 	case b.pooled && b.owner == p:
@@ -236,7 +172,7 @@ func (p *Pool) PutBatch(b *BatchMesh) {
 	wasOurs := b.owner == p
 	b.owner = p
 	b.pooled = true
-	p.freeBatch[k] = append(p.freeBatch[k], b)
+	p.free[k] = append(p.free[k], b)
 	p.stats.Puts++
 	if wasOurs {
 		p.stats.Outstanding--
@@ -249,13 +185,9 @@ func (p *Pool) PutBatch(b *BatchMesh) {
 }
 
 // Release adapts Put to the func(decoder.Decoder) release hooks of the
-// sweep layers: mesh decoders (scalar or batched) return to the pool,
-// anything else is ignored.
+// sweep layers: meshes return to the pool, anything else is ignored.
 func (p *Pool) Release(dec decoder.Decoder) {
-	switch m := dec.(type) {
-	case *Mesh:
-		p.Put(m)
-	case *BatchMesh:
-		p.PutBatch(m)
+	if b, ok := dec.(*BatchMesh); ok {
+		p.Put(b)
 	}
 }

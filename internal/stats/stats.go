@@ -109,10 +109,10 @@ type CurveConfig struct {
 	Observer func(d int, p float64) func(lattice.ErrorType, sfq.Stats)
 	// Batch routes trials through the shards' SWAR batch path
 	// (surface.Simulator.RunTrialBatch) when the configured decoders are
-	// sfq.BatchMesh instances — several independent cycles decode in the
+	// multi-lane SFQ meshes — several independent cycles decode in the
 	// same machine words per call. Trial streams are unchanged, so
 	// results are bit-identical with Batch on or off (asserted by
-	// TestCurvesBatchDeterminism). Ignored for non-batch decoders.
+	// TestCurvesBatchDeterminism). Ignored for other decoders.
 	Batch bool
 	// Obs, when non-nil, receives sweep telemetry: the engine's trial
 	// counters and latency histograms (see mc.Config.Obs) and the
@@ -127,7 +127,7 @@ type CurveConfig struct {
 	// concurrent points; the hook must be safe for concurrent use.
 	FreeDecoder func(decoder.Decoder)
 	// TwoLevel, when non-nil, switches the sweep to two-level decoding:
-	// every sfq.Mesh / sfq.BatchMesh the decoder factories build is
+	// every SFQ mesh (at any lane count) the decoder factories build is
 	// wrapped in a twolevel.Decoder, so instances the escalation policy
 	// flags re-decode through the accurate level-2 decoder. The verdict
 	// is a pure function of the kernel-conformance-pinned mesh Stats,
@@ -159,11 +159,8 @@ func (tc *TwoLevelConfig) wrap(d int, dec decoder.Decoder) decoder.Decoder {
 	if acc == nil {
 		acc = mwpm.New()
 	}
-	switch m := dec.(type) {
-	case *sfq.Mesh:
+	if m, ok := dec.(*sfq.BatchMesh); ok {
 		return twolevel.New(m, acc, tc.Policy)
-	case *sfq.BatchMesh:
-		return twolevel.NewBatch(m, acc, tc.Policy)
 	}
 	return dec
 }

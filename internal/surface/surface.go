@@ -89,8 +89,7 @@ type plane struct {
 	etype lattice.ErrorType
 	graph *lattice.Graph
 	dec   decoder.Decoder
-	mesh  *sfq.Mesh         // non-nil when dec is a scalar SFQ mesh
-	bmesh *sfq.BatchMesh    // non-nil when dec is a SWAR batch mesh
+	bmesh *sfq.BatchMesh    // non-nil when dec is an SFQ mesh
 	tl    *twolevel.Decoder // non-nil when dec is a two-level decoder
 	ext   *stabilizer.Extractor
 	cut   []int // data qubits whose parity flags a logical flip
@@ -142,8 +141,6 @@ func New(cfg Config) (*Simulator, error) {
 			left: make([]bool, g.NumChecks()),
 		}
 		switch m := dec.(type) {
-		case *sfq.Mesh:
-			p.mesh = m
 		case *sfq.BatchMesh:
 			p.bmesh = m
 		case *twolevel.Decoder:
@@ -233,15 +230,9 @@ func (s *Simulator) decodePlane(p *plane, res *Result) (bool, error) {
 		syn = p.graph.SyndromeInto(s.residual, p.syn)
 	}
 	var corr decoder.Correction
-	if p.mesh != nil {
-		// The mesh joins the zero-allocation scratch path; cycle
-		// statistics stay readable on the mesh itself.
-		corr, err = p.mesh.DecodeInto(p.graph, syn, s.scratch)
-		if err == nil && s.cfg.Observer != nil {
-			s.cfg.Observer(p.etype, p.mesh.Stats())
-		}
-	} else if p.bmesh != nil {
-		// A batch mesh on the scalar path decodes through lane 0.
+	if p.bmesh != nil {
+		// The mesh joins the zero-allocation scratch path, decoding
+		// through lane 0; cycle statistics stay readable on the mesh.
 		corr, err = p.bmesh.DecodeInto(p.graph, syn, s.scratch)
 		if err == nil && s.cfg.Observer != nil {
 			s.cfg.Observer(p.etype, p.bmesh.Stats())
@@ -309,9 +300,10 @@ type BatchOutcome struct {
 
 // BatchWidth reports how many independent one-cycle trials
 // RunTrialBatch advances per call: the smallest lane width across the
-// simulator's batch-mesh planes. It is 1 — batching unavailable — when
-// any configured decoder is not an sfq.BatchMesh or when syndromes are
-// extracted through stabilizer circuits.
+// simulator's mesh planes. It is 1 — batching unavailable — when any
+// configured decoder is neither an SFQ mesh nor a two-level decoder,
+// when any plane's mesh has one lane, or when syndromes are extracted
+// through stabilizer circuits.
 func (s *Simulator) BatchWidth() int {
 	if s.cfg.UseCircuits {
 		return 1
@@ -341,9 +333,10 @@ func (s *Simulator) BatchWidth() int {
 // i driven by rngs[i] on its own residual frame, decoding every plane's
 // syndromes in one batched SWAR call. Lane i's outcome is bit-identical
 // to Reset + SetRand(rngs[i]) + Run(1) on the scalar path: each lane
-// samples its channel from its own stream, and the batch kernel is
-// conformance-pinned to the scalar kernel. outs must have len(rngs)
-// elements; Run's cumulative counters are not touched.
+// samples its channel from its own stream, and the mesh kernel is
+// conformance-pinned to the reference model at every lane count. outs
+// must have len(rngs) elements; Run's cumulative counters are not
+// touched.
 func (s *Simulator) RunTrialBatch(rngs []*rand.Rand, outs []BatchOutcome) error {
 	w := len(rngs)
 	if len(outs) != w {

@@ -8,9 +8,9 @@
 // escalating only the instances the mesh itself flags as hard.
 //
 // The escalation verdict is a pure function of sfq.Stats. Because the
-// scalar and SWAR-batched kernels are pinned Stats-identical by the sfq
-// conformance suites, a verdict computed from either kernel — at any
-// lane width or sweep shard shape — is bit-identical, which makes
+// mesh kernel is pinned Stats-identical to the reference model at every
+// lane count by the sfq conformance suites, a verdict computed at any
+// lane count or sweep shard shape is bit-identical, which makes
 // two-level sweeps exactly as deterministic as pure-mesh sweeps. The
 // differential conformance suite in this package pins the rest: a
 // non-escalated decode is bit-identical to the pure mesh, an escalated
@@ -20,8 +20,8 @@ package twolevel
 import (
 	"time"
 
-	"repro/internal/decoder"
 	"repro/internal/decodepool"
+	"repro/internal/decoder"
 	"repro/internal/lattice"
 	"repro/internal/obs"
 	"repro/internal/sfq"
@@ -89,7 +89,7 @@ func (p Policy) Escalate(st sfq.Stats) bool {
 	return false
 }
 
-// Decoder is a two-level decoder: a level-1 sfq.Mesh or sfq.BatchMesh
+// Decoder is a two-level decoder: a level-1 SFQ mesh at any lane count
 // plus an accurate level-2 decodepool.IntoDecoder. It implements
 // decoder.Decoder, decodepool.IntoDecoder and decodepool.BatchDecoder,
 // so it drops into every sweep and serve path a mesh does.
@@ -97,18 +97,16 @@ func (p Policy) Escalate(st sfq.Stats) bool {
 // Like the meshes it wraps, a Decoder is single-goroutine: sweeps use
 // one per worker.
 type Decoder struct {
-	mesh  *sfq.Mesh      // scalar level 1 (nil when batched)
-	batch *sfq.BatchMesh // batched level 1 (nil when scalar)
-	acc   decodepool.IntoDecoder
-	pol   Policy
+	l1  *sfq.BatchMesh
+	acc decodepool.IntoDecoder
+	pol Policy
 
-	verdicts []bool // escalation verdicts of the last (batch) decode
-	lastN    int
-	escOne   bool // verdict of the most recent single decode
+	verdicts []bool // escalation verdicts of the last decode
+	one      [1][]bool
 
 	decodes     int64
 	escalations int64
-	obsDecodes  *obs.Counter   // nil until Instrument
+	obsDecodes  *obs.Counter // nil until Instrument
 	obsEscal    *obs.Counter
 	l1Ns        *obs.Histogram // nil until Instrument: per-decode level split
 	l2Ns        *obs.Histogram
@@ -116,14 +114,14 @@ type Decoder struct {
 	ownScratch *decodepool.Scratch // lazy, for the plain Decode face
 }
 
-// New wraps a scalar mesh.
-func New(mesh *sfq.Mesh, acc decodepool.IntoDecoder, pol Policy) *Decoder {
-	return &Decoder{mesh: mesh, acc: acc, pol: pol, verdicts: make([]bool, 1)}
+// New wraps a level-1 mesh: the one-lane sfq.Mesh or a batch mesh.
+func New(mesh *sfq.BatchMesh, acc decodepool.IntoDecoder, pol Policy) *Decoder {
+	return &Decoder{l1: mesh, acc: acc, pol: pol, verdicts: make([]bool, mesh.Lanes())}
 }
 
-// NewBatch wraps a SWAR batch mesh.
+// NewBatch is New; it names the batch-mesh call sites.
 func NewBatch(b *sfq.BatchMesh, acc decodepool.IntoDecoder, pol Policy) *Decoder {
-	return &Decoder{batch: b, acc: acc, pol: pol, verdicts: make([]bool, b.Lanes())}
+	return New(b, acc, pol)
 }
 
 // Name implements decoder.Decoder.
@@ -132,16 +130,11 @@ func (d *Decoder) Name() string {
 	if n, ok := d.acc.(interface{ Name() string }); ok {
 		accName = n.Name()
 	}
-	return "twolevel(" + d.Level1().Name() + "+" + accName + ")"
+	return "twolevel(" + d.l1.Name() + "+" + accName + ")"
 }
 
 // Level1 returns the wrapped mesh decoder (for pool recycling).
-func (d *Decoder) Level1() decoder.Decoder {
-	if d.batch != nil {
-		return d.batch
-	}
-	return d.mesh
-}
+func (d *Decoder) Level1() decoder.Decoder { return d.l1 }
 
 // Policy returns the escalation policy.
 func (d *Decoder) Policy() Policy { return d.pol }
@@ -158,12 +151,7 @@ func (d *Decoder) Escalated(i int) bool { return d.verdicts[i] }
 
 // MeshStats returns the level-1 Stats for syndrome i of the last
 // decode.
-func (d *Decoder) MeshStats(i int) sfq.Stats {
-	if d.batch != nil {
-		return d.batch.LaneStats(i)
-	}
-	return d.mesh.Stats()
-}
+func (d *Decoder) MeshStats(i int) sfq.Stats { return d.l1.LaneStats(i) }
 
 // Instrument mirrors the decode/escalation counters into registry
 // counters twolevel_decodes_total and twolevel_escalations_total, and
@@ -205,45 +193,17 @@ func (d *Decoder) Decode(g *lattice.Graph, syn []bool) (decoder.Correction, erro
 	return decoder.Correction{Qubits: append([]int(nil), c.Qubits...)}, nil
 }
 
-// DecodeInto implements decodepool.IntoDecoder: level-1 decode, verdict,
-// and on escalation a level-2 re-decode of the same syndrome. The
-// returned correction's qubit buffer is scratch-owned either way, so the
-// caller's usual consume-before-next-decode rule is unchanged. The mesh
-// correction and the level-2 correction use the same scalar scratch
-// buffer family; on escalation the discarded mesh result is simply
-// overwritten, keeping the hot path allocation-free.
+// DecodeInto implements decodepool.IntoDecoder: a batch of one through
+// DecodeBatchInto. The returned correction is scratch-owned, so the
+// caller's usual consume-before-next-decode rule is unchanged.
 func (d *Decoder) DecodeInto(g *lattice.Graph, syn []bool, s *decodepool.Scratch) (decoder.Correction, error) {
-	var l1 decodepool.IntoDecoder = d.mesh
-	if d.batch != nil {
-		l1 = d.batch
-	}
-	var t0 time.Time
-	if d.l1Ns != nil {
-		t0 = time.Now()
-	}
-	c, err := l1.DecodeInto(g, syn, s)
+	d.one[0] = syn
+	cs, err := d.DecodeBatchInto(g, d.one[:], s)
+	d.one[0] = nil
 	if err != nil {
 		return decoder.Correction{}, err
 	}
-	if d.l1Ns != nil {
-		d.l1Ns.Observe(uint64(time.Since(t0)))
-	}
-	esc := d.pol.Escalate(d.MeshStats(0))
-	d.verdicts[0], d.lastN = esc, 1
-	if !esc {
-		d.count(1, 0)
-		return c, nil
-	}
-	d.count(1, 1)
-	if d.l2Ns == nil {
-		return d.acc.DecodeInto(g, syn, s)
-	}
-	t1 := time.Now()
-	c2, err := d.acc.DecodeInto(g, syn, s)
-	if err == nil {
-		d.l2Ns.Observe(uint64(time.Since(t1)))
-	}
-	return c2, err
+	return cs[0], nil
 }
 
 // arena holds the escalated corrections of one batch decode, reusing
@@ -256,12 +216,7 @@ type arena struct {
 func mkArena() any { return new(arena) }
 
 // BatchWidth implements decodepool.BatchDecoder.
-func (d *Decoder) BatchWidth() int {
-	if d.batch != nil {
-		return d.batch.BatchWidth()
-	}
-	return 1
-}
+func (d *Decoder) BatchWidth() int { return d.l1.BatchWidth() }
 
 // DecodeBatchInto implements decodepool.BatchDecoder: one level-1 batch
 // decode, then per-syndrome verdicts and level-2 re-decodes. Escalated
@@ -275,16 +230,12 @@ func (d *Decoder) DecodeBatchInto(g *lattice.Graph, syns [][]bool, s *decodepool
 		d.verdicts = make([]bool, len(syns))
 	}
 	d.verdicts = d.verdicts[:len(syns)]
-	d.lastN = len(syns)
 
-	if d.batch == nil {
-		return d.scalarBatch(g, syns, s)
-	}
 	var t0 time.Time
 	if d.l1Ns != nil {
 		t0 = time.Now()
 	}
-	cs, err := d.batch.DecodeBatchInto(g, syns, s)
+	cs, err := d.l1.DecodeBatchInto(g, syns, s)
 	if err != nil {
 		return nil, err
 	}
@@ -300,7 +251,7 @@ func (d *Decoder) DecodeBatchInto(g *lattice.Graph, syns [][]bool, s *decodepool
 	ar := s.State("twolevel:arena", mkArena).(*arena)
 	ar.q, ar.spans = ar.q[:0], ar.spans[:0]
 	for i := range syns {
-		d.verdicts[i] = d.pol.Escalate(d.batch.LaneStats(i))
+		d.verdicts[i] = d.pol.Escalate(d.l1.LaneStats(i))
 		if !d.verdicts[i] {
 			continue
 		}
@@ -331,49 +282,4 @@ func (d *Decoder) DecodeBatchInto(g *lattice.Graph, syns [][]bool, s *decodepool
 	}
 	d.count(int64(len(syns)), escalated)
 	return cs, nil
-}
-
-// scalarBatch serves the BatchDecoder face of a scalar-mesh Decoder:
-// sequential DecodeInto calls with every correction copied into the
-// arena, since each call reuses the same scratch qubit buffer.
-func (d *Decoder) scalarBatch(g *lattice.Graph, syns [][]bool, s *decodepool.Scratch) ([]decoder.Correction, error) {
-	ar := s.State("twolevel:arena", mkArena).(*arena)
-	ar.q, ar.spans = ar.q[:0], ar.spans[:0]
-	cs := s.BatchCorrections(len(syns))
-	escalated, verdicts := int64(0), 0
-	for i, syn := range syns {
-		c, err := d.decodeOne(g, syn, s)
-		if err != nil {
-			return nil, err
-		}
-		verdicts++
-		d.verdicts[i] = d.escOne
-		if d.escOne {
-			escalated++
-		}
-		start := len(ar.q)
-		ar.q = append(ar.q, c.Qubits...)
-		ar.spans = append(ar.spans, [2]int{i, start})
-	}
-	for k, sp := range ar.spans {
-		end := len(ar.q)
-		if k+1 < len(ar.spans) {
-			end = ar.spans[k+1][1]
-		}
-		cs[sp[0]] = decoder.Correction{Qubits: ar.q[sp[1]:end:end]}
-	}
-	d.count(int64(verdicts), escalated)
-	return cs, nil
-}
-
-func (d *Decoder) decodeOne(g *lattice.Graph, syn []bool, s *decodepool.Scratch) (decoder.Correction, error) {
-	c, err := d.mesh.DecodeInto(g, syn, s)
-	if err != nil {
-		return decoder.Correction{}, err
-	}
-	d.escOne = d.pol.Escalate(d.mesh.Stats())
-	if !d.escOne {
-		return c, nil
-	}
-	return d.acc.DecodeInto(g, syn, s)
 }
