@@ -7,7 +7,8 @@
 # directory whose path is printed at exit; no tracked file is written.
 # Steps, in order:
 #
-#   1. go vet and go build.
+#   1. gofmt (any file listed by gofmt -l fails the run), go vet and
+#      go build.
 #   2. The full test suite, once plainly (full Monte-Carlo budgets) and
 #      once under the race detector with REPRO_MC_SHORT=1, which the
 #      statistical tests in internal/stats and internal/mc honour by
@@ -53,6 +54,14 @@ finish() {
 	echo "artifacts in $ART"
 }
 trap finish EXIT
+
+echo "== gofmt =="
+UNFORMATTED=$(gofmt -l .)
+if [ -n "$UNFORMATTED" ]; then
+	echo "gofmt -l lists unformatted files:"
+	echo "$UNFORMATTED"
+	exit 1
+fi
 
 echo "== go vet =="
 go vet ./...

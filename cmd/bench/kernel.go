@@ -273,7 +273,6 @@ func scaleSweep(cycles, workers int, forceSteal bool) ([]stats.Point, time.Durat
 		Workers:    workers,
 		ForceSteal: forceSteal,
 		SchedStats: &ss,
-		Batch:      true,
 	}
 	pool := sfq.NewPool(sfq.Final)
 	cfg.NewDecoderZ = func(d int) decoder.Decoder { return pool.GetBatch(d, lattice.ZErrors) }

@@ -28,10 +28,9 @@
 // two-tier latency mixture driving admission control.
 //
 // -trace-sample controls the request-lifecycle flight recorder served
-// at /debug/traces: 0 defers to REPRO_TRACE_SAMPLE (default 1-in-16),
-// N > 0 samples 1 in N, and -1 disables tracing. -runtime-metrics (or
-// REPRO_RUNTIME_METRICS=1) bridges the Go runtime's GC-pause and
-// scheduler-latency telemetry into the registry, so serve-side GC
+// at /debug/traces: 0 samples 1 in 16, N > 0 samples 1 in N, and -1
+// disables tracing. -runtime-metrics bridges the Go runtime's GC-pause
+// and scheduler-latency telemetry into the registry, so serve-side GC
 // stalls are distinguishable from decode stalls on the same surface.
 //
 // With -tcp/-http at ":0" the kernel picks the ports; -addr-file writes
@@ -81,11 +80,11 @@ func main() {
 	escHot := flag.Int("esc-hot", 0, "escalate when the initial hot-check count reaches this (0 = stats triggers only)")
 	escQueue := flag.Int("esc-queue", 256, "escalation queue depth (full queue drops, never blocks level 1)")
 	escWorkers := flag.Int("esc-workers", 1, "level-2 MWPM workers")
-	traceSample := flag.Int("trace-sample", 0, "trace 1-in-N requests (0 = REPRO_TRACE_SAMPLE or 16, -1 = off)")
+	traceSample := flag.Int("trace-sample", 0, "trace 1-in-N requests (0 = 16, -1 = off)")
 	traceDepth := flag.Int("trace-depth", 256, "flight-recorder ring depth (traces and decisions)")
 	maxQueueWait := flag.Duration("max-queue-wait", 3*time.Millisecond,
 		"sojourn bound: drop queued requests older than this while more work is queued (0 = never drop)")
-	runtimeMetrics := flag.Bool("runtime-metrics", knob.Bool("REPRO_RUNTIME_METRICS"),
+	runtimeMetrics := flag.Bool("runtime-metrics", false,
 		"bridge runtime/metrics (GC pauses, sched latency, goroutines, heap) into the registry")
 	flag.Parse()
 

@@ -76,7 +76,7 @@ func main() {
 	doPlot := flag.Bool("plot", false, "render the curves as an ASCII log-log chart")
 	channel := flag.String("channel", "dephasing", "error channel: dephasing or depolarizing")
 	relWidth := flag.Float64("relwidth", 0, "stop a point once its 95% CI is tighter than this fraction of PL (0 = run all cycles)")
-	batch := flag.Bool("batch", false, "decode trials through the SWAR batch kernel (bit-identical results, higher throughput)")
+	batch := flag.Bool("batch", false, "pick full-width SWAR meshes over one-lane ones; only the lane count changes (bit-identical results, higher throughput)")
 	showProgress := flag.Bool("progress", false, "live progress line on stderr")
 	obsAddr := flag.String("obs", "", "serve /metrics, /metrics.json, /manifest.json and /debug/pprof on this address (e.g. :9090)")
 	flag.Parse()
@@ -113,7 +113,6 @@ func main() {
 		Workers:        *workers,
 		TargetRelWidth: *relWidth,
 		FreeDecoder:    pool.Release,
-		Batch:          *batch,
 	}
 	if *obsAddr != "" {
 		srv, err := obs.ServeDefault(*obsAddr, map[string]any{

@@ -83,7 +83,7 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent trial shards (0 = GOMAXPROCS)")
 	obsAddr := flag.String("obs", "", "serve /metrics, /metrics.json, /manifest.json and /debug/pprof on this address (e.g. :9090)")
 	tGen := flag.Float64("tgen", 400, "syndrome generation cycle time in ns for the backlog comparison")
-	batch := flag.Bool("batch", false, "decode trials through the SWAR batch kernel (bit-identical results, higher throughput)")
+	batch := flag.Bool("batch", false, "pick full-width SWAR meshes over one-lane ones; only the lane count changes (bit-identical results, higher throughput)")
 	flag.Parse()
 
 	var ds []int
@@ -136,7 +136,6 @@ func main() {
 		FreeDecoder: pool.Release,
 		Seed:        *seed,
 		Workers:     *workers,
-		Batch:       *batch,
 		Observer: func(d int, p float64) func(lattice.ErrorType, sfq.Stats) {
 			ms := samples[d]
 			return func(e lattice.ErrorType, st sfq.Stats) { ms.observe(st) }

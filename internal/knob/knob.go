@@ -51,18 +51,6 @@ var defs = []Def{
 		Desc:    "opt into the wall-clock telemetry-overhead guard test",
 		Allowed: boolValues,
 	},
-	{
-		// Free-form because the value is an integer period; the trace
-		// layer parses it strictly and panics on anything that is not a
-		// positive integer, "0" or "off".
-		Name: "REPRO_TRACE_SAMPLE",
-		Desc: "request-trace sampling period N (record 1 in N requests; outliers and shed decisions are always recorded; 0/off disables tracing; default 16)",
-	},
-	{
-		Name:    "REPRO_RUNTIME_METRICS",
-		Desc:    "bridge runtime/metrics (GC pauses, scheduler latency, goroutines, heap) into the obs registry",
-		Allowed: boolValues,
-	},
 }
 
 // Defs returns the registered knobs, sorted by name.

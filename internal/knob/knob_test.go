@@ -28,9 +28,9 @@ func TestKnobTable(t *testing.T) {
 		{name: "REPRO_OBS_GUARD", value: "on", boolKnob: true, wantPanic: true},
 		{name: "REPRO_MC_SHORT", value: "ture", boolKnob: true, wantPanic: true}, // a typo must not select the default
 		{name: "REPRO_MC_SHORT", value: "TRUE", boolKnob: true, wantPanic: true},
-		{name: "REPRO_TRACE_SAMPLE", value: "", wantStr: ""},
-		{name: "REPRO_TRACE_SAMPLE", value: "16", wantStr: "16"},
-		{name: "REPRO_TRACE_SAMPLE", value: "off", wantStr: "off"},
+		{name: "REPRO_OBS_GUARD", value: "", boolKnob: true, wantBool: false},
+		{name: "REPRO_OBS_GUARD", value: "0", wantStr: "0", boolKnob: true, wantBool: false},
+		{name: "REPRO_OBS_GUARD", value: "true", wantStr: "true", boolKnob: true, wantBool: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name+"="+tc.value, func(t *testing.T) {
@@ -68,18 +68,18 @@ func TestUnregisteredKnobPanics(t *testing.T) {
 // legal values pass, a typo'd name or value fails.
 func TestCheckEnv(t *testing.T) {
 	t.Setenv("REPRO_MC_SHORT", "1")
-	t.Setenv("REPRO_TRACE_SAMPLE", "16")
+	t.Setenv("REPRO_OBS_GUARD", "true")
 	if err := CheckEnv(); err != nil {
 		t.Fatalf("CheckEnv with legal knobs: %v", err)
 	}
 
-	t.Setenv("REPRO_TRACE_SMAPLE", "2") // misspelled name
+	t.Setenv("REPRO_OBS_GAURD", "1") // misspelled name
 	err := CheckEnv()
-	if err == nil || !strings.Contains(err.Error(), "REPRO_TRACE_SMAPLE") {
+	if err == nil || !strings.Contains(err.Error(), "REPRO_OBS_GAURD") {
 		t.Fatalf("CheckEnv with typo'd name: got %v, want unknown-knob error", err)
 	}
-	t.Setenv("REPRO_TRACE_SMAPLE", "") // Setenv scopes cleanup; empty value still has the name set
-	if err := CheckEnv(); err == nil || !strings.Contains(err.Error(), "REPRO_TRACE_SMAPLE") {
+	t.Setenv("REPRO_OBS_GAURD", "") // Setenv scopes cleanup; empty value still has the name set
+	if err := CheckEnv(); err == nil || !strings.Contains(err.Error(), "REPRO_OBS_GAURD") {
 		t.Fatalf("CheckEnv with empty typo'd name: got %v, want unknown-knob error", err)
 	}
 }

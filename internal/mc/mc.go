@@ -71,11 +71,12 @@ func (f ShardFunc) Trial(rng *rand.Rand, t int) (Outcome, error) { return f(rng,
 
 // BatchShard is a Shard that can advance several trials per call —
 // e.g. a simulator whose decoder packs independent syndromes into SWAR
-// lanes. The engine uses it only when Config.Batch is set and
-// BatchSize exceeds 1; results must be bit-identical either way, which
-// the reproducibility contract makes possible: each trial of a batch
-// receives its own counter-based stream, positioned exactly as the
-// scalar path would position it.
+// lanes. The engine's one trial loop calls TrialBatch only when
+// Config.Batch is set and BatchSize exceeds 1, and Trial otherwise;
+// results must be bit-identical either way, which the reproducibility
+// contract makes possible: each trial of a batch receives its own
+// counter-based stream, positioned exactly as a one-trial call would
+// position it.
 type BatchShard interface {
 	Shard
 	// BatchSize reports the shard's native batch width. A width of 1
@@ -154,11 +155,11 @@ type Config struct {
 	// should be wrapped with AsyncProgress, which hands reports to a
 	// dedicated goroutine and never blocks the engine.
 	Progress func(Progress)
-	// Batch routes shards that implement BatchShard through their
-	// chunked TrialBatch path (trial streams and tallies are unchanged,
-	// so results stay bit-identical with Batch on or off — the
-	// determinism regression tests assert it). Shards that don't
-	// implement BatchShard, or whose BatchSize is 1, run scalar.
+	// Batch lets shards that implement BatchShard advance BatchSize
+	// trials per TrialBatch call (trial streams and tallies are
+	// unchanged, so results stay bit-identical with Batch on or off —
+	// the determinism regression tests assert it). Other shards, and
+	// BatchShards whose BatchSize is 1, advance one Trial per call.
 	Batch bool
 	// Obs, when non-nil, receives engine telemetry: the mc_trials_total
 	// and mc_failures_total counters and the mc_trial_ns wall-clock
@@ -409,12 +410,17 @@ func (e *engine) runBatch(ctx context.Context, sp PointSpec, idle chan Shard, po
 	return failures, aux, errors.Join(errs...)
 }
 
-// runShard executes trials [lo, hi) on one shard state, resetting the
-// counter-based stream before every trial. With telemetry enabled it
-// wall-times every trial into a shard-private obs.Local that is merged
-// into the point-level and process-level histograms when the shard
-// finishes — the randomness streams are untouched, so results stay
-// bit-identical with and without Obs.
+// runShard executes trials [lo, hi) on one shard state, w trials per
+// call: w is the shard's BatchSize when Config.Batch is set and the
+// shard is a BatchShard wider than one lane, else 1. Each trial's
+// counter-based stream is reset before the call, so the chunk width
+// never perturbs the randomness. A one-wide chunk is one Trial call; a
+// wider one is one TrialBatch call. With telemetry enabled each call's
+// wall clock is split evenly across its trials into a shard-private
+// obs.Local, merged into the point-level and process-level histograms
+// when the shard finishes: the per-trial mean and totals are exact, the
+// within-chunk spread is unobservable, and the streams are untouched,
+// so results stay bit-identical with and without Obs.
 func (e *engine) runShard(ctx context.Context, sp PointSpec, idle chan Shard, pointNs *obs.Histogram, lo, hi int) (out shardTally) {
 	if err := ctx.Err(); err != nil {
 		out.err = err
@@ -452,51 +458,10 @@ func (e *engine) runShard(ctx context.Context, sp PointSpec, idle chan Shard, po
 			e.obsFailures.Add(int64(out.failures))
 		}
 	}()
-	if e.cfg.Batch {
-		if bs, ok := sh.(BatchShard); ok {
-			if w := bs.BatchSize(); w > 1 {
-				e.runShardChunks(ctx, sp, bs, w, rec, lo, hi, &out, &trialsDone)
-				return
-			}
-		}
+	w, bs := 1, BatchShard(nil)
+	if b, ok := sh.(BatchShard); ok && e.cfg.Batch && b.BatchSize() > 1 {
+		w, bs = b.BatchSize(), b
 	}
-	src := NewStream(e.cfg.RootSeed, sp.ID, int64(lo))
-	rng := rand.New(src)
-	for t := lo; t < hi; t++ {
-		if (t-lo)%cancelCheckEvery == 0 && ctx.Err() != nil {
-			out.err = ctx.Err()
-			return
-		}
-		src.Reset(e.cfg.RootSeed, sp.ID, int64(t))
-		var start time.Time
-		if rec != nil {
-			start = time.Now()
-		}
-		o, err := sh.Trial(rng, t)
-		if rec != nil {
-			rec.Observe(uint64(time.Since(start)))
-		}
-		if err != nil {
-			out.err = fmt.Errorf("trial %d: %w", t, err)
-			return
-		}
-		if o.Failed {
-			out.failures++
-		}
-		out.aux += o.Aux
-		trialsDone++
-	}
-	return out
-}
-
-// runShardChunks is the BatchShard inner loop of runShard: trials
-// [lo, hi) advance w at a time, each trial of a chunk driven by its own
-// counter-based stream reset exactly as the scalar loop would reset it,
-// so batching never perturbs the randomness. Trial timing is observed
-// as the chunk's wall clock split evenly across its trials — the
-// per-trial mean and totals stay comparable with the scalar path, the
-// within-chunk spread is genuinely unobservable.
-func (e *engine) runShardChunks(ctx context.Context, sp PointSpec, bs BatchShard, w int, rec *obs.Local, lo, hi int, out *shardTally, trialsDone *int) {
 	srcs := make([]*Stream, w)
 	rngs := make([]*rand.Rand, w)
 	for i := range srcs {
@@ -504,7 +469,7 @@ func (e *engine) runShardChunks(ctx context.Context, sp PointSpec, bs BatchShard
 		rngs[i] = rand.New(srcs[i])
 	}
 	outs := make([]Outcome, w)
-	sinceCheck := 0
+	sinceCheck := cancelCheckEvery
 	for t := lo; t < hi; t += w {
 		if sinceCheck >= cancelCheckEvery {
 			sinceCheck = 0
@@ -513,10 +478,7 @@ func (e *engine) runShardChunks(ctx context.Context, sp PointSpec, bs BatchShard
 				return
 			}
 		}
-		n := w
-		if t+n > hi {
-			n = hi - t
-		}
+		n := min(w, hi-t)
 		for i := 0; i < n; i++ {
 			srcs[i].Reset(e.cfg.RootSeed, sp.ID, int64(t+i))
 		}
@@ -524,9 +486,11 @@ func (e *engine) runShardChunks(ctx context.Context, sp PointSpec, bs BatchShard
 		if rec != nil {
 			start = time.Now()
 		}
-		if err := bs.TrialBatch(rngs[:n], t, outs[:n]); err != nil {
-			out.err = fmt.Errorf("trials %d..%d: %w", t, t+n-1, err)
-			return
+		var err error
+		if bs != nil {
+			err = bs.TrialBatch(rngs[:n], t, outs[:n])
+		} else {
+			outs[0], err = sh.Trial(rngs[0], t)
 		}
 		if rec != nil {
 			per := uint64(time.Since(start)) / uint64(n)
@@ -534,13 +498,22 @@ func (e *engine) runShardChunks(ctx context.Context, sp PointSpec, bs BatchShard
 				rec.Observe(per)
 			}
 		}
-		for i := 0; i < n; i++ {
-			if outs[i].Failed {
+		if err != nil {
+			if n == 1 {
+				out.err = fmt.Errorf("trial %d: %w", t, err)
+			} else {
+				out.err = fmt.Errorf("trials %d..%d: %w", t, t+n-1, err)
+			}
+			return
+		}
+		for _, o := range outs[:n] {
+			if o.Failed {
 				out.failures++
 			}
-			out.aux += outs[i].Aux
+			out.aux += o.Aux
 		}
 		sinceCheck += n
-		*trialsDone += n
+		trialsDone += n
 	}
+	return out
 }

@@ -376,3 +376,75 @@ func TestReleaseOnPointError(t *testing.T) {
 		t.Fatalf("released %d shards, built %d", releasedN, builtN)
 	}
 }
+
+// coinBatch is a BatchShard over the coin trial: TrialBatch applies the
+// same pure function to each stream. It counts Trial calls and records
+// the widest TrialBatch call.
+type coinBatch struct {
+	rate   float64
+	width  int
+	trials int
+	widest int
+}
+
+func (c *coinBatch) Trial(rng *rand.Rand, t int) (Outcome, error) {
+	c.trials++
+	return Outcome{Failed: rng.Float64() < c.rate, Aux: int64(t % 3)}, nil
+}
+
+func (c *coinBatch) BatchSize() int { return c.width }
+
+func (c *coinBatch) TrialBatch(rngs []*rand.Rand, lo int, out []Outcome) error {
+	c.widest = max(c.widest, len(rngs))
+	for i, rng := range rngs {
+		out[i] = Outcome{Failed: rng.Float64() < c.rate, Aux: int64((lo + i) % 3)}
+	}
+	return nil
+}
+
+// TestBatchShardWidths pins the engine's one trial loop: a BatchShard
+// runs one Trial per call unless Config.Batch is set and it is wider
+// than one lane, and the tally is bit-identical at every width.
+func TestBatchShardWidths(t *testing.T) {
+	ref := runCoin(t, Config{RootSeed: 11, Workers: 1}, coinSpecs())
+	for _, tc := range []struct {
+		width      int
+		batch      bool
+		wantTrial  bool // Trial calls expected
+		wantWidest int  // widest TrialBatch call, 0 if none
+	}{
+		{width: 8, batch: false, wantTrial: true},
+		{width: 1, batch: true, wantTrial: true},
+		{width: 8, batch: true, wantWidest: 8},
+		{width: 13, batch: true, wantWidest: 13},
+	} {
+		var mu sync.Mutex
+		var shards []*coinBatch
+		specs := coinSpecs()
+		for i, rate := range []float64{0.02, 0.1, 0.5} {
+			rate := rate
+			specs[i].NewShard = func() (Shard, error) {
+				c := &coinBatch{rate: rate, width: tc.width}
+				mu.Lock()
+				shards = append(shards, c)
+				mu.Unlock()
+				return c, nil
+			}
+		}
+		got := runCoin(t, Config{RootSeed: 11, Workers: 3, ShardSize: 97, Batch: tc.batch}, specs)
+		for i := range ref {
+			if got[i] != ref[i] {
+				t.Errorf("width %d batch %v: point %d = %+v, want %+v", tc.width, tc.batch, i, got[i], ref[i])
+			}
+		}
+		trials, widest := 0, 0
+		for _, c := range shards {
+			trials += c.trials
+			widest = max(widest, c.widest)
+		}
+		if (trials > 0) != tc.wantTrial || widest != tc.wantWidest {
+			t.Errorf("width %d batch %v: %d Trial calls, widest TrialBatch %d; want Trial calls %v, widest %d",
+				tc.width, tc.batch, trials, widest, tc.wantTrial, tc.wantWidest)
+		}
+	}
+}

@@ -10,7 +10,7 @@ import (
 // pauses, scheduler wakeup latencies, goroutine count, heap size) into
 // the obs registry, so a latency investigation can tell a serve-side GC
 // stall apart from a slow decode on one exposition surface. The bridge
-// is opt-in (cmd/serve -runtime-metrics / REPRO_RUNTIME_METRICS): it
+// is opt-in (cmd/serve -runtime-metrics): it
 // costs a metrics.Read plus histogram folding per poll, which is cheap
 // but not free, and most sweeps don't want extra background wakeups.
 //

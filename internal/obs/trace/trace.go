@@ -13,8 +13,8 @@
 // per-stage histograms aggregate them, and the recorder keeps the
 // individual traces worth reading:
 //
-//   - a deterministic 1-in-N sample of all requests (N from
-//     REPRO_TRACE_SAMPLE, default 16, 0/off disables the recorder);
+//   - a deterministic 1-in-N sample of all requests (N from the
+//     server's TraceSample, default 16);
 //   - every outlier — any request whose wall time lands within one
 //     octave of the largest wall-time bucket seen so far, which always
 //     includes the running maximum itself;
@@ -33,13 +33,11 @@
 package trace
 
 import (
-	"fmt"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/knob"
 	"repro/internal/obs"
 )
 
@@ -390,25 +388,6 @@ type Config struct {
 	// nothing (outlier and decision capture still run). N == 1 traces
 	// everything.
 	SampleN int
-}
-
-// DefaultSample reads REPRO_TRACE_SAMPLE: unset means 16, "0" or "off"
-// means tracing disabled (returns 0), anything else must be a positive
-// integer sampling period. An illegal value panics, per the knob
-// contract — a typo'd knob must never silently select a default.
-func DefaultSample() int {
-	v := knob.String("REPRO_TRACE_SAMPLE")
-	switch v {
-	case "":
-		return 16
-	case "0", "off":
-		return 0
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 1 {
-		panic(fmt.Sprintf("knob: REPRO_TRACE_SAMPLE=%q is not a positive integer, 0, or off", v))
-	}
-	return n
 }
 
 // Counters are the recorder's own accounting, exposed by Snapshot.

@@ -239,26 +239,6 @@ func TestObserverDeltas(t *testing.T) {
 	}
 }
 
-// TestDefaultSample pins the REPRO_TRACE_SAMPLE parse contract.
-func TestDefaultSample(t *testing.T) {
-	for _, tc := range []struct {
-		env  string
-		want int
-	}{{"", 16}, {"0", 0}, {"off", 0}, {"1", 1}, {"64", 64}} {
-		t.Setenv("REPRO_TRACE_SAMPLE", tc.env)
-		if got := DefaultSample(); got != tc.want {
-			t.Errorf("REPRO_TRACE_SAMPLE=%q: %d, want %d", tc.env, got, tc.want)
-		}
-	}
-	t.Setenv("REPRO_TRACE_SAMPLE", "every-third")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("garbage REPRO_TRACE_SAMPLE did not panic")
-		}
-	}()
-	DefaultSample()
-}
-
 // TestZeroAllocHotPath pins the flight recorder's central promise: the
 // fully traced request path — claim a span, stamp every stage, commit
 // to the ring through an observer feeding a histogram — allocates

@@ -8,6 +8,14 @@ import (
 	"repro/internal/obs"
 )
 
+// The controller's model reads the wall-clock serve_decode_ns
+// histogram: one unit is one nanosecond (unitNs), and the pessimistic
+// service-time floor fed to backlog.ModelForHistogram is 1 ns (floorNs).
+const (
+	floorNs = 1
+	unitNs  = 1
+)
+
 // Controller is the backlog model acting as an SLO admission
 // controller. §III's argument is that a decoder slower than the
 // syndrome-generation rate diverges — backlog, and therefore latency,
@@ -32,12 +40,6 @@ type Controller struct {
 	// (decode workers × batch lanes): the model's single-decoder
 	// recurrence sees an effective syndrome cycle of arrival × Capacity.
 	Capacity float64
-	// FloorNs is the pessimistic service-time floor fed to
-	// backlog.ModelForHistogram (its floorNs parameter).
-	FloorNs float64
-	// UnitNs converts one histogram unit to nanoseconds (1 for the
-	// wall-clock serve_decode_ns histogram).
-	UnitNs float64
 	// Enter and Exit are the hysteresis bounds on the processing ratio:
 	// shedding starts when ratio > Enter and stops when ratio < Exit.
 	// Enter must be ≥ Exit.
@@ -54,8 +56,6 @@ type Controller struct {
 func NewController(capacity float64) *Controller {
 	return &Controller{
 		Capacity: capacity,
-		FloorNs:  1,
-		UnitNs:   1,
 		Enter:    1.0,
 		Exit:     0.85,
 	}
@@ -89,7 +89,7 @@ func (c *Controller) PredictRatio(arrivalNs float64, snap obs.Snapshot) float64 
 	if arrivalNs <= 0 {
 		return 0
 	}
-	m := backlog.ModelForHistogram(arrivalNs*c.Capacity, c.FloorNs, c.UnitNs, snap)
+	m := backlog.ModelForHistogram(arrivalNs*c.Capacity, floorNs, unitNs, snap)
 	return m.Ratio()
 }
 

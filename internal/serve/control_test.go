@@ -35,7 +35,7 @@ func TestControllerShedsIffModelDiverges(t *testing.T) {
 		snap := snapFor(uint64(meanUs)*100, 32)
 		got := c.Update(arrivalNs, snap)
 
-		m := backlog.ModelForHistogram(arrivalNs*c.Capacity, c.FloorNs, c.UnitNs, snap)
+		m := backlog.ModelForHistogram(arrivalNs*c.Capacity, floorNs, unitNs, snap)
 		switch r := m.Ratio(); {
 		case r > c.Enter:
 			return got == true

@@ -79,10 +79,10 @@ type Config struct {
 	// EscWorkers is the level-2 worker count (default 1).
 	EscWorkers int
 	// TraceSample controls the request-lifecycle flight recorder
-	// (internal/obs/trace): 0 (the default) defers to the
-	// REPRO_TRACE_SAMPLE knob, a positive N records 1 in N requests
-	// (outliers and shed/drop decisions are always recorded), and a
-	// negative value disables the recorder entirely.
+	// (internal/obs/trace): 0 (the default) records 1 in 16 requests, a
+	// positive N records 1 in N (outliers and shed/drop decisions are
+	// always recorded), and a negative value disables the recorder
+	// entirely, including outlier and shed-decision capture.
 	TraceSample int
 	// TraceDepth sizes the flight recorder's trace and decision rings
 	// (default 256 each).
@@ -330,15 +330,9 @@ func New(cfg Config) *Server {
 		tickerDone:  make(chan struct{}),
 	}
 	s.minWeightBits.Store(math.Float64bits(1.0))
-	// Flight recorder: TraceSample 0 defers to the REPRO_TRACE_SAMPLE
-	// knob; knob value 0/off — or an explicit negative sample — turns
-	// the recorder off entirely, including outlier and shed-decision
-	// capture.
 	sampleN := cfg.TraceSample
 	if sampleN == 0 {
-		if sampleN = trace.DefaultSample(); sampleN == 0 {
-			sampleN = -1
-		}
+		sampleN = 16
 	}
 	if sampleN > 0 {
 		s.tracer = trace.New(trace.Config{

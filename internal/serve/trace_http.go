@@ -143,7 +143,7 @@ func (s *Server) stageHists() map[string]*obs.Histogram {
 
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if s.tracer == nil {
-		http.Error(w, "tracing disabled (TraceSample < 0 or REPRO_TRACE_SAMPLE=off)",
+		http.Error(w, "tracing disabled (TraceSample < 0)",
 			http.StatusNotFound)
 		return
 	}

@@ -1,10 +1,11 @@
 package stats
 
-// Acceptance gate of the SWAR batching PR: Monte-Carlo sweep results
-// must be bit-identical with batching enabled vs disabled under the
-// same seeds — per-trial streams are untouched by chunking and the
-// batch kernel is conformance-pinned to the scalar one, so any
-// divergence here is a real bug in one of those layers.
+// Acceptance gate of SWAR batching: Monte-Carlo sweep results must be
+// bit-identical on one-lane and max-lane meshes under the same seeds —
+// the mesh's lane count alone picks one trial per call or a chunk per
+// call, per-trial streams are untouched by chunking, and the kernel is
+// conformance-pinned at every lane count, so any divergence here is a
+// real bug in one of those layers.
 
 import (
 	"testing"
@@ -29,7 +30,6 @@ func batchSweepConfig(cycles int, batch, dual bool, pool *sfq.Pool) CurveConfig 
 		},
 		FreeDecoder: pool.Release,
 		Seed:        1234,
-		Batch:       batch,
 	}
 	if dual {
 		cfg.NewChannel = func(p float64) (noise.Channel, error) { return noise.NewDepolarizing(p) }
@@ -55,8 +55,8 @@ func pointsEqual(t *testing.T, desc string, a, b []Point) {
 	}
 }
 
-// TestCurvesBatchDeterminism runs the same sweep with batching off and
-// on (and across worker/shard shapes) and requires bit-identical
+// TestCurvesBatchDeterminism runs the same sweep on one-lane and on
+// max-lane meshes (across worker/shard shapes) and requires bit-identical
 // points: same logical-error counts, same forced completions, same
 // trial counts.
 func TestCurvesBatchDeterminism(t *testing.T) {

@@ -70,7 +70,11 @@ type CurveConfig struct {
 	NewChannel func(p float64) (noise.Channel, error)
 	// NewDecoderZ builds the phase-flip decoder for a distance. The
 	// factory is called once per point, so mesh decoders are never
-	// shared across goroutines.
+	// shared across goroutines. Its lane count picks the trial path: a
+	// multi-lane SFQ mesh (sfq.Pool.GetBatch) decodes that many
+	// independent cycles per call, a one-lane mesh or any other decoder
+	// one cycle per call. Trial streams are the same either way, so
+	// results are bit-identical (asserted by TestCurvesBatchDeterminism).
 	NewDecoderZ func(d int) decoder.Decoder
 	// NewDecoderX optionally builds the bit-flip decoder (depolarizing
 	// sweeps); nil skips the X plane.
@@ -107,13 +111,6 @@ type CurveConfig struct {
 	// The harness serializes calls within a point, but observers for
 	// distinct points may run concurrently.
 	Observer func(d int, p float64) func(lattice.ErrorType, sfq.Stats)
-	// Batch routes trials through the shards' SWAR batch path
-	// (surface.Simulator.RunTrialBatch) when the configured decoders are
-	// multi-lane SFQ meshes — several independent cycles decode in the
-	// same machine words per call. Trial streams are unchanged, so
-	// results are bit-identical with Batch on or off (asserted by
-	// TestCurvesBatchDeterminism). Ignored for other decoders.
-	Batch bool
 	// Obs, when non-nil, receives sweep telemetry: the engine's trial
 	// counters and latency histograms (see mc.Config.Obs) and the
 	// simulators' decode-latency samples (see surface.Config.Obs).
@@ -131,7 +128,7 @@ type CurveConfig struct {
 	// wrapped in a twolevel.Decoder, so instances the escalation policy
 	// flags re-decode through the accurate level-2 decoder. The verdict
 	// is a pure function of the kernel-conformance-pinned mesh Stats,
-	// so points stay bit-identical at any Workers/ShardSize/Batch shape
+	// so points stay bit-identical at any Workers/ShardSize/lane count
 	// (TestCurvesTwoLevelDeterminism). Non-mesh decoders pass through
 	// unwrapped.
 	TwoLevel *TwoLevelConfig
@@ -236,7 +233,7 @@ func CurvesContext(ctx context.Context, cfg CurveConfig) ([]Point, error) {
 			return WilsonInterval(k, n, 1.96)
 		},
 		Progress: cfg.Progress,
-		Batch:    cfg.Batch,
+		Batch:    true,
 		Obs:      cfg.Obs,
 	}, specs)
 	if err != nil {
@@ -312,28 +309,26 @@ func ReleaseDecoders(free func(decoder.Decoder)) func(mc.Shard) {
 // simulator.
 type lifetimeShard struct {
 	sim   *surface.Simulator
+	one   [1]*rand.Rand          // Trial's one-lane stream set
+	out   [1]mc.Outcome          // Trial's one-lane outcome
 	bouts []surface.BatchOutcome // TrialBatch's reusable outcome buffer
 }
 
-// Trial implements mc.Shard.
-func (sh *lifetimeShard) Trial(rng *rand.Rand, _ int) (mc.Outcome, error) {
-	sh.sim.Reset()
-	sh.sim.SetRand(rng)
-	res, err := sh.sim.Run(1)
-	if err != nil {
-		return mc.Outcome{}, err
-	}
-	return mc.Outcome{Failed: res.LogicalErrors > 0, Aux: int64(res.Forced)}, nil
+// Trial implements mc.Shard: a one-lane TrialBatch.
+func (sh *lifetimeShard) Trial(rng *rand.Rand, t int) (mc.Outcome, error) {
+	sh.one[0] = rng
+	err := sh.TrialBatch(sh.one[:], t, sh.out[:])
+	sh.one[0] = nil
+	return sh.out[0], err
 }
 
 // BatchSize implements mc.BatchShard: the simulator's SWAR lane width
-// (1 when its decoders cannot batch, which disables chunking).
+// (1 when its decoders cannot batch, which runs one trial per call).
 func (sh *lifetimeShard) BatchSize() int { return sh.sim.BatchWidth() }
 
 // TrialBatch implements mc.BatchShard: each trial of the chunk is one
-// independent cycle on its own frame and its own stream, bit-identical
-// to the scalar Trial path.
-func (sh *lifetimeShard) TrialBatch(rngs []*rand.Rand, _ int, out []mc.Outcome) (err error) {
+// independent cycle on its own frame and its own stream.
+func (sh *lifetimeShard) TrialBatch(rngs []*rand.Rand, _ int, out []mc.Outcome) error {
 	if cap(sh.bouts) < len(rngs) {
 		sh.bouts = make([]surface.BatchOutcome, len(rngs))
 	}

@@ -1,7 +1,7 @@
 package stats
 
 // Acceptance gate of the two-level decoding PR: sweep results in
-// two-level mode must be bit-identical across worker/shard/batch shapes.
+// two-level mode must be bit-identical across worker/shard/lane shapes.
 // The escalation verdict is a pure function of the mesh Stats, which the
 // sfq conformance suites pin identical between scalar and SWAR kernels,
 // and MWPM is deterministic — so any divergence here is a real bug in
@@ -33,7 +33,6 @@ func twoLevelSweepConfig(cycles int, batch bool, pool *sfq.Pool, esc *atomic.Int
 		},
 		FreeDecoder: pool.Release,
 		Seed:        4321,
-		Batch:       batch,
 		TwoLevel:    &TwoLevelConfig{Policy: pol},
 	}
 	if esc != nil {
@@ -48,11 +47,11 @@ func twoLevelSweepConfig(cycles int, batch bool, pool *sfq.Pool, esc *atomic.Int
 	return cfg
 }
 
-// TestCurvesTwoLevelDeterminism runs the same two-level sweep scalar
-// and batched, across worker/shard shapes, and requires bit-identical
-// points — and that the sweep actually escalated and actually changed
-// outcomes relative to pure-mesh decoding (otherwise the mode proves
-// nothing).
+// TestCurvesTwoLevelDeterminism runs the same two-level sweep over
+// one-lane and max-lane meshes, across worker/shard shapes, and
+// requires bit-identical points — and that the sweep actually escalated
+// and actually changed outcomes relative to pure-mesh decoding
+// (otherwise the mode proves nothing).
 func TestCurvesTwoLevelDeterminism(t *testing.T) {
 	cycles := shortOr(1500, 400)
 	pool := sfq.NewPool(sfq.Final)

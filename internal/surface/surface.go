@@ -17,7 +17,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pauli"
 	"repro/internal/sfq"
-	"repro/internal/stabilizer"
 	"repro/internal/twolevel"
 )
 
@@ -40,10 +39,6 @@ type Config struct {
 	// counter-based streams here (see internal/mc) so concurrent
 	// simulators never share generator state.
 	Rand *rand.Rand
-	// UseCircuits extracts syndromes by simulating the Fig. 3
-	// stabilizer circuits instead of computing check parities directly.
-	// Both paths agree exactly under data-only noise.
-	UseCircuits bool
 	// Observer, when non-nil, receives the mesh statistics of every SFQ
 	// decode invocation (ignored for software decoders).
 	Observer func(e lattice.ErrorType, st sfq.Stats)
@@ -70,7 +65,9 @@ type Simulator struct {
 	rng *rand.Rand
 
 	residual *pauli.Frame
-	data     []int // data-qubit indices
+	runFrame []*pauli.Frame // {residual}: Run's one-lane frame set
+	runOut   []BatchOutcome // Run's one-lane outcome
+	data     []int          // data-qubit indices
 
 	planes []*plane
 
@@ -89,15 +86,16 @@ type plane struct {
 	etype lattice.ErrorType
 	graph *lattice.Graph
 	dec   decoder.Decoder
-	bmesh *sfq.BatchMesh    // non-nil when dec is an SFQ mesh
-	tl    *twolevel.Decoder // non-nil when dec is a two-level decoder
-	ext   *stabilizer.Extractor
-	cut   []int // data qubits whose parity flags a logical flip
-	op    pauli.Op
+	// batch is dec's batched face when dec is an SFQ mesh or a
+	// two-level decoder (nil otherwise), and laneStats reads syndrome
+	// i's level-1 mesh statistics after its DecodeBatchInto call.
+	batch     decodepool.BatchDecoder
+	laneStats func(i int) sfq.Stats
+	cut       []int // data qubits whose parity flags a logical flip
+	op        pauli.Op
 
-	syn  []bool   // reusable syndrome buffer
 	left []bool   // reusable post-correction syndrome buffer
-	bsyn [][]bool // per-lane syndrome buffers of the batch path
+	syns [][]bool // per-lane syndrome buffers
 }
 
 // New validates the configuration and builds a simulator.
@@ -121,8 +119,10 @@ func New(cfg Config) (*Simulator, error) {
 		l:        l,
 		rng:      rng,
 		residual: pauli.NewFrame(l.NumQubits()),
+		runOut:   make([]BatchOutcome, 1),
 		scratch:  decodepool.NewScratch(),
 	}
+	s.runFrame = []*pauli.Frame{s.residual}
 	if cfg.Obs != nil {
 		s.scratch.Instrument(cfg.Obs.Histogram("decodepool_decode_ns"),
 			cfg.Obs.Counter("decodepool_decodes_total"), 0)
@@ -137,17 +137,15 @@ func New(cfg Config) (*Simulator, error) {
 		g := l.MatchingGraph(e)
 		p := &plane{
 			etype: e, graph: g, dec: dec, cut: l.LogicalCutSupport(e), op: op,
-			syn:  make([]bool, g.NumChecks()),
 			left: make([]bool, g.NumChecks()),
 		}
 		switch m := dec.(type) {
 		case *sfq.BatchMesh:
-			p.bmesh = m
+			p.batch, p.laneStats = m, m.LaneStats
 		case *twolevel.Decoder:
-			p.tl = m
-		}
-		if cfg.UseCircuits {
-			p.ext = stabilizer.NewExtractor(g)
+			// The observer sees the level-1 mesh statistics (the
+			// escalation verdict is a pure function of them).
+			p.batch, p.laneStats = m, m.MeshStats
 		}
 		s.planes = append(s.planes, p)
 	}
@@ -187,26 +185,21 @@ func (s *Simulator) Decoders() []decoder.Decoder {
 // Counters already returned by Run are unaffected.
 func (s *Simulator) Reset() { s.residual.Clear() }
 
-// Run simulates the given number of cycles and returns cumulative
-// counters for this call.
+// Run simulates the given number of cycles on the simulator's carried
+// residual frame and returns cumulative counters for this call. Each
+// cycle decodes the residual through the same per-plane path as one
+// lane of RunTrialBatch.
 func (s *Simulator) Run(cycles int) (Result, error) {
 	var res Result
 	for c := 0; c < cycles; c++ {
 		s.cfg.Channel.Sample(s.rng, s.residual, s.data)
-		flipped := false
-		for _, p := range s.planes {
-			f, err := s.decodePlane(p, &res)
-			if err != nil {
-				return res, err
-			}
-			flipped = flipped || f
-		}
-		if err := s.checkClean(); err != nil {
+		if err := s.decodeFrames(s.runFrame, s.runOut); err != nil {
 			return res, err
 		}
-		if flipped {
+		if s.runOut[0].Failed {
 			res.LogicalErrors++
 		}
+		res.Forced += s.runOut[0].Forced
 		res.Cycles++
 	}
 	if res.Cycles > 0 {
@@ -215,55 +208,12 @@ func (s *Simulator) Run(cycles int) (Result, error) {
 	return res, nil
 }
 
-// decodePlane extracts one plane's syndrome, applies the decoder's
-// correction (force-completing anything the decoder left unresolved) and
-// reports whether the plane's logical operator flipped.
-func (s *Simulator) decodePlane(p *plane, res *Result) (bool, error) {
-	var syn []bool
-	var err error
-	if p.ext != nil {
-		syn, err = p.ext.Extract(s.residual, nil, nil)
-		if err != nil {
-			return false, err
-		}
-	} else {
-		syn = p.graph.SyndromeInto(s.residual, p.syn)
-	}
-	var corr decoder.Correction
-	if p.bmesh != nil {
-		// The mesh joins the zero-allocation scratch path, decoding
-		// through lane 0; cycle statistics stay readable on the mesh.
-		corr, err = p.bmesh.DecodeInto(p.graph, syn, s.scratch)
-		if err == nil && s.cfg.Observer != nil {
-			s.cfg.Observer(p.etype, p.bmesh.Stats())
-		}
-	} else if p.tl != nil {
-		// Two-level: the observer sees the level-1 mesh statistics (the
-		// escalation verdict is a pure function of them).
-		corr, err = p.tl.DecodeInto(p.graph, syn, s.scratch)
-		if err == nil && s.cfg.Observer != nil {
-			s.cfg.Observer(p.etype, p.tl.MeshStats(0))
-		}
-	} else {
-		// Routes through the zero-allocation DecodeInto path when the
-		// decoder supports it; corr then aliases s.scratch and is consumed
-		// before the next decode.
-		corr, err = decodepool.Decode(p.dec, p.graph, syn, s.scratch)
-	}
-	if err != nil {
-		return false, fmt.Errorf("surface: %s on %v checks: %w", p.dec.Name(), p.etype, err)
-	}
-	forced := 0
-	flipped := s.finishPlane(p, s.residual, corr.Qubits, &forced)
-	res.Forced += forced
-	return flipped, nil
-}
-
 // finishPlane applies a correction to one frame, force-completes
-// anything the decoder left unresolved, and reports whether the plane's
-// logical operator flipped (normalizing the frame when it did). It is
-// the shared tail of the scalar and batched decode paths.
-func (s *Simulator) finishPlane(p *plane, f *pauli.Frame, qubits []int, forced *int) bool {
+// anything the decoder left unresolved (counted in out.Forced), and
+// sets out.Failed when the plane's logical operator flipped
+// (normalizing the frame when it did). It is the per-frame tail of
+// decodeFrames.
+func (s *Simulator) finishPlane(p *plane, f *pauli.Frame, qubits []int, out *BatchOutcome) {
 	for _, q := range qubits {
 		f.Apply(q, p.op)
 	}
@@ -278,7 +228,7 @@ func (s *Simulator) finishPlane(p *plane, f *pauli.Frame, qubits []int, forced *
 		for _, q := range p.graph.BoundaryPathQubits(i) {
 			f.Apply(q, p.op)
 		}
-		*forced++
+		out.Forced++
 	}
 	if par := parity(f, p.cut, p.etype); par == 1 {
 		// Normalize the residual by the logical operator so each
@@ -286,9 +236,8 @@ func (s *Simulator) finishPlane(p *plane, f *pauli.Frame, qubits []int, forced *
 		for _, q := range s.l.LogicalSupport(p.etype) {
 			f.Apply(q, p.op)
 		}
-		return true
+		out.Failed = true
 	}
-	return false
 }
 
 // BatchOutcome is one lane's result of RunTrialBatch: one independent
@@ -299,104 +248,88 @@ type BatchOutcome struct {
 }
 
 // BatchWidth reports how many independent one-cycle trials
-// RunTrialBatch advances per call: the smallest lane width across the
-// simulator's mesh planes. It is 1 — batching unavailable — when any
-// configured decoder is neither an SFQ mesh nor a two-level decoder,
-// when any plane's mesh has one lane, or when syndromes are extracted
-// through stabilizer circuits.
+// RunTrialBatch advances per decode call: the smallest lane width
+// across the simulator's planes. It is 1 when any configured decoder
+// is neither an SFQ mesh nor a two-level decoder, or when any plane's
+// mesh has one lane.
 func (s *Simulator) BatchWidth() int {
-	if s.cfg.UseCircuits {
-		return 1
-	}
 	w := 0
 	for _, p := range s.planes {
-		var lw int
-		switch {
-		case p.bmesh != nil:
-			lw = p.bmesh.Lanes()
-		case p.tl != nil:
-			lw = p.tl.BatchWidth()
-		default:
+		if p.batch == nil {
 			return 1
 		}
-		if w == 0 || lw < w {
+		if lw := p.batch.BatchWidth(); w == 0 || lw < w {
 			w = lw
 		}
-	}
-	if w == 0 {
-		return 1
 	}
 	return w
 }
 
 // RunTrialBatch simulates len(rngs) independent one-cycle trials, lane
-// i driven by rngs[i] on its own residual frame, decoding every plane's
-// syndromes in one batched SWAR call. Lane i's outcome is bit-identical
-// to Reset + SetRand(rngs[i]) + Run(1) on the scalar path: each lane
-// samples its channel from its own stream, and the mesh kernel is
-// conformance-pinned to the reference model at every lane count. outs
-// must have len(rngs) elements; Run's cumulative counters are not
-// touched.
+// i driven by rngs[i] on its own residual frame. Lane i's outcome is
+// bit-identical to Reset + SetRand(rngs[i]) + Run(1): each lane samples
+// its channel from its own stream, and both go through decodeFrames.
+// outs must have len(rngs) elements; Run's carried residual and
+// cumulative counters are not touched.
 func (s *Simulator) RunTrialBatch(rngs []*rand.Rand, outs []BatchOutcome) error {
-	w := len(rngs)
-	if len(outs) != w {
-		return fmt.Errorf("surface: %d outcomes for %d trial streams", len(outs), w)
+	if len(outs) != len(rngs) {
+		return fmt.Errorf("surface: %d outcomes for %d trial streams", len(outs), len(rngs))
 	}
-	s.ensureBatch(w)
-	for i := 0; i < w; i++ {
-		f := s.batchFrames[i]
+	for len(s.batchFrames) < len(rngs) {
+		s.batchFrames = append(s.batchFrames, pauli.NewFrame(s.l.NumQubits()))
+	}
+	frames := s.batchFrames[:len(rngs)]
+	for i, f := range frames {
 		f.Clear()
 		s.cfg.Channel.Sample(rngs[i], f, s.data)
-		outs[i] = BatchOutcome{}
 	}
+	return s.decodeFrames(frames, outs)
+}
+
+// decodeFrames decodes one cycle of every frame, plane by plane: it
+// extracts each frame's syndrome, decodes, applies the correction
+// (force-completing anything the decoder left unresolved) and writes
+// the frame's logical flip and forced completions to outs. A
+// batch-capable plane decodes all frames in one DecodeBatchInto call;
+// any other decoder decodes one frame at a time through
+// decodepool.Decode, and each correction is applied before the next
+// decode because it aliases the scratch.
+func (s *Simulator) decodeFrames(frames []*pauli.Frame, outs []BatchOutcome) error {
+	clear(outs)
 	for _, p := range s.planes {
-		if p.bmesh == nil && p.tl == nil {
-			return fmt.Errorf("surface: %v plane decoder %s cannot batch", p.etype, p.dec.Name())
+		for len(p.syns) < len(frames) {
+			p.syns = append(p.syns, make([]bool, p.graph.NumChecks()))
 		}
-		for i := 0; i < w; i++ {
-			p.graph.SyndromeInto(s.batchFrames[i], p.bsyn[i])
+		for i, f := range frames {
+			p.graph.SyndromeInto(f, p.syns[i])
 		}
-		var corr []decoder.Correction
-		var err error
-		if p.tl != nil {
-			corr, err = p.tl.DecodeBatchInto(p.graph, p.bsyn[:w], s.scratch)
-		} else {
-			corr, err = p.bmesh.DecodeBatchInto(p.graph, p.bsyn[:w], s.scratch)
-		}
-		if err != nil {
-			return fmt.Errorf("surface: %s on %v checks: %w", p.dec.Name(), p.etype, err)
-		}
-		for i := 0; i < w; i++ {
-			if s.cfg.Observer != nil {
-				if p.tl != nil {
-					s.cfg.Observer(p.etype, p.tl.MeshStats(i))
-				} else {
-					s.cfg.Observer(p.etype, p.bmesh.LaneStats(i))
+		if p.batch != nil {
+			corr, err := p.batch.DecodeBatchInto(p.graph, p.syns[:len(frames)], s.scratch)
+			if err != nil {
+				return fmt.Errorf("surface: %s on %v checks: %w", p.dec.Name(), p.etype, err)
+			}
+			for i, f := range frames {
+				if s.cfg.Observer != nil {
+					s.cfg.Observer(p.etype, p.laneStats(i))
 				}
+				s.finishPlane(p, f, corr[i].Qubits, &outs[i])
 			}
-			if s.finishPlane(p, s.batchFrames[i], corr[i].Qubits, &outs[i].Forced) {
-				outs[i].Failed = true
+			continue
+		}
+		for i, f := range frames {
+			corr, err := decodepool.Decode(p.dec, p.graph, p.syns[i], s.scratch)
+			if err != nil {
+				return fmt.Errorf("surface: %s on %v checks: %w", p.dec.Name(), p.etype, err)
 			}
+			s.finishPlane(p, f, corr.Qubits, &outs[i])
 		}
 	}
-	for i := 0; i < w; i++ {
-		if err := s.checkCleanFrame(s.batchFrames[i]); err != nil {
+	for _, f := range frames {
+		if err := s.checkClean(f); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// ensureBatch grows the per-lane frames and syndrome buffers to width w.
-func (s *Simulator) ensureBatch(w int) {
-	for len(s.batchFrames) < w {
-		s.batchFrames = append(s.batchFrames, pauli.NewFrame(s.l.NumQubits()))
-	}
-	for _, p := range s.planes {
-		for len(p.bsyn) < w {
-			p.bsyn = append(p.bsyn, make([]bool, p.graph.NumChecks()))
-		}
-	}
 }
 
 // parity returns the residual's error parity over the cut.
@@ -408,11 +341,9 @@ func parity(f *pauli.Frame, cut []int, e lattice.ErrorType) int {
 }
 
 // checkClean verifies the invariant that after decoding (plus forced
-// completion and logical normalization) the residual frame is trivial on
-// every configured plane.
-func (s *Simulator) checkClean() error { return s.checkCleanFrame(s.residual) }
-
-func (s *Simulator) checkCleanFrame(f *pauli.Frame) error {
+// completion and logical normalization) a frame is trivial on every
+// configured plane.
+func (s *Simulator) checkClean(f *pauli.Frame) error {
 	for _, p := range s.planes {
 		for i, hot := range p.graph.SyndromeInto(f, p.left) {
 			if hot {

@@ -48,31 +48,6 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
-// Circuit-based syndrome extraction must give exactly the same run as
-// direct parity extraction under data-only noise.
-func TestCircuitExtractionEquivalent(t *testing.T) {
-	run := func(circuits bool) Result {
-		s, err := New(Config{
-			Distance:    5,
-			Channel:     dephasing(0.06),
-			DecoderZ:    greedy.New(),
-			Seed:        11,
-			UseCircuits: circuits,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := s.Run(400)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	if a, b := run(false), run(true); a != b {
-		t.Errorf("circuit path diverged: %+v vs %+v", a, b)
-	}
-}
-
 func TestPLIncreasesWithErrorRate(t *testing.T) {
 	pl := func(p float64) float64 {
 		s, err := New(Config{Distance: 3, Channel: dephasing(p), DecoderZ: greedy.New(), Seed: 13})

@@ -5,8 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/decoder/mwpm"
 	"repro/internal/decodepool"
+	"repro/internal/decoder/mwpm"
 	"repro/internal/knob"
 	"repro/internal/lattice"
 	"repro/internal/obs"

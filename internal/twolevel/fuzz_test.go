@@ -6,9 +6,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/decodepool"
 	"repro/internal/decoder"
 	"repro/internal/decoder/mwpm"
-	"repro/internal/decodepool"
 	"repro/internal/lattice"
 	"repro/internal/sfq"
 )

@@ -12,11 +12,13 @@ import (
 )
 
 // TestObsOverheadGuard pins the cost of instrumenting the decode hot
-// path: with the default 1-in-16 latency sampling, an instrumented
-// scratch must stay within 5% of a plain one on the same workload. The
-// guard is opt-in (REPRO_OBS_GUARD=1, set by ci.sh) because wall-clock
-// ratios are too noisy for an always-on unit test; min-of-rounds with
-// interleaved measurement keeps the comparison stable when it does run.
+// path: with the default 1-in-16 latency sampling, decodes through
+// decodepool.Decode (where Scratch.Instrument's sampling lives) on an
+// instrumented scratch must stay within 5% of the same calls on a plain
+// one. The guard is opt-in (REPRO_OBS_GUARD=1, set by ci.sh) because
+// wall-clock ratios are too noisy for an always-on unit test;
+// min-of-rounds with interleaved measurement keeps the comparison stable
+// when it does run.
 func TestObsOverheadGuard(t *testing.T) {
 	if !knob.Bool("REPRO_OBS_GUARD") {
 		t.Skip("timing guard; set REPRO_OBS_GUARD=1 to run")
@@ -37,7 +39,7 @@ func TestObsOverheadGuard(t *testing.T) {
 		const reps = 400
 		start := time.Now()
 		for i := 0; i < reps*len(syndromes); i++ {
-			if _, err := dec.DecodeInto(g, syndromes[i%len(syndromes)], s); err != nil {
+			if _, err := decodepool.Decode(dec, g, syndromes[i%len(syndromes)], s); err != nil {
 				t.Fatal(err)
 			}
 		}
