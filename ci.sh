@@ -28,8 +28,9 @@
 #   6. A live serve + loadgen run in two-level mode. Its -trace-check
 #      hard-fails unless the /debug/traces scrape holds a shed decision
 #      with controller inputs, one carrying weight/sojourn inputs, an
-#      outlier trace whose stages sum to its wall time, and a
-#      serve_queue_wait_ns p99 >=20% under the embedded PR 9 baseline.
+#      outliers_telescoped counter >= 1 (outliers whose stages summed
+#      to within 5% of their wall time, checked as each finalized), and
+#      a serve_queue_wait_ns p99 >=20% under the embedded baseline row.
 #   7. The in-process serve worker sweep (lane fill vs latency).
 #   8. The two-level accuracy-vs-latency frontier.
 #   9. The history guard: committed BENCH_*.json files are unchanged.

@@ -27,8 +27,9 @@
 // worst-10 traces by wall time, and every captured shed/drop decision.
 // -trace-check makes the scrape's acceptance checks (≥1 shed decision
 // with controller inputs, ≥1 shed decision carrying weight/sojourn
-// inputs, ≥1 outlier trace whose stage durations sum to its wall time,
-// and serve_queue_wait_ns p99 ≥20% under the PR 9 baseline) fatal once
+// inputs, ≥1 outlier the recorder counted at finalize as having stage
+// durations that sum to its wall time, and serve_queue_wait_ns p99 ≥20%
+// under the embedded baseline row) fatal once
 // the artifact is written; it requires -trace-http.
 //
 // With -sweep, loadgen instead measures an in-process server at several

@@ -1,17 +1,17 @@
 // Package trace is the decode service's request-lifecycle flight
 // recorder: per-request span records with one timestamp per pipeline
-// stage (accept → admit → enqueue → coalesce → decode start/end →
-// escalate start/end → response write), captured into fixed-size ring
-// buffers that are cheap enough to leave on in production.
+// stage (accept → coalesce → decode start/end → escalate start/end →
+// response write), captured into fixed-size ring buffers that are cheap
+// enough to leave on in production.
 //
 // The paper's central quantity is a latency budget — the decoder must
 // answer inside the syndrome-generation window or backlog diverges —
 // and a single end-to-end histogram (serve_decode_ns) cannot say
 // *where* a blown budget went: queue wait, batch-coalesce wait, the
 // mesh kernel, MWPM escalation, or the out-queue. A span decomposes
-// each request's wall time into exactly those stages, the derived
-// per-stage histograms aggregate them, and the recorder keeps the
-// individual traces worth reading:
+// each request's wall time into exactly those stages (the Durations
+// table names them), and the recorder keeps the individual traces worth
+// reading:
 //
 //   - a deterministic 1-in-N sample of all requests (N from the
 //     server's TraceSample, default 16);
@@ -45,14 +45,12 @@ import (
 type Stage uint8
 
 const (
-	// StageAccept is stamped when the request enters submit().
+	// StageAccept is stamped when the request enters submit(). The same
+	// clock read prices admission and the sojourn bound, so the stages
+	// up to the (d, e) queue take no time of their own.
 	StageAccept Stage = iota
-	// StageAdmit is stamped when admission control passes the request.
-	StageAdmit
-	// StageEnqueue is stamped when the request enters its (d, e) queue.
-	StageEnqueue
 	// StageCoalesce is stamped when a drain worker pulls the request
-	// into a batch; Coalesce − Enqueue is the queue wait, and includes
+	// into a batch; Coalesce − Accept is the queue wait, and includes
 	// any scheduler deque wait, steal migration and park time of the
 	// drain task itself.
 	StageCoalesce
@@ -76,7 +74,7 @@ const (
 )
 
 var stageNames = [NumStages]string{
-	"accept", "admit", "enqueue", "coalesce",
+	"accept", "coalesce",
 	"decode_start", "decode_end",
 	"escalate_start", "escalate_end",
 	"resp_write",
@@ -93,14 +91,71 @@ func (s Stage) String() string {
 // StageNames returns the names of all stages in stamp order.
 func StageNames() []string { return append([]string(nil), stageNames[:]...) }
 
+// Duration is one named stage duration of a record: To − From.
+type Duration struct {
+	Name     string
+	From, To Stage
+	// Wall marks the rows that telescope accept → resp_write. The
+	// escalate rows happen after the response (level 2 is asynchronous),
+	// so they are reported but are not part of the wall time.
+	Wall bool
+}
+
+// NumDurations is the length of the Durations table.
+const NumDurations = 6
+
+// Durations is the stage model: every named duration a record
+// decomposes into. /debug/traces, its readers and the finalize-time
+// telescoping check all derive their rows from it.
+var Durations = [NumDurations]Duration{
+	{"queue_wait_ns", StageAccept, StageCoalesce, true},
+	{"coalesce_ns", StageCoalesce, StageDecodeStart, true},
+	{"decode_ns", StageDecodeStart, StageDecodeEnd, true},
+	{"resp_write_ns", StageDecodeEnd, StageRespWrite, true},
+	{"escalate_wait_ns", StageDecodeEnd, StageEscalateStart, false},
+	{"escalate_ns", StageEscalateStart, StageEscalateEnd, false},
+}
+
+// StageDurations computes the Durations rows of one stamp array, in
+// table order. A row whose stages were not both stamped, or were
+// stamped out of order, reads −1.
+func StageDurations(ts *[NumStages]int64) [NumDurations]int64 {
+	var out [NumDurations]int64
+	for i, d := range Durations {
+		a, b := ts[d.From], ts[d.To]
+		out[i] = -1
+		if a != 0 && b != 0 && b >= a {
+			out[i] = b - a
+		}
+	}
+	return out
+}
+
+// telescopes reports whether the wall rows of ts sum to within 5% of
+// wallNs.
+func telescopes(ts *[NumStages]int64, wallNs int64) bool {
+	sum := int64(0)
+	for i, ns := range StageDurations(ts) {
+		if Durations[i].Wall && ns > 0 {
+			sum += ns
+		}
+	}
+	diff := sum - wallNs
+	if diff < 0 {
+		diff = -diff
+	}
+	return float64(diff) <= 0.05*float64(wallNs)
+}
+
 // Kind classifies a record.
 type Kind uint8
 
 const (
 	// KindRequest is a decoded (or errored-after-admission) request.
 	KindRequest Kind = iota
-	// KindShed is a request rejected by admission control; the record
-	// carries the controller inputs behind the decision.
+	// KindShed is a request rejected by admission control or dropped
+	// by the sojourn bound; the record carries the controller inputs
+	// behind the decision.
 	KindShed
 	// KindEscDrop is an escalation dropped on a full level-2 queue.
 	KindEscDrop
@@ -197,15 +252,11 @@ func FlagNames(flags uint32) []string {
 type Span struct {
 	rec *Recorder
 
-	seq    uint64
-	id     uint64
-	d      int32
-	etype  uint8
-	kind   Kind
-	reason Reason
-
-	// Decision inputs (shed / escalation-drop records).
-	in DecisionInputs
+	seq   uint64
+	id    uint64
+	d     int32
+	etype uint8
+	kind  Kind
 
 	wallNs int64
 	ts     [NumStages]int64 // unix nanos; 0 = stage not reached
@@ -222,31 +273,6 @@ func (sp *Span) Seq() uint64 {
 		return 0
 	}
 	return sp.seq
-}
-
-// Kind returns the span's record kind.
-func (sp *Span) Kind() Kind {
-	if sp == nil {
-		return KindRequest
-	}
-	return sp.kind
-}
-
-// TS returns the unix-nano stamp of st, 0 if not reached.
-func (sp *Span) TS(st Stage) int64 {
-	if sp == nil {
-		return 0
-	}
-	return sp.ts[st]
-}
-
-// WallNs returns the finalized wall time (valid inside the recorder's
-// finalize observer and after).
-func (sp *Span) WallNs() int64 {
-	if sp == nil {
-		return 0
-	}
-	return sp.wallNs
 }
 
 // Flags returns the current flag bitmask.
@@ -266,8 +292,8 @@ func (sp *Span) Stamp(st Stage) {
 }
 
 // StampAt records an already-read clock value for st, letting call
-// sites share one clock read across adjacent stages or across every
-// lane of a batch.
+// sites share one clock read with their own bookkeeping or across
+// every lane of a batch.
 func (sp *Span) StampAt(st Stage, unixNs int64) {
 	if sp == nil {
 		return
@@ -300,9 +326,8 @@ func (sp *Span) AddRef() {
 }
 
 // Finish releases one reference; the last release finalizes the span:
-// wall time is computed, the recorder's observer (stage histograms)
-// runs, the keep decision is made, and the span returns to the free
-// list.
+// wall time is computed, the keep decision is made, and the span
+// returns to the free list.
 func (sp *Span) Finish() {
 	if sp == nil {
 		return
@@ -331,15 +356,13 @@ type DecisionInputs struct {
 	SojournNs int64
 }
 
-// FinishDecision finalizes the span as a shed/drop decision record:
-// always kept, in the decision ring.
-func (sp *Span) FinishDecision(kind Kind, reason Reason, in DecisionInputs) {
+// Release finalizes the span of a shed request without committing a
+// record: the decision itself goes through Recorder.RecordDecision.
+func (sp *Span) Release() {
 	if sp == nil {
 		return
 	}
-	sp.kind = kind
-	sp.reason = reason
-	sp.in = in
+	sp.kind = KindShed
 	sp.Finish()
 }
 
@@ -392,26 +415,28 @@ type Config struct {
 
 // Counters are the recorder's own accounting, exposed by Snapshot.
 type Counters struct {
-	Started   uint64 `json:"started"`   // spans handed out
-	Untraced  uint64 `json:"untraced"`  // Start calls refused (free list dry)
-	Kept      uint64 `json:"kept"`      // request records committed to the ring
-	Outliers  uint64 `json:"outliers"`  // kept because of the outlier rule
-	Decisions uint64 `json:"decisions"` // shed/drop records committed
-	Finalized uint64 `json:"finalized"` // spans finalized (kept or not)
+	Started  uint64 `json:"started"`  // spans handed out
+	Untraced uint64 `json:"untraced"` // Start calls refused (free list dry)
+	Kept     uint64 `json:"kept"`     // request records committed to the ring
+	Outliers uint64 `json:"outliers"` // kept because of the outlier rule
+	// Telescoped counts the outliers whose wall-row durations sum to
+	// within 5% of their wall time, checked as they finalize.
+	Telescoped uint64 `json:"outliers_telescoped"`
+	Decisions  uint64 `json:"decisions"` // shed/drop records committed
+	Finalized  uint64 `json:"finalized"` // spans finalized (kept or not)
 }
 
 // Recorder is the flight recorder: a span free list, a trace ring and
 // a decision ring. One Recorder serves one Server; all methods are
 // safe for concurrent use.
 type Recorder struct {
-	sampleN  uint64
-	observer func(*Span)
+	sampleN uint64
 
 	seq       atomic.Uint64
 	tick      atomic.Uint64
 	maxBucket atomic.Int64 // highest wall-time bucket index seen
 
-	started, untraced, kept, outliers, decisions, finalized atomic.Uint64
+	started, untraced, kept, outliers, telescoped, decisions, finalized atomic.Uint64
 
 	mu   sync.Mutex
 	free []*Span
@@ -454,12 +479,6 @@ func New(cfg Config) *Recorder {
 	return r
 }
 
-// SetObserver installs the finalize hook: fn runs once per finalized
-// span, before the keep decision, on whichever goroutine released the
-// last reference. The serve layer uses it to feed the per-stage
-// histograms. Install before traffic; not synchronized with Start.
-func (r *Recorder) SetObserver(fn func(*Span)) { r.observer = fn }
-
 // SampleN returns the sampling period (0 = sampling off).
 func (r *Recorder) SampleN() int {
 	if r == nil {
@@ -491,8 +510,7 @@ func (r *Recorder) Start(id uint64, d int, etype uint8) *Span {
 	sp.ts = [NumStages]int64{}
 	sp.seq = r.seq.Add(1)
 	sp.id, sp.d, sp.etype = id, int32(d), uint8(etype)
-	sp.kind, sp.reason = KindRequest, ReasonNone
-	sp.in = DecisionInputs{}
+	sp.kind = KindRequest
 	sp.wallNs = 0
 	sp.flags.Store(0)
 	sp.refs.Store(1)
@@ -502,9 +520,8 @@ func (r *Recorder) Start(id uint64, d int, etype uint8) *Span {
 	return sp
 }
 
-// RecordDecision commits a shed/drop decision record directly, for
-// call sites that have no span (untraced request, or a decision that
-// must not consume the request's own span, like an escalation drop).
+// RecordDecision commits a shed/drop decision record. Every decision
+// takes this path, whether or not the request carries a span.
 func (r *Recorder) RecordDecision(kind Kind, id uint64, d int, etype uint8,
 	reason Reason, in DecisionInputs) {
 	if r == nil {
@@ -523,7 +540,7 @@ func (r *Recorder) RecordDecision(kind Kind, id uint64, d int, etype uint8,
 func (r *Recorder) finalize(sp *Span) {
 	r.finalized.Add(1)
 	// Wall time: response write minus accept; fall back to the latest
-	// stamp for spans that never reached the writer (errors, sheds).
+	// stamp for spans that never reached the writer (errors).
 	if acc := sp.ts[StageAccept]; acc != 0 {
 		end := sp.ts[StageRespWrite]
 		if end == 0 {
@@ -538,15 +555,9 @@ func (r *Recorder) finalize(sp *Span) {
 			sp.wallNs = end - acc
 		}
 	}
-	if r.observer != nil {
-		r.observer(sp)
-	}
-
-	switch sp.kind {
-	case KindShed, KindEscDrop:
-		rec := spanRecord(sp)
-		r.commitDecision(&rec)
-	default:
+	// A shed span commits nothing: its decision record is already in
+	// the decision ring.
+	if sp.kind != KindShed {
 		keep := sp.flags.Load()&FlagSampled != 0
 		if sp.kind == KindRequest && sp.wallNs > 0 {
 			// Outlier rule: within one octave of the largest wall-time
@@ -563,6 +574,9 @@ func (r *Recorder) finalize(sp *Span) {
 			if b+obs.BucketsPerOctave > max {
 				sp.SetFlag(FlagOutlier)
 				r.outliers.Add(1)
+				if telescopes(&sp.ts, sp.wallNs) {
+					r.telescoped.Add(1)
+				}
 				keep = true
 			}
 		}
@@ -581,9 +595,7 @@ func (r *Recorder) finalize(sp *Span) {
 func spanRecord(sp *Span) Record {
 	return Record{
 		Seq: sp.seq, ID: sp.id, D: sp.d, EType: sp.etype,
-		Kind: sp.kind, Flags: sp.flags.Load(), Reason: sp.reason,
-		Ratio: sp.in.Ratio, ArrivalNs: sp.in.ArrivalNs, QueueLen: int32(sp.in.QueueLen),
-		Weight: sp.in.Weight, SojournNs: sp.in.SojournNs,
+		Kind: sp.kind, Flags: sp.flags.Load(),
 		WallNs: sp.wallNs, TS: sp.ts,
 	}
 }
@@ -628,12 +640,13 @@ func (r *Recorder) Snapshot() Snapshot {
 	s := Snapshot{
 		SampleN: int(r.sampleN),
 		Counters: Counters{
-			Started:   r.started.Load(),
-			Untraced:  r.untraced.Load(),
-			Kept:      r.kept.Load(),
-			Outliers:  r.outliers.Load(),
-			Decisions: r.decisions.Load(),
-			Finalized: r.finalized.Load(),
+			Started:    r.started.Load(),
+			Untraced:   r.untraced.Load(),
+			Kept:       r.kept.Load(),
+			Outliers:   r.outliers.Load(),
+			Telescoped: r.telescoped.Load(),
+			Decisions:  r.decisions.Load(),
+			Finalized:  r.finalized.Load(),
 		},
 	}
 	r.mu.Lock()

@@ -3,16 +3,12 @@ package trace
 import (
 	"testing"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // stampAll walks a span through a plausible request lifecycle with the
 // given wall time and finishes it.
 func stampAll(sp *Span, base, wallNs int64) {
 	sp.StampAt(StageAccept, base)
-	sp.StampAt(StageAdmit, base)
-	sp.StampAt(StageEnqueue, base)
 	sp.StampAt(StageCoalesce, base+wallNs/4)
 	sp.StampAt(StageDecodeStart, base+wallNs/2)
 	sp.StampAt(StageDecodeEnd, base+3*wallNs/4)
@@ -41,9 +37,9 @@ func TestNilSafety(t *testing.T) {
 	sp.SetFlag(FlagOutlier)
 	sp.AddRef()
 	sp.Finish()
-	sp.FinishDecision(KindShed, ReasonController, DecisionInputs{Ratio: 1, ArrivalNs: 1, QueueLen: 1})
+	sp.Release()
 	sp.FinishError()
-	if sp.Seq() != 0 || sp.WallNs() != 0 || sp.Flags() != 0 || sp.TS(StageAccept) != 0 {
+	if sp.Seq() != 0 || sp.Flags() != 0 {
 		t.Fatal("nil span accessors are not zero")
 	}
 }
@@ -125,16 +121,17 @@ func TestOutlierRule(t *testing.T) {
 }
 
 // TestDecisionCapture pins the always-on shed/drop ring: decisions
-// carry the controller inputs, land in their own ring (a shed storm
-// cannot evict traces), and flow both through spans (FinishDecision)
-// and the span-less direct path (RecordDecision).
+// carry the controller inputs and land in their own ring (a shed storm
+// cannot evict traces), and a shed request's span, released alongside
+// its decision, commits nothing and returns to the free list.
 func TestDecisionCapture(t *testing.T) {
-	r := New(Config{SampleN: 1 << 30, Depth: 4, DecisionDepth: 8})
+	r := New(Config{SampleN: 1, Depth: 4, DecisionDepth: 8, MaxInFlight: 1})
 
 	sp := r.Start(7, 9, 1)
 	sp.Stamp(StageAccept)
-	sp.FinishDecision(KindShed, ReasonController,
+	r.RecordDecision(KindShed, 7, 9, 1, ReasonController,
 		DecisionInputs{Ratio: 1.75, ArrivalNs: 42_000, QueueLen: 64, Weight: 0.25})
+	sp.Release()
 	r.RecordDecision(KindEscDrop, 8, 7, 0, ReasonEscQueueFull,
 		DecisionInputs{Ratio: 0.5, ArrivalNs: 10_000, QueueLen: 256})
 	r.RecordDecision(KindShed, 9, 13, 0, ReasonSojourn,
@@ -146,6 +143,14 @@ func TestDecisionCapture(t *testing.T) {
 	}
 	if len(s.Traces) != 0 {
 		t.Fatal("decision records leaked into the trace ring")
+	}
+	if s.Counters.Finalized != 1 || s.Counters.Kept != 0 {
+		t.Fatalf("released shed span: %+v, want finalized 1, kept 0", s.Counters)
+	}
+	if again := r.Start(10, 9, 1); again == nil {
+		t.Fatal("released shed span did not return to the free list")
+	} else {
+		again.Finish()
 	}
 	soj, drop, shed := s.Decisions[0], s.Decisions[1], s.Decisions[2] // newest first
 	if shed.Kind != KindShed || shed.Reason != ReasonController ||
@@ -221,36 +226,65 @@ func TestEscalationRefCount(t *testing.T) {
 	}
 }
 
-// TestObserverDeltas pins the finalize-hook contract the serve layer
-// builds its stage histograms on: the observer sees the span after wall
-// time is computed, with all stamps readable.
-func TestObserverDeltas(t *testing.T) {
-	r := New(Config{SampleN: 1})
-	var wall int64
-	var queueWait int64
-	r.SetObserver(func(sp *Span) {
-		wall = sp.WallNs()
-		queueWait = sp.TS(StageCoalesce) - sp.TS(StageEnqueue)
-	})
-	sp := r.Start(1, 5, 0)
-	stampAll(sp, time.Now().UnixNano(), 8000)
-	if wall != 8000 || queueWait != 2000 {
-		t.Fatalf("observer saw wall=%d queueWait=%d, want 8000, 2000", wall, queueWait)
+// TestTelescopingCounter pins the finalize-time stage-sum check: an
+// outlier whose wall rows telescope to its wall time is counted, and
+// one with a stage stamped out of order is kept as an outlier but not
+// counted.
+func TestTelescopingCounter(t *testing.T) {
+	r := New(Config{SampleN: 1 << 30})
+	base := time.Now().UnixNano()
+	stampAll(r.Start(1, 5, 0), base, 8000) // the running max: an outlier
+	s := r.Snapshot()
+	if s.Counters.Outliers != 1 || s.Counters.Telescoped != 1 {
+		t.Fatalf("telescoping outlier: %+v, want outliers 1, telescoped 1", s.Counters)
+	}
+
+	sp := r.Start(2, 5, 0)
+	sp.StampAt(StageAccept, base)
+	sp.StampAt(StageCoalesce, base-4000) // before accept
+	sp.StampAt(StageDecodeStart, base+4000)
+	sp.StampAt(StageDecodeEnd, base+6000)
+	sp.StampAt(StageRespWrite, base+8000)
+	sp.Finish()
+	s = r.Snapshot()
+	if s.Counters.Outliers != 2 || s.Counters.Telescoped != 1 {
+		t.Fatalf("out-of-order outlier: %+v, want outliers 2, telescoped 1", s.Counters)
+	}
+}
+
+// TestStageDurations pins the stage table's helper: every row reads
+// To − From, the wall rows sum to the wall time, and a row with a
+// missing or out-of-order stage reads −1.
+func TestStageDurations(t *testing.T) {
+	var ts [NumStages]int64
+	ts[StageAccept], ts[StageCoalesce], ts[StageDecodeStart] = 100, 300, 350
+	ts[StageDecodeEnd], ts[StageRespWrite], ts[StageEscalateStart] = 900, 1000, 950
+	got := StageDurations(&ts)
+	want := [NumDurations]int64{200, 50, 550, 100, 50, -1}
+	if got != want {
+		t.Fatalf("durations %v, want %v", got, want)
+	}
+	sum := int64(0)
+	for i, d := range Durations {
+		if d.Wall {
+			sum += got[i]
+		}
+	}
+	if sum != ts[StageRespWrite]-ts[StageAccept] {
+		t.Fatalf("wall rows sum to %d, want %d", sum, ts[StageRespWrite]-ts[StageAccept])
+	}
+	ts[StageEscalateEnd] = 900 // before escalate start
+	if got := StageDurations(&ts); got[NumDurations-1] != -1 {
+		t.Fatalf("out-of-order escalate row reads %d, want -1", got[NumDurations-1])
 	}
 }
 
 // TestZeroAllocHotPath pins the flight recorder's central promise: the
-// fully traced request path — claim a span, stamp every stage, commit
-// to the ring through an observer feeding a histogram — allocates
-// nothing, even at SampleN 1 where every span commits.
+// fully traced request path — claim a span, stamp every stage, run the
+// telescoping check and commit to the ring — allocates nothing, even at
+// SampleN 1 where every span commits.
 func TestZeroAllocHotPath(t *testing.T) {
 	r := New(Config{SampleN: 1})
-	h := obs.NewHistogram()
-	r.SetObserver(func(sp *Span) {
-		if w := sp.WallNs(); w > 0 {
-			h.Observe(uint64(w))
-		}
-	})
 	base := time.Now().UnixNano()
 	id := uint64(0)
 	if avg := testing.AllocsPerRun(200, func() {

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -173,6 +174,45 @@ func TestWireConformance(t *testing.T) {
 }
 
 var refMu sync.Mutex
+
+// TestHTTPBodyBound pins the /decode body bound: a JSON body longer than
+// MaxFramePayload is refused with 413 before the decoder reads past the
+// bound, and the server keeps serving.
+func TestHTTPBodyBound(t *testing.T) {
+	s := New(Config{Variant: sfq.Final, Distances: []int{3}, Registry: obs.NewRegistry()})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler(false))
+	defer ts.Close()
+
+	var big bytes.Buffer
+	big.WriteString(`{"id":1,"d":3,"etype":"z","hot":[`)
+	for big.Len() <= MaxFramePayload {
+		big.WriteString("0,")
+	}
+	big.WriteString("0]}")
+	resp, err := http.Post(ts.URL+"/decode", "application/json", &big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-bound body: HTTP %d, want 413", resp.StatusCode)
+	}
+
+	resp, err = http.Post(ts.URL+"/decode", "application/json",
+		strings.NewReader(`{"id":2,"d":3,"etype":"z","hot":[0]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var hr httpResponse
+	if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || hr.Status != "ok" || hr.ID != 2 {
+		t.Fatalf("decode after the refused body: HTTP %d, %+v", resp.StatusCode, hr)
+	}
+}
 
 // TestHTTPConformance pins the JSON path against the same scalar
 // ground truth, plus the endpoint's rejection behavior.

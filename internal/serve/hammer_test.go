@@ -175,7 +175,7 @@ func TestHammerEscalation(t *testing.T) {
 	n := confTrials(perClient, 30)
 	pool := sfq.NewPool(sfq.Final)
 	reg := obs.NewRegistry()
-	pol := twolevel.Policy{OnRetry: true, OnUnresolved: true, OnFallback: true, HotThreshold: 1}
+	pol := twolevel.Policy{OnRetry: true, OnUnresolved: true, HotThreshold: 1}
 	s := New(Config{
 		Variant:        sfq.Final,
 		Distances:      []int{3, 5},

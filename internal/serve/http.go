@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -52,9 +53,17 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
+	// The framed path's payload bound holds for the JSON body too, so a
+	// client cannot stream an unbounded document into the decoder.
+	r.Body = http.MaxBytesReader(w, r.Body, MaxFramePayload)
 	var hr httpRequest
 	if err := json.NewDecoder(r.Body).Decode(&hr); err != nil {
-		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("bad request body: %v", err), code)
 		return
 	}
 	var e lattice.ErrorType

@@ -108,7 +108,7 @@ type task struct {
 	syn     []bool
 	deliver func(*Response)
 	sp      *trace.Span // nil when the request is untraced
-	enqNs   int64       // enqueue wall clock, for the sojourn bound
+	enqNs   int64       // accept wall clock: queue wait and sojourn bound
 }
 
 // escTask is one queued level-2 re-decode. It owns syn: the level-1
@@ -120,6 +120,9 @@ type escTask struct {
 	q   *queue
 	syn []bool
 	sp  *trace.Span // holds one span reference until level 2 finishes
+	// endNs is the level-1 decode end, from which the escalation queue
+	// wait runs.
+	endNs int64
 }
 
 type queueKey struct {
@@ -246,7 +249,7 @@ type Server struct {
 	escWG  sync.WaitGroup
 
 	tracer      *trace.Recorder
-	queueWaitNs *obs.Histogram // enqueue → coalesce, sched wait included
+	queueWaitNs *obs.Histogram // accept → coalesce, sched wait included
 	coalesceNs  *obs.Histogram // coalesce → decode start
 	escWaitNs   *obs.Histogram // decode end → escalate start
 	schedWaitNs *obs.Histogram // drain-task deque wait, per dispatch
@@ -321,6 +324,9 @@ func New(cfg Config) *Server {
 		errTotal:    cfg.Registry.Counter("serve_error_total"),
 		sojournDrop: cfg.Registry.Counter("serve_sojourn_dropped_total"),
 		shedGauge:   cfg.Registry.Gauge("serve_shedding"),
+		queueWaitNs: cfg.Registry.Histogram("serve_queue_wait_ns"),
+		coalesceNs:  cfg.Registry.Histogram("serve_coalesce_ns"),
+		escWaitNs:   cfg.Registry.Histogram("serve_escalate_wait_ns"),
 		schedWaitNs: cfg.Registry.Histogram("serve_sched_wait_ns"),
 		drainSteals: cfg.Registry.Counter("serve_drain_steals_total"),
 		ratioPpm:    cfg.Registry.Gauge("serve_backlog_ratio_ppm"),
@@ -340,10 +346,6 @@ func New(cfg Config) *Server {
 			DecisionDepth: cfg.TraceDepth,
 			SampleN:       sampleN,
 		})
-		s.queueWaitNs = cfg.Registry.Histogram("serve_queue_wait_ns")
-		s.coalesceNs = cfg.Registry.Histogram("serve_coalesce_ns")
-		s.escWaitNs = cfg.Registry.Histogram("serve_escalate_wait_ns")
-		s.tracer.SetObserver(s.observeSpan)
 		// Exemplars link high serve_decode_ns buckets to trace seqs.
 		s.decodeNs.EnableExemplars()
 	}
@@ -417,58 +419,24 @@ func (s *Server) Pool() *sfq.Pool { return s.pool }
 // disabled. The /debug/traces handler and the scrape tests read it.
 func (s *Server) Tracer() *trace.Recorder { return s.tracer }
 
-// observeSpan is the recorder's finalize hook: fold each finalized
-// request span's stage deltas into the derived stage histograms. The
-// consecutive deltas telescope — accept → … → resp_write sums exactly
-// to the span's wall time — so together the histograms decompose
-// serve_decode_ns's end-to-end latency stage by stage.
-func (s *Server) observeSpan(sp *trace.Span) {
-	if sp.Kind() != trace.KindRequest {
-		return
-	}
-	if w := stageDelta(sp, trace.StageEnqueue, trace.StageCoalesce); w >= 0 {
-		s.queueWaitNs.Observe(uint64(w))
-	}
-	if w := stageDelta(sp, trace.StageCoalesce, trace.StageDecodeStart); w >= 0 {
-		s.coalesceNs.Observe(uint64(w))
-	}
-	if w := stageDelta(sp, trace.StageDecodeEnd, trace.StageEscalateStart); w >= 0 {
-		s.escWaitNs.Observe(uint64(w))
-	}
-}
-
-// stageDelta returns to − from in nanoseconds, or −1 when either stage
-// was never reached.
-func stageDelta(sp *trace.Span, from, to trace.Stage) int64 {
-	a, b := sp.TS(from), sp.TS(to)
-	if a == 0 || b == 0 || b < a {
-		return -1
-	}
-	return b - a
-}
-
 // recordShed commits one shed decision with the admission-controller
-// inputs that caused it — through the request's own span when it has
-// one, directly into the decision ring otherwise (free list dry).
-// weight is the shed class's service-cost weight; sojournNs is nonzero
-// only for ReasonSojourn drops (how long the request actually waited).
+// inputs that caused it, and releases the request's span (nil when
+// untraced) without a trace record. weight is the shed class's
+// service-cost weight; sojournNs is nonzero only for ReasonSojourn
+// drops (how long the request actually waited).
 func (s *Server) recordShed(sp *trace.Span, id uint64, d int, e lattice.ErrorType,
 	reason trace.Reason, queueLen int, weight float64, sojournNs int64) {
+	sp.Release()
 	if s.tracer == nil {
 		return
 	}
-	in := trace.DecisionInputs{
+	s.tracer.RecordDecision(trace.KindShed, id, d, uint8(e), reason, trace.DecisionInputs{
 		Ratio:     s.ctl.Ratio(),
 		ArrivalNs: s.meter.intervalNs(time.Now()),
 		QueueLen:  queueLen,
 		Weight:    weight,
 		SojournNs: sojournNs,
-	}
-	if sp != nil {
-		sp.FinishDecision(trace.KindShed, reason, in)
-		return
-	}
-	s.tracer.RecordDecision(trace.KindShed, id, d, uint8(e), reason, in)
+	})
 }
 
 // recordEscDrop commits an escalation-drop decision. The level-2 queue
@@ -604,10 +572,10 @@ func (s *Server) shedClass(q *queue) bool {
 // so the caller may reuse its buffer immediately.
 func (s *Server) submit(d int, e lattice.ErrorType, id uint64, syn []bool, deliver func(*Response)) {
 	s.reqTotal.Inc()
-	// One clock read covers the arrival meter and the accept/admit/
-	// enqueue stamps: the in-process gaps between those stages are tens
-	// of nanoseconds, far below anything the decomposition cares about,
-	// and the saved reads keep tracing inside its overhead budget.
+	// One clock read covers the arrival meter, the accept stamp and the
+	// task's enqueue time: the in-process gap from accept to the queue
+	// is tens of nanoseconds, far below anything the decomposition cares
+	// about, so it is no stage of its own.
 	now := time.Now()
 	sp := s.tracer.Start(id, d, uint8(e))
 	nowNs := now.UnixNano()
@@ -647,12 +615,6 @@ func (s *Server) submit(d int, e lattice.ErrorType, id uint64, syn []bool, deliv
 		return
 	}
 	s.meter.tick(now)
-	sp.StampAt(trace.StageAdmit, nowNs)
-	// The enqueue stamp must land before the send: once the task is in
-	// the channel a drain worker owns the span. A span that then sheds
-	// on the full-queue path carries a moot enqueue stamp, which the
-	// decision record never reads.
-	sp.StampAt(trace.StageEnqueue, nowNs)
 	// The syndrome is copied into a queue-owned pooled buffer before
 	// submit returns, so the caller (readLoop's reused frame buffer) may
 	// overwrite its slice immediately — the aliasing regression test
@@ -762,20 +724,21 @@ func (dt *drainTask) Run() {
 		}
 		if len(dt.tasks) > 0 {
 			s.batchLanes.Observe(uint64(len(dt.tasks)))
-			if s.tracer != nil {
-				// One clock read stamps the whole batch: every lane left
-				// its queue when the coalesce loop closed.
-				now := time.Now().UnixNano()
-				for i := range dt.tasks {
-					sp := dt.tasks[i].sp
-					sp.StampAt(trace.StageCoalesce, now)
-					if stolen {
-						sp.SetFlag(trace.FlagStolenDrain)
-					}
+			// One clock read prices the whole batch's queue wait: every
+			// lane left its queue when the coalesce loop closed.
+			coalNs := time.Now().UnixNano()
+			for i := range dt.tasks {
+				t := &dt.tasks[i]
+				if w := coalNs - t.enqNs; w >= 0 {
+					s.queueWaitNs.Observe(uint64(w))
+				}
+				t.sp.StampAt(trace.StageCoalesce, coalNs)
+				if stolen {
+					t.sp.SetFlag(trace.FlagStolenDrain)
 				}
 			}
 			stolen = false // only the dispatch batch rode the steal
-			s.decodeTasks(dt)
+			s.decodeTasks(dt, coalNs)
 			continue
 		}
 		// Exit-recheck, paired with kick: the queue looked empty, but a
@@ -824,10 +787,10 @@ func (dt *drainTask) ObserveSchedWait(waitNs int64, stolen bool) {
 	dt.stolen = stolen
 }
 
-// decodeTasks decodes one coalesced batch and delivers its responses.
-// Each response owns its qubit slice (the corrections alias the
-// worker's scratch, which the next batch reuses).
-func (s *Server) decodeTasks(dt *drainTask) {
+// decodeTasks decodes one batch, coalesced at coalNs, and delivers its
+// responses. Each response owns its qubit slice (the corrections alias
+// the worker's scratch, which the next batch reuses).
+func (s *Server) decodeTasks(dt *drainTask, coalNs int64) {
 	b, g, tasks := dt.b, dt.g, dt.tasks
 	dt.syns = dt.syns[:0]
 	for i := range tasks {
@@ -836,6 +799,13 @@ func (s *Server) decodeTasks(dt *drainTask) {
 	start := time.Now()
 	cs, err := b.DecodeBatchInto(g, dt.syns, dt.scr)
 	elapsed := time.Since(start)
+	// Batch stage stamps come from the two clock reads already paid for
+	// the service-time signal; every lane shares them.
+	startNs := start.UnixNano()
+	endNs := startNs + elapsed.Nanoseconds()
+	if w := startNs - coalNs; w >= 0 {
+		s.coalesceNs.ObserveN(uint64(w), uint64(len(tasks)))
+	}
 	if err != nil {
 		s.errTotal.Add(int64(len(tasks)))
 		for i := range tasks {
@@ -845,10 +815,6 @@ func (s *Server) decodeTasks(dt *drainTask) {
 		}
 		return
 	}
-	// Batch stage stamps come from the two clock reads already paid for
-	// the service-time signal; every lane shares them.
-	startNs := start.UnixNano()
-	endNs := startNs + elapsed.Nanoseconds()
 	// The controller's service-time signal: wall-clock cost per request,
 	// so lane sharing shows up as the speedup it is.
 	perNs := uint64(elapsed.Nanoseconds()) / uint64(len(tasks))
@@ -897,7 +863,7 @@ func (s *Server) decodeTasks(dt *drainTask) {
 			// when done). A full queue drops the escalation rather than
 			// stalling this worker — level 1 never waits on level 2.
 			select {
-			case s.escCh <- escTask{g: g, q: dt.q, syn: tasks[i].syn, sp: sp}:
+			case s.escCh <- escTask{g: g, q: dt.q, syn: tasks[i].syn, sp: sp, endNs: endNs}:
 				s.escDepth.Add(1)
 			default:
 				s.escDropped.Inc()
@@ -924,7 +890,11 @@ func (s *Server) runEscWorker() {
 	for et := range s.escCh {
 		s.escDepth.Add(-1)
 		start := time.Now()
-		et.sp.StampAt(trace.StageEscalateStart, start.UnixNano())
+		startNs := start.UnixNano()
+		if w := startNs - et.endNs; w >= 0 {
+			s.escWaitNs.Observe(uint64(w))
+		}
+		et.sp.StampAt(trace.StageEscalateStart, startNs)
 		if _, err := dec.DecodeInto(et.g, et.syn, scratch); err != nil {
 			s.errTotal.Inc()
 			et.sp.Finish()
@@ -932,7 +902,7 @@ func (s *Server) runEscWorker() {
 			continue
 		}
 		elapsed := time.Since(start)
-		et.sp.StampAt(trace.StageEscalateEnd, start.UnixNano()+elapsed.Nanoseconds())
+		et.sp.StampAt(trace.StageEscalateEnd, startNs+elapsed.Nanoseconds())
 		s.escalateNs.Observe(uint64(elapsed.Nanoseconds()))
 		s.escTotal.Inc()
 		et.sp.Finish()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strings"
 
 	"repro/internal/lattice"
 	"repro/internal/obs"
@@ -14,29 +15,10 @@ import (
 // /debug/traces: the flight recorder's read side. The JSON document is
 // what cmd/loadgen -trace-http scrapes; ?format=text renders the same
 // traces as a terminal table for eyeball debugging. Each trace view
-// carries both stage offsets (from accept) and the consecutive-stage
-// durations, which telescope to the wall time — the sum check the
-// acceptance harness runs is exact by construction, not a property of
-// lucky clock reads.
-
-// stageDurations maps the stamp pairs to the named duration rows of a
-// trace view. Escalate rows happen after the response (level 2 is
-// asynchronous), so they are reported but excluded from wall-time
-// telescoping, which runs accept → resp_write.
-var stageDurations = []struct {
-	name     string
-	from, to trace.Stage
-	wall     bool // part of the accept→resp_write telescoping sum
-}{
-	{"admit_ns", trace.StageAccept, trace.StageAdmit, true},
-	{"enqueue_ns", trace.StageAdmit, trace.StageEnqueue, true},
-	{"queue_wait_ns", trace.StageEnqueue, trace.StageCoalesce, true},
-	{"coalesce_ns", trace.StageCoalesce, trace.StageDecodeStart, true},
-	{"decode_ns", trace.StageDecodeStart, trace.StageDecodeEnd, true},
-	{"resp_write_ns", trace.StageDecodeEnd, trace.StageRespWrite, true},
-	{"escalate_wait_ns", trace.StageDecodeEnd, trace.StageEscalateStart, false},
-	{"escalate_ns", trace.StageEscalateStart, trace.StageEscalateEnd, false},
-}
+// carries both stage offsets (from accept) and the named durations of
+// trace.Durations, whose wall rows telescope to the wall time — the
+// sum check the recorder runs at finalize is exact by construction,
+// not a property of lucky clock reads.
 
 // traceView is one request record as served by /debug/traces.
 type traceView struct {
@@ -49,8 +31,8 @@ type traceView struct {
 	WallNs int64    `json:"wall_ns"`
 	// Offsets: stage name → nanoseconds after accept, stamped stages only.
 	Offsets map[string]int64 `json:"offset_ns"`
-	// Stages: named consecutive-stage durations; the wall-time rows
-	// (everything but the escalate pair) sum exactly to WallNs.
+	// Stages: the trace.Durations rows that were stamped; the wall rows
+	// sum exactly to WallNs.
 	Stages map[string]int64 `json:"stage_ns"`
 }
 
@@ -109,10 +91,9 @@ func recordView(rec *trace.Record) traceView {
 			v.Offsets[st.String()] = ts - acc
 		}
 	}
-	for _, sd := range stageDurations {
-		a, b := rec.TS[sd.from], rec.TS[sd.to]
-		if a != 0 && b != 0 && b >= a {
-			v.Stages[sd.name] = b - a
+	for i, ns := range trace.StageDurations(&rec.TS) {
+		if ns >= 0 {
+			v.Stages[trace.Durations[i].Name] = ns
 		}
 	}
 	return v
@@ -128,8 +109,8 @@ func decisionViewOf(rec *trace.Record) decisionView {
 }
 
 // stageHists returns the per-stage histograms backing the summary
-// block, keyed by metric name. Nil entries (tracing or escalation off)
-// are skipped.
+// block, keyed by metric name. Nil entries (escalation off) are
+// skipped.
 func (s *Server) stageHists() map[string]*obs.Histogram {
 	return map[string]*obs.Histogram{
 		"serve_decode_ns":        s.decodeNs,
@@ -185,9 +166,9 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 // writeTraceText renders the document as a terminal table.
 func writeTraceText(w http.ResponseWriter, doc *traceDoc) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintf(w, "flight recorder: sample 1-in-%d  started=%d untraced=%d kept=%d outliers=%d decisions=%d\n\n",
+	fmt.Fprintf(w, "flight recorder: sample 1-in-%d  started=%d untraced=%d kept=%d outliers=%d telescoped=%d decisions=%d\n\n",
 		doc.SampleN, doc.Counters.Started, doc.Counters.Untraced,
-		doc.Counters.Kept, doc.Counters.Outliers, doc.Counters.Decisions)
+		doc.Counters.Kept, doc.Counters.Outliers, doc.Counters.Telescoped, doc.Counters.Decisions)
 
 	names := make([]string, 0, len(doc.StageSummary))
 	for name := range doc.StageSummary {
@@ -200,13 +181,22 @@ func writeTraceText(w http.ResponseWriter, doc *traceDoc) {
 		fmt.Fprintf(w, "%-24s %10d %12d %12d %12d\n", name, sm.Count, sm.P50, sm.P99, sm.Max)
 	}
 
-	fmt.Fprintf(w, "\n%-6s %-8s %2s %2s %12s %12s %12s %12s %12s  %s\n",
-		"seq", "id", "d", "e", "wall_ns", "queue_wait", "coalesce", "decode", "resp_write", "flags")
+	// One column per wall row of the stage table.
+	fmt.Fprintf(w, "\n%-6s %-8s %2s %2s %12s", "seq", "id", "d", "e", "wall_ns")
+	for _, sd := range trace.Durations {
+		if sd.Wall {
+			fmt.Fprintf(w, " %12s", strings.TrimSuffix(sd.Name, "_ns"))
+		}
+	}
+	fmt.Fprintf(w, "  %s\n", "flags")
 	for _, t := range doc.Traces {
-		fmt.Fprintf(w, "%-6d %-8d %2d %2s %12d %12d %12d %12d %12d  %v\n",
-			t.Seq, t.ID, t.D, t.EType, t.WallNs,
-			t.Stages["queue_wait_ns"], t.Stages["coalesce_ns"],
-			t.Stages["decode_ns"], t.Stages["resp_write_ns"], t.Flags)
+		fmt.Fprintf(w, "%-6d %-8d %2d %2s %12d", t.Seq, t.ID, t.D, t.EType, t.WallNs)
+		for _, sd := range trace.Durations {
+			if sd.Wall {
+				fmt.Fprintf(w, " %12d", t.Stages[sd.Name])
+			}
+		}
+		fmt.Fprintf(w, "  %v\n", t.Flags)
 	}
 
 	if len(doc.Decisions) > 0 {

@@ -14,6 +14,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/sfq"
+	"repro/internal/twolevel"
 )
 
 // TestTraceNoTraceBitIdentity is the determinism guard for the flight
@@ -54,9 +55,10 @@ func TestTraceNoTraceBitIdentity(t *testing.T) {
 
 // TestDebugTracesEndpoint pins the /debug/traces read side: after
 // traffic on a trace-everything server, the JSON document holds
-// committed traces whose wall-time stage durations telescope exactly to
-// the recorded wall time, stage histograms, and working exemplar links;
-// the text format renders; a tracing-off server 404s.
+// committed traces whose wall rows of trace.Durations telescope exactly
+// to the recorded wall time (and every outlier counted as telescoping
+// at finalize), stage histograms, and working exemplar links; the text
+// format renders; a tracing-off server 404s.
 func TestDebugTracesEndpoint(t *testing.T) {
 	pool := sfq.NewPool(sfq.Final)
 	s := New(Config{
@@ -84,8 +86,10 @@ func TestDebugTracesEndpoint(t *testing.T) {
 	var doc struct {
 		SampleN  int `json:"sample_n"`
 		Counters struct {
-			Started uint64 `json:"started"`
-			Kept    uint64 `json:"kept"`
+			Started    uint64 `json:"started"`
+			Kept       uint64 `json:"kept"`
+			Outliers   uint64 `json:"outliers"`
+			Telescoped uint64 `json:"outliers_telescoped"`
 		} `json:"counters"`
 		StageSummary map[string]obs.Summary `json:"stage_summary"`
 		Exemplars    []struct {
@@ -110,15 +114,16 @@ func TestDebugTracesEndpoint(t *testing.T) {
 	if len(doc.Traces) == 0 {
 		t.Fatal("no traces committed")
 	}
-	wallStages := []string{"admit_ns", "enqueue_ns", "queue_wait_ns", "coalesce_ns", "decode_ns", "resp_write_ns"}
 	outliers := 0
 	for _, tr := range doc.Traces {
 		if tr.Kind != "request" {
 			continue
 		}
 		sum := int64(0)
-		for _, st := range wallStages {
-			sum += tr.Stages[st]
+		for _, sd := range trace.Durations {
+			if sd.Wall {
+				sum += tr.Stages[sd.Name]
+			}
 		}
 		if sum != tr.WallNs {
 			t.Fatalf("trace %d: stage durations sum %d != wall %d", tr.Seq, sum, tr.WallNs)
@@ -131,6 +136,10 @@ func TestDebugTracesEndpoint(t *testing.T) {
 	}
 	if outliers == 0 {
 		t.Fatal("no outlier-flagged trace: the running maximum must always be kept")
+	}
+	if doc.Counters.Telescoped != doc.Counters.Outliers {
+		t.Fatalf("finalize counted %d of %d outliers as telescoping, want all",
+			doc.Counters.Telescoped, doc.Counters.Outliers)
 	}
 	for _, name := range []string{"serve_decode_ns", "serve_queue_wait_ns", "serve_coalesce_ns"} {
 		if doc.StageSummary[name].Count == 0 {
@@ -179,6 +188,41 @@ func TestDebugTracesEndpoint(t *testing.T) {
 	}
 }
 
+// TestStageHistogramsUntraced pins that serve observes its stage
+// histograms at the source, not through the flight recorder: with
+// tracing off, queue wait and coalesce count every decoded request, and
+// the escalation wait counts every level-2 re-decode that ran.
+func TestStageHistogramsUntraced(t *testing.T) {
+	reg := obs.NewRegistry()
+	pol := twolevel.Policy{HotThreshold: 1} // escalate every non-empty syndrome
+	s := New(Config{
+		Variant: sfq.Final, Distances: []int{5}, Pool: sfq.NewPool(sfq.Final),
+		Registry: reg, TraceSample: -1, Escalate: true, EscalatePolicy: &pol,
+	})
+	syns := confSyndromes(5, lattice.ZErrors, 32)
+	for i, syn := range syns {
+		if resp := s.Decode(5, lattice.ZErrors, uint64(i), syn); resp.Status != StatusOK {
+			t.Fatalf("decode %d: %+v", i, resp)
+		}
+	}
+	s.Close() // drains level 2
+	if s.Tracer() != nil {
+		t.Fatal("TraceSample -1 built a recorder")
+	}
+	for _, name := range []string{"serve_queue_wait_ns", "serve_coalesce_ns"} {
+		if got := reg.Histogram(name).Count(); got != uint64(len(syns)) {
+			t.Errorf("%s counts %d, want %d decoded requests", name, got, len(syns))
+		}
+	}
+	ran := reg.Counter("serve_escalations_total").Load()
+	if ran == 0 {
+		t.Fatal("no escalation ran under a threshold-1 policy")
+	}
+	if got := reg.Histogram("serve_escalate_wait_ns").Count(); got != uint64(ran) {
+		t.Errorf("serve_escalate_wait_ns counts %d, want %d level-2 re-decodes", got, ran)
+	}
+}
+
 // TestShedDecisionCapture pins the always-on decision ring end to end:
 // controller sheds and queue-full sheds both commit records carrying
 // the admission-controller inputs.
@@ -214,6 +258,11 @@ func TestShedDecisionCapture(t *testing.T) {
 	}
 	if dec.Ratio <= 0 || dec.ArrivalNs <= 0 {
 		t.Fatalf("decision lost its controller inputs: ratio %v arrival %v", dec.Ratio, dec.ArrivalNs)
+	}
+	for _, rec := range snap.Traces {
+		if rec.ID == 99 {
+			t.Fatalf("the shed request committed a trace record: %+v", rec)
+		}
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 )
 
 func twoLevelSweepConfig(cycles int, batch bool, pool *sfq.Pool, esc *atomic.Int64) CurveConfig {
-	pol := twolevel.Policy{OnRetry: true, OnUnresolved: true, OnFallback: true, HotThreshold: 4}
+	pol := twolevel.Policy{OnRetry: true, OnUnresolved: true, HotThreshold: 4}
 	cfg := CurveConfig{
 		Distances:  []int{3, 5, 7},
 		Rates:      []float64{0.02, 0.06},

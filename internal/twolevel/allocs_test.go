@@ -29,7 +29,7 @@ func TestTwoLevelZeroAllocs(t *testing.T) {
 	quiet := mkSyn(0.02) // decodes clean, no escalation under hot6
 	dense := mkSyn(0.25) // always escalates under hot6
 	reg := obs.NewRegistry()
-	pol := Policy{OnRetry: true, OnUnresolved: true, OnFallback: true, HotThreshold: 6}
+	pol := Policy{OnRetry: true, OnUnresolved: true, HotThreshold: 6}
 
 	t.Run("scalar", func(t *testing.T) {
 		tl := New(sfq.New(g, sfq.Final), mwpm.New(), pol)

@@ -30,7 +30,7 @@ func confShort() bool {
 func testPolicies() map[string]Policy {
 	return map[string]Policy{
 		"default": DefaultPolicy(),
-		"hot4":    {OnRetry: true, OnUnresolved: true, OnFallback: true, HotThreshold: 4},
+		"hot4":    {OnRetry: true, OnUnresolved: true, HotThreshold: 4},
 		"cycle28": {CycleThreshold: 28},
 	}
 }

@@ -53,7 +53,7 @@ func FuzzTwoLevel(f *testing.F) {
 	}
 	policies := []Policy{
 		DefaultPolicy(),
-		{OnRetry: true, OnUnresolved: true, OnFallback: true, HotThreshold: 4},
+		{OnRetry: true, OnUnresolved: true, HotThreshold: 4},
 		{CycleThreshold: 24},
 	}
 	f.Fuzz(func(t *testing.T, dSel, pSel uint8, synBytes []byte) {
@@ -134,7 +134,7 @@ func FuzzTwoLevel(f *testing.F) {
 func TestEscalationRateMonotone(t *testing.T) {
 	l := lattice.MustNew(7)
 	g := l.MatchingGraph(lattice.ZErrors)
-	pol := Policy{OnRetry: true, OnUnresolved: true, OnFallback: true, HotThreshold: 4}
+	pol := Policy{OnRetry: true, OnUnresolved: true, HotThreshold: 4}
 	mesh := sfq.New(g, sfq.Final)
 	ps := []float64{0.02, 0.06, 0.12, 0.2}
 	trials := 150

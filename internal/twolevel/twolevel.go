@@ -37,13 +37,9 @@ type Policy struct {
 	OnRetry bool
 	// OnUnresolved escalates when the pairing protocol gave up on any
 	// hot module (Stats.Unresolved > 0) — whether the watchdog then
-	// drained it to a boundary or left it hot.
+	// drained it to a boundary (Stats.Fallbacks > 0 implies
+	// Unresolved > 0) or left it hot.
 	OnUnresolved bool
-	// OnFallback escalates when the watchdog drained chains to a
-	// boundary (Stats.Fallbacks > 0). Under the exit-path Stats
-	// contract Fallbacks > 0 implies Unresolved > 0, so this only adds
-	// signal when OnUnresolved is off.
-	OnFallback bool
 	// OnStall escalates on any quiescent stall (Stats.Stalls > 0),
 	// including ones the retry mechanism recovered.
 	OnStall bool
@@ -60,7 +56,7 @@ type Policy struct {
 // DefaultPolicy escalates on every protocol-distress signal (retries,
 // stalls, give-ups) but not on the hot/cycle thresholds.
 func DefaultPolicy() Policy {
-	return Policy{OnRetry: true, OnUnresolved: true, OnFallback: true, OnStall: true}
+	return Policy{OnRetry: true, OnUnresolved: true, OnStall: true}
 }
 
 // HotCount recovers the initial hot-check count of a decode from its
@@ -76,8 +72,6 @@ func (p Policy) Escalate(st sfq.Stats) bool {
 	case p.OnRetry && st.Retries > 0:
 		return true
 	case p.OnUnresolved && st.Unresolved > 0:
-		return true
-	case p.OnFallback && st.Fallbacks > 0:
 		return true
 	case p.OnStall && st.Stalls > 0:
 		return true

@@ -18,10 +18,12 @@ import (
 // TestTraceOverheadGuard pins the flight recorder's cost on the serve
 // pipeline: at the default 1-in-16 sampling, a traced server must stay
 // within 2% of a tracing-off server on the same sequential decode
-// workload. The budget holds because tracing is clock-read frugal —
-// submit shares one time.Now across its stamps and the arrival meter,
-// the batch path reuses the reads the service-time signal already pays
-// for, and only the response write adds one. Opt-in with the same
+// workload. Both servers observe the stage histograms and pay the
+// per-batch coalesce read; the budget holds because tracing itself is
+// clock-read frugal — the accept stamp shares submit's time.Now with
+// the arrival meter, the batch stamps reuse the reads the stage
+// histograms and the service-time signal already pay for, and only the
+// response write adds one. Opt-in with the same
 // REPRO_OBS_GUARD knob as the telemetry guard; the comparison is a
 // median of per-round paired ratios for the noise reasons below.
 func TestTraceOverheadGuard(t *testing.T) {
