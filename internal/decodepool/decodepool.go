@@ -6,17 +6,18 @@
 // syndrome round (§III), so per-decode latency — not just logical
 // accuracy — is a product of this repository. Profiling the Monte-Carlo
 // sweeps shows most decode wall-clock goes to two avoidable costs:
-// re-deriving matching-graph geometry (distances, error-chain paths,
-// decoding edges) on every call, and allocating fresh slices for hot
-// lists, matcher state and correction buffers. This package removes
-// both:
+// re-deriving matching-graph geometry (distances, decoding edges) on
+// every call, and allocating fresh slices for hot lists, matcher state
+// and correction buffers. This package removes both:
 //
-//   - Geometry tables (all-pairs Dist, BoundaryDist, flattened path-qubit
-//     chains and the union-find decoding-edge list) are computed once per
-//     (distance, error type) and served from a process-wide cache. The
-//     tables are immutable after construction, so any number of worker
-//     goroutines share them without synchronization beyond the cache
-//     lookup.
+//   - Geometry tables (all-pairs Dist, BoundaryDist and the union-find
+//     decoding-edge list) are computed once per (distance, error type)
+//     and served from a process-wide cache. The tables are immutable
+//     after construction, so any number of worker goroutines share them
+//     without synchronization beyond the cache lookup. Error chains are
+//     not tabled: they follow in closed form from two check coordinates,
+//     and decoders append the picked pairs' chains straight into the
+//     correction buffer (lattice.Graph.AppendPathQubits).
 //
 //   - Scratch owns every mutable buffer a decoder needs. One Scratch
 //     belongs to one worker (a Monte-Carlo shard, one simulator); it is
@@ -103,10 +104,10 @@ type BatchDecoder interface {
 }
 
 // Geometry holds the immutable decode tables of one matching graph:
-// all-pairs check distances, boundary distances, the minimum-length
-// error chains realizing them (flattened), and the union-find decoding
-// edge list with boundary pendant vertices materialized. All methods
-// are safe for concurrent use.
+// all-pairs check distances, boundary distances and the union-find
+// decoding edge list with boundary pendant vertices materialized: what
+// the decode loops read per candidate pair, and no error chains. All
+// methods are safe for concurrent use.
 type Geometry struct {
 	D int               // code distance
 	E lattice.ErrorType // error type this graph decodes
@@ -120,12 +121,8 @@ type Geometry struct {
 	Edges     []lattice.Edge
 	Endpoints [][2]int32
 
-	dist      []int32 // dist[i*M+j]
-	bdist     []int32 // bdist[i]
-	pathOff   []int32 // prefix offsets into pathData, i*M+j
-	pathData  []int32
-	bpathOff  []int32 // prefix offsets into bpathData
-	bpathData []int32
+	dist  []int32 // dist[i*M+j]
+	bdist []int32 // bdist[i]
 }
 
 // Dist returns the matching-graph distance between checks i and j.
@@ -133,25 +130,6 @@ func (geo *Geometry) Dist(i, j int) int { return int(geo.dist[i*geo.M+j]) }
 
 // BoundaryDist returns check i's distance to its nearest code boundary.
 func (geo *Geometry) BoundaryDist(i int) int { return int(geo.bdist[i]) }
-
-// AppendPathQubits appends the data-qubit chain connecting checks i and
-// j (identical to lattice.Graph.PathQubits) to dst and returns it.
-func (geo *Geometry) AppendPathQubits(dst []int, i, j int) []int {
-	k := int32(i)*int32(geo.M) + int32(j)
-	for _, q := range geo.pathData[geo.pathOff[k]:geo.pathOff[k+1]] {
-		dst = append(dst, int(q))
-	}
-	return dst
-}
-
-// AppendBoundaryPathQubits appends check i's shortest boundary chain
-// (identical to lattice.Graph.BoundaryPathQubits) to dst and returns it.
-func (geo *Geometry) AppendBoundaryPathQubits(dst []int, i int) []int {
-	for _, q := range geo.bpathData[geo.bpathOff[i]:geo.bpathOff[i+1]] {
-		dst = append(dst, int(q))
-	}
-	return dst
-}
 
 // geoKey identifies one geometry table. Graphs of equal distance and
 // error type are structurally identical (checks index identically), so
@@ -201,24 +179,14 @@ func build(g *lattice.Graph) *Geometry {
 		E: g.ErrorType(),
 		M: m,
 
-		dist:     make([]int32, m*m),
-		bdist:    make([]int32, m),
-		pathOff:  make([]int32, m*m+1),
-		bpathOff: make([]int32, m+1),
+		dist:  make([]int32, m*m),
+		bdist: make([]int32, m),
 	}
 	for i := 0; i < m; i++ {
 		geo.bdist[i] = int32(g.BoundaryDist(i))
 		for j := 0; j < m; j++ {
 			geo.dist[i*m+j] = int32(g.Dist(i, j))
-			for _, q := range g.PathQubits(i, j) {
-				geo.pathData = append(geo.pathData, int32(q))
-			}
-			geo.pathOff[i*m+j+1] = int32(len(geo.pathData))
 		}
-		for _, q := range g.BoundaryPathQubits(i) {
-			geo.bpathData = append(geo.bpathData, int32(q))
-		}
-		geo.bpathOff[i+1] = int32(len(geo.bpathData))
 	}
 	// Union-find view, with the same boundary-vertex numbering the
 	// legacy decoder assigns (one fresh vertex per boundary endpoint, in

@@ -8,9 +8,9 @@ import (
 )
 
 // The cached tables must agree entry-for-entry with the graph's own
-// per-call geometry methods.
+// per-call geometry methods, at every distance the benchmark decodes.
 func TestGeometryMatchesGraph(t *testing.T) {
-	for _, d := range []int{3, 5, 7} {
+	for _, d := range []int{3, 5, 7, 9, 13} {
 		l := lattice.MustNew(d)
 		for _, e := range []lattice.ErrorType{lattice.ZErrors, lattice.XErrors} {
 			g := l.MatchingGraph(e)
@@ -23,16 +23,10 @@ func TestGeometryMatchesGraph(t *testing.T) {
 					t.Fatalf("d=%d %v: BoundaryDist(%d) = %d, want %d",
 						d, e, i, geo.BoundaryDist(i), g.BoundaryDist(i))
 				}
-				if got, want := geo.AppendBoundaryPathQubits(nil, i), g.BoundaryPathQubits(i); !equalInts(got, want) {
-					t.Fatalf("d=%d %v: boundary path of %d = %v, want %v", d, e, i, got, want)
-				}
 				for j := 0; j < geo.M; j++ {
 					if geo.Dist(i, j) != g.Dist(i, j) {
 						t.Fatalf("d=%d %v: Dist(%d,%d) = %d, want %d",
 							d, e, i, j, geo.Dist(i, j), g.Dist(i, j))
-					}
-					if got, want := geo.AppendPathQubits(nil, i, j), g.PathQubits(i, j); !equalInts(got, want) {
-						t.Fatalf("d=%d %v: path %d->%d = %v, want %v", d, e, i, j, got, want)
 					}
 				}
 			}
@@ -79,6 +73,17 @@ func TestGeometryCacheSharing(t *testing.T) {
 	}
 	if For(g1) == For(lattice.MustNew(7).MatchingGraph(lattice.ZErrors)) {
 		t.Error("d=5 and d=7 share a geometry")
+	}
+}
+
+// A cold build writes the distance tables and derives the union-find
+// view; it tables no error chains, so it makes no allocation per pair
+// of checks. At d = 13 there are 24,336 pairs; building their chains
+// took about 100,000 allocations.
+func TestColdBuildAllocs(t *testing.T) {
+	g := lattice.MustNew(13).MatchingGraph(lattice.ZErrors)
+	if avg := testing.AllocsPerRun(4, func() { build(g) }); avg >= 1000 {
+		t.Errorf("d=13 Z geometry build: %.0f allocations, want < 1000", avg)
 	}
 }
 

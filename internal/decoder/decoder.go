@@ -98,10 +98,10 @@ type Matching struct {
 func (m Matching) Correction(g *lattice.Graph) Correction {
 	var c Correction
 	for _, p := range m.Pairs {
-		c.Qubits = append(c.Qubits, g.PathQubits(p[0], p[1])...)
+		c.Qubits = g.AppendPathQubits(c.Qubits, p[0], p[1])
 	}
 	for _, i := range m.Boundary {
-		c.Qubits = append(c.Qubits, g.BoundaryPathQubits(i)...)
+		c.Qubits = g.AppendBoundaryPathQubits(c.Qubits, i)
 	}
 	return c
 }

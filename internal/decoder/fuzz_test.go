@@ -16,14 +16,23 @@ import (
 // code's boundaries make every syndrome decodable, so each decoder must
 // return without error, its correction must clear the syndrome, and the
 // pooled DecodeInto path must agree bit-for-bit with the legacy path.
+// Both paths lay chains down through the same lattice.Graph append
+// functions, so Validate is the independent check on the chains.
+//
+// data[0] picks the graph: bits 0-1 the distance (3, 5, 9 or 13, the
+// sizes the benchmark decodes), bit 2 the error type.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1, 0xff, 0x0f})
 	f.Add([]byte{0, 0xaa})
 	f.Add([]byte{1, 0x01, 0x80, 0x42, 0x18})
+	f.Add([]byte{2, 0x11, 0x00, 0xc3, 0x28, 0x05, 0x90, 0x44, 0x02, 0x81, 0x30})
+	f.Add([]byte{7, 0x01, 0x20, 0x00, 0x48, 0x82, 0x00, 0x11, 0x04, 0x00, 0x60,
+		0x02, 0x00, 0x90, 0x08, 0x41, 0x00, 0x14, 0x80, 0x03, 0x00})
 
+	distances := [4]int{3, 5, 9, 13}
 	graphs := map[int][2]*lattice.Graph{}
-	for _, d := range []int{3, 5} {
+	for _, d := range distances {
 		l := lattice.MustNew(d)
 		graphs[d] = [2]*lattice.Graph{l.MatchingGraph(lattice.ZErrors), l.MatchingGraph(lattice.XErrors)}
 	}
@@ -34,11 +43,8 @@ func FuzzDecode(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		d := 3
-		if data[0]&1 == 1 {
-			d = 5
-		}
-		g := graphs[d][(data[0]>>1)&1]
+		d := distances[data[0]&3]
+		g := graphs[d][(data[0]>>2)&1]
 		data = data[1:]
 		syn := make([]bool, g.NumChecks())
 		for i := range syn {

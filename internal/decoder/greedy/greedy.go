@@ -199,10 +199,10 @@ func (d *Decoder) DecodeInto(g *lattice.Graph, syn []bool, s *decodepool.Scratch
 
 	q := s.TakeQubits()
 	for _, p := range st.pairs {
-		q = geo.AppendPathQubits(q, int(p[0]), int(p[1]))
+		q = g.AppendPathQubits(q, int(p[0]), int(p[1]))
 	}
 	for _, i := range st.bnd {
-		q = geo.AppendBoundaryPathQubits(q, int(i))
+		q = g.AppendBoundaryPathQubits(q, int(i))
 	}
 	return s.PutQubits(q), nil
 }

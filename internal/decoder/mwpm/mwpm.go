@@ -90,9 +90,10 @@ type intoState struct {
 }
 
 // DecodeInto implements decodepool.IntoDecoder: the same exact matching
-// as Decode, computed from the cached geometry tables inside the
-// caller's scratch. Steady state allocates nothing; the returned
-// Correction aliases s and is valid until its next decode.
+// as Decode, weighted from the cached distance tables inside the
+// caller's scratch, with each picked pair's chain appended in closed
+// form by g. Steady state allocates nothing; the returned Correction
+// aliases s and is valid until its next decode.
 func (d *Decoder) DecodeInto(g *lattice.Graph, syn []bool, s *decodepool.Scratch) (decoder.Correction, error) {
 	geo := decodepool.For(g)
 	hot := s.HotChecks(syn)
@@ -143,10 +144,10 @@ func (d *Decoder) DecodeInto(g *lattice.Graph, syn []bool, s *decodepool.Scratch
 	}
 	q := s.TakeQubits()
 	for _, p := range st.pairs {
-		q = geo.AppendPathQubits(q, int(p[0]), int(p[1]))
+		q = g.AppendPathQubits(q, int(p[0]), int(p[1]))
 	}
 	for _, i := range st.bnd {
-		q = geo.AppendBoundaryPathQubits(q, int(i))
+		q = g.AppendBoundaryPathQubits(q, int(i))
 	}
 	return s.PutQubits(q), nil
 }

@@ -102,38 +102,39 @@ func (g *Graph) boundaryDists(i int) (low, high int) {
 	return (a + 1) / 2, (2*g.l.d - 1 - a) / 2
 }
 
-// PathQubits returns the data-qubit indices of a minimum-length error
-// chain connecting checks i and j. The chain is L-shaped: it runs along
-// the axial direction at check i's transverse coordinate, then turns.
-func (g *Graph) PathQubits(i, j int) []int {
+// AppendPathQubits appends the data-qubit indices of a minimum-length
+// error chain connecting checks i and j to dst and returns it. The chain
+// is L-shaped: it runs along the axial direction at check i's transverse
+// coordinate, then turns. It allocates only when dst has to grow.
+func (g *Graph) AppendPathQubits(dst []int, i, j int) []int {
 	ai, ti := g.axial(g.checks[i])
 	aj, tj := g.axial(g.checks[j])
-	var qubits []int
 	for a := min(ai, aj) + 1; a < max(ai, aj); a += 2 {
-		qubits = append(qubits, g.l.QubitIndex(g.site(a, ti)))
+		dst = append(dst, g.l.QubitIndex(g.site(a, ti)))
 	}
 	for t := min(ti, tj) + 1; t < max(ti, tj); t += 2 {
-		qubits = append(qubits, g.l.QubitIndex(g.site(aj, t)))
+		dst = append(dst, g.l.QubitIndex(g.site(aj, t)))
 	}
-	return qubits
+	return dst
 }
 
-// BoundaryPathQubits returns the data-qubit indices of the shortest error
-// chain from check i to its nearest boundary (the low boundary on ties).
-func (g *Graph) BoundaryPathQubits(i int) []int {
+// AppendBoundaryPathQubits appends the data-qubit indices of the
+// shortest error chain from check i to its nearest boundary (the low
+// boundary on ties) to dst and returns it. It allocates only when dst
+// has to grow.
+func (g *Graph) AppendBoundaryPathQubits(dst []int, i int) []int {
 	a, t := g.axial(g.checks[i])
 	low, high := g.boundaryDists(i)
-	var qubits []int
 	if low <= high {
 		for x := a - 1; x >= 0; x -= 2 {
-			qubits = append(qubits, g.l.QubitIndex(g.site(x, t)))
+			dst = append(dst, g.l.QubitIndex(g.site(x, t)))
 		}
 	} else {
 		for x := a + 1; x < g.l.size; x += 2 {
-			qubits = append(qubits, g.l.QubitIndex(g.site(x, t)))
+			dst = append(dst, g.l.QubitIndex(g.site(x, t)))
 		}
 	}
-	return qubits
+	return dst
 }
 
 // Syndrome computes the hot-check bit vector produced by the given Pauli

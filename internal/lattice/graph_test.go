@@ -99,41 +99,61 @@ func TestDistMetricProperties(t *testing.T) {
 	}
 }
 
-// Property: the chain returned by PathQubits has exactly Dist(i,j) data
-// qubits and, applied as an error, produces hot syndromes exactly at
-// checks i and j.
+// chainDistances are the code distances the chain properties cover:
+// every size the benchmark workloads and the decoder tests decode.
+var chainDistances = []int{3, 5, 7, 9, 13}
+
+// realizes reports the first check whose syndrome under the chain
+// differs from want, applying the chain to f and undoing it again.
+func realizes(g *Graph, f *pauli.Frame, op pauli.Op, chain []int, syn []bool, want func(c int) bool) (int, bool) {
+	for _, q := range chain {
+		f.Apply(q, op)
+	}
+	syn = g.SyndromeInto(f, syn)
+	for _, q := range chain {
+		f.Apply(q, op)
+	}
+	for c, hot := range syn {
+		if hot != want(c) {
+			return c, false
+		}
+	}
+	return 0, true
+}
+
+// Property: the chain AppendPathQubits lays down has exactly Dist(i,j)
+// data qubits, leaves dst's prefix alone and, applied as an error,
+// produces hot syndromes exactly at checks i and j (none when i == j).
+// Every pair of checks is covered, for both error types.
 func TestPathQubitsRealizesSyndrome(t *testing.T) {
-	for _, d := range []int{3, 5, 7} {
+	for _, d := range chainDistances {
 		l := MustNew(d)
-		rng := rand.New(rand.NewSource(int64(d)))
+		f := pauli.NewFrame(l.NumQubits())
 		for _, e := range []ErrorType{ZErrors, XErrors} {
 			g := l.MatchingGraph(e)
 			op := pauli.Z
 			if e == XErrors {
 				op = pauli.X
 			}
-			n := g.NumChecks()
-			for trial := 0; trial < 100; trial++ {
-				i, j := rng.Intn(n), rng.Intn(n)
-				if i == j {
-					continue
-				}
-				path := g.PathQubits(i, j)
-				if len(path) != g.Dist(i, j) {
-					t.Fatalf("d=%d %v path length %d != dist %d", d, e, len(path), g.Dist(i, j))
-				}
-				f := pauli.NewFrame(l.NumQubits())
-				for _, q := range path {
-					if l.KindAt(l.SiteOf(q)) != Data {
-						t.Fatalf("d=%d %v path contains non-data qubit", d, e)
+			syn := make([]bool, g.NumChecks())
+			prefix := []int{-1}
+			for i := 0; i < g.NumChecks(); i++ {
+				for j := 0; j < g.NumChecks(); j++ {
+					got := g.AppendPathQubits(prefix, i, j)
+					if got[0] != -1 {
+						t.Fatalf("d=%d %v chain %d-%d overwrote dst's prefix", d, e, i, j)
 					}
-					f.Apply(q, op)
-				}
-				syn := g.Syndrome(f)
-				for c, hot := range syn {
-					want := c == i || c == j
-					if hot != want {
-						t.Fatalf("d=%d %v chain %d-%d: check %d hot=%v want %v", d, e, i, j, c, hot, want)
+					chain := got[1:]
+					if len(chain) != g.Dist(i, j) {
+						t.Fatalf("d=%d %v chain %d-%d length %d != dist %d", d, e, i, j, len(chain), g.Dist(i, j))
+					}
+					for _, q := range chain {
+						if l.KindAt(l.SiteOf(q)) != Data {
+							t.Fatalf("d=%d %v chain %d-%d contains non-data qubit %d", d, e, i, j, q)
+						}
+					}
+					if c, ok := realizes(g, f, op, chain, syn, func(c int) bool { return (c == i) != (c == j) }); !ok {
+						t.Fatalf("d=%d %v chain %d-%d: check %d has the wrong parity", d, e, i, j, c)
 					}
 				}
 			}
@@ -141,31 +161,56 @@ func TestPathQubitsRealizesSyndrome(t *testing.T) {
 	}
 }
 
-// Property: the boundary chain has exactly BoundaryDist(i) qubits and
-// lights up only check i.
+// Property: the boundary chain AppendBoundaryPathQubits lays down has
+// exactly BoundaryDist(i) data qubits, leaves dst's prefix alone and
+// lights up only check i. Every check is covered, for both error types.
 func TestBoundaryPathRealizesSyndrome(t *testing.T) {
-	for _, d := range []int{3, 5} {
+	for _, d := range chainDistances {
 		l := MustNew(d)
+		f := pauli.NewFrame(l.NumQubits())
 		for _, e := range []ErrorType{ZErrors, XErrors} {
 			g := l.MatchingGraph(e)
 			op := pauli.Z
 			if e == XErrors {
 				op = pauli.X
 			}
+			syn := make([]bool, g.NumChecks())
+			prefix := []int{-1}
 			for i := 0; i < g.NumChecks(); i++ {
-				path := g.BoundaryPathQubits(i)
-				if len(path) != g.BoundaryDist(i) {
-					t.Fatalf("d=%d %v boundary path length %d != dist %d", d, e, len(path), g.BoundaryDist(i))
+				got := g.AppendBoundaryPathQubits(prefix, i)
+				if got[0] != -1 {
+					t.Fatalf("d=%d %v boundary chain of %d overwrote dst's prefix", d, e, i)
 				}
-				f := pauli.NewFrame(l.NumQubits())
-				for _, q := range path {
-					f.Apply(q, op)
+				chain := got[1:]
+				if len(chain) != g.BoundaryDist(i) {
+					t.Fatalf("d=%d %v boundary chain of %d length %d != dist %d", d, e, i, len(chain), g.BoundaryDist(i))
 				}
-				for c, hot := range g.Syndrome(f) {
-					if hot != (c == i) {
-						t.Fatalf("d=%d %v boundary chain of %d: check %d hot=%v", d, e, i, c, hot)
+				for _, q := range chain {
+					if l.KindAt(l.SiteOf(q)) != Data {
+						t.Fatalf("d=%d %v boundary chain of %d contains non-data qubit %d", d, e, i, q)
 					}
 				}
+				if c, ok := realizes(g, f, op, chain, syn, func(c int) bool { return c == i }); !ok {
+					t.Fatalf("d=%d %v boundary chain of %d: check %d has the wrong parity", d, e, i, c)
+				}
+			}
+		}
+	}
+}
+
+// Appending a chain into a dst that already has room allocates nothing.
+func TestAppendChainsZeroAlloc(t *testing.T) {
+	for _, d := range chainDistances {
+		l := MustNew(d)
+		for _, e := range []ErrorType{ZErrors, XErrors} {
+			g := l.MatchingGraph(e)
+			m := g.NumChecks()
+			dst := make([]int, 0, 2*l.NumQubits())
+			if avg := testing.AllocsPerRun(16, func() {
+				dst = g.AppendPathQubits(dst[:0], 0, m-1)
+				dst = g.AppendBoundaryPathQubits(dst, m/2)
+			}); avg != 0 {
+				t.Errorf("d=%d %v: %.1f allocations per append pair, want 0", d, e, avg)
 			}
 		}
 	}

@@ -345,3 +345,172 @@ func TestCloseMidTraffic(t *testing.T) {
 		t.Errorf("post-close decode: %+v, want draining error", resp)
 	}
 }
+
+// TestHostilePeers runs a well-behaved TCP client while two kinds of
+// raw connection misbehave around it, round after round: one sends a
+// few requests, writes half of the next frame and closes; the other
+// does the same but resets the connection (SetLinger(0)) instead of
+// closing it. Every request of the well-behaved client must be answered
+// exactly once, the misbehaving connections must be torn down, and the
+// pool must balance: the meshes the server holds while it runs are back
+// after Close, with no double or foreign puts.
+func TestHostilePeers(t *testing.T) {
+	const (
+		rounds   = 8
+		perPeer  = 3 // whole requests each misbehaving peer sends first
+		minGood  = 100
+		interval = 3 * time.Millisecond
+	)
+	pool := sfq.NewPool(sfq.Final)
+	reg := obs.NewRegistry()
+	s := New(Config{
+		Variant:    sfq.Final,
+		Distances:  []int{3, 5},
+		Window:     8,
+		QueueDepth: 16,
+		Pool:       pool,
+		Registry:   reg,
+		Escalate:   true,
+	})
+	held := pool.Stats().Outstanding
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(ln) }()
+	addr := ln.Addr().String()
+
+	syns := map[int][][]bool{3: confSyndromes(3, lattice.ZErrors, 12), 5: confSyndromes(5, lattice.ZErrors, 12)}
+	frame := func(id uint64) []byte {
+		d := 3 + 2*int(id%2)
+		b, err := AppendRequest(nil, &Request{ID: id, D: d, EType: lattice.ZErrors, Syndrome: syns[d][int(id)%len(syns[d])]})
+		if err != nil {
+			panic(err) // the corpus is valid by construction
+		}
+		return b
+	}
+
+	var hostile sync.WaitGroup
+	hostileDone := make(chan struct{})
+	misbehave := func(reset bool) {
+		defer hostile.Done()
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for id := uint64(1); id <= perPeer; id++ {
+			if _, err := c.Write(frame(id)); err != nil {
+				t.Error(err)
+			}
+		}
+		half := frame(perPeer + 1)
+		if _, err := c.Write(half[:len(half)/2]); err != nil {
+			t.Error(err)
+		}
+		time.Sleep(2 * time.Millisecond) // let the server read into the half frame
+		if reset {
+			c.(*net.TCPConn).SetLinger(0)
+		}
+		c.Close()
+	}
+	go func() {
+		for r := 0; r < rounds; r++ {
+			hostile.Add(2)
+			go misbehave(false)
+			go misbehave(true)
+			time.Sleep(interval)
+		}
+		hostile.Wait()
+		close(hostileDone)
+	}()
+
+	// The well-behaved client keeps sending until every misbehaving peer
+	// has come and gone, then half-closes its side and reads until the
+	// server hangs up. It counts every response frame by ID, so a
+	// duplicate shows even after all IDs have arrived.
+	good, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := make(chan uint64, 1)
+	go func() {
+		id := uint64(0)
+		defer func() { sent <- id }()
+		for {
+			select {
+			case <-hostileDone:
+				if id >= minGood {
+					if err := good.(*net.TCPConn).CloseWrite(); err != nil {
+						t.Error(err)
+					}
+					return
+				}
+			default:
+			}
+			if _, err := good.Write(frame(id + 1)); err != nil {
+				t.Errorf("well-behaved client write %d: %v", id+1, err)
+				return
+			}
+			id++
+		}
+	}()
+
+	got := map[uint64]int{}
+	frames := 0
+	br := bufio.NewReader(good)
+	var buf []byte
+	var resp Response
+	for {
+		mt, payload, err := ReadFrame(br, buf)
+		if err != nil {
+			break // the server hung up after the last response
+		}
+		buf = payload
+		if mt != MsgResult || ParseResponse(payload, &resp) != nil {
+			t.Fatal("well-behaved client: bad frame from server")
+		}
+		if resp.Status != StatusOK && resp.Status != StatusShed {
+			t.Errorf("request %d: status %v (%s)", resp.ID, resp.Status, resp.Msg)
+		}
+		got[resp.ID]++
+		frames++
+	}
+	good.Close()
+	n := <-sent
+	if frames != int(n) || len(got) != int(n) {
+		t.Errorf("well-behaved client: %d response frames for %d distinct IDs, sent %d", frames, len(got), n)
+	}
+	for id, k := range got {
+		if id < 1 || id > n || k != 1 {
+			t.Errorf("request %d answered %d times", id, k)
+		}
+	}
+	// The half-closing peers' whole requests were admitted, so the
+	// server saw more than the well-behaved client sent.
+	if reqs := reg.Counter("serve_requests_total").Load(); reqs < int64(n)+rounds*perPeer {
+		t.Errorf("server admitted %d requests, want at least %d: the hostile peers were not served", reqs, int64(n)+rounds*perPeer)
+	}
+
+	// Every connection, hostile ones included, is torn down.
+	conns := reg.Gauge("serve_conns")
+	for deadline := time.Now().Add(10 * time.Second); conns.Load() != 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if c := conns.Load(); c != 0 {
+		t.Errorf("%d connections still open after every peer left", c)
+	}
+	if st := pool.Stats(); st.Outstanding != held {
+		t.Errorf("pool outstanding %d while serving, want the %d the server holds", st.Outstanding, held)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Errorf("Serve: %v", err)
+	}
+	if st := pool.Stats(); st.Outstanding != 0 || st.DoublePuts != 0 || st.Foreign != 0 {
+		t.Errorf("pool accounting after hostile peers: %+v", st)
+	}
+}

@@ -155,10 +155,10 @@ func (d *Decoder) Match(events []Node) (pairs [][2]int, boundary []int) {
 func (d *Decoder) Correction(events []Node, pairs [][2]int, boundary []int) []int {
 	var qubits []int
 	for _, p := range pairs {
-		qubits = append(qubits, d.g.PathQubits(events[p[0]].Check, events[p[1]].Check)...)
+		qubits = d.g.AppendPathQubits(qubits, events[p[0]].Check, events[p[1]].Check)
 	}
 	for _, i := range boundary {
-		qubits = append(qubits, d.g.BoundaryPathQubits(events[i].Check)...)
+		qubits = d.g.AppendBoundaryPathQubits(qubits, events[i].Check)
 	}
 	return qubits
 }

@@ -92,10 +92,12 @@ type plane struct {
 	batch     decodepool.BatchDecoder
 	laneStats func(i int) sfq.Stats
 	cut       []int // data qubits whose parity flags a logical flip
+	logical   []int // the logical operator that normalizes a flip
 	op        pauli.Op
 
-	left []bool   // reusable post-correction syndrome buffer
-	syns [][]bool // per-lane syndrome buffers
+	left  []bool   // reusable post-correction syndrome buffer
+	chain []int    // reusable forced-completion chain buffer
+	syns  [][]bool // per-lane syndrome buffers
 }
 
 // New validates the configuration and builds a simulator.
@@ -136,7 +138,8 @@ func New(cfg Config) (*Simulator, error) {
 		}
 		g := l.MatchingGraph(e)
 		p := &plane{
-			etype: e, graph: g, dec: dec, cut: l.LogicalCutSupport(e), op: op,
+			etype: e, graph: g, dec: dec, op: op,
+			cut: l.LogicalCutSupport(e), logical: l.LogicalSupport(e),
 			left: make([]bool, g.NumChecks()),
 		}
 		switch m := dec.(type) {
@@ -225,7 +228,8 @@ func (s *Simulator) finishPlane(p *plane, f *pauli.Frame, qubits []int, out *Bat
 		if !hot {
 			continue
 		}
-		for _, q := range p.graph.BoundaryPathQubits(i) {
+		p.chain = p.graph.AppendBoundaryPathQubits(p.chain[:0], i)
+		for _, q := range p.chain {
 			f.Apply(q, p.op)
 		}
 		out.Forced++
@@ -233,7 +237,7 @@ func (s *Simulator) finishPlane(p *plane, f *pauli.Frame, qubits []int, out *Bat
 	if par := parity(f, p.cut, p.etype); par == 1 {
 		// Normalize the residual by the logical operator so each
 		// logical flip is counted once.
-		for _, q := range s.l.LogicalSupport(p.etype) {
+		for _, q := range p.logical {
 			f.Apply(q, p.op)
 		}
 		out.Failed = true

@@ -166,3 +166,33 @@ func TestSFQTracksGreedyLoosely(t *testing.T) {
 		t.Errorf("sfq PL %v wildly above greedy PL %v", sfqPL, grPL)
 	}
 }
+
+// Force completion and logical-flip normalization reuse per-plane
+// buffers: a warmed-up baseline-mesh trial at d = 9, p = 0.08 (about
+// eight forced completions per trial) allocates nothing.
+func TestForcedCompletionZeroAlloc(t *testing.T) {
+	l := lattice.MustNew(9)
+	mesh := sfq.New(l.MatchingGraph(lattice.ZErrors), sfq.Baseline)
+	s, err := New(Config{Distance: 9, Channel: dephasing(0.08), DecoderZ: mesh, Seed: 31})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(64); err != nil {
+		t.Fatal(err)
+	}
+	var total Result
+	avg := testing.AllocsPerRun(200, func() {
+		r, err := s.Run(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total.Forced += r.Forced
+		total.LogicalErrors += r.LogicalErrors
+	})
+	if total.Forced == 0 || total.LogicalErrors == 0 {
+		t.Fatalf("no forced completion or no logical flip in the measured trials (%+v)", total)
+	}
+	if avg != 0 {
+		t.Errorf("Run(1): %.2f allocations per trial, want 0", avg)
+	}
+}
