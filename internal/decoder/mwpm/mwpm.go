@@ -107,7 +107,7 @@ func (d *Decoder) DecodeInto(g *lattice.Graph, syn []bool, s *decodepool.Scratch
 	// leftover check at its boundary distance.
 	m := n + n%2
 	if cap(st.w) < m*m {
-		st.w = make([]int64, m*m)
+		st.w = make([]int64, match.GrownSquare(m, cap(st.w)))
 	}
 	w := st.w[:m*m]
 	for u := 0; u < n; u++ {

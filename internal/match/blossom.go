@@ -53,9 +53,10 @@ type graph struct {
 }
 
 // Matcher owns reusable blossom working state. The zero value is ready
-// to use; a Matcher must not be used from two goroutines at once. After
-// the first solve at a given size, subsequent solves at the same or
-// smaller size perform no heap allocation.
+// to use; a Matcher must not be used from two goroutines at once. Its
+// tables grow to at least 1.25× their old size when an instance does
+// not fit, so a Matcher fed instances of increasing size reallocates
+// O(log n) times, and solves that fit the tables allocate nothing.
 type Matcher struct {
 	g    graph
 	mate []int
@@ -74,7 +75,7 @@ func NewMatcher() *Matcher { return &Matcher{} }
 // only until the next solve.
 func (m *Matcher) MaxWeight(n int, w []int64) (mate []int, total int64) {
 	if cap(m.mate) < n {
-		m.mate = make([]int, n)
+		m.mate = make([]int, grown(n, cap(m.mate)))
 	}
 	mate = m.mate[:n]
 	if n == 0 {
@@ -118,7 +119,7 @@ func (m *Matcher) MinWeightPerfect(n int, w []int64) (mate []int, total int64) {
 		}
 	}
 	if cap(m.flip) < n*n {
-		m.flip = make([]int64, n*n)
+		m.flip = make([]int64, GrownSquare(n, cap(m.flip)))
 	}
 	flip := m.flip[:n*n]
 	// Flip weights so that minimum becomes maximum; the +1 keeps every
@@ -181,12 +182,30 @@ func flatten(n int, weight func(u, v int) int64) []int64 {
 	return w
 }
 
+// grown is the size to allocate when a table of size have must hold
+// need: at least need, and at least 1.25× have. Doubling instead would
+// cost peak memory in every Monte-Carlo shard for little gain.
+func grown(need, have int) int { return max(need, have+have/4) }
+
+// GrownSquare is grown for an n×n table held in a slice of capacity
+// have: the side grows to at least 1.25× the side have holds.
+func GrownSquare(n, have int) int {
+	side := 0
+	for (side+1)*(side+1) <= have {
+		side++
+	}
+	s := grown(n, side)
+	return s * s
+}
+
 // grow ensures the graph owns at least `slots` vertex slots, allocating
-// fresh arrays when the previous instance was smaller.
+// fresh arrays, at least 1.25× the old slot count, when the previous
+// instances were smaller. Blossom cycle buffers carry over.
 func (g *graph) grow(slots int) {
 	if slots <= g.slots {
 		return
 	}
+	slots = grown(slots, g.slots)
 	g.slots = slots
 	g.w = make([]int64, slots*slots)
 	g.eu = make([]int, slots*slots)
@@ -199,7 +218,9 @@ func (g *graph) grow(slots int) {
 	g.pa = make([]int, slots)
 	g.side = make([]int8, slots)
 	g.vis = make([]int, slots)
-	g.flower = make([][]int, slots)
+	flower := make([][]int, slots)
+	copy(flower, g.flower)
+	g.flower = flower
 }
 
 // init re-establishes the exact state of a freshly allocated graph for

@@ -1,7 +1,9 @@
 package match
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -238,5 +240,79 @@ func BenchmarkMinWeightPerfectMatching40(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MinWeightPerfectMatching(40, func(u, v int) int64 { return w[u][v] })
+	}
+}
+
+// TestMatcherGrowth solves instances of increasing size, n = 2…80, on
+// one Matcher: its tables grow geometrically, so each reallocates
+// O(log n) times rather than once per size. After the largest instance
+// the grown Matcher must reproduce a fresh Matcher's matching on
+// smaller instances exactly.
+func TestMatcherGrowth(t *testing.T) {
+	const maxN = 80
+	rng := rand.New(rand.NewSource(6))
+	flat := func(w [][]int64) []int64 {
+		n := len(w)
+		f := make([]int64, n*n)
+		for u := range w {
+			copy(f[u*n:], w[u])
+		}
+		return f
+	}
+	var m Matcher
+	var slots, mates, flips int
+	lastSlots, lastMate, lastFlip := 0, 0, 0
+	for n := 2; n <= maxN; n++ {
+		w := flat(randWeights(rng, n, 1000))
+		m.MaxWeight(n, w)
+		if n%2 == 0 {
+			m.MinWeightPerfect(n, w)
+		}
+		if m.g.slots != lastSlots {
+			slots, lastSlots = slots+1, m.g.slots
+		}
+		if cap(m.mate) != lastMate {
+			mates, lastMate = mates+1, cap(m.mate)
+		}
+		if cap(m.flip) != lastFlip {
+			flips, lastFlip = flips+1, cap(m.flip)
+		}
+	}
+	// Growing 1.25× per step from the first instance to the last needs
+	// ⌈log1.25(last/first)⌉ steps; the rounding at small sizes may add
+	// a few.
+	bound := func(first, last int) int {
+		return int(math.Ceil(math.Log(float64(last)/float64(first))/math.Log(1.25))) + 3
+	}
+	for _, c := range []struct {
+		name       string
+		got, bound int
+	}{
+		{"graph slots", slots, bound(5, 2*maxN+1)},
+		{"mate", mates, bound(2, maxN)},
+		{"flip", flips, bound(2, maxN)},
+	} {
+		if c.got > c.bound {
+			t.Errorf("%s reallocated %d times over n = 2…%d, want at most %d", c.name, c.got, maxN, c.bound)
+		}
+	}
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(maxN-1)
+		w := flat(randWeights(rng, n, 1000))
+		got, gotTotal := m.MaxWeight(n, w)
+		got = append([]int(nil), got...)
+		want, wantTotal := NewMatcher().MaxWeight(n, w)
+		if gotTotal != wantTotal || !slices.Equal(got, want) {
+			t.Fatalf("n=%d: grown matcher mate %v (total %d), fresh %v (total %d)", n, got, gotTotal, want, wantTotal)
+		}
+		if n%2 != 0 {
+			continue
+		}
+		got, gotTotal = m.MinWeightPerfect(n, w)
+		got = append([]int(nil), got...)
+		want, wantTotal = NewMatcher().MinWeightPerfect(n, w)
+		if gotTotal != wantTotal || !slices.Equal(got, want) {
+			t.Fatalf("n=%d perfect: grown matcher mate %v (total %d), fresh %v (total %d)", n, got, gotTotal, want, wantTotal)
+		}
 	}
 }

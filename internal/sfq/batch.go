@@ -102,13 +102,23 @@ type BatchMesh struct {
 	pooled bool
 }
 
-// bwavefront is the double-buffered plane set of one signal class. cur
-// and nxt point into sets, so the per-clock swap is two pointer moves;
-// a bwavefront must not be copied.
+// bwavefront is the double-buffered plane set of one signal class:
+// sets[i] is the current buffer and sets[i^1] the next one. The
+// per-clock swap flips i, a scalar write; swapping two pointers held in
+// the (heap-allocated) mesh would pay a GC write barrier on every clock
+// while a collection is marking.
 type bwavefront struct {
-	cur, nxt *planeSet
-	sets     [2]planeSet
+	sets [2]planeSet
+	i    int
 }
+
+// cur returns the buffer the phases read this clock.
+func (w *bwavefront) cur() *planeSet { return &w.sets[w.i&1] }
+
+// nxt returns the buffer the phases write this clock.
+func (w *bwavefront) nxt() *planeSet { return &w.sets[w.i&1^1] }
+
+func (w *bwavefront) swap() { w.i ^= 1 }
 
 // planeSet is one buffer of a wavefront: a plane per travel direction,
 // and two occupancy flags that every write into the set updates (mark):
@@ -135,10 +145,7 @@ func (w *bwavefront) init(backing []uint64, n int) {
 			w.sets[i].dir[d] = backing[o : o+n : o+n]
 		}
 	}
-	w.cur, w.nxt = &w.sets[0], &w.sets[1]
 }
-
-func (w *bwavefront) swap() { w.cur, w.nxt = w.nxt, w.cur }
 
 // mark records a write of the bits x into the bands rows of the set.
 func (ps *planeSet) mark(rows, x uint64) {
@@ -156,15 +163,20 @@ func (ps *planeSet) clear(bg *batchGeom) {
 }
 
 func (ps *planeSet) clearRows(bg *batchGeom) {
+	ps.zero(bg.band, ps.rows)
+	ps.any, ps.rows = 0, 0
+}
+
+// zero zeroes the words of the given bands in every direction plane,
+// leaving the flags to the caller.
+func (ps *planeSet) zero(bd bandGeom, rows uint64) {
 	pN, pE, pS, pW := ps.dir[North], ps.dir[East], ps.dir[South], ps.dir[West]
-	bd := bg.band
-	for v := ps.rows; v != 0; v &= v - 1 {
+	for v := rows; v != 0; v &= v - 1 {
 		lo, hi := bd.words(bits.TrailingZeros64(v))
 		for k := lo; k < hi; k++ {
 			pN[k], pE[k], pS[k], pW[k] = 0, 0, 0, 0
 		}
 	}
-	ps.any, ps.rows = 0, 0
 }
 
 // NewBatch builds a SWAR batch mesh for the matching graph at the
@@ -364,7 +376,7 @@ func (b *BatchMesh) run(syns [][]bool, spans [][2]int32, q []int) []int {
 			if b.laneSyn[l] < 0 {
 				continue
 			}
-			if b.laneHot[l] == 0 && b.pairW.cur.any&b.bg.laneBits[l] == 0 && b.laneCountdown[l] == 0 {
+			if b.laneHot[l] == 0 && b.pairW.cur().any&b.bg.laneBits[l] == 0 && b.laneCountdown[l] == 0 {
 				b.finalizeLane(l)
 				continue
 			}
@@ -425,8 +437,8 @@ func batchCorrections(s *decodepool.Scratch, q []int, spans [][2]int32) []decode
 func (b *BatchMesh) resetAll() {
 	clearPlane(b.state)
 	for _, w := range []*bwavefront{&b.growW, &b.reqW, &b.grantW, &b.pairW, &b.pairBW} {
-		w.cur.clear(b.bg)
-		w.nxt.clear(b.bg)
+		w.cur().clear(b.bg)
+		w.nxt().clear(b.bg)
 	}
 	for l := range b.laneSyn {
 		b.laneSyn[l] = -1
@@ -475,7 +487,7 @@ func (b *BatchMesh) loadLaneNext(l int) {
 		b.laneStats[l] = Stats{}
 		// Emit grows in all four directions at every hot module of this
 		// lane.
-		b.emitGrows(b.growW.cur, l)
+		b.emitGrows(b.growW.cur(), l)
 		b.active++
 		return
 	}
@@ -578,7 +590,7 @@ func (b *BatchMesh) keepMask(l int) uint64 {
 // stays an exact OR of the remaining plane contents (lane masks are
 // disjoint).
 func (w *bwavefront) maskLane(bg *batchGeom, lane uint64) {
-	ps := w.cur
+	ps := w.cur()
 	if ps.any&lane == 0 {
 		return
 	}
@@ -653,7 +665,7 @@ func (b *BatchMesh) setLanePrio(l, v int) {
 // laneQuiescent reports whether lane l has no signal of any kind in
 // flight. Exact because the any flags are exact ORs (see type comment).
 func (b *BatchMesh) laneQuiescent(l int) bool {
-	return (b.growW.cur.any|b.reqW.cur.any|b.grantW.cur.any|b.pairW.cur.any)&
+	return (b.growW.cur().any|b.reqW.cur().any|b.grantW.cur().any|b.pairW.cur().any)&
 		b.bg.laneBits[l] == 0
 }
 
@@ -663,27 +675,32 @@ func (b *BatchMesh) laneQuiescent(l int) bool {
 // natural no-ops for it, while pair signals keep propagating — exactly
 // the oracle's blocked branch.
 func (b *BatchMesh) step() {
-	// The next-cycle planes still hold state from two cycles ago.
+	// The next-cycle planes still hold state from two cycles ago. The
+	// grow planes have one writer ahead of the countdown's emitGrows,
+	// moveGrows, which overwrites what it visits and clears the rest;
+	// the other classes are ORed into by several phases, so they start
+	// from clear planes.
 	bg := b.bg
-	b.growW.nxt.clear(bg)
-	b.reqW.nxt.clear(bg)
-	b.grantW.nxt.clear(bg)
-	b.pairW.nxt.clear(bg)
-	b.pairBW.nxt.clear(bg)
+	b.reqW.nxt().clear(bg)
+	b.grantW.nxt().clear(bg)
+	b.pairW.nxt().clear(bg)
+	b.pairBW.nxt().clear(bg)
 
 	// Each phase runs only when its wavefront has a signal in flight
 	// (the any flags are exact) and sweeps only the rows around it.
 	var done uint64
-	if b.growW.cur.any != 0 {
+	if b.growW.cur().any != 0 {
 		b.moveGrows()
+	} else {
+		b.growW.nxt().clear(bg)
 	}
-	if b.reqW.cur.any != 0 {
+	if b.reqW.cur().any != 0 {
 		b.moveReqs()
 	}
-	if b.grantW.cur.any != 0 {
+	if b.grantW.cur().any != 0 {
 		b.moveGrants()
 	}
-	if b.pairW.cur.any != 0 {
+	if b.pairW.cur().any != 0 {
 		done = b.movePairs()
 	}
 	b.fireComplete()
@@ -696,7 +713,7 @@ func (b *BatchMesh) step() {
 		if cd == 1 {
 			// The lane's blocking is over; its surviving hot modules
 			// grow again next cycle.
-			b.emitGrows(b.growW.nxt, l)
+			b.emitGrows(b.growW.nxt(), l)
 		}
 	}
 
@@ -752,7 +769,8 @@ func (b *BatchMesh) render(l int) string {
 		return p[w]&bit != 0
 	}
 	anyDir := func(wf *bwavefront, i int) bool {
-		return set(wf.cur.dir[North], i) || set(wf.cur.dir[East], i) || set(wf.cur.dir[South], i) || set(wf.cur.dir[West], i)
+		ps := wf.cur()
+		return set(ps.dir[North], i) || set(ps.dir[East], i) || set(ps.dir[South], i) || set(ps.dir[West], i)
 	}
 	var sb strings.Builder
 	for i, kd := range geo.kind {

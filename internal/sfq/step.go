@@ -14,6 +14,12 @@ import "math/bits"
 // conformance suite pins every layout bit-identical to the reference
 // model in internal/sfq/oracle.
 //
+// Beyond the sweeps, a clock does only the work an event needs: the
+// fire scan visits only rows where a cell became able to fire
+// (fireComplete), the grow planes are overwritten by moveGrows rather
+// than cleared and re-ORed, and the double buffers flip an index
+// (bwavefront), so no clock writes a pointer.
+//
 // Ordering notes (the oracle processes signal sources in ascending
 // cell index, so signals converging on one destination in one cycle
 // arrive ordered from-north, from-west, from-east, from-south):
@@ -58,6 +64,12 @@ func hshift(e, w []uint64, k int, em, wm, ce, cw uint64) (uint64, uint64) {
 // swept, so the meeting module is the unique intermediate on the line.
 // All arrivals at a word latch before propagation is decided there, so
 // head-on meetings stop both fronts symmetrically.
+//
+// moveGrows is the only phase that writes the next grow planes, so it
+// assigns every word it visits and clears the stale rows it does not
+// visit instead of ORing into planes step cleared: the next buffer
+// still holds the grows of two cycles ago. It marks fireDirty only on
+// rows where a latch leaves some cell able to fire (see fireComplete).
 func (b *BatchMesh) moveGrows() {
 	bg, v := b.bg, b.variant
 	n := bg.n
@@ -66,23 +78,28 @@ func (b *BatchMesh) moveGrows() {
 	em, wmk, ce, cw := bg.eastMask, bg.westMask, bg.eastCarry, bg.westCarry
 	interior := bg.interior[:n]
 	boundary := bg.boundary[:n]
-	curN := b.growW.cur.dir[North][:n]
-	curE := b.growW.cur.dir[East][:n]
-	curS := b.growW.cur.dir[South][:n]
-	curW := b.growW.cur.dir[West][:n]
-	nxtN := b.growW.nxt.dir[North][:n]
-	nxtE := b.growW.nxt.dir[East][:n]
-	nxtS := b.growW.nxt.dir[South][:n]
-	nxtW := b.growW.nxt.dir[West][:n]
+	cur, nxt := b.growW.cur(), b.growW.nxt()
+	curN := cur.dir[North][:n]
+	curE := cur.dir[East][:n]
+	curS := cur.dir[South][:n]
+	curW := cur.dir[West][:n]
+	nxtN := nxt.dir[North][:n]
+	nxtE := nxt.dir[East][:n]
+	nxtS := nxt.dir[South][:n]
+	nxtW := nxt.dir[West][:n]
 	gfN := b.growFrom[North][:n]
 	gfE := b.growFrom[East][:n]
 	gfS := b.growFrom[South][:n]
 	gfW := b.growFrom[West][:n]
 	fired := b.fired[:n]
+	hotP := b.hot[:n]
 	bdry := v.Boundary
 	reqGrant := v.ReqGrant
+	reqNxt, pairNxt, pairBNxt := b.reqW.nxt(), b.pairW.nxt(), b.pairBW.nxt()
+	visit := bd.visit(cur.rows)
+	nxt.zero(bd, nxt.rows&^visit)
 	var acc, occ uint64
-	for vis := bd.visit(b.growW.cur.rows); vis != 0; vis &= vis - 1 {
+	for vis := visit; vis != 0; vis &= vis - 1 {
 		j := bits.TrailingZeros64(vis)
 		row := uint64(1) << uint(j)
 		lo, hi := bd.words(j)
@@ -96,14 +113,10 @@ func (b *BatchMesh) moveGrows() {
 			}
 			shE, shW := hshift(curE, curW, k, em, wmk, ce, cw)
 			if shN|shS|shE|shW == 0 {
+				nxtN[k], nxtE[k], nxtS[k], nxtW[k] = 0, 0, 0, 0
 				continue
 			}
 			in := interior[k]
-			if (shN|shS|shE|shW)&in != 0 {
-				// A latch is landing at this word: fire eligibility may
-				// change, so fireComplete must re-evaluate it.
-				b.fireDirty |= row
-			}
 			// Latch interior arrivals by entry side (pass 1), then
 			// propagate into territory no opposite front has swept (pass
 			// 2). gf[d] receives only sh[opp(d)] at this same word, so the
@@ -112,18 +125,22 @@ func (b *BatchMesh) moveGrows() {
 			gS := gfS[k] | shN&in
 			gE := gfE[k] | shW&in
 			gW := gfW[k] | shE&in
-			gfN[k], gfS[k], gfE[k], gfW[k] = gN, gS, gE, gW
 			pN := shN & in &^ gN
 			pE := shE & in &^ gE
 			pS := shS & in &^ gS
 			pW := shW & in &^ gW
+			nxtN[k], nxtE[k], nxtS[k], nxtW[k] = pN, pE, pS, pW
 			if p := pN | pE | pS | pW; p != 0 {
-				nxtN[k] |= pN
-				nxtE[k] |= pE
-				nxtS[k] |= pS
-				nxtW[k] |= pW
 				acc |= p
 				occ |= row
+			}
+			if (shN|shS|shE|shW)&in != 0 {
+				gfN[k], gfS[k], gfE[k], gfW[k] = gN, gS, gE, gW
+				// A latch landed: mark the row if it left an unfired,
+				// non-hot cell holding one of fireWord's pairs.
+				if (gW&gE|gN&(gS|gW|gE))&in&^fired[k]&^hotP[k] != 0 {
+					b.fireDirty |= row
+				}
 			}
 			if !bdry {
 				continue
@@ -151,27 +168,27 @@ func (b *BatchMesh) moveGrows() {
 			b.reqDirs[North][k] |= fbS
 			b.reqDirs[East][k] |= fbW
 			if reqGrant {
-				b.reqW.nxt.dir[South][k] |= fbN
-				b.reqW.nxt.dir[West][k] |= fbE
-				b.reqW.nxt.dir[North][k] |= fbS
-				b.reqW.nxt.dir[East][k] |= fbW
-				b.reqW.nxt.mark(row, fb)
+				reqNxt.dir[South][k] |= fbN
+				reqNxt.dir[West][k] |= fbE
+				reqNxt.dir[North][k] |= fbS
+				reqNxt.dir[East][k] |= fbW
+				reqNxt.mark(row, fb)
 			} else {
 				b.sentPair[k] |= fb
-				b.pairW.nxt.dir[South][k] |= fbN
-				b.pairW.nxt.dir[West][k] |= fbE
-				b.pairW.nxt.dir[North][k] |= fbS
-				b.pairW.nxt.dir[East][k] |= fbW
-				b.pairW.nxt.mark(row, fb)
-				b.pairBW.nxt.dir[South][k] |= fbN
-				b.pairBW.nxt.dir[West][k] |= fbE
-				b.pairBW.nxt.dir[North][k] |= fbS
-				b.pairBW.nxt.dir[East][k] |= fbW
-				b.pairBW.nxt.mark(row, fb)
+				pairNxt.dir[South][k] |= fbN
+				pairNxt.dir[West][k] |= fbE
+				pairNxt.dir[North][k] |= fbS
+				pairNxt.dir[East][k] |= fbW
+				pairNxt.mark(row, fb)
+				pairBNxt.dir[South][k] |= fbN
+				pairBNxt.dir[West][k] |= fbE
+				pairBNxt.dir[North][k] |= fbS
+				pairBNxt.dir[East][k] |= fbW
+				pairBNxt.mark(row, fb)
 			}
 		}
 	}
-	b.growW.nxt.mark(occ, acc)
+	nxt.any, nxt.rows = acc, occ
 }
 
 // moveReqs advances pair requests; requests stop at hot modules, which
@@ -184,23 +201,23 @@ func (b *BatchMesh) moveReqs() {
 	bd := bg.band
 	em, wmk, ce, cw := bg.eastMask, bg.westMask, bg.eastCarry, bg.westCarry
 	interior := bg.interior[:n]
-	curN := b.reqW.cur.dir[North][:n]
-	curE := b.reqW.cur.dir[East][:n]
-	curS := b.reqW.cur.dir[South][:n]
-	curW := b.reqW.cur.dir[West][:n]
-	nxtN := b.reqW.nxt.dir[North][:n]
-	nxtE := b.reqW.nxt.dir[East][:n]
-	nxtS := b.reqW.nxt.dir[South][:n]
-	nxtW := b.reqW.nxt.dir[West][:n]
-	gnN := b.grantW.nxt.dir[North][:n]
-	gnE := b.grantW.nxt.dir[East][:n]
-	gnS := b.grantW.nxt.dir[South][:n]
-	gnW := b.grantW.nxt.dir[West][:n]
+	cur, nxt, gnxt := b.reqW.cur(), b.reqW.nxt(), b.grantW.nxt()
+	curN := cur.dir[North][:n]
+	curE := cur.dir[East][:n]
+	curS := cur.dir[South][:n]
+	curW := cur.dir[West][:n]
+	nxtN := nxt.dir[North][:n]
+	nxtE := nxt.dir[East][:n]
+	nxtS := nxt.dir[South][:n]
+	nxtW := nxt.dir[West][:n]
+	gnN := gnxt.dir[North][:n]
+	gnE := gnxt.dir[East][:n]
+	gnS := gnxt.dir[South][:n]
+	gnW := gnxt.dir[West][:n]
 	hotP := b.hot[:n]
 	grantedP := b.granted[:n]
-	gnxt := b.grantW.nxt
 	var acc, occ uint64
-	for vis := bd.visit(b.reqW.cur.rows); vis != 0; vis &= vis - 1 {
+	for vis := bd.visit(cur.rows); vis != 0; vis &= vis - 1 {
 		j := bits.TrailingZeros64(vis)
 		row := uint64(1) << uint(j)
 		lo, hi := bd.words(j)
@@ -302,7 +319,7 @@ func (b *BatchMesh) moveReqs() {
 			grantedP[k] |= elig
 		}
 	}
-	b.reqW.nxt.mark(occ, acc)
+	nxt.mark(occ, acc)
 }
 
 // moveGrants advances pair grants; a grant is consumed by the first
@@ -316,11 +333,12 @@ func (b *BatchMesh) moveGrants() {
 	em, wmk, ce, cw := bg.eastMask, bg.westMask, bg.eastCarry, bg.westCarry
 	interior := bg.interior[:n]
 	boundary := bg.boundary[:n]
-	curN := b.grantW.cur.dir[North][:n]
-	curE := b.grantW.cur.dir[East][:n]
-	curS := b.grantW.cur.dir[South][:n]
-	curW := b.grantW.cur.dir[West][:n]
-	for vis := bd.visit(b.grantW.cur.rows); vis != 0; vis &= vis - 1 {
+	cur := b.grantW.cur()
+	curN := cur.dir[North][:n]
+	curE := cur.dir[East][:n]
+	curS := cur.dir[South][:n]
+	curW := cur.dir[West][:n]
+	for vis := bd.visit(cur.rows); vis != 0; vis &= vis - 1 {
 		j := bits.TrailingZeros64(vis)
 		row := uint64(1) << uint(j)
 		lo, hi := bd.words(j)
@@ -370,16 +388,18 @@ func (b *BatchMesh) grantConsume(k int, row, mv, in, bd, f uint64, e, d Dir) {
 		b.hsDirty |= row
 	}
 	if pass := mvI &^ cons; pass != 0 {
-		b.grantW.nxt.dir[d][k] |= pass
-		b.grantW.nxt.mark(row, pass)
+		gn := b.grantW.nxt()
+		gn.dir[d][k] |= pass
+		gn.mark(row, pass)
 	}
 	bc := mv & bd & f & rde &^ b.sentPair[k]
 	if bc != 0 {
 		b.sentPair[k] |= bc
-		b.pairW.nxt.dir[e][k] |= bc
-		b.pairW.nxt.mark(row, bc)
-		b.pairBW.nxt.dir[e][k] |= bc
-		b.pairBW.nxt.mark(row, bc)
+		pn, pbn := b.pairW.nxt(), b.pairBW.nxt()
+		pn.dir[e][k] |= bc
+		pn.mark(row, bc)
+		pbn.dir[e][k] |= bc
+		pbn.mark(row, bc)
 	}
 }
 
@@ -397,17 +417,18 @@ func (b *BatchMesh) movePairs() (done uint64) {
 	bd := bg.band
 	em, wmk, ce, cw := bg.eastMask, bg.westMask, bg.eastCarry, bg.westCarry
 	interior := bg.interior[:n]
-	curN := b.pairW.cur.dir[North][:n]
-	curE := b.pairW.cur.dir[East][:n]
-	curS := b.pairW.cur.dir[South][:n]
-	curW := b.pairW.cur.dir[West][:n]
-	curBN := b.pairBW.cur.dir[North][:n]
-	curBE := b.pairBW.cur.dir[East][:n]
-	curBS := b.pairBW.cur.dir[South][:n]
-	curBW := b.pairBW.cur.dir[West][:n]
+	cur, curB := b.pairW.cur(), b.pairBW.cur()
+	curN := cur.dir[North][:n]
+	curE := cur.dir[East][:n]
+	curS := cur.dir[South][:n]
+	curW := cur.dir[West][:n]
+	curBN := curB.dir[North][:n]
+	curBE := curB.dir[East][:n]
+	curBS := curB.dir[South][:n]
+	curBW := curB.dir[West][:n]
 	// Boundary provenance rides only on pair signals (pairBW ⊆ pairW),
 	// so the pair rows cover it.
-	for vis := bd.visit(b.pairW.cur.rows); vis != 0; vis &= vis - 1 {
+	for vis := bd.visit(cur.rows); vis != 0; vis &= vis - 1 {
 		j := bits.TrailingZeros64(vis)
 		row := uint64(1) << uint(j)
 		lo, hi := bd.words(j)
@@ -465,11 +486,13 @@ func (b *BatchMesh) pairStep(k int, row, mv, pb uint64, d Dir) (done uint64) {
 		}
 	}
 	if pass := mv &^ hits; pass != 0 {
-		b.pairW.nxt.dir[d][k] |= pass
-		b.pairW.nxt.mark(row, pass)
+		pn := b.pairW.nxt()
+		pn.dir[d][k] |= pass
+		pn.mark(row, pass)
 		if bp := pb & pass; bp != 0 {
-			b.pairBW.nxt.dir[d][k] |= bp
-			b.pairBW.nxt.mark(row, bp)
+			pbn := b.pairBW.nxt()
+			pbn.dir[d][k] |= bp
+			pbn.mark(row, bp)
 		}
 	}
 	return done
@@ -479,13 +502,19 @@ func (b *BatchMesh) pairStep(k int, row, mv, pb uint64, d Dir) (done uint64) {
 // into intermediates (fireWord) and lets intermediates holding grants
 // from every request direction emit their pair signals (handshakeWord),
 // restricted to the dirty rows the earlier phases marked this step.
-// Both scans are event-driven:
+// Both scans are event-driven, and they keep one invariant between
+// steps: no interior cell is unfired, not hot and holding one of
+// fireWord's firing pairs (gW&gE | gN&(gS|gW|gE)).
 //
-//   - Fire eligibility at a word changes only when a grow latch lands
-//     there (moveGrows marks fireDirty) or a hot module terminates
-//     there (pairStep marks it) — fired bits and lane scrubs/resets only
-//     shrink the eligible set, and a scrub or reset also clears the
-//     lane's growFrom latches, so no unmarked word can newly fire.
+//   - A cell becomes able to fire only when a grow latch lands on it or
+//     its hot module terminates; fired bits, hot loads and lane
+//     scrubs/resets only shrink the set (a scrub or reset also clears
+//     the lane's growFrom latches). moveGrows marks fireDirty only where
+//     the landing latch leaves such a cell, which the invariant makes
+//     a new one; pairStep marks every row where a hot module
+//     terminates. hot only shrinks and interior fired bits only change
+//     in fireWord between the mark and the scan, so every marked
+//     candidate is still one when fireWord reaches it.
 //   - A handshake completes only when the module's last outstanding
 //     grant is consumed (grantConsume marks hsDirty): a fresh fire
 //     always creates pending request dirs of its own, so it can never
@@ -553,21 +582,18 @@ func (b *BatchMesh) fireWord(k int, reqGrant bool) {
 	b.reqDirs[South][k] |= setS
 	b.reqDirs[East][k] |= setE
 	b.reqDirs[West][k] |= setW
+	out := b.pairW.nxt()
 	if reqGrant {
-		b.reqW.nxt.dir[North][k] |= setN
-		b.reqW.nxt.dir[South][k] |= setS
-		b.reqW.nxt.dir[East][k] |= setE
-		b.reqW.nxt.dir[West][k] |= setW
-		b.reqW.nxt.mark(bg.band.bit(k), firedNew)
+		out = b.reqW.nxt()
 	} else {
 		b.sentPair[k] |= firedNew
 		b.errOut[k] ^= firedNew
-		b.pairW.nxt.dir[North][k] |= setN
-		b.pairW.nxt.dir[South][k] |= setS
-		b.pairW.nxt.dir[East][k] |= setE
-		b.pairW.nxt.dir[West][k] |= setW
-		b.pairW.nxt.mark(bg.band.bit(k), firedNew)
 	}
+	out.dir[North][k] |= setN
+	out.dir[South][k] |= setS
+	out.dir[East][k] |= setE
+	out.dir[West][k] |= setW
+	out.mark(bg.band.bit(k), firedNew)
 }
 
 // handshakeWord completes the handshakes ready at one plane word.
@@ -588,9 +614,10 @@ func (b *BatchMesh) handshakeWord(k int) {
 	pE := ready & rdE
 	pS := ready & rdS
 	pW := ready & rdW
-	b.pairW.nxt.dir[North][k] |= pN
-	b.pairW.nxt.dir[East][k] |= pE
-	b.pairW.nxt.dir[South][k] |= pS
-	b.pairW.nxt.dir[West][k] |= pW
-	b.pairW.nxt.mark(bg.band.bit(k), pN|pE|pS|pW)
+	pn := b.pairW.nxt()
+	pn.dir[North][k] |= pN
+	pn.dir[East][k] |= pE
+	pn.dir[South][k] |= pS
+	pn.dir[West][k] |= pW
+	pn.mark(bg.band.bit(k), pN|pE|pS|pW)
 }

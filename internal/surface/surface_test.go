@@ -1,6 +1,7 @@
 package surface
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/decoder/greedy"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/lattice"
 	"repro/internal/noise"
 	"repro/internal/sfq"
+	"repro/internal/twolevel"
 )
 
 func dephasing(p float64) noise.Dephasing {
@@ -193,6 +195,47 @@ func TestForcedCompletionZeroAlloc(t *testing.T) {
 		t.Fatalf("no forced completion or no logical flip in the measured trials (%+v)", total)
 	}
 	if avg != 0 {
+		t.Errorf("Run(1): %.2f allocations per trial, want 0", avg)
+	}
+}
+
+// A warmed trial shaped like the two-level Monte-Carlo sweep allocates
+// nothing: a d = 13 one-lane mesh under twolevel with MWPM level 2 and
+// the sweep's hot threshold, at p = 0.08 dephasing. The trials replay a
+// fixed set of streams, so the measured instances fit the matcher
+// tables the warmup grew.
+func TestTwoLevelTrialZeroAlloc(t *testing.T) {
+	const d = 13
+	g := lattice.MustNew(d).MatchingGraph(lattice.ZErrors)
+	pol := twolevel.DefaultPolicy()
+	pol.HotThreshold = (3*g.NumChecks() + 5) / 10
+	tl := twolevel.New(sfq.New(g, sfq.Final), mwpm.New(), pol)
+	s, err := New(Config{Distance: d, Channel: dephasing(0.08), DecoderZ: tl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(0))
+	const streams = 48
+	escalated, i := 0, 0
+	trial := func() {
+		rng.Seed(int64(i % streams))
+		i++
+		s.Reset()
+		s.SetRand(rng)
+		if _, err := s.Run(1); err != nil {
+			t.Fatal(err)
+		}
+		if tl.Escalated(0) {
+			escalated++
+		}
+	}
+	for range streams {
+		trial()
+	}
+	if escalated == 0 {
+		t.Fatal("no warmup trial escalated to MWPM")
+	}
+	if avg := testing.AllocsPerRun(2*streams, trial); avg != 0 {
 		t.Errorf("Run(1): %.2f allocations per trial, want 0", avg)
 	}
 }
