@@ -34,14 +34,14 @@
 #   7. The in-process serve worker sweep (lane fill vs latency).
 #   8. The two-level accuracy-vs-latency frontier.
 #   9. The history guard: committed BENCH_*.json files are unchanged.
-#  10. cmd/bench last, compared against BENCH_pr16.json. It writes its
+#  10. cmd/bench last, compared against BENCH_pr21.json. It writes its
 #      artifact, then hard-fails if a batch row allocates, a scaling row
 #      with workers <= NumCPU drops below 0.8x ideal (on median walls of
 #      five repeats per worker count, the counts alternating), the sweep
 #      fingerprint differs across any worker/steal schedule, or a kernel
 #      cell (one-lane mesh or batch per lane, d in {5, 7, 9, 13}) has a
 #      median time ratio to the reference model worse than
-#      BENCH_pr16.json's by more than the larger of the two IQRs.
+#      BENCH_pr21.json's by more than the larger of the two IQRs.
 set -eu
 
 cd "$(dirname "$0")"
@@ -126,6 +126,6 @@ git diff --exit-code -- 'BENCH_*.json'
 echo "== decode hot-path and kernel benchmark (floors, no-regression comparison) =="
 # -allow-dirty: ci.sh runs on development trees; the manifest still
 # records git_dirty so the artifact is honest about its provenance.
-go run ./cmd/bench -iters 2000 -out "$ART/bench.json" -allow-dirty -compare BENCH_pr16.json
+go run ./cmd/bench -iters 2000 -out "$ART/bench.json" -allow-dirty -compare BENCH_pr21.json
 
 echo "CI OK"

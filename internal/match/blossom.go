@@ -17,6 +17,8 @@
 // decode path (internal/decodepool) keeps one Matcher per scratch.
 package match
 
+import "math"
+
 // Infinite is the sentinel slack used during dual adjustment.
 const infinite = int64(1) << 60
 
@@ -190,11 +192,7 @@ func grown(need, have int) int { return max(need, have+have/4) }
 // GrownSquare is grown for an n×n table held in a slice of capacity
 // have: the side grows to at least 1.25× the side have holds.
 func GrownSquare(n, have int) int {
-	side := 0
-	for (side+1)*(side+1) <= have {
-		side++
-	}
-	s := grown(n, side)
+	s := grown(n, int(math.Sqrt(float64(have))))
 	return s * s
 }
 

@@ -158,13 +158,9 @@ func (ps *planeSet) mark(rows, x uint64) {
 // case stays inline.
 func (ps *planeSet) clear(bg *batchGeom) {
 	if ps.rows != 0 {
-		ps.clearRows(bg)
+		ps.zero(bg.band, ps.rows)
+		ps.any, ps.rows = 0, 0
 	}
-}
-
-func (ps *planeSet) clearRows(bg *batchGeom) {
-	ps.zero(bg.band, ps.rows)
-	ps.any, ps.rows = 0, 0
 }
 
 // zero zeroes the words of the given bands in every direction plane,
