@@ -26,8 +26,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -92,44 +94,53 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	distances := flag.String("distances", "3,5,7", "code distances")
-	p := flag.Float64("p", 0.03, "physical dephasing rate")
-	cycles := flag.Int("cycles", 20000, "syndrome cycles per decoder")
-	seed := flag.Int64("seed", 1, "random seed (shared across decoders)")
-	workers := flag.Int("workers", 0, "concurrent trial shards (0 = GOMAXPROCS)")
-	obsAddr := flag.String("obs", "", "serve /metrics, /metrics.json, /manifest.json and /debug/pprof on this address (e.g. :9090)")
-	frontier := flag.Bool("frontier", false, "run the two-level accuracy-vs-latency frontier instead of the decoder table")
-	frontierPs := flag.String("frontier-p", "0.04,0.08,0.12", "physical rates of the frontier sweep")
-	escHot := flag.Int("esc-hot", 0, "frontier escalation policy: hot-check count threshold (0 = ~30% of checks per distance)")
-	out := flag.String("out", "", "frontier artifact path (required with -frontier)")
-	strict := flag.Bool("strict", false, "exit nonzero if the frontier property fails at any distance")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run parses args and runs the decoder table (or, with -frontier, the
+// two-level frontier), printing the table to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	distances := fs.String("distances", "3,5,7", "code distances")
+	p := fs.Float64("p", 0.03, "physical dephasing rate")
+	cycles := fs.Int("cycles", 20000, "syndrome cycles per decoder")
+	seed := fs.Int64("seed", 1, "random seed (shared across decoders)")
+	workers := fs.Int("workers", 0, "concurrent trial shards (0 = GOMAXPROCS)")
+	obsAddr := fs.String("obs", "", "serve /metrics, /metrics.json, /manifest.json and /debug/pprof on this address (e.g. :9090)")
+	frontier := fs.Bool("frontier", false, "run the two-level accuracy-vs-latency frontier instead of the decoder table")
+	frontierPs := fs.String("frontier-p", "0.04,0.08,0.12", "physical rates of the frontier sweep")
+	escHot := fs.Int("esc-hot", 0, "frontier escalation policy: hot-check count threshold (0 = ~30% of checks per distance)")
+	out := fs.String("out", "", "frontier artifact path (required with -frontier)")
+	strict := fs.Bool("strict", false, "exit nonzero if the frontier property fails at any distance")
+	fs.Parse(args)
 
 	var ds []int
 	for _, s := range strings.Split(*distances, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(s))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		ds = append(ds, v)
 	}
 
 	if *frontier {
 		if *out == "" {
-			log.Fatal("-frontier requires -out")
+			return errors.New("-frontier requires -out")
 		}
 		var fps []float64
 		for _, s := range strings.Split(*frontierPs, ",") {
 			v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			fps = append(fps, v)
 		}
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 		defer stop()
 		runFrontier(ctx, ds, fps, *cycles, *seed, *escHot, *workers, *out, *strict)
-		return
+		return nil
 	}
 
 	type row struct {
@@ -197,7 +208,7 @@ func main() {
 			"seed": *seed, "workers": *workers,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "obs: telemetry on http://%s/metrics\n", srv.Addr)
@@ -207,11 +218,11 @@ func main() {
 	defer stop()
 	results, err := mc.Run(ctx, mc.Config{RootSeed: *seed, Workers: *workers, Obs: reg}, specs)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("decoder comparison — pure dephasing p=%g, %d cycles, identical error streams\n\n", *p, *cycles)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(stdout, "decoder comparison — pure dephasing p=%g, %d cycles, identical error streams\n\n", *p, *cycles)
+	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "d\tdecoder\tlogical errors\tPL\tnote")
 	for i, r := range rows {
 		res := results[i]
@@ -222,6 +233,7 @@ func main() {
 		fmt.Fprintf(w, "%d\t%s\t%d\t%.5f\t%s\n", r.d, r.name, res.Failures, pl, r.note)
 	}
 	w.Flush()
-	fmt.Println("\nthe SFQ mesh trades a constant-factor accuracy loss for four orders")
-	fmt.Println("of magnitude in latency — the paper's central engineering trade.")
+	fmt.Fprintln(stdout, "\nthe SFQ mesh trades a constant-factor accuracy loss for four orders")
+	fmt.Fprintln(stdout, "of magnitude in latency — the paper's central engineering trade.")
+	return nil
 }

@@ -17,6 +17,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -37,18 +38,26 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	distances := flag.String("distances", "3,5,7", "code distances")
-	p := flag.Float64("p", 0.03, "physical dephasing rate")
-	cycles := flag.Int("cycles", 20000, "syndrome cycles per point")
-	seed := flag.Int64("seed", 1, "random seed")
-	workers := flag.Int("workers", 0, "concurrent trial shards (0 = GOMAXPROCS)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run parses args, runs both layouts and prints the table to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	distances := fs.String("distances", "3,5,7", "code distances")
+	p := fs.Float64("p", 0.03, "physical dephasing rate")
+	cycles := fs.Int("cycles", 20000, "syndrome cycles per point")
+	seed := fs.Int64("seed", 1, "random seed")
+	workers := fs.Int("workers", 0, "concurrent trial shards (0 = GOMAXPROCS)")
+	fs.Parse(args)
 
 	var ds []int
 	for _, s := range strings.Split(*distances, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(s))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		ds = append(ds, v)
 	}
@@ -65,11 +74,11 @@ func main() {
 		Workers:     *workers,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("unrotated (paper) vs rotated layout — dephasing p=%g, exact matching, %d cycles\n\n", *p, *cycles)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(stdout, "unrotated (paper) vs rotated layout — dephasing p=%g, exact matching, %d cycles\n\n", *p, *cycles)
+	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "d\tlayout\tphysical qubits\tlogical errors\tPL")
 	for i, d := range ds {
 		res := unrotated[i]
@@ -78,17 +87,18 @@ func main() {
 
 		rc, err := rotated.New(d)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		rres, err := rc.LifetimeMC(ctx, *p, *cycles, rotated.Exact, *seed, *workers)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		fmt.Fprintf(w, "%d\trotated\t%d\t%d\t%.5f\n",
 			d, d*d+(d*d-1), rres.LogicalErrors, rres.PL)
 	}
 	w.Flush()
-	fmt.Println("\nthe rotated layout reaches the same distance with roughly half the")
-	fmt.Println("qubits — the natural upgrade path for the NISQ+ mesh (one decoder")
-	fmt.Println("module per qubit either way).")
+	fmt.Fprintln(stdout, "\nthe rotated layout reaches the same distance with roughly half the")
+	fmt.Fprintln(stdout, "qubits — the natural upgrade path for the NISQ+ mesh (one decoder")
+	fmt.Fprintln(stdout, "module per qubit either way).")
+	return nil
 }

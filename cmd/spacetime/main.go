@@ -19,6 +19,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -35,15 +36,23 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	distances := flag.String("distances", "3,5,7", "code distances")
-	p := flag.Float64("p", 0.01, "data error rate per round")
-	qs := flag.String("qs", "0,0.005,0.01,0.02", "measurement flip rates")
-	rounds := flag.Int("rounds", 5, "noisy rounds per block")
-	blocks := flag.Int("blocks", 2000, "blocks per point")
-	methodName := flag.String("method", "exact", "matching method: greedy or exact")
-	seed := flag.Int64("seed", 1, "random seed")
-	workers := flag.Int("workers", 0, "concurrent trial shards (0 = GOMAXPROCS)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run parses args, runs the sweep and prints its table to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	distances := fs.String("distances", "3,5,7", "code distances")
+	p := fs.Float64("p", 0.01, "data error rate per round")
+	qs := fs.String("qs", "0,0.005,0.01,0.02", "measurement flip rates")
+	rounds := fs.Int("rounds", 5, "noisy rounds per block")
+	blocks := fs.Int("blocks", 2000, "blocks per point")
+	methodName := fs.String("method", "exact", "matching method: greedy or exact")
+	seed := fs.Int64("seed", 1, "random seed")
+	workers := fs.Int("workers", 0, "concurrent trial shards (0 = GOMAXPROCS)")
+	fs.Parse(args)
 
 	var method spacetime.Method
 	switch *methodName {
@@ -52,13 +61,13 @@ func main() {
 	case "exact":
 		method = spacetime.Exact
 	default:
-		log.Fatalf("unknown method %q", *methodName)
+		return fmt.Errorf("unknown method %q", *methodName)
 	}
 	var ds []int
 	for _, s := range strings.Split(*distances, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(s))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		ds = append(ds, v)
 	}
@@ -66,7 +75,7 @@ func main() {
 	for _, s := range strings.Split(*qs, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		qrates = append(qrates, v)
 	}
@@ -83,17 +92,18 @@ func main() {
 	defer stop()
 	results, err := spacetime.Sweep(ctx, cfgs, *blocks, *seed, *workers)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("space-time decoding (%s matching): p=%g, %d rounds/block, %d blocks/point\n\n",
+	fmt.Fprintf(stdout, "space-time decoding (%s matching): p=%g, %d rounds/block, %d blocks/point\n\n",
 		method, *p, *rounds, *blocks)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "d\tq\tlogical errors\tPL per block")
 	for i, cfg := range cfgs {
 		fmt.Fprintf(w, "%d\t%.3f\t%d\t%.5f\n", cfg.Distance, cfg.Q, results[i].LogicalErrors, results[i].PL)
 	}
 	w.Flush()
-	fmt.Println("\nmeasurement noise raises PL; matching across time recovers the")
-	fmt.Println("distance scaling that per-round 2D decoding loses when q > 0.")
+	fmt.Fprintln(stdout, "\nmeasurement noise raises PL; matching across time recovers the")
+	fmt.Fprintln(stdout, "distance scaling that per-round 2D decoding loses when q > 0.")
+	return nil
 }
