@@ -458,22 +458,16 @@ func hotPathSyndromes(b testing.TB, l *lattice.Lattice, g *lattice.Graph, count 
 	return syndromes
 }
 
-// BenchmarkDecodeHotPath compares the legacy allocating Decode path with
-// the pooled DecodeInto path for every matching decoder at d ∈ {5,9,13},
-// on fixed seeded syndromes. ns/decode and allocs/decode are attached as
-// metrics; cmd/bench writes the same matrix as its decoder_rows.
+// BenchmarkDecodeHotPath times the pooled DecodeInto path of every
+// matching decoder at d ∈ {5,9,13} on fixed seeded syndromes, plain and
+// with telemetry attached. ns/decode and allocs/decode are attached as
+// metrics; cmd/bench writes the plain rows as its decoder_rows.
 func BenchmarkDecodeHotPath(b *testing.B) {
 	for _, d := range []int{5, 9, 13} {
 		l := lattice.MustNew(d)
 		g := l.MatchingGraph(lattice.ZErrors)
 		syndromes := hotPathSyndromes(b, l, g, 64, int64(100+d))
 		for _, dec := range []decodepool.IntoDecoder{greedy.New(), mwpm.New(), unionfind.New()} {
-			b.Run(fmt.Sprintf("%s/d=%d/legacy", dec.Name(), d), func(b *testing.B) {
-				benchDecode(b, func(i int) error {
-					_, err := dec.Decode(g, syndromes[i%len(syndromes)])
-					return err
-				})
-			})
 			b.Run(fmt.Sprintf("%s/d=%d/pooled", dec.Name(), d), func(b *testing.B) {
 				s := decodepool.NewScratch()
 				for _, syn := range syndromes { // warm the scratch and cache

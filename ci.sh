@@ -8,7 +8,10 @@
 # Steps, in order:
 #
 #   1. gofmt (any file listed by gofmt -l fails the run), go vet and
-#      go build.
+#      go build, then go vet of the perfbench module: it imports this
+#      module's packages, and the root go build does not see it, so an
+#      API it uses that goes away fails here rather than first in a
+#      benchmark run.
 #   2. The full test suite, once plainly (full Monte-Carlo budgets) and
 #      once under the race detector with REPRO_MC_SHORT=1, which the
 #      statistical tests in internal/stats and internal/mc honour by
@@ -16,7 +19,9 @@
 #      with sample size, so the checks stay valid, just cheaper under
 #      the detector's tenfold slowdown). Both use -count=1, so a cached
 #      result never stands in for a run.
-#   3. Five native-fuzz smokes: the blossom matcher, decode dispatch, the
+#   3. Five native-fuzz smokes: the blossom matcher, the software
+#      decoders (FuzzDecode: every correction clears its syndrome, and a
+#      reused scratch returns what a fresh one does), the
 #      SFQ mesh against its reference model (FuzzMesh: the mesh at one
 #      lane, as sfq.New builds it, and at a fuzzer-chosen lane count, 1
 #      to MaxBatchLanes(d)), the wire frame decoder and the two-level
@@ -69,6 +74,9 @@ go vet ./...
 
 echo "== go build =="
 go build ./...
+
+echo "== perfbench build and vet =="
+(cd perfbench && go vet ./...)
 
 echo "== go test =="
 go test -count=1 ./...

@@ -4,9 +4,9 @@
 // times each cell once:
 //
 //   - decoder_rows: for every matching decoder and d ∈ {5, 9, 13}, the
-//     legacy allocating Decode path and the pooled zero-allocation
-//     DecodeInto path on identical seeded syndromes, with ns/decode and
-//     allocation counts from runtime.MemStats deltas;
+//     pooled zero-allocation DecodeInto path on a fixed seeded syndrome
+//     set, with ns/decode and allocation counts from runtime.MemStats
+//     deltas;
 //   - kernel_rows: for d ∈ {5, 7, 9, 13}, the one-lane sfq.Mesh and the
 //     full batch per lane, each timed 21 times interleaved with the
 //     reference model (internal/sfq/oracle) on the same syndromes and
@@ -66,7 +66,6 @@ type Artifact struct {
 type DecoderRow struct {
 	Decoder         string  `json:"decoder"`
 	Distance        int     `json:"d"`
-	Path            string  `json:"path"` // "legacy" or "pooled"
 	Iters           int     `json:"iters"`
 	NsPerDecode     float64 `json:"ns_per_decode"`
 	AllocsPerDecode float64 `json:"allocs_per_decode"`
@@ -197,8 +196,8 @@ func compareKernel(art Artifact, basePath string) error {
 	return errors.Join(errs...)
 }
 
-// benchDecoders times the legacy and pooled paths of every software
-// decoder on the fixed syndrome set of each distance.
+// benchDecoders times the pooled path of every software decoder on the
+// fixed syndrome set of each distance.
 func benchDecoders(iters int) ([]DecoderRow, error) {
 	var rows []DecoderRow
 	for _, d := range []int{5, 9, 13} {
@@ -210,30 +209,19 @@ func benchDecoders(iters int) ([]DecoderRow, error) {
 		}
 		n := len(syndromes)
 		for _, dec := range []decodepool.IntoDecoder{greedy.New(), mwpm.New(), unionfind.New()} {
-			legacy, err := measure(iters, n, func(i int) error {
-				_, err := dec.Decode(g, syndromes[i%n])
-				return err
-			})
-			if err != nil {
-				return nil, fmt.Errorf("%s d=%d legacy: %w", dec.Name(), d, err)
-			}
-			legacy.Decoder, legacy.Distance, legacy.Path = dec.Name(), d, "legacy"
-
 			s := decodepool.NewScratch()
-			pooled, err := measure(iters, n, func(i int) error {
+			row, err := measure(iters, n, func(i int) error {
 				_, err := dec.DecodeInto(g, syndromes[i%n], s)
 				return err
 			})
 			if err != nil {
-				return nil, fmt.Errorf("%s d=%d pooled: %w", dec.Name(), d, err)
+				return nil, fmt.Errorf("%s d=%d: %w", dec.Name(), d, err)
 			}
-			pooled.Decoder, pooled.Distance, pooled.Path = dec.Name(), d, "pooled"
-			rows = append(rows, legacy, pooled)
+			row.Decoder, row.Distance = dec.Name(), d
+			rows = append(rows, row)
 
-			fmt.Printf("%-11s d=%-3d legacy %9.0f ns/decode %7.1f allocs | pooled %9.0f ns/decode %7.1f allocs | %.2fx\n",
-				dec.Name(), d, legacy.NsPerDecode, legacy.AllocsPerDecode,
-				pooled.NsPerDecode, pooled.AllocsPerDecode,
-				legacy.NsPerDecode/pooled.NsPerDecode)
+			fmt.Printf("%-11s d=%-3d pooled %9.0f ns/decode %7.1f allocs\n",
+				dec.Name(), d, row.NsPerDecode, row.AllocsPerDecode)
 		}
 	}
 	return rows, nil

@@ -26,9 +26,10 @@
 //     allocations per decode.
 //
 // Decoders opt in by implementing IntoDecoder; Decode dispatches to the
-// pooled path when available and falls back to the allocating
-// decoder.Decoder path otherwise. Both paths are bit-identical — the
-// differential conformance suite in internal/decoder asserts it.
+// pooled path when available and falls back to decoder.Decoder's Decode
+// otherwise. Each software decoder (greedy, mwpm, union-find, ml-exact)
+// has one algorithm, its DecodeInto, and its Decode is DecodeInto on a
+// fresh scratch, so the two entry points agree by construction.
 //
 // Scratch ownership rules: the Correction returned by DecodeInto aliases
 // the Scratch's correction buffer and is valid only until the next
@@ -56,8 +57,8 @@ type IntoDecoder interface {
 }
 
 // Decode routes through the pooled zero-allocation path when dec
-// implements IntoDecoder and s is non-nil, and falls back to the
-// allocating Decode otherwise. The returned Correction follows the
+// implements IntoDecoder and s is non-nil, and falls back to dec.Decode
+// otherwise. The returned Correction follows the
 // ownership rules of whichever path ran.
 //
 // When the scratch is instrumented (Scratch.Instrument), Decode samples
@@ -115,8 +116,8 @@ type Geometry struct {
 
 	// Union-find view: NV vertices (checks 0..M-1 then boundary
 	// pendants), Edges in lattice.Graph.DecodingEdges order, and
-	// Endpoints with the same boundary-vertex numbering the legacy
-	// decoder derives on every call.
+	// Endpoints numbering one fresh pendant vertex per boundary
+	// endpoint, in edge order.
 	NV        int
 	Edges     []lattice.Edge
 	Endpoints [][2]int32
@@ -170,8 +171,8 @@ func For(g *lattice.Graph) *Geometry {
 }
 
 // build derives every table from the graph's own geometry methods, so
-// the cached values are definitionally identical to what the legacy
-// per-call path computes.
+// the cached values are definitionally identical to what those methods
+// compute per call.
 func build(g *lattice.Graph) *Geometry {
 	m := g.NumChecks()
 	geo := &Geometry{
@@ -188,9 +189,8 @@ func build(g *lattice.Graph) *Geometry {
 			geo.dist[i*m+j] = int32(g.Dist(i, j))
 		}
 	}
-	// Union-find view, with the same boundary-vertex numbering the
-	// legacy decoder assigns (one fresh vertex per boundary endpoint, in
-	// edge order).
+	// Union-find view: one fresh vertex per boundary endpoint, in edge
+	// order.
 	geo.Edges = g.DecodingEdges()
 	geo.Endpoints = make([][2]int32, len(geo.Edges))
 	nv := m

@@ -30,7 +30,8 @@ func TestGeometryMatchesGraph(t *testing.T) {
 					}
 				}
 			}
-			// Union-find view mirrors the legacy per-call derivation.
+			// Union-find view: DecodingEdges with one pendant vertex per
+			// boundary endpoint, numbered in edge order.
 			edges := g.DecodingEdges()
 			if len(edges) != len(geo.Edges) {
 				t.Fatalf("d=%d %v: %d edges, want %d", d, e, len(geo.Edges), len(edges))

@@ -16,8 +16,8 @@ import (
 
 // conformanceSyndromes enumerates every weight-0, weight-1 and weight-2
 // error pattern of the lattice plus seeded random syndromes, giving the
-// differential suite deterministic, exhaustive low-weight coverage and
-// some high-weight stress.
+// conformance suite and the correction golden deterministic, exhaustive
+// low-weight coverage and some high-weight stress.
 func conformanceSyndromes(t *testing.T, l *lattice.Lattice, g *lattice.Graph) [][]bool {
 	t.Helper()
 	op := pauli.Z
@@ -45,12 +45,12 @@ func conformanceSyndromes(t *testing.T, l *lattice.Lattice, g *lattice.Graph) []
 	return syns
 }
 
-// Every decoder must clear every conformance syndrome, and the pooled
-// DecodeInto path must return exactly the qubit sequence the legacy
-// Decode path returns — on a fresh scratch and on one reused across all
-// cases.
-func TestConformancePooledMatchesLegacy(t *testing.T) {
-	for _, d := range []int{3, 5} {
+// Every decoder must clear every conformance syndrome, and its output
+// must not depend on scratch history: decoding on one scratch reused
+// across every case returns exactly the qubit sequence a fresh scratch
+// returns. TestCorrectionGolden pins the sequences themselves.
+func TestConformanceValidAndScratchIndependent(t *testing.T) {
+	for _, d := range []int{3, 5, 9} {
 		l := lattice.MustNew(d)
 		for _, e := range []lattice.ErrorType{lattice.ZErrors, lattice.XErrors} {
 			g := l.MatchingGraph(e)
@@ -66,32 +66,20 @@ func TestConformancePooledMatchesLegacy(t *testing.T) {
 			reused := decodepool.NewScratch()
 			for _, dec := range decoders {
 				for si, syn := range syns {
-					legacy, err := dec.Decode(g, syn)
+					fresh, err := dec.DecodeInto(g, syn, decodepool.NewScratch())
 					if err != nil {
-						t.Fatalf("%s d=%d %v syn %d: legacy: %v", dec.Name(), d, e, si, err)
+						t.Fatalf("%s d=%d %v syn %d: fresh scratch: %v", dec.Name(), d, e, si, err)
 					}
-					if err := decoder.Validate(g, syn, legacy); err != nil {
-						t.Fatalf("%s d=%d %v syn %d: legacy correction invalid: %v", dec.Name(), d, e, si, err)
+					if err := decoder.Validate(g, syn, fresh); err != nil {
+						t.Fatalf("%s d=%d %v syn %d: correction invalid: %v", dec.Name(), d, e, si, err)
 					}
-					pooled, err := dec.DecodeInto(g, syn, reused)
+					got, err := dec.DecodeInto(g, syn, reused)
 					if err != nil {
-						t.Fatalf("%s d=%d %v syn %d: pooled: %v", dec.Name(), d, e, si, err)
+						t.Fatalf("%s d=%d %v syn %d: reused scratch: %v", dec.Name(), d, e, si, err)
 					}
-					if !sameQubits(legacy.Qubits, pooled.Qubits) {
-						t.Fatalf("%s d=%d %v syn %d: pooled %v != legacy %v",
-							dec.Name(), d, e, si, pooled.Qubits, legacy.Qubits)
-					}
-					if si%17 == 0 {
-						// Fresh scratch must agree too: reuse cannot be
-						// load-bearing.
-						fresh, err := dec.DecodeInto(g, syn, decodepool.NewScratch())
-						if err != nil {
-							t.Fatalf("%s d=%d %v syn %d: fresh scratch: %v", dec.Name(), d, e, si, err)
-						}
-						if !sameQubits(legacy.Qubits, fresh.Qubits) {
-							t.Fatalf("%s d=%d %v syn %d: fresh-scratch pooled %v != legacy %v",
-								dec.Name(), d, e, si, fresh.Qubits, legacy.Qubits)
-						}
+					if !sameQubits(got.Qubits, fresh.Qubits) {
+						t.Fatalf("%s d=%d %v syn %d: reused scratch %v != fresh scratch %v",
+							dec.Name(), d, e, si, got.Qubits, fresh.Qubits)
 					}
 				}
 			}
@@ -100,7 +88,7 @@ func TestConformancePooledMatchesLegacy(t *testing.T) {
 }
 
 // The generic dispatcher must route through DecodeInto when given a
-// scratch and fall back to the legacy path without one, with identical
+// scratch and fall back to dec.Decode without one, with identical
 // results either way.
 func TestConformanceDispatch(t *testing.T) {
 	l := lattice.MustNew(5)
@@ -114,22 +102,23 @@ func TestConformanceDispatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacy, err := decodepool.Decode(dec, g, syn, nil)
+		plain, err := decodepool.Decode(dec, g, syn, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameQubits(pooled.Qubits, legacy.Qubits) {
-			t.Fatalf("trial %d: dispatch mismatch %v vs %v", trial, pooled.Qubits, legacy.Qubits)
+		if !sameQubits(pooled.Qubits, plain.Qubits) {
+			t.Fatalf("trial %d: dispatch mismatch %v vs %v", trial, pooled.Qubits, plain.Qubits)
 		}
 	}
 }
 
-// MWPM is exact: its matching weight must equal the true minimum error
-// weight. At d=3 the oracle is the exact ML decoder's minimum-weight
-// coset representative (at p=0.01 the lighter coset always dominates);
-// at d=5 it is brute force over all pairings.
+// MWPM is exact: the support weight of its correction must equal the
+// true minimum error weight. At d=3 the oracle is the exact ML decoder's
+// minimum-weight coset representative (at p=0.01 the lighter coset
+// always dominates); at d=5 it is brute force over all pairings.
 func TestConformanceMWPMWeightOptimal(t *testing.T) {
 	mw := mwpm.New()
+	s := decodepool.NewScratch()
 
 	// d=3: every conformance syndrome against the MLD representative.
 	l3 := lattice.MustNew(3)
@@ -140,13 +129,12 @@ func TestConformanceMWPMWeightOptimal(t *testing.T) {
 			t.Fatal(err)
 		}
 		for si, syn := range conformanceSyndromes(t, l3, g) {
-			m := mw.Match(g, syn)
-			c, err := ml.Decode(g, syn)
+			want, err := ml.Decode(g, syn)
 			if err != nil {
 				t.Fatalf("syn %d: mld: %v", si, err)
 			}
-			if got, want := m.Weight(g), len(c.Qubits); got != want {
-				t.Fatalf("d=3 %v syn %d: mwpm weight %d, ml minimum %d", e, si, got, want)
+			if got := mwpmWeight(t, mw, g, syn, s); got != len(want.Qubits) {
+				t.Fatalf("d=3 %v syn %d: mwpm weight %d, ml minimum %d", e, si, got, len(want.Qubits))
 			}
 		}
 	}
@@ -154,36 +142,49 @@ func TestConformanceMWPMWeightOptimal(t *testing.T) {
 	// d=5: small syndromes against brute-force optimal pairing.
 	l5 := lattice.MustNew(5)
 	g := l5.MatchingGraph(lattice.ZErrors)
-	var bestWeight func(hot []int) int
-	bestWeight = func(hot []int) int {
-		if len(hot) == 0 {
-			return 0
-		}
-		h, rest := hot[0], hot[1:]
-		best := g.BoundaryDist(h) + bestWeight(rest)
-		for i, other := range rest {
-			sub := make([]int, 0, len(rest)-1)
-			sub = append(sub, rest[:i]...)
-			sub = append(sub, rest[i+1:]...)
-			if w := g.Dist(h, other) + bestWeight(sub); w < best {
-				best = w
-			}
-		}
-		return best
-	}
 	for si, syn := range conformanceSyndromes(t, l5, g) {
 		hot := lattice.HotChecks(syn)
 		if len(hot) > 8 {
 			continue
 		}
-		if got, want := mw.Match(g, syn).Weight(g), bestWeight(hot); got != want {
+		if got, want := mwpmWeight(t, mw, g, syn, s), bruteForceWeight(g, hot); got != want {
 			t.Fatalf("d=5 syn %d: mwpm weight %d, brute-force optimum %d (hot=%v)", si, got, want, hot)
 		}
 	}
 }
 
-// sameQubits compares correction contents; the pooled path may return a
-// non-nil empty slice where the legacy path returns nil.
+// mwpmWeight decodes syn on the pooled path and returns the support
+// weight of the correction.
+func mwpmWeight(t *testing.T, mw *mwpm.Decoder, g *lattice.Graph, syn []bool, s *decodepool.Scratch) int {
+	t.Helper()
+	c, err := mw.DecodeInto(g, syn, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.Weight()
+}
+
+// bruteForceWeight is the minimum total chain length over every way of
+// pairing the hot checks with each other or with the boundary.
+func bruteForceWeight(g *lattice.Graph, hot []int) int {
+	if len(hot) == 0 {
+		return 0
+	}
+	h, rest := hot[0], hot[1:]
+	best := g.BoundaryDist(h) + bruteForceWeight(g, rest)
+	for i, other := range rest {
+		sub := make([]int, 0, len(rest)-1)
+		sub = append(sub, rest[:i]...)
+		sub = append(sub, rest[i+1:]...)
+		if w := g.Dist(h, other) + bruteForceWeight(g, sub); w < best {
+			best = w
+		}
+	}
+	return best
+}
+
+// sameQubits compares correction contents, treating a nil and a non-nil
+// empty qubit list as equal.
 func sameQubits(a, b []int) bool {
 	if len(a) != len(b) {
 		return false

@@ -84,58 +84,3 @@ func Validate(g *lattice.Graph, syn []bool, c Correction) error {
 	}
 	return nil
 }
-
-// Matching is the pairing structure matching-based decoders produce
-// before converting to a correction: pairs of checks joined by chains,
-// and checks joined to their nearest boundary.
-type Matching struct {
-	Pairs    [][2]int // paired check indices
-	Boundary []int    // checks matched to a boundary
-}
-
-// Correction converts a matching into a correction by laying down the
-// minimum-length chain for every pair and boundary match.
-func (m Matching) Correction(g *lattice.Graph) Correction {
-	var c Correction
-	for _, p := range m.Pairs {
-		c.Qubits = g.AppendPathQubits(c.Qubits, p[0], p[1])
-	}
-	for _, i := range m.Boundary {
-		c.Qubits = g.AppendBoundaryPathQubits(c.Qubits, i)
-	}
-	return c
-}
-
-// Weight returns the total chain length of the matching on graph g.
-func (m Matching) Weight(g *lattice.Graph) int {
-	w := 0
-	for _, p := range m.Pairs {
-		w += g.Dist(p[0], p[1])
-	}
-	for _, i := range m.Boundary {
-		w += g.BoundaryDist(i)
-	}
-	return w
-}
-
-// Covers reports whether the matching touches every hot check exactly
-// once and no cold check.
-func (m Matching) Covers(syn []bool) error {
-	seen := make(map[int]int)
-	for _, p := range m.Pairs {
-		seen[p[0]]++
-		seen[p[1]]++
-	}
-	for _, i := range m.Boundary {
-		seen[i]++
-	}
-	for i, hot := range syn {
-		switch n := seen[i]; {
-		case hot && n != 1:
-			return fmt.Errorf("decoder: hot check %d matched %d times", i, n)
-		case !hot && n != 0:
-			return fmt.Errorf("decoder: cold check %d matched %d times", i, n)
-		}
-	}
-	return nil
-}

@@ -56,41 +56,3 @@ func TestValidateDetectsBadCorrection(t *testing.T) {
 		t.Error("Validate accepted syndrome-changing correction")
 	}
 }
-
-func TestMatchingCorrectionAndWeight(t *testing.T) {
-	l := lattice.MustNew(5)
-	g := l.MatchingGraph(lattice.ZErrors)
-	i, _ := g.CheckIndex(lattice.Site{Row: 0, Col: 1})
-	j, _ := g.CheckIndex(lattice.Site{Row: 0, Col: 5})
-	k, _ := g.CheckIndex(lattice.Site{Row: 4, Col: 7})
-	m := decoder.Matching{Pairs: [][2]int{{i, j}}, Boundary: []int{k}}
-	if got, want := m.Weight(g), g.Dist(i, j)+g.BoundaryDist(k); got != want {
-		t.Errorf("Weight=%d want %d", got, want)
-	}
-	c := m.Correction(g)
-	syn := make([]bool, g.NumChecks())
-	syn[i], syn[j], syn[k] = true, true, true
-	if err := decoder.Validate(g, syn, c); err != nil {
-		t.Errorf("matching correction invalid: %v", err)
-	}
-}
-
-func TestMatchingCovers(t *testing.T) {
-	syn := []bool{true, true, false, true}
-	good := decoder.Matching{Pairs: [][2]int{{0, 1}}, Boundary: []int{3}}
-	if err := good.Covers(syn); err != nil {
-		t.Errorf("good matching rejected: %v", err)
-	}
-	double := decoder.Matching{Pairs: [][2]int{{0, 1}}, Boundary: []int{1, 3}}
-	if err := double.Covers(syn); err == nil {
-		t.Error("double-matched check accepted")
-	}
-	cold := decoder.Matching{Pairs: [][2]int{{0, 2}}, Boundary: []int{1, 3}}
-	if err := cold.Covers(syn); err == nil {
-		t.Error("cold-matched check accepted")
-	}
-	missing := decoder.Matching{Pairs: [][2]int{{0, 1}}}
-	if err := missing.Covers(syn); err == nil {
-		t.Error("unmatched hot check accepted")
-	}
-}

@@ -14,10 +14,9 @@ import (
 // FuzzDecode feeds arbitrary syndrome bit patterns — not just ones
 // reachable from i.i.d. errors — to every matching decoder. The planar
 // code's boundaries make every syndrome decodable, so each decoder must
-// return without error, its correction must clear the syndrome, and the
-// pooled DecodeInto path must agree bit-for-bit with the legacy path.
-// Both paths lay chains down through the same lattice.Graph append
-// functions, so Validate is the independent check on the chains.
+// return without error, its correction must clear the syndrome
+// (Validate), and a scratch reused across every input must return
+// exactly the qubit sequence a fresh scratch returns.
 //
 // data[0] picks the graph: bits 0-1 the distance (3, 5, 9 or 13, the
 // sizes the benchmark decodes), bit 2 the error type.
@@ -53,19 +52,19 @@ func FuzzDecode(f *testing.F) {
 			}
 		}
 		for _, dec := range decoders {
-			legacy, err := dec.Decode(g, syn)
+			fresh, err := dec.DecodeInto(g, syn, decodepool.NewScratch())
 			if err != nil {
-				t.Fatalf("%s d=%d: legacy: %v", dec.Name(), d, err)
+				t.Fatalf("%s d=%d: %v", dec.Name(), d, err)
 			}
-			if err := decoder.Validate(g, syn, legacy); err != nil {
+			if err := decoder.Validate(g, syn, fresh); err != nil {
 				t.Fatalf("%s d=%d syn=%v: %v", dec.Name(), d, syn, err)
 			}
-			pooled, err := dec.DecodeInto(g, syn, scratch)
+			got, err := dec.DecodeInto(g, syn, scratch)
 			if err != nil {
-				t.Fatalf("%s d=%d: pooled: %v", dec.Name(), d, err)
+				t.Fatalf("%s d=%d: reused scratch: %v", dec.Name(), d, err)
 			}
-			if !sameQubits(legacy.Qubits, pooled.Qubits) {
-				t.Fatalf("%s d=%d syn=%v: pooled %v != legacy %v", dec.Name(), d, syn, pooled.Qubits, legacy.Qubits)
+			if !sameQubits(got.Qubits, fresh.Qubits) {
+				t.Fatalf("%s d=%d syn=%v: reused scratch %v != fresh scratch %v", dec.Name(), d, syn, got.Qubits, fresh.Qubits)
 			}
 		}
 	})

@@ -13,8 +13,6 @@
 package greedy
 
 import (
-	"sort"
-
 	"repro/internal/decodepool"
 	"repro/internal/decoder"
 	"repro/internal/lattice"
@@ -29,81 +27,21 @@ func New() *Decoder { return &Decoder{} }
 // Name implements decoder.Decoder.
 func (*Decoder) Name() string { return "greedy" }
 
-// edge is a candidate matching edge. j == lattice.Boundary marks a
-// boundary edge for hot check i.
-type edge struct {
-	w    int
-	i, j int
-}
-
-// Match computes the greedy matching for the syndrome without converting
-// it to a correction. Exposed so harnesses can inspect pairings.
-func (*Decoder) Match(g *lattice.Graph, syn []bool) decoder.Matching {
-	hot := lattice.HotChecks(syn)
-	edges := make([]edge, 0, len(hot)*(len(hot)+1)/2)
-	for a := 0; a < len(hot); a++ {
-		for b := a + 1; b < len(hot); b++ {
-			edges = append(edges, edge{g.Dist(hot[a], hot[b]), hot[a], hot[b]})
-		}
-		edges = append(edges, edge{g.BoundaryDist(hot[a]), hot[a], lattice.Boundary})
-	}
-	// Ascending distance. On ties, pair edges come before boundary
-	// edges — pairing two hot checks at distance w clears both for the
-	// price one boundary match would pay to clear one — and remaining
-	// ties are broken by endpoint indices so decoding is deterministic.
-	rank := func(e edge) int {
-		if e.j == lattice.Boundary {
-			return 1
-		}
-		return 0
-	}
-	sort.Slice(edges, func(x, y int) bool {
-		if edges[x].w != edges[y].w {
-			return edges[x].w < edges[y].w
-		}
-		if rank(edges[x]) != rank(edges[y]) {
-			return rank(edges[x]) < rank(edges[y])
-		}
-		if edges[x].i != edges[y].i {
-			return edges[x].i < edges[y].i
-		}
-		return edges[x].j < edges[y].j
-	})
-
-	matched := make(map[int]bool, len(hot))
-	var m decoder.Matching
-	for _, e := range edges {
-		if matched[e.i] {
-			continue
-		}
-		if e.j == lattice.Boundary {
-			matched[e.i] = true
-			m.Boundary = append(m.Boundary, e.i)
-			continue
-		}
-		if matched[e.j] {
-			continue
-		}
-		matched[e.i], matched[e.j] = true, true
-		m.Pairs = append(m.Pairs, [2]int{e.i, e.j})
-	}
-	return m
-}
-
-// Decode implements decoder.Decoder.
+// Decode implements decoder.Decoder: DecodeInto on a fresh scratch, so
+// the decoder stays stateless and safe to share across goroutines.
 func (d *Decoder) Decode(g *lattice.Graph, syn []bool) (decoder.Correction, error) {
-	return d.Match(g, syn).Correction(g), nil
+	return d.DecodeInto(g, syn, decodepool.NewScratch())
 }
 
-// gedge is the scratch-resident candidate edge; j == -1 marks a
-// boundary edge.
-type gedge struct{ w, i, j int32 }
+// edge is a candidate matching edge; j == -1 marks a boundary edge for
+// hot check i.
+type edge struct{ w, i, j int32 }
 
 // intoState is the greedy decoder's private scratch: the candidate edge
 // list in generation order, the counting-sort permutation and buckets,
 // the matched flags, and the accepted matching.
 type intoState struct {
-	edges   []gedge
+	edges   []edge
 	idx     []int32
 	counts  []int32
 	matched []bool
@@ -111,13 +49,17 @@ type intoState struct {
 	bnd     []int32
 }
 
-// DecodeInto implements decodepool.IntoDecoder. It reproduces Decode's
-// matching exactly but replaces the comparison sort with a stable
-// two-bucket-per-weight counting sort: the sort key is 2·w + rank
-// (rank 1 for boundary edges), and within a bucket the generation order
-// — ascending (i, j) for pair edges, ascending i for boundary edges —
-// already equals the legacy comparator's tie-break order. Steady state
-// allocates nothing; the returned Correction aliases s.
+// DecodeInto implements decodepool.IntoDecoder. Candidate edges are
+// taken in ascending distance. On ties, pair edges come before boundary
+// edges (pairing two hot checks at distance w clears both for the price
+// one boundary match would pay to clear one), and remaining ties go to
+// the lower endpoint indices, so decoding is deterministic. A stable
+// two-bucket-per-weight counting sort gives that order: the key is
+// 2·w + 1 for boundary edges and 2·w for pair edges, and within a
+// bucket the generation order (ascending (i, j) for pair edges,
+// ascending i for boundary edges) is already the index tie-break. The
+// correction lays down every pair's chain, then every boundary chain.
+// Steady state allocates nothing; the returned Correction aliases s.
 func (d *Decoder) DecodeInto(g *lattice.Graph, syn []bool, s *decodepool.Scratch) (decoder.Correction, error) {
 	geo := decodepool.For(g)
 	hot := s.HotChecks(syn)
@@ -133,13 +75,13 @@ func (d *Decoder) DecodeInto(g *lattice.Graph, syn []bool, s *decodepool.Scratch
 			if w > maxW {
 				maxW = w
 			}
-			edges = append(edges, gedge{w, int32(hot[a]), int32(hot[b])})
+			edges = append(edges, edge{w, int32(hot[a]), int32(hot[b])})
 		}
 		w := int32(geo.BoundaryDist(hot[a]))
 		if w > maxW {
 			maxW = w
 		}
-		edges = append(edges, gedge{w, int32(hot[a]), -1})
+		edges = append(edges, edge{w, int32(hot[a]), -1})
 	}
 	st.edges = edges
 
@@ -149,7 +91,7 @@ func (d *Decoder) DecodeInto(g *lattice.Graph, syn []bool, s *decodepool.Scratch
 	}
 	counts := st.counts[:nkeys]
 	clear(counts)
-	key := func(e gedge) int32 {
+	key := func(e edge) int32 {
 		k := 2 * e.w
 		if e.j < 0 {
 			k++

@@ -1,8 +1,10 @@
 package greedy
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/decodepool"
 	"repro/internal/decoder"
 	"repro/internal/lattice"
 )
@@ -19,16 +21,28 @@ func syn(g *lattice.Graph, sites ...lattice.Site) []bool {
 	return s
 }
 
+// decode runs DecodeInto on a fresh scratch and returns the correction,
+// checked against the syndrome, together with the accepted pairs and
+// boundary matches read from the decoder's scratch state.
+func decode(t *testing.T, g *lattice.Graph, syn []bool) (decoder.Correction, [][2]int32, []int32) {
+	t.Helper()
+	s := decodepool.NewScratch()
+	c, err := New().DecodeInto(g, syn, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := decoder.Validate(g, syn, c); err != nil {
+		t.Fatal(err)
+	}
+	st := s.State("greedy", func() any { return new(intoState) }).(*intoState)
+	return c, st.pairs, st.bnd
+}
+
 func TestEmptySyndrome(t *testing.T) {
 	g := lattice.MustNew(3).MatchingGraph(lattice.ZErrors)
-	d := New()
-	m := d.Match(g, make([]bool, g.NumChecks()))
-	if len(m.Pairs) != 0 || len(m.Boundary) != 0 {
-		t.Errorf("empty syndrome matched: %+v", m)
-	}
-	c, err := d.Decode(g, make([]bool, g.NumChecks()))
-	if err != nil || len(c.Qubits) != 0 {
-		t.Errorf("empty decode: %v %v", c, err)
+	c, pairs, bnd := decode(t, g, make([]bool, g.NumChecks()))
+	if len(pairs) != 0 || len(bnd) != 0 || len(c.Qubits) != 0 {
+		t.Errorf("empty syndrome matched: pairs %v boundary %v correction %v", pairs, bnd, c.Qubits)
 	}
 }
 
@@ -40,12 +54,12 @@ func TestTieBreakPrefersPairing(t *testing.T) {
 	// Checks (0,1) and (0,3): distance 1 from each other AND from their
 	// respective boundaries.
 	s := syn(g, lattice.Site{Row: 0, Col: 1}, lattice.Site{Row: 0, Col: 3})
-	m := New().Match(g, s)
-	if len(m.Pairs) != 1 || len(m.Boundary) != 0 {
-		t.Fatalf("matching = %+v, want one pair", m)
+	c, pairs, bnd := decode(t, g, s)
+	if len(pairs) != 1 || len(bnd) != 0 {
+		t.Fatalf("pairs %v boundary %v, want one pair", pairs, bnd)
 	}
-	if m.Weight(g) != 1 {
-		t.Errorf("weight = %d, want 1", m.Weight(g))
+	if c.Weight() != 1 {
+		t.Errorf("weight = %d, want 1", c.Weight())
 	}
 }
 
@@ -54,12 +68,12 @@ func TestIsolatedCheckGoesToBoundary(t *testing.T) {
 	l := lattice.MustNew(5)
 	g := l.MatchingGraph(lattice.ZErrors)
 	s := syn(g, lattice.Site{Row: 4, Col: 1})
-	m := New().Match(g, s)
-	if len(m.Boundary) != 1 || len(m.Pairs) != 0 {
-		t.Fatalf("matching = %+v", m)
+	c, pairs, bnd := decode(t, g, s)
+	if len(bnd) != 1 || len(pairs) != 0 {
+		t.Fatalf("pairs %v boundary %v, want one boundary match", pairs, bnd)
 	}
-	if m.Weight(g) != 1 {
-		t.Errorf("weight = %d, want 1", m.Weight(g))
+	if c.Weight() != 1 {
+		t.Errorf("weight = %d, want 1", c.Weight())
 	}
 }
 
@@ -69,9 +83,12 @@ func TestBoundaryBeatsLongPair(t *testing.T) {
 	l := lattice.MustNew(5)
 	g := l.MatchingGraph(lattice.ZErrors)
 	s := syn(g, lattice.Site{Row: 0, Col: 1}, lattice.Site{Row: 0, Col: 7})
-	m := New().Match(g, s)
-	if len(m.Boundary) != 2 || len(m.Pairs) != 0 {
-		t.Fatalf("matching = %+v, want two boundary matches", m)
+	c, pairs, bnd := decode(t, g, s)
+	if len(bnd) != 2 || len(pairs) != 0 {
+		t.Fatalf("pairs %v boundary %v, want two boundary matches", pairs, bnd)
+	}
+	if c.Weight() != 2 {
+		t.Errorf("weight = %d, want 2", c.Weight())
 	}
 }
 
@@ -83,21 +100,12 @@ func TestMatchingIsDeterministic(t *testing.T) {
 		lattice.Site{Row: 6, Col: 5}, lattice.Site{Row: 10, Col: 9},
 		lattice.Site{Row: 8, Col: 1},
 	)
-	d := New()
-	a := d.Match(g, s)
-	b := d.Match(g, s)
-	if len(a.Pairs) != len(b.Pairs) || len(a.Boundary) != len(b.Boundary) {
+	a, pairsA, bndA := decode(t, g, s)
+	b, pairsB, bndB := decode(t, g, s)
+	if !slices.Equal(pairsA, pairsB) || !slices.Equal(bndA, bndB) {
 		t.Fatal("nondeterministic matching")
 	}
-	for i := range a.Pairs {
-		if a.Pairs[i] != b.Pairs[i] {
-			t.Fatal("pair order changed")
-		}
-	}
-	if err := a.Covers(s); err != nil {
-		t.Fatal(err)
-	}
-	if err := decoder.Validate(g, s, a.Correction(g)); err != nil {
-		t.Fatal(err)
+	if !slices.Equal(a.Qubits, b.Qubits) {
+		t.Fatal("nondeterministic correction")
 	}
 }

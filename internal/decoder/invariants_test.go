@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/decodepool"
 	"repro/internal/decoder"
 	"repro/internal/decoder/greedy"
 	"repro/internal/decoder/mwpm"
@@ -57,67 +58,56 @@ func TestAllDecodersClearSyndrome(t *testing.T) {
 	}
 }
 
-// MWPM must never produce a heavier matching than greedy (it is exact),
-// and both matchings must cover the syndrome. (Greedy's classical
+// MWPM's correction must never be heavier than greedy's (it is exact),
+// and both corrections must clear the syndrome. (Greedy's classical
 // 2-approximation guarantee is in likelihood weight, not chain length,
 // so no multiplicative distance bound is asserted here.)
 func TestGreedyNeverBeatsMWPM(t *testing.T) {
 	gr, mw := greedy.New(), mwpm.New()
+	s := decodepool.NewScratch()
 	rng := noise.NewRand(23)
 	for _, d := range []int{3, 5, 7} {
 		l := lattice.MustNew(d)
 		g := l.MatchingGraph(lattice.ZErrors)
 		for trial := 0; trial < 200; trial++ {
 			syn := randomSyndrome(rng, l, g, 0.08)
-			mg := gr.Match(g, syn)
-			mm := mw.Match(g, syn)
-			if err := mg.Covers(syn); err != nil {
-				t.Fatalf("greedy matching does not cover: %v", err)
+			cg, err := gr.DecodeInto(g, syn, s)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if err := mm.Covers(syn); err != nil {
-				t.Fatalf("mwpm matching does not cover: %v", err)
+			if err := decoder.Validate(g, syn, cg); err != nil {
+				t.Fatalf("greedy: %v", err)
 			}
-			wg, wm := mg.Weight(g), mm.Weight(g)
-			if wm > wg {
+			wg := cg.Weight()
+			cm, err := mw.DecodeInto(g, syn, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := decoder.Validate(g, syn, cm); err != nil {
+				t.Fatalf("mwpm: %v", err)
+			}
+			if wm := cm.Weight(); wm > wg {
 				t.Fatalf("d=%d mwpm weight %d > greedy %d", d, wm, wg)
 			}
 		}
 	}
 }
 
-// MWPM optimality cross-check: for tiny syndromes the optimal matching
-// weight can be brute forced over all pairings.
+// MWPM optimality cross-check: for tiny syndromes the optimal weight
+// can be brute forced over all pairings.
 func TestMWPMOptimalSmall(t *testing.T) {
 	mw := mwpm.New()
+	s := decodepool.NewScratch()
 	rng := noise.NewRand(29)
 	l := lattice.MustNew(5)
 	g := l.MatchingGraph(lattice.ZErrors)
-	var bestWeight func(hot []int) int
-	bestWeight = func(hot []int) int {
-		if len(hot) == 0 {
-			return 0
-		}
-		h := hot[0]
-		rest := hot[1:]
-		best := g.BoundaryDist(h) + bestWeight(rest)
-		for i, other := range rest {
-			sub := make([]int, 0, len(rest)-1)
-			sub = append(sub, rest[:i]...)
-			sub = append(sub, rest[i+1:]...)
-			if w := g.Dist(h, other) + bestWeight(sub); w < best {
-				best = w
-			}
-		}
-		return best
-	}
 	for trial := 0; trial < 60; trial++ {
 		syn := randomSyndrome(rng, l, g, 0.05)
 		hot := lattice.HotChecks(syn)
 		if len(hot) > 8 {
 			continue
 		}
-		m := mw.Match(g, syn)
-		if got, want := m.Weight(g), bestWeight(hot); got != want {
+		if got, want := mwpmWeight(t, mw, g, syn, s), bruteForceWeight(g, hot); got != want {
 			t.Fatalf("trial %d: mwpm weight %d, optimal %d (hot=%v)", trial, got, want, hot)
 		}
 	}
@@ -153,28 +143,6 @@ func TestSingleErrorsCorrectedExactly(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// The union-find decoder reports its growth rounds; they must be
-// positive when the syndrome is nonempty and zero when it is empty.
-func TestUnionFindRounds(t *testing.T) {
-	uf := unionfind.New()
-	l := lattice.MustNew(5)
-	g := l.MatchingGraph(lattice.ZErrors)
-	if _, err := uf.Decode(g, make([]bool, g.NumChecks())); err != nil {
-		t.Fatal(err)
-	}
-	if uf.Rounds != 0 {
-		t.Errorf("empty syndrome rounds=%d", uf.Rounds)
-	}
-	f := pauli.NewFrame(l.NumQubits())
-	f.Set(l.QubitIndex(lattice.Site{Row: 2, Col: 2}), pauli.Z)
-	if _, err := uf.Decode(g, g.Syndrome(f)); err != nil {
-		t.Fatal(err)
-	}
-	if uf.Rounds == 0 {
-		t.Error("nonempty syndrome took zero rounds")
 	}
 }
 

@@ -130,24 +130,15 @@ func (d *Decoder) CosetProbs(syn []bool) (p0, p1 float64, err error) {
 }
 
 // Decode implements decoder.Decoder: it returns a minimum-weight
-// representative of the likeliest logical coset.
+// representative of the likeliest logical coset (DecodeInto on a fresh
+// scratch).
 func (d *Decoder) Decode(g *lattice.Graph, syn []bool) (decoder.Correction, error) {
-	pattern, err := d.pattern(g, syn)
-	if err != nil {
-		return decoder.Correction{}, err
-	}
-	var c decoder.Correction
-	for i, q := range d.qubits {
-		if pattern&(1<<uint(i)) != 0 {
-			c.Qubits = append(c.Qubits, q)
-		}
-	}
-	return c, nil
+	return d.DecodeInto(g, syn, decodepool.NewScratch())
 }
 
-// DecodeInto implements decodepool.IntoDecoder: the same table lookup
-// as Decode, with the correction emitted into the caller's scratch
-// buffer. The returned Correction aliases s.
+// DecodeInto implements decodepool.IntoDecoder: one table lookup, with
+// the correction emitted into the caller's scratch buffer. The returned
+// Correction aliases s.
 func (d *Decoder) DecodeInto(g *lattice.Graph, syn []bool, s *decodepool.Scratch) (decoder.Correction, error) {
 	pattern, err := d.pattern(g, syn)
 	if err != nil {

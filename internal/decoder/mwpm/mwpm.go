@@ -31,57 +31,16 @@ func New() *Decoder { return &Decoder{} }
 // Name implements decoder.Decoder.
 func (*Decoder) Name() string { return "mwpm" }
 
-// Match computes the optimal matching for the syndrome.
-func (*Decoder) Match(g *lattice.Graph, syn []bool) decoder.Matching {
-	hot := lattice.HotChecks(syn)
-	n := len(hot)
-	if n == 0 {
-		return decoder.Matching{}
-	}
-	// Nodes 0..n-1 are hot checks; node n (odd counts only) is the
-	// boundary absorber.
-	m := n + n%2
-	weight := func(u, v int) int64 {
-		if u > v {
-			u, v = v, u
-		}
-		if v >= n {
-			return int64(g.BoundaryDist(hot[u]))
-		}
-		du := int64(g.Dist(hot[u], hot[v]))
-		if bs := int64(g.BoundaryDist(hot[u]) + g.BoundaryDist(hot[v])); bs < du {
-			return bs
-		}
-		return du
-	}
-	mate, _ := match.MinWeightPerfectMatching(m, weight)
-	var mm decoder.Matching
-	for u := 0; u < n; u++ {
-		v := mate[u]
-		if v >= n {
-			mm.Boundary = append(mm.Boundary, hot[u])
-		} else if v > u {
-			// Ties go to the direct pair, so a decomposition never
-			// lengthens the correction.
-			if int64(g.Dist(hot[u], hot[v])) <= int64(g.BoundaryDist(hot[u])+g.BoundaryDist(hot[v])) {
-				mm.Pairs = append(mm.Pairs, [2]int{hot[u], hot[v]})
-			} else {
-				mm.Boundary = append(mm.Boundary, hot[u], hot[v])
-			}
-		}
-	}
-	return mm
-}
-
-// Decode implements decoder.Decoder.
+// Decode implements decoder.Decoder: DecodeInto on a fresh scratch, so
+// the decoder stays stateless and safe to share across goroutines.
 func (d *Decoder) Decode(g *lattice.Graph, syn []bool) (decoder.Correction, error) {
-	return d.Match(g, syn).Correction(g), nil
+	return d.DecodeInto(g, syn, decodepool.NewScratch())
 }
 
 // intoState is the MWPM decoder's private scratch: a reusable blossom
 // matcher, the flat weight matrix it consumes, and the accepted
-// matching, kept so the correction can be emitted in the same order the
-// legacy path uses (all pair chains, then all boundary chains).
+// matching, kept so the correction can lay down all pair chains before
+// all boundary chains.
 type intoState struct {
 	matcher match.Matcher
 	w       []int64
@@ -89,11 +48,11 @@ type intoState struct {
 	bnd     []int32
 }
 
-// DecodeInto implements decodepool.IntoDecoder: the same exact matching
-// as Decode, weighted from the cached distance tables inside the
-// caller's scratch, with each picked pair's chain appended in closed
-// form by g. Steady state allocates nothing; the returned Correction
-// aliases s and is valid until its next decode.
+// DecodeInto implements decodepool.IntoDecoder: the exact matching of
+// the folded instance, weighted from the cached distance tables, with
+// each picked pair's chain appended in closed form by g. Steady state
+// allocates nothing; the returned Correction aliases s and is valid
+// until its next decode.
 func (d *Decoder) DecodeInto(g *lattice.Graph, syn []bool, s *decodepool.Scratch) (decoder.Correction, error) {
 	geo := decodepool.For(g)
 	hot := s.HotChecks(syn)
@@ -102,9 +61,8 @@ func (d *Decoder) DecodeInto(g *lattice.Graph, syn []bool, s *decodepool.Scratch
 		return decoder.Correction{}, nil
 	}
 	st := s.State("mwpm", func() any { return new(intoState) }).(*intoState)
-	// Folded instance, mirroring the Match construction exactly: nodes
-	// 0..n-1 are hot checks, node n (odd counts only) absorbs the
-	// leftover check at its boundary distance.
+	// Folded instance: nodes 0..n-1 are hot checks, node n (odd counts
+	// only) absorbs the leftover check at its boundary distance.
 	m := n + n%2
 	if cap(st.w) < m*m {
 		st.w = make([]int64, match.GrownSquare(m, cap(st.w)))
@@ -134,7 +92,8 @@ func (d *Decoder) DecodeInto(g *lattice.Graph, syn []bool, s *decodepool.Scratch
 		if v >= n {
 			st.bnd = append(st.bnd, int32(hot[u]))
 		} else if v > u {
-			// Same tie-break as Match: equal weights keep the direct pair.
+			// Ties go to the direct pair, so a decomposition never
+			// lengthens the correction.
 			if int64(geo.Dist(hot[u], hot[v])) <= int64(geo.BoundaryDist(hot[u])+geo.BoundaryDist(hot[v])) {
 				st.pairs = append(st.pairs, [2]int32{int32(hot[u]), int32(hot[v])})
 			} else {

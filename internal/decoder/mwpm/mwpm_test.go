@@ -3,6 +3,7 @@ package mwpm
 import (
 	"testing"
 
+	"repro/internal/decodepool"
 	"repro/internal/decoder"
 	"repro/internal/lattice"
 )
@@ -19,11 +20,28 @@ func syn(g *lattice.Graph, sites ...lattice.Site) []bool {
 	return s
 }
 
+// decode runs DecodeInto on a fresh scratch and returns the correction,
+// checked against the syndrome, together with the accepted pairs and
+// boundary matches read from the decoder's scratch state.
+func decode(t *testing.T, g *lattice.Graph, syn []bool) (decoder.Correction, [][2]int32, []int32) {
+	t.Helper()
+	s := decodepool.NewScratch()
+	c, err := New().DecodeInto(g, syn, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := decoder.Validate(g, syn, c); err != nil {
+		t.Fatal(err)
+	}
+	st := s.State("mwpm", func() any { return new(intoState) }).(*intoState)
+	return c, st.pairs, st.bnd
+}
+
 func TestEmptySyndrome(t *testing.T) {
 	g := lattice.MustNew(3).MatchingGraph(lattice.ZErrors)
-	m := New().Match(g, make([]bool, g.NumChecks()))
-	if len(m.Pairs) != 0 || len(m.Boundary) != 0 {
-		t.Errorf("matched empty syndrome: %+v", m)
+	c, pairs, bnd := decode(t, g, make([]bool, g.NumChecks()))
+	if len(pairs) != 0 || len(bnd) != 0 || len(c.Qubits) != 0 {
+		t.Errorf("matched empty syndrome: pairs %v boundary %v correction %v", pairs, bnd, c.Qubits)
 	}
 }
 
@@ -31,12 +49,9 @@ func TestSingleCheckBoundary(t *testing.T) {
 	l := lattice.MustNew(5)
 	g := l.MatchingGraph(lattice.ZErrors)
 	s := syn(g, lattice.Site{Row: 2, Col: 3})
-	m := New().Match(g, s)
-	if len(m.Boundary) != 1 || len(m.Pairs) != 0 {
-		t.Fatalf("matching = %+v", m)
-	}
-	if err := m.Covers(s); err != nil {
-		t.Fatal(err)
+	_, pairs, bnd := decode(t, g, s)
+	if len(bnd) != 1 || len(pairs) != 0 {
+		t.Fatalf("pairs %v boundary %v, want one boundary match", pairs, bnd)
 	}
 }
 
@@ -53,14 +68,11 @@ func TestOptimalOnAmbiguousRow(t *testing.T) {
 		lattice.Site{Row: 0, Col: 5},
 		lattice.Site{Row: 0, Col: 9},
 	)
-	m := New().Match(g, s)
+	c, _, _ := decode(t, g, s)
 	// Optimum: pair (5,9) at cost 2, send column-1 to the boundary at
 	// cost 1 — total 3.
-	if got := m.Weight(g); got != 3 {
-		t.Fatalf("weight = %d, want 3 (matching %+v)", got, m)
-	}
-	if err := decoder.Validate(g, s, m.Correction(g)); err != nil {
-		t.Fatal(err)
+	if got := c.Weight(); got != 3 {
+		t.Fatalf("weight = %d, want 3 (correction %v)", got, c.Qubits)
 	}
 }
 
@@ -75,14 +87,11 @@ func TestPrefersBoundariesWhenCheaper(t *testing.T) {
 		lattice.Site{Row: 16, Col: 1},
 		lattice.Site{Row: 4, Col: 15},
 	)
-	m := New().Match(g, s)
-	if err := m.Covers(s); err != nil {
-		t.Fatal(err)
-	}
+	c, _, _ := decode(t, g, s)
 	// Several matchings tie at the optimum here (two co-column checks
 	// sit exactly two apart); only the optimal weight is asserted.
-	if m.Weight(g) != 4 {
-		t.Errorf("weight = %d, want 4", m.Weight(g))
+	if c.Weight() != 4 {
+		t.Errorf("weight = %d, want 4", c.Weight())
 	}
 }
 
@@ -90,11 +99,8 @@ func TestXErrorGraph(t *testing.T) {
 	l := lattice.MustNew(5)
 	g := l.MatchingGraph(lattice.XErrors)
 	s := syn(g, lattice.Site{Row: 3, Col: 4}, lattice.Site{Row: 5, Col: 4})
-	m := New().Match(g, s)
-	if len(m.Pairs) != 1 {
-		t.Fatalf("matching = %+v", m)
-	}
-	if err := decoder.Validate(g, s, m.Correction(g)); err != nil {
-		t.Fatal(err)
+	_, pairs, bnd := decode(t, g, s)
+	if len(pairs) != 1 || len(bnd) != 0 {
+		t.Fatalf("pairs %v boundary %v, want one pair", pairs, bnd)
 	}
 }

@@ -20,11 +20,7 @@ import (
 )
 
 // Decoder is the union-find decoder. The zero value is ready to use.
-type Decoder struct {
-	// Rounds is the number of growth rounds the last Decode performed;
-	// harnesses use it as the decoder's abstract time-to-solution.
-	Rounds int
-}
+type Decoder struct{}
 
 // New returns a union-find decoder.
 func New() *Decoder { return &Decoder{} }
@@ -32,197 +28,10 @@ func New() *Decoder { return &Decoder{} }
 // Name implements decoder.Decoder.
 func (*Decoder) Name() string { return "union-find" }
 
-// dsu is a union-find structure tracking defect parity and boundary
-// contact per cluster.
-type dsu struct {
-	parent   []int
-	size     []int
-	odd      []bool // cluster contains an odd number of defects
-	boundary []bool // cluster contains a boundary vertex
-}
-
-func newDSU(n int) *dsu {
-	d := &dsu{
-		parent:   make([]int, n),
-		size:     make([]int, n),
-		odd:      make([]bool, n),
-		boundary: make([]bool, n),
-	}
-	for i := range d.parent {
-		d.parent[i] = i
-		d.size[i] = 1
-	}
-	return d
-}
-
-func (d *dsu) find(x int) int {
-	for d.parent[x] != x {
-		d.parent[x] = d.parent[d.parent[x]]
-		x = d.parent[x]
-	}
-	return x
-}
-
-func (d *dsu) union(a, b int) {
-	ra, rb := d.find(a), d.find(b)
-	if ra == rb {
-		return
-	}
-	if d.size[ra] < d.size[rb] {
-		ra, rb = rb, ra
-	}
-	d.parent[rb] = ra
-	d.size[ra] += d.size[rb]
-	d.odd[ra] = d.odd[ra] != d.odd[rb]
-	d.boundary[ra] = d.boundary[ra] || d.boundary[rb]
-}
-
-// active reports whether the cluster rooted at r must keep growing.
-func (d *dsu) active(r int) bool { return d.odd[r] && !d.boundary[r] }
-
-// Decode implements decoder.Decoder.
+// Decode implements decoder.Decoder: DecodeInto on a fresh scratch, so
+// the decoder stays stateless and safe to share across goroutines.
 func (u *Decoder) Decode(g *lattice.Graph, syn []bool) (decoder.Correction, error) {
-	edges := g.DecodingEdges()
-	m := g.NumChecks()
-	// Vertices: checks 0..m-1, then one boundary vertex per boundary edge.
-	nv := m
-	endpoints := make([][2]int, len(edges))
-	for k, e := range edges {
-		a, b := e.C1, e.C2
-		if a == lattice.Boundary {
-			a = nv
-			nv++
-		}
-		if b == lattice.Boundary {
-			b = nv
-			nv++
-		}
-		endpoints[k] = [2]int{a, b}
-	}
-
-	d := newDSU(nv)
-	for v := m; v < nv; v++ {
-		d.boundary[v] = true
-	}
-	anyActive := false
-	for i, hot := range syn {
-		if hot {
-			d.odd[i] = true
-			anyActive = true
-		}
-	}
-
-	// Growth: each edge accumulates support from its endpoints' active
-	// clusters; a fully supported edge (support >= 2) merges them.
-	growth := make([]int, len(edges))
-	grown := make([]bool, len(edges))
-	u.Rounds = 0
-	for anyActive {
-		u.Rounds++
-		for k := range edges {
-			if grown[k] {
-				continue
-			}
-			a, b := endpoints[k][0], endpoints[k][1]
-			if d.active(d.find(a)) {
-				growth[k]++
-			}
-			if d.active(d.find(b)) {
-				growth[k]++
-			}
-		}
-		for k := range edges {
-			if !grown[k] && growth[k] >= 2 {
-				grown[k] = true
-				d.union(endpoints[k][0], endpoints[k][1])
-			}
-		}
-		anyActive = false
-		for i, hot := range syn {
-			if hot && d.active(d.find(i)) {
-				anyActive = true
-				break
-			}
-		}
-		if u.Rounds > 4*g.Lattice().Size() {
-			return decoder.Correction{}, fmt.Errorf("unionfind: growth did not converge after %d rounds", u.Rounds)
-		}
-	}
-
-	return u.peel(g, syn, nv, m, edges, endpoints, grown)
-}
-
-// peel extracts the correction from the grown clusters.
-func (u *Decoder) peel(g *lattice.Graph, syn []bool, nv, m int, edges []lattice.Edge, endpoints [][2]int, grown []bool) (decoder.Correction, error) {
-	adj := make([][]int, nv) // vertex -> incident grown edge indices
-	for k := range edges {
-		if !grown[k] {
-			continue
-		}
-		adj[endpoints[k][0]] = append(adj[endpoints[k][0]], k)
-		adj[endpoints[k][1]] = append(adj[endpoints[k][1]], k)
-	}
-	defect := make([]bool, nv)
-	hasDefect := false
-	for i, hot := range syn {
-		if hot {
-			defect[i] = true
-			hasDefect = true
-		}
-	}
-	if !hasDefect {
-		return decoder.Correction{}, nil
-	}
-
-	visited := make([]bool, nv)
-	parentEdge := make([]int, nv)
-	var c decoder.Correction
-	// Roots preferring boundary vertices, so peeled defects can always
-	// drain into the boundary.
-	roots := make([]int, 0, nv)
-	for v := m; v < nv; v++ {
-		roots = append(roots, v)
-	}
-	for v := 0; v < m; v++ {
-		roots = append(roots, v)
-	}
-	for _, root := range roots {
-		if visited[root] {
-			continue
-		}
-		// BFS spanning tree of the cluster containing root.
-		order := []int{root}
-		visited[root] = true
-		parentEdge[root] = -1
-		for i := 0; i < len(order); i++ {
-			v := order[i]
-			for _, k := range adj[v] {
-				w := endpoints[k][0] + endpoints[k][1] - v
-				if !visited[w] {
-					visited[w] = true
-					parentEdge[w] = k
-					order = append(order, w)
-				}
-			}
-		}
-		// Peel leaves first (reverse BFS order).
-		for i := len(order) - 1; i > 0; i-- {
-			v := order[i]
-			if !defect[v] {
-				continue
-			}
-			k := parentEdge[v]
-			c.Qubits = append(c.Qubits, edges[k].Q)
-			defect[v] = false
-			p := endpoints[k][0] + endpoints[k][1] - v
-			defect[p] = !defect[p]
-		}
-		if defect[root] && root < m {
-			return decoder.Correction{}, fmt.Errorf("unionfind: unresolved defect at check %d", root)
-		}
-		defect[root] = false
-	}
-	return c, nil
+	return u.DecodeInto(g, syn, decodepool.NewScratch())
 }
 
 // intoState is the union-find decoder's private scratch: flat
@@ -310,18 +119,15 @@ func (st *intoState) union(a, b int32) {
 
 func (st *intoState) active(r int32) bool { return st.odd[r] && !st.boundary[r] }
 
-// DecodeInto implements decodepool.IntoDecoder: the same cluster-growth
-// and peeling as Decode, on the cached decoding-edge tables and flat
-// scratch arrays instead of per-call allocations. Steady state
-// allocates nothing; the returned Correction aliases s.
+// DecodeInto implements decodepool.IntoDecoder: cluster growth and
+// peeling on the cached decoding-edge tables (geo.Endpoints numbers one
+// pendant boundary vertex per boundary edge) and flat scratch arrays.
+// Steady state allocates nothing; the returned Correction aliases s.
 func (u *Decoder) DecodeInto(g *lattice.Graph, syn []bool, s *decodepool.Scratch) (decoder.Correction, error) {
 	geo := decodepool.For(g)
-	m := geo.M
-	nv := geo.NV
-	ne := len(geo.Edges)
 	st := s.State("unionfind", func() any { return new(intoState) }).(*intoState)
-	st.reset(nv, ne)
-	for v := m; v < nv; v++ {
+	st.reset(geo.NV, len(geo.Edges))
+	for v := geo.M; v < geo.NV; v++ {
 		st.boundary[v] = true
 	}
 	anyActive := false
@@ -332,11 +138,10 @@ func (u *Decoder) DecodeInto(g *lattice.Graph, syn []bool, s *decodepool.Scratch
 		}
 	}
 
-	// Growth, identical to Decode: each un-grown edge accumulates
-	// support from its endpoints' active clusters; support >= 2 merges.
-	u.Rounds = 0
-	for anyActive {
-		u.Rounds++
+	// Growth: each un-grown edge accumulates support from its
+	// endpoints' active clusters; a fully supported edge (support >= 2)
+	// merges them.
+	for rounds := 1; anyActive; rounds++ {
 		for k := range geo.Edges {
 			if st.grown[k] {
 				continue
@@ -362,14 +167,21 @@ func (u *Decoder) DecodeInto(g *lattice.Graph, syn []bool, s *decodepool.Scratch
 				break
 			}
 		}
-		if u.Rounds > 4*g.Lattice().Size() {
-			return decoder.Correction{}, fmt.Errorf("unionfind: growth did not converge after %d rounds", u.Rounds)
+		if rounds > 4*g.Lattice().Size() {
+			return decoder.Correction{}, fmt.Errorf("unionfind: growth did not converge after %d rounds", rounds)
 		}
 	}
+	q, err := st.peel(geo, syn, s.TakeQubits())
+	if err != nil {
+		return decoder.Correction{}, err
+	}
+	return s.PutQubits(q), nil
+}
 
-	// Peeling on a CSR adjacency of the grown edges. Filling slots in
-	// ascending edge order reproduces the legacy append order, so the
-	// spanning forests — and the emitted correction — are identical.
+// peel appends to q the correction that clears syn inside the grown
+// edge set: a spanning forest of each cluster is peeled from the leaves
+// inward, emitting an edge whenever a defect sits on a leaf.
+func (st *intoState) peel(geo *decodepool.Geometry, syn []bool, q []int) ([]int, error) {
 	hasDefect := false
 	for i, hot := range syn {
 		if hot {
@@ -378,8 +190,11 @@ func (u *Decoder) DecodeInto(g *lattice.Graph, syn []bool, s *decodepool.Scratch
 		}
 	}
 	if !hasDefect {
-		return decoder.Correction{}, nil
+		return q, nil
 	}
+	// CSR adjacency of the grown edges, each vertex's slots filled in
+	// ascending edge order.
+	nv, m := geo.NV, geo.M
 	adjOff := st.adjOff
 	clear(adjOff)
 	for k := range geo.Edges {
@@ -403,9 +218,8 @@ func (u *Decoder) DecodeInto(g *lattice.Graph, syn []bool, s *decodepool.Scratch
 		}
 	}
 
-	q := s.TakeQubits()
-	// Roots preferring boundary vertices, so peeled defects can always
-	// drain into the boundary (same order as Decode's root list).
+	// Roots: boundary vertices first, so peeled defects can always
+	// drain into the boundary, then the checks.
 	for root := int32(0); root < int32(nv); root++ {
 		r := root + int32(m)
 		if r >= int32(nv) {
@@ -444,11 +258,11 @@ func (u *Decoder) DecodeInto(g *lattice.Graph, syn []bool, s *decodepool.Scratch
 			st.defect[p] = !st.defect[p]
 		}
 		if st.defect[r] && int(r) < m {
-			return decoder.Correction{}, fmt.Errorf("unionfind: unresolved defect at check %d", r)
+			return nil, fmt.Errorf("unionfind: unresolved defect at check %d", r)
 		}
 		st.defect[r] = false
 	}
-	return s.PutQubits(q), nil
+	return q, nil
 }
 
 var (
@@ -467,24 +281,12 @@ func (u *Decoder) DecodeErasure(g *lattice.Graph, erased []bool, syn []bool) (de
 		return decoder.Correction{}, fmt.Errorf("unionfind: erasure mask covers %d qubits, lattice has %d",
 			len(erased), g.Lattice().NumQubits())
 	}
-	edges := g.DecodingEdges()
-	m := g.NumChecks()
-	nv := m
-	endpoints := make([][2]int, len(edges))
-	grown := make([]bool, len(edges))
-	for k, e := range edges {
-		a, b := e.C1, e.C2
-		if a == lattice.Boundary {
-			a = nv
-			nv++
-		}
-		if b == lattice.Boundary {
-			b = nv
-			nv++
-		}
-		endpoints[k] = [2]int{a, b}
-		grown[k] = erased[e.Q]
+	geo := decodepool.For(g)
+	st := new(intoState)
+	st.reset(geo.NV, len(geo.Edges))
+	for k, e := range geo.Edges {
+		st.grown[k] = erased[e.Q]
 	}
-	u.Rounds = 0
-	return u.peel(g, syn, nv, m, edges, endpoints, grown)
+	q, err := st.peel(geo, syn, nil)
+	return decoder.Correction{Qubits: q}, err
 }

@@ -85,6 +85,15 @@ func randWeights(rng *rand.Rand, n int, maxW int64) [][]int64 {
 	return w
 }
 
+// flat lays w out as the flat row-major matrix a Matcher consumes.
+func flat(w [][]int64) []int64 {
+	f := make([]int64, 0, len(w)*len(w))
+	for _, row := range w {
+		f = append(f, row...)
+	}
+	return f
+}
+
 func matchingWeight(t *testing.T, n int, w [][]int64, mate []int) int64 {
 	t.Helper()
 	var total int64
@@ -108,7 +117,7 @@ func TestMaxWeightMatchingSmallExact(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(8)
 		w := randWeights(rng, n, 20)
-		mate, total := MaxWeightMatching(n, func(u, v int) int64 { return w[u][v] })
+		mate, total := NewMatcher().MaxWeight(n, flat(w))
 		got := matchingWeight(t, n, w, mate)
 		if got != total {
 			t.Fatalf("n=%d trial=%d reported total %d != recomputed %d", n, trial, total, got)
@@ -128,7 +137,7 @@ func TestMaxWeightMatchingTriangle(t *testing.T) {
 		{5, 0, 4},
 		{3, 4, 0},
 	}
-	mate, total := MaxWeightMatching(3, func(u, v int) int64 { return w[u][v] })
+	mate, total := NewMatcher().MaxWeight(3, flat(w))
 	if total != 5 {
 		t.Fatalf("triangle total = %d, want 5", total)
 	}
@@ -145,7 +154,7 @@ func TestMaxWeightMatchingBlossomStress(t *testing.T) {
 	for trial := 0; trial < 120; trial++ {
 		n := 2 + rng.Intn(9)
 		w := randWeights(rng, n, 5) // small range -> many ties -> blossoms
-		mate, total := MaxWeightMatching(n, func(u, v int) int64 { return w[u][v] })
+		mate, total := NewMatcher().MaxWeight(n, flat(w))
 		if got := matchingWeight(t, n, w, mate); got != total {
 			t.Fatalf("n=%d inconsistent total", n)
 		}
@@ -161,9 +170,9 @@ func TestMinWeightPerfectMatchingExact(t *testing.T) {
 		n := 2 * (1 + rng.Intn(5))
 		w := randWeights(rng, n, 15)
 		// Perfect matching needs every pair usable; keep weights >= 0
-		// and remember 0 means "absent" only in MaxWeightMatching, not
+		// and remember 0 means "absent" only in MaxWeight, not
 		// in the min-perfect wrapper (which shifts internally).
-		mate, total := MinWeightPerfectMatching(n, func(u, v int) int64 { return w[u][v] })
+		mate, total := NewMatcher().MinWeightPerfect(n, flat(w))
 		for u, v := range mate {
 			if v == -1 {
 				t.Fatalf("n=%d vertex %d unmatched in perfect matching", n, u)
@@ -184,20 +193,20 @@ func TestMinWeightPerfectMatchingOddPanics(t *testing.T) {
 			t.Error("odd vertex count did not panic")
 		}
 	}()
-	MinWeightPerfectMatching(3, func(u, v int) int64 { return 1 })
+	NewMatcher().MinWeightPerfect(3, []int64{0, 1, 1, 1, 0, 1, 1, 1, 0})
 }
 
 func TestEmptyAndSingle(t *testing.T) {
-	mate, total := MaxWeightMatching(0, nil)
-	if mate != nil || total != 0 {
+	mate, total := NewMatcher().MaxWeight(0, nil)
+	if len(mate) != 0 || total != 0 {
 		t.Error("empty graph mishandled")
 	}
-	mate, total = MaxWeightMatching(1, func(u, v int) int64 { return 0 })
+	mate, total = NewMatcher().MaxWeight(1, []int64{0})
 	if len(mate) != 1 || mate[0] != -1 || total != 0 {
 		t.Errorf("single vertex mishandled: %v %d", mate, total)
 	}
-	mate, total = MinWeightPerfectMatching(0, nil)
-	if mate != nil || total != 0 {
+	mate, total = NewMatcher().MinWeightPerfect(0, nil)
+	if len(mate) != 0 || total != 0 {
 		t.Error("empty perfect matching mishandled")
 	}
 }
@@ -209,7 +218,7 @@ func TestMinPerfectLargerConsistency(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		n := 2 * (10 + rng.Intn(11))
 		w := randWeights(rng, n, 1000)
-		mate, total := MinWeightPerfectMatching(n, func(u, v int) int64 { return w[u][v] })
+		mate, total := NewMatcher().MinWeightPerfect(n, flat(w))
 		var greedy int64
 		used := make([]bool, n)
 		for u := 0; u < n; u++ {
@@ -239,7 +248,7 @@ func BenchmarkMinWeightPerfectMatching40(b *testing.B) {
 	w := randWeights(rng, 40, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MinWeightPerfectMatching(40, func(u, v int) int64 { return w[u][v] })
+		NewMatcher().MinWeightPerfect(40, flat(w))
 	}
 }
 

@@ -48,7 +48,7 @@ func FuzzBlossom(f *testing.F) {
 		if n == 0 {
 			return
 		}
-		mate, total := MaxWeightMatching(n, func(u, v int) int64 { return w[u][v] })
+		mate, total := NewMatcher().MaxWeight(n, flat(w))
 		if len(mate) != n {
 			t.Fatalf("mate has %d entries, want %d", len(mate), n)
 		}

@@ -234,9 +234,23 @@ const (
 	Exact
 )
 
+// exactState is the exact method's reusable working state: the blossom
+// matcher and the flat weight matrix it consumes. A Code is shared by
+// every Monte-Carlo shard, so each shard (or Lifetime call) owns one.
+type exactState struct {
+	matcher match.Matcher
+	w       []int64
+}
+
 // Decode matches the hot checks of a syndrome and returns the data
 // qubits to correct. The correction always reproduces the syndrome.
 func (c *Code) Decode(syn []bool, m Method) ([]int, error) {
+	return c.decode(syn, m, new(exactState))
+}
+
+// decode is Decode with the exact method's working state supplied by
+// the caller.
+func (c *Code) decode(syn []bool, m Method, ex *exactState) ([]int, error) {
 	if len(syn) != len(c.checks) {
 		return nil, fmt.Errorf("rotated: syndrome has %d checks, code has %d", len(syn), len(c.checks))
 	}
@@ -252,19 +266,23 @@ func (c *Code) Decode(syn []bool, m Method) ([]int, error) {
 	}
 	var qubits []int
 	if m == Exact {
-		weight := func(u, v int) int64 {
-			switch {
-			case u < n && v < n:
-				return int64(c.dist(hot[u], hot[v]))
-			case u >= n && v >= n:
-				return 0
-			case u < n:
-				return int64(c.boundaryDist(hot[u]))
-			default:
-				return int64(c.boundaryDist(hot[v]))
+		// Each hot check u has a boundary twin n+u. Every check reaches
+		// every twin at its own boundary distance, and twins pair with
+		// each other at zero cost.
+		mm := 2 * n
+		if cap(ex.w) < mm*mm {
+			ex.w = make([]int64, match.GrownSquare(mm, cap(ex.w)))
+		}
+		w := ex.w[:mm*mm]
+		for u := 0; u < n; u++ {
+			b := int64(c.boundaryDist(hot[u]))
+			for v := 0; v < n; v++ {
+				w[u*mm+v] = int64(c.dist(hot[u], hot[v]))
+				w[u*mm+n+v], w[(n+v)*mm+u] = b, b
+				w[(n+u)*mm+n+v] = 0
 			}
 		}
-		mate, _ := match.MinWeightPerfectMatching(2*n, weight)
+		mate, _ := ex.matcher.MinWeightPerfect(mm, w)
 		for u := 0; u < n; u++ {
 			if mate[u] >= n {
 				qubits = append(qubits, c.boundaryPathQubits(hot[u])...)
@@ -332,9 +350,10 @@ func (c *Code) Lifetime(p float64, cycles int, m Method, seed int64) (Result, er
 	for i := range targets {
 		targets[i] = i
 	}
+	ex := new(exactState)
 	var out Result
 	for cyc := 0; cyc < cycles; cyc++ {
-		flipped, err := c.runCycle(ch, rng, res, targets, m)
+		flipped, err := c.runCycle(ch, rng, res, targets, m, ex)
 		if err != nil {
 			return out, fmt.Errorf("%w at cycle %d", err, cyc)
 		}
@@ -352,13 +371,13 @@ func (c *Code) Lifetime(p float64, cycles int, m Method, seed int64) (Result, er
 // runCycle injects one round of errors, decodes and corrects, verifies
 // the syndrome cleared, and reports whether the logical state flipped
 // (normalizing the residual by the logical operator when it did).
-func (c *Code) runCycle(ch noise.Dephasing, rng *rand.Rand, res *pauli.Frame, targets []int, m Method) (bool, error) {
+func (c *Code) runCycle(ch noise.Dephasing, rng *rand.Rand, res *pauli.Frame, targets []int, m Method, ex *exactState) (bool, error) {
 	ch.Sample(rng, res, targets)
 	syn, err := c.Syndrome(res)
 	if err != nil {
 		return false, err
 	}
-	corr, err := c.Decode(syn, m)
+	corr, err := c.decode(syn, m, ex)
 	if err != nil {
 		return false, err
 	}
@@ -383,19 +402,21 @@ func (c *Code) runCycle(ch noise.Dephasing, rng *rand.Rand, res *pauli.Frame, ta
 	return false, nil
 }
 
-// rotatedShard runs single-cycle lifetime trials on a private frame.
+// rotatedShard runs single-cycle lifetime trials on a private frame and
+// matcher.
 type rotatedShard struct {
 	c       *Code
 	ch      noise.Dephasing
 	m       Method
 	res     *pauli.Frame
 	targets []int
+	ex      exactState
 }
 
 // Trial implements mc.Shard.
 func (sh *rotatedShard) Trial(rng *rand.Rand, _ int) (mc.Outcome, error) {
 	sh.res.Clear()
-	flipped, err := sh.c.runCycle(sh.ch, rng, sh.res, sh.targets, sh.m)
+	flipped, err := sh.c.runCycle(sh.ch, rng, sh.res, sh.targets, sh.m, &sh.ex)
 	if err != nil {
 		return mc.Outcome{}, err
 	}

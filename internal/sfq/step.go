@@ -471,8 +471,13 @@ func (b *BatchMesh) pairStep(k int, row, mv, pb uint64, d Dir) (done uint64) {
 	if hits != 0 {
 		b.hot[k] &^= hits
 		// A hot module terminated: cells here left the hot mask, so
-		// their latched grows may now fire — re-evaluate the row.
-		b.fireDirty |= row
+		// their latched grows may now fire. Only the hit cells changed
+		// eligibility; mark the row if one of them holds a firing pair.
+		gN, gE := b.growFrom[North][k], b.growFrom[East][k]
+		gS, gW := b.growFrom[South][k], b.growFrom[West][k]
+		if (gW&gE|gN&(gS|gW|gE))&hits&^b.fired[k] != 0 {
+			b.fireDirty |= row
+		}
 		for l, lane := range bg.laneBits {
 			hl := hits & lane
 			if hl == 0 {
@@ -511,8 +516,10 @@ func (b *BatchMesh) pairStep(k int, row, mv, pb uint64, d Dir) (done uint64) {
 //     scrubs/resets only shrink the set (a scrub or reset also clears
 //     the lane's growFrom latches). moveGrows marks fireDirty only where
 //     the landing latch leaves such a cell, which the invariant makes
-//     a new one; pairStep marks every row where a hot module
-//     terminates. hot only shrinks and interior fired bits only change
+//     a new one; pairStep marks a row where a hot module terminates
+//     only when a terminated cell is unfired and holds a firing pair
+//     (only the hit cells leave the hot mask, so only they can become
+//     candidates). hot only shrinks and interior fired bits only change
 //     in fireWord between the mark and the scan, so every marked
 //     candidate is still one when fireWord reaches it.
 //   - A handshake completes only when the module's last outstanding

@@ -52,10 +52,15 @@ func (m Method) String() string {
 	return "greedy"
 }
 
-// Decoder matches detection events in space-time.
+// Decoder matches detection events in space-time. The exact method
+// reuses the decoder's blossom matcher and weight buffer across calls,
+// so a Decoder must not be used from two goroutines at once; each
+// Simulator owns one.
 type Decoder struct {
-	g      *lattice.Graph
-	method Method
+	g       *lattice.Graph
+	method  Method
+	matcher match.Matcher
+	w       []int64 // flat 2n×2n weight matrix of the exact method
 }
 
 // NewDecoder builds a space-time decoder over one matching graph.
@@ -86,19 +91,23 @@ func (d *Decoder) Match(events []Node) (pairs [][2]int, boundary []int) {
 	}
 	switch d.method {
 	case Exact:
-		weight := func(u, v int) int64 {
-			switch {
-			case u < n && v < n:
-				return int64(d.dist(events[u], events[v]))
-			case u >= n && v >= n:
-				return 0
-			case u < n:
-				return int64(d.g.BoundaryDist(events[u].Check))
-			default:
-				return int64(d.g.BoundaryDist(events[v].Check))
+		// Each event u has a boundary twin n+u. Every event reaches
+		// every twin at its own boundary distance, and twins pair with
+		// each other at zero cost.
+		m := 2 * n
+		if cap(d.w) < m*m {
+			d.w = make([]int64, match.GrownSquare(m, cap(d.w)))
+		}
+		w := d.w[:m*m]
+		for u := 0; u < n; u++ {
+			b := int64(d.g.BoundaryDist(events[u].Check))
+			for v := 0; v < n; v++ {
+				w[u*m+v] = int64(d.dist(events[u], events[v]))
+				w[u*m+n+v], w[(n+v)*m+u] = b, b
+				w[(n+u)*m+n+v] = 0
 			}
 		}
-		mate, _ := match.MinWeightPerfectMatching(2*n, weight)
+		mate, _ := d.matcher.MinWeightPerfect(m, w)
 		for u := 0; u < n; u++ {
 			if mate[u] >= n {
 				boundary = append(boundary, u)
