@@ -38,7 +38,9 @@ func (u *Decoder) Decode(g *lattice.Graph, syn []bool) (decoder.Correction, erro
 // union-find arrays, per-edge growth state, and the CSR adjacency plus
 // traversal buffers of the peeling stage.
 type intoState struct {
-	// Union-find over the decoding-graph vertices.
+	// Union-find over the decoding-graph vertices. At a root, odd
+	// marks an odd number of defects in the cluster and boundary a
+	// boundary vertex in it.
 	parent, size  []int32
 	odd, boundary []bool
 
@@ -117,6 +119,7 @@ func (st *intoState) union(a, b int32) {
 	st.boundary[ra] = st.boundary[ra] || st.boundary[rb]
 }
 
+// active reports whether the cluster rooted at r must keep growing.
 func (st *intoState) active(r int32) bool { return st.odd[r] && !st.boundary[r] }
 
 // DecodeInto implements decodepool.IntoDecoder: cluster growth and
