@@ -3,6 +3,7 @@ package neural
 import (
 	"fmt"
 
+	"repro/internal/decodepool"
 	"repro/internal/decoder"
 	"repro/internal/decoder/greedy"
 	"repro/internal/lattice"
@@ -66,11 +67,12 @@ func New(g *lattice.Graph, cfg TrainConfig) (*Decoder, error) {
 	data := dataQubits(l)
 	cut := l.LogicalCutSupport(g.ErrorType())
 	x := make([]float64, g.NumChecks())
+	scratch := decodepool.NewScratch() // training runs on one goroutine
 	for s := 0; s < cfg.Samples; s++ {
 		f := pauli.NewFrame(l.NumQubits())
 		ch.Sample(rng, f, data)
 		syn := g.Syndrome(f)
-		corr, err := d.base.Decode(g, syn)
+		corr, err := d.base.DecodeInto(g, syn, scratch)
 		if err != nil {
 			return nil, err
 		}
