@@ -20,6 +20,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -67,31 +68,40 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	variantName := flag.String("variant", "final", "design variant: baseline, resets, resets+boundaries, final")
-	cycles := flag.Int("cycles", 20000, "syndrome cycles per (d, p) point")
-	distances := flag.String("distances", "3,5,7,9", "code distances")
-	rates := flag.String("rates", "0.01,0.02,0.03,0.04,0.05,0.06,0.07,0.08,0.09,0.10", "physical error rates")
-	workers := flag.Int("workers", 0, "concurrent trial shards (0 = GOMAXPROCS)")
-	seed := flag.Int64("seed", 1, "random seed")
-	doPlot := flag.Bool("plot", false, "render the curves as an ASCII log-log chart")
-	channel := flag.String("channel", "dephasing", "error channel: dephasing or depolarizing")
-	relWidth := flag.Float64("relwidth", 0, "stop a point once its 95% CI is tighter than this fraction of PL (0 = run all cycles)")
-	batch := flag.Bool("batch", false, "pick full-width SWAR meshes over one-lane ones; only the lane count changes (bit-identical results, higher throughput)")
-	showProgress := flag.Bool("progress", false, "live progress line on stderr")
-	obsAddr := flag.String("obs", "", "serve /metrics, /metrics.json, /manifest.json and /debug/pprof on this address (e.g. :9090)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run parses args, runs the sweep and prints its table, chart and
+// threshold estimates to stdout. -progress and -obs report on stderr.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	variantName := fs.String("variant", "final", "design variant: baseline, resets, resets+boundaries, final")
+	cycles := fs.Int("cycles", 20000, "syndrome cycles per (d, p) point")
+	distances := fs.String("distances", "3,5,7,9", "code distances")
+	rates := fs.String("rates", "0.01,0.02,0.03,0.04,0.05,0.06,0.07,0.08,0.09,0.10", "physical error rates")
+	workers := fs.Int("workers", 0, "concurrent trial shards (0 = GOMAXPROCS)")
+	seed := fs.Int64("seed", 1, "random seed")
+	doPlot := fs.Bool("plot", false, "render the curves as an ASCII log-log chart")
+	channel := fs.String("channel", "dephasing", "error channel: dephasing or depolarizing")
+	relWidth := fs.Float64("relwidth", 0, "stop a point once its 95% CI is tighter than this fraction of PL (0 = run all cycles)")
+	batch := fs.Bool("batch", false, "pick full-width SWAR meshes over one-lane ones; only the lane count changes (bit-identical results, higher throughput)")
+	showProgress := fs.Bool("progress", false, "live progress line on stderr")
+	obsAddr := fs.String("obs", "", "serve /metrics, /metrics.json, /manifest.json and /debug/pprof on this address (e.g. :9090)")
+	fs.Parse(args)
 
 	variant, ok := sfq.VariantByName(*variantName)
 	if !ok {
-		log.Fatalf("unknown variant %q", *variantName)
+		return fmt.Errorf("unknown variant %q", *variantName)
 	}
 	ds, err := parseInts(*distances)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	ps, err := parseFloats(*rates)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// One mesh pool for the whole sweep: finished points release their
@@ -121,7 +131,7 @@ func main() {
 			"workers": *workers, "relwidth": *relWidth,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "obs: telemetry on http://%s/metrics\n", srv.Addr)
@@ -143,7 +153,7 @@ func main() {
 			return pool.Get(d, lattice.XErrors)
 		}
 	default:
-		log.Fatalf("unknown channel %q", *channel)
+		return fmt.Errorf("unknown channel %q", *channel)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -152,11 +162,11 @@ func main() {
 		bar.Finish()
 	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("Fig. 10 — logical error rate, %s design, %s channel, %d cycles/point\n\n", variant.Name(), *channel, *cycles)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(stdout, "Fig. 10 — logical error rate, %s design, %s channel, %d cycles/point\n\n", variant.Name(), *channel, *cycles)
+	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "d\tp\tPL\t95% CI\terrors\tcycles\tforced")
 	for _, pt := range points {
 		fmt.Fprintf(w, "%d\t%.3f\t%.5f\t[%.5f, %.5f]\t%d\t%d\t%d\n",
@@ -164,7 +174,7 @@ func main() {
 	}
 	w.Flush()
 
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	if *doPlot {
 		chart := &plot.Chart{
 			Title: "Fig. 10 " + variant.Name() + " design",
@@ -183,19 +193,20 @@ func main() {
 			chart.Add(plot.Series{Name: fmt.Sprintf("d=%d", d), X: xs, Y: ys})
 		}
 		chart.Add(plot.Series{Name: "PL=p", X: ps, Y: ps})
-		fmt.Println(chart.Render())
+		fmt.Fprintln(stdout, chart.Render())
 	}
 	byD := stats.ByDistance(points)
 	for _, d := range ds {
 		if pth, ok := stats.PseudoThreshold(byD[d]); ok {
-			fmt.Printf("pseudo-threshold d=%d: %.4f (paper: ~0.05, 0.0475, 0.045, 0.035 for d=3,5,7,9)\n", d, pth)
+			fmt.Fprintf(stdout, "pseudo-threshold d=%d: %.4f (paper: ~0.05, 0.0475, 0.045, 0.035 for d=3,5,7,9)\n", d, pth)
 		} else {
-			fmt.Printf("pseudo-threshold d=%d: not crossed in sampled window\n", d)
+			fmt.Fprintf(stdout, "pseudo-threshold d=%d: not crossed in sampled window\n", d)
 		}
 	}
 	if th, ok := stats.AccuracyThreshold(points); ok {
-		fmt.Printf("accuracy threshold: %.4f (paper: ~0.05)\n", th)
+		fmt.Fprintf(stdout, "accuracy threshold: %.4f (paper: ~0.05)\n", th)
 	} else {
-		fmt.Println("accuracy threshold: no curve crossing in sampled window")
+		fmt.Fprintln(stdout, "accuracy threshold: no curve crossing in sampled window")
 	}
+	return nil
 }
