@@ -43,6 +43,7 @@ import (
 
 	"repro/internal/decoder"
 	"repro/internal/lattice"
+	"repro/internal/match"
 	"repro/internal/obs"
 )
 
@@ -87,6 +88,37 @@ func Decode(dec decoder.Decoder, g *lattice.Graph, syn []bool, s *Scratch) (deco
 		return id.DecodeInto(g, syn, s)
 	}
 	return dec.Decode(g, syn)
+}
+
+// MatchInto is the whole DecodeInto of the greedy and MWPM decoders:
+// it weighs the hot checks of syn on g's cached distance tables (each
+// pair at its matching-graph distance, each check at its distance to
+// the nearest boundary) in the scratch's match.Boundary, solves with
+// solve — (*match.Boundary).Greedy or .Exact — and lays every pair's
+// chain, then every boundary chain. The Correction aliases s.
+func MatchInto(g *lattice.Graph, syn []bool, s *Scratch, solve func(*match.Boundary) ([][2]int32, []int32)) decoder.Correction {
+	hot := s.HotChecks(syn)
+	if len(hot) == 0 {
+		return decoder.Correction{}
+	}
+	geo := For(g)
+	bm := s.State("match", func() any { return new(match.Boundary) }).(*match.Boundary)
+	bm.Reset(len(hot))
+	for u, cu := range hot {
+		bm.SetBoundary(u, geo.BoundaryDist(cu))
+		for v := u + 1; v < len(hot); v++ {
+			bm.SetPair(u, v, geo.Dist(cu, hot[v]))
+		}
+	}
+	pairs, bnd := solve(bm)
+	q := s.TakeQubits()
+	for _, p := range pairs {
+		q = g.AppendPathQubits(q, hot[p[0]], hot[p[1]])
+	}
+	for _, u := range bnd {
+		q = g.AppendBoundaryPathQubits(q, hot[u])
+	}
+	return s.PutQubits(q)
 }
 
 // BatchDecoder is the batched extension of the pooled path: a decoder

@@ -7,6 +7,7 @@ import (
 	"repro/internal/decodepool"
 	"repro/internal/decoder"
 	"repro/internal/lattice"
+	"repro/internal/match"
 )
 
 func syn(g *lattice.Graph, sites ...lattice.Site) []bool {
@@ -23,7 +24,8 @@ func syn(g *lattice.Graph, sites ...lattice.Site) []bool {
 
 // decode runs DecodeInto on a fresh scratch and returns the correction,
 // checked against the syndrome, together with the accepted pairs and
-// boundary matches read from the decoder's scratch state.
+// boundary matches (as hot-list positions), re-solved on the weights
+// the decode left in the scratch's boundary matcher.
 func decode(t *testing.T, g *lattice.Graph, syn []bool) (decoder.Correction, [][2]int32, []int32) {
 	t.Helper()
 	s := decodepool.NewScratch()
@@ -34,8 +36,8 @@ func decode(t *testing.T, g *lattice.Graph, syn []bool) (decoder.Correction, [][
 	if err := decoder.Validate(g, syn, c); err != nil {
 		t.Fatal(err)
 	}
-	st := s.State("greedy", func() any { return new(intoState) }).(*intoState)
-	return c, st.pairs, st.bnd
+	pairs, bnd := s.State("match", func() any { return new(match.Boundary) }).(*match.Boundary).Greedy()
+	return c, pairs, bnd
 }
 
 func TestEmptySyndrome(t *testing.T) {

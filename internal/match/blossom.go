@@ -9,10 +9,14 @@
 // and blossoms, alternating trees grown from free vertices, blossom
 // shrinking at odd cycles, and dual adjustments when the trees get stuck.
 //
-// The one entry point is the Matcher type, which takes a flat weight
-// matrix and owns reusable working state, so decode loops solve
-// instance after instance without allocating. Each user holds its own:
-// the MWPM decoder keeps one per decodepool scratch, a space-time
+// Matcher takes a flat weight matrix and owns reusable blossom working
+// state, so decode loops solve instance after instance without
+// allocating. Boundary, the entry point every decoder uses, owns one:
+// it states the surface-code matching problem once — n nodes, each
+// paired with another or sent to an open boundary — and solves it
+// greedily (the paper's §V-B decoder) or exactly (MWPM, on a folded
+// instance of n + n%2 nodes). Each user holds its own Boundary: the
+// greedy and MWPM decoders one per decodepool scratch, a space-time
 // decoder one per simulator, and the rotated code one per Monte-Carlo
 // shard.
 package match
@@ -121,7 +125,7 @@ func (m *Matcher) MinWeightPerfect(n int, w []int64) (mate []int, total int64) {
 		}
 	}
 	if cap(m.flip) < n*n {
-		m.flip = make([]int64, GrownSquare(n, cap(m.flip)))
+		m.flip = make([]int64, grownSquare(n, cap(m.flip)))
 	}
 	flip := m.flip[:n*n]
 	// Flip weights so that minimum becomes maximum; the +1 keeps every
@@ -151,9 +155,9 @@ func (m *Matcher) MinWeightPerfect(n int, w []int64) (mate []int, total int64) {
 // cost peak memory in every Monte-Carlo shard for little gain.
 func grown(need, have int) int { return max(need, have+have/4) }
 
-// GrownSquare is grown for an n×n table held in a slice of capacity
+// grownSquare is grown for an n×n table held in a slice of capacity
 // have: the side grows to at least 1.25× the side have holds.
-func GrownSquare(n, have int) int {
+func grownSquare(n, have int) int {
 	s := grown(n, int(math.Sqrt(float64(have))))
 	return s * s
 }

@@ -38,7 +38,10 @@ func decodeWeights(data []byte) (n int, w [][]int64) {
 // symmetry (mate[mate[u]] == u), edge validity (matched pairs have
 // positive weight), total-weight consistency, and 2-opt local
 // optimality — no pair swap or single unmatched edge improves the
-// matching, which would contradict maximality.
+// matching, which would contradict maximality. The same matrix, with
+// boundary weights from the bytes after it, then goes to Boundary:
+// Greedy must equal the sort-based oracle pair for pair, and Exact must
+// reach the boundary-twin construction's optimum.
 func FuzzBlossom(f *testing.F) {
 	f.Add([]byte{2, 5})
 	f.Add([]byte{4, 1, 2, 3, 4, 5, 6})
@@ -118,5 +121,13 @@ func FuzzBlossom(f *testing.F) {
 				}
 			}
 		}
+		in := boundaryInstance{w: w, b: make([]int64, n)}
+		rest := data[min(len(data), 1+n*(n-1)/2):]
+		for i := range in.b {
+			if i < len(rest) {
+				in.b[i] = int64(rest[i] % 17)
+			}
+		}
+		checkBoundary(t, new(Boundary), in)
 	})
 }

@@ -8,8 +8,9 @@
 // stabilizers on alternating boundary edges: Z-type faces detect X
 // errors and X-type faces detect Z errors. The package provides the
 // geometry, syndrome extraction, greedy and exact matching decoders
-// (sharing internal/match), and a lifetime simulator, so the efficiency
-// of the two layouts can be compared head to head (cmd/rotated).
+// (the rotated metric and chains on match.Boundary), and a lifetime
+// simulator, so the efficiency of the two layouts can be compared head
+// to head (cmd/rotated).
 package rotated
 
 import (
@@ -17,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/match"
 	"repro/internal/mc"
@@ -116,7 +116,7 @@ func (c *Code) Syndrome(f *pauli.Frame) ([]bool, error) {
 func (c *Code) dist(i, j int) int {
 	dr := abs(c.pos[i][0] - c.pos[j][0])
 	dc := abs(c.pos[i][1] - c.pos[j][1])
-	return maxInt(dr, dc) / 2
+	return max(dr, dc) / 2
 }
 
 // boundaryDist is the distance from check i to the nearest X-type
@@ -125,7 +125,7 @@ func (c *Code) boundaryDist(i int) int {
 	col := c.pos[i][1]
 	left := (col + 1) / 2
 	right := (2*c.d - 1 - col) / 2
-	return minInt(left, right)
+	return min(left, right)
 }
 
 // pathQubits returns a minimum-length Z-error chain connecting checks
@@ -171,7 +171,7 @@ func (c *Code) boundaryPathQubits(i int) []int {
 	if (2*c.d-1-col)/2 < (col+1)/2 {
 		step = 1
 	}
-	row := clampInt((r+1)/2, 0, c.d-1)
+	row := min(max((r+1)/2, 0), c.d-1)
 	var qubits []int
 	for x := col; ; x += 2 * step {
 		qc := (x + step) / 2
@@ -186,30 +186,6 @@ func (c *Code) boundaryPathQubits(i int) []int {
 func abs(x int) int {
 	if x < 0 {
 		return -x
-	}
-	return x
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func clampInt(x, lo, hi int) int {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
 	}
 	return x
 }
@@ -234,23 +210,16 @@ const (
 	Exact
 )
 
-// exactState is the exact method's reusable working state: the blossom
-// matcher and the flat weight matrix it consumes. A Code is shared by
-// every Monte-Carlo shard, so each shard (or Lifetime call) owns one.
-type exactState struct {
-	matcher match.Matcher
-	w       []int64
-}
-
 // Decode matches the hot checks of a syndrome and returns the data
 // qubits to correct. The correction always reproduces the syndrome.
 func (c *Code) Decode(syn []bool, m Method) ([]int, error) {
-	return c.decode(syn, m, new(exactState))
+	return c.decode(syn, m, new(match.Boundary))
 }
 
-// decode is Decode with the exact method's working state supplied by
-// the caller.
-func (c *Code) decode(syn []bool, m Method, ex *exactState) ([]int, error) {
+// decode is Decode on a caller-owned boundary matcher. A Code is shared
+// by every Monte-Carlo shard, so each shard (or Lifetime call) owns
+// one. The matching is match.Boundary's Greedy or Exact, by method.
+func (c *Code) decode(syn []bool, m Method, bm *match.Boundary) ([]int, error) {
 	if len(syn) != len(c.checks) {
 		return nil, fmt.Errorf("rotated: syndrome has %d checks, code has %d", len(syn), len(c.checks))
 	}
@@ -260,73 +229,29 @@ func (c *Code) decode(syn []bool, m Method, ex *exactState) ([]int, error) {
 			hot = append(hot, i)
 		}
 	}
-	n := len(hot)
-	if n == 0 {
+	if len(hot) == 0 {
 		return nil, nil
 	}
-	var qubits []int
+	bm.Reset(len(hot))
+	for u, cu := range hot {
+		bm.SetBoundary(u, c.boundaryDist(cu))
+		for v := u + 1; v < len(hot); v++ {
+			bm.SetPair(u, v, c.dist(cu, hot[v]))
+		}
+	}
+	var pairs [][2]int32
+	var bnd []int32
 	if m == Exact {
-		// Each hot check u has a boundary twin n+u. Every check reaches
-		// every twin at its own boundary distance, and twins pair with
-		// each other at zero cost.
-		mm := 2 * n
-		if cap(ex.w) < mm*mm {
-			ex.w = make([]int64, match.GrownSquare(mm, cap(ex.w)))
-		}
-		w := ex.w[:mm*mm]
-		for u := 0; u < n; u++ {
-			b := int64(c.boundaryDist(hot[u]))
-			for v := 0; v < n; v++ {
-				w[u*mm+v] = int64(c.dist(hot[u], hot[v]))
-				w[u*mm+n+v], w[(n+v)*mm+u] = b, b
-				w[(n+u)*mm+n+v] = 0
-			}
-		}
-		mate, _ := ex.matcher.MinWeightPerfect(mm, w)
-		for u := 0; u < n; u++ {
-			if mate[u] >= n {
-				qubits = append(qubits, c.boundaryPathQubits(hot[u])...)
-			} else if mate[u] > u {
-				qubits = append(qubits, c.pathQubits(hot[u], hot[mate[u]])...)
-			}
-		}
-		return qubits, nil
+		pairs, bnd = bm.Exact()
+	} else {
+		pairs, bnd = bm.Greedy()
 	}
-	type edge struct{ w, i, j int }
-	var edges []edge
-	for a := 0; a < n; a++ {
-		for b := a + 1; b < n; b++ {
-			edges = append(edges, edge{c.dist(hot[a], hot[b]), a, b})
-		}
-		edges = append(edges, edge{c.boundaryDist(hot[a]), a, -1})
+	var qubits []int
+	for _, p := range pairs {
+		qubits = append(qubits, c.pathQubits(hot[p[0]], hot[p[1]])...)
 	}
-	sort.Slice(edges, func(x, y int) bool {
-		if edges[x].w != edges[y].w {
-			return edges[x].w < edges[y].w
-		}
-		if (edges[x].j == -1) != (edges[y].j == -1) {
-			return edges[y].j == -1
-		}
-		if edges[x].i != edges[y].i {
-			return edges[x].i < edges[y].i
-		}
-		return edges[x].j < edges[y].j
-	})
-	matched := make([]bool, n)
-	for _, e := range edges {
-		if matched[e.i] {
-			continue
-		}
-		if e.j == -1 {
-			matched[e.i] = true
-			qubits = append(qubits, c.boundaryPathQubits(hot[e.i])...)
-			continue
-		}
-		if matched[e.j] {
-			continue
-		}
-		matched[e.i], matched[e.j] = true, true
-		qubits = append(qubits, c.pathQubits(hot[e.i], hot[e.j])...)
+	for _, u := range bnd {
+		qubits = append(qubits, c.boundaryPathQubits(hot[u])...)
 	}
 	return qubits, nil
 }
@@ -350,10 +275,10 @@ func (c *Code) Lifetime(p float64, cycles int, m Method, seed int64) (Result, er
 	for i := range targets {
 		targets[i] = i
 	}
-	ex := new(exactState)
+	bm := new(match.Boundary)
 	var out Result
 	for cyc := 0; cyc < cycles; cyc++ {
-		flipped, err := c.runCycle(ch, rng, res, targets, m, ex)
+		flipped, err := c.runCycle(ch, rng, res, targets, m, bm)
 		if err != nil {
 			return out, fmt.Errorf("%w at cycle %d", err, cyc)
 		}
@@ -371,13 +296,13 @@ func (c *Code) Lifetime(p float64, cycles int, m Method, seed int64) (Result, er
 // runCycle injects one round of errors, decodes and corrects, verifies
 // the syndrome cleared, and reports whether the logical state flipped
 // (normalizing the residual by the logical operator when it did).
-func (c *Code) runCycle(ch noise.Dephasing, rng *rand.Rand, res *pauli.Frame, targets []int, m Method, ex *exactState) (bool, error) {
+func (c *Code) runCycle(ch noise.Dephasing, rng *rand.Rand, res *pauli.Frame, targets []int, m Method, bm *match.Boundary) (bool, error) {
 	ch.Sample(rng, res, targets)
 	syn, err := c.Syndrome(res)
 	if err != nil {
 		return false, err
 	}
-	corr, err := c.decode(syn, m, ex)
+	corr, err := c.decode(syn, m, bm)
 	if err != nil {
 		return false, err
 	}
@@ -410,13 +335,13 @@ type rotatedShard struct {
 	m       Method
 	res     *pauli.Frame
 	targets []int
-	ex      exactState
+	bm      match.Boundary
 }
 
 // Trial implements mc.Shard.
 func (sh *rotatedShard) Trial(rng *rand.Rand, _ int) (mc.Outcome, error) {
 	sh.res.Clear()
-	flipped, err := sh.c.runCycle(sh.ch, rng, sh.res, sh.targets, sh.m, &sh.ex)
+	flipped, err := sh.c.runCycle(sh.ch, rng, sh.res, sh.targets, sh.m, &sh.bm)
 	if err != nil {
 		return mc.Outcome{}, err
 	}

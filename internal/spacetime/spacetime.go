@@ -7,8 +7,9 @@
 //
 // The NISQ+ paper evaluates with perfect extraction (its decoder is
 // per-round); this package is the repository's "future work" extension
-// showing how the same matching machinery (greedy or exact blossom)
-// lifts to repeated noisy measurement. Blocks of R noisy rounds are
+// showing how the same matching machinery (match.Boundary, greedy or
+// exact blossom) lifts to repeated noisy measurement: only the metric
+// changes, by the events' time separation. Blocks of R noisy rounds are
 // terminated by one perfect round, as is standard for lifetime studies.
 package spacetime
 
@@ -17,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/lattice"
 	"repro/internal/match"
@@ -52,15 +52,13 @@ func (m Method) String() string {
 	return "greedy"
 }
 
-// Decoder matches detection events in space-time. The exact method
-// reuses the decoder's blossom matcher and weight buffer across calls,
-// so a Decoder must not be used from two goroutines at once; each
-// Simulator owns one.
+// Decoder matches detection events in space-time. It reuses its
+// boundary matcher across calls, so a Decoder must not be used from two
+// goroutines at once; each Simulator owns one.
 type Decoder struct {
-	g       *lattice.Graph
-	method  Method
-	matcher match.Matcher
-	w       []int64 // flat 2n×2n weight matrix of the exact method
+	g      *lattice.Graph
+	method Method
+	bm     match.Boundary
 }
 
 // NewDecoder builds a space-time decoder over one matching graph.
@@ -78,85 +76,35 @@ func (d *Decoder) dist(a, b Node) int {
 	return d.g.Dist(a.Check, b.Check) + dt
 }
 
-// Match pairs the detection events; events may also match a spatial
-// boundary at their spatial boundary distance.
-//
-// The returned correction lists the data qubits to flip: the spatial
-// projection of every matched path. Time-like segments are measurement
-// errors and need no data correction.
+// Match pairs the detection events under the space-time metric; events
+// may also match a spatial boundary at their spatial boundary distance.
+// The matching is match.Boundary's Greedy or Exact, by method.
 func (d *Decoder) Match(events []Node) (pairs [][2]int, boundary []int) {
 	n := len(events)
 	if n == 0 {
 		return nil, nil
 	}
-	switch d.method {
-	case Exact:
-		// Each event u has a boundary twin n+u. Every event reaches
-		// every twin at its own boundary distance, and twins pair with
-		// each other at zero cost.
-		m := 2 * n
-		if cap(d.w) < m*m {
-			d.w = make([]int64, match.GrownSquare(m, cap(d.w)))
+	d.bm.Reset(n)
+	for u, a := range events {
+		d.bm.SetBoundary(u, d.g.BoundaryDist(a.Check))
+		for v := u + 1; v < n; v++ {
+			d.bm.SetPair(u, v, d.dist(a, events[v]))
 		}
-		w := d.w[:m*m]
-		for u := 0; u < n; u++ {
-			b := int64(d.g.BoundaryDist(events[u].Check))
-			for v := 0; v < n; v++ {
-				w[u*m+v] = int64(d.dist(events[u], events[v]))
-				w[u*m+n+v], w[(n+v)*m+u] = b, b
-				w[(n+u)*m+n+v] = 0
-			}
-		}
-		mate, _ := d.matcher.MinWeightPerfect(m, w)
-		for u := 0; u < n; u++ {
-			if mate[u] >= n {
-				boundary = append(boundary, u)
-			} else if mate[u] > u {
-				pairs = append(pairs, [2]int{u, mate[u]})
-			}
-		}
-		return pairs, boundary
-	default:
-		type edge struct {
-			w, i, j int // j == -1 marks a boundary edge
-		}
-		var edges []edge
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				edges = append(edges, edge{d.dist(events[i], events[j]), i, j})
-			}
-			edges = append(edges, edge{d.g.BoundaryDist(events[i].Check), i, -1})
-		}
-		sort.Slice(edges, func(x, y int) bool {
-			if edges[x].w != edges[y].w {
-				return edges[x].w < edges[y].w
-			}
-			if (edges[x].j == -1) != (edges[y].j == -1) {
-				return edges[y].j == -1
-			}
-			if edges[x].i != edges[y].i {
-				return edges[x].i < edges[y].i
-			}
-			return edges[x].j < edges[y].j
-		})
-		matched := make([]bool, n)
-		for _, e := range edges {
-			if matched[e.i] {
-				continue
-			}
-			if e.j == -1 {
-				matched[e.i] = true
-				boundary = append(boundary, e.i)
-				continue
-			}
-			if matched[e.j] {
-				continue
-			}
-			matched[e.i], matched[e.j] = true, true
-			pairs = append(pairs, [2]int{e.i, e.j})
-		}
-		return pairs, boundary
 	}
+	var ps [][2]int32
+	var bs []int32
+	if d.method == Exact {
+		ps, bs = d.bm.Exact()
+	} else {
+		ps, bs = d.bm.Greedy()
+	}
+	for _, p := range ps {
+		pairs = append(pairs, [2]int{int(p[0]), int(p[1])})
+	}
+	for _, u := range bs {
+		boundary = append(boundary, int(u))
+	}
+	return pairs, boundary
 }
 
 // Correction converts a matching over events into the data qubits to
