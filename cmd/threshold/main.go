@@ -39,22 +39,11 @@ import (
 	"repro/internal/stats"
 )
 
-func parseInts(s string) ([]int, error) {
-	var out []int
+// parseList parses each field of a comma-separated flag value.
+func parseList[T any](s string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
 	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
+		v, err := parse(strings.TrimSpace(f))
 		if err != nil {
 			return nil, err
 		}
@@ -95,11 +84,11 @@ func run(args []string, stdout io.Writer) error {
 	if !ok {
 		return fmt.Errorf("unknown variant %q", *variantName)
 	}
-	ds, err := parseInts(*distances)
+	ds, err := parseList(*distances, strconv.Atoi)
 	if err != nil {
 		return err
 	}
-	ps, err := parseFloats(*rates)
+	ps, err := parseList(*rates, func(f string) (float64, error) { return strconv.ParseFloat(f, 64) })
 	if err != nil {
 		return err
 	}
