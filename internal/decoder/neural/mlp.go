@@ -63,10 +63,18 @@ func (m *MLP) Forward(x []float64) (float64, []float64) {
 	return 1 / (1 + math.Exp(-o)), h
 }
 
-// Predict returns the output probability for the input.
+// Predict returns the output probability for the input: Forward's
+// sums in Forward's order, without keeping the hidden activations.
 func (m *MLP) Predict(x []float64) float64 {
-	y, _ := m.Forward(x)
-	return y
+	o := m.b2
+	for j := 0; j < m.hidden; j++ {
+		s := m.b1[j]
+		for i, xi := range x {
+			s += m.w1[j][i] * xi
+		}
+		o += m.w2[j] * math.Tanh(s)
+	}
+	return 1 / (1 + math.Exp(-o))
 }
 
 // Step performs one stochastic-gradient step on the cross-entropy loss

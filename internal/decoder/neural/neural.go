@@ -112,28 +112,45 @@ func parity(f *pauli.Frame, cut []int, e lattice.ErrorType) int {
 // Name implements decoder.Decoder.
 func (*Decoder) Name() string { return "neural" }
 
-// Decode implements decoder.Decoder: the greedy proposal plus, when the
-// network flags the syndrome, a logical operator (which commutes with
-// every check, so validity is unchanged).
+// Decode implements decoder.Decoder: DecodeInto on a fresh scratch, so
+// the decoder stays safe to share across goroutines.
 func (d *Decoder) Decode(g *lattice.Graph, syn []bool) (decoder.Correction, error) {
+	return d.DecodeInto(g, syn, decodepool.NewScratch())
+}
+
+// DecodeInto implements decodepool.IntoDecoder: greedy's proposal on s
+// plus, when the network flags the syndrome, a logical operator (which
+// commutes with every check, so validity is unchanged). The network's
+// input vector lives in s too, so steady state allocates nothing; the
+// returned Correction aliases s.
+func (d *Decoder) DecodeInto(g *lattice.Graph, syn []bool, s *decodepool.Scratch) (decoder.Correction, error) {
 	if g.ErrorType() != d.g.ErrorType() || g.Lattice().Distance() != d.g.Lattice().Distance() {
 		return decoder.Correction{}, fmt.Errorf("neural: decoder bound to a %v distance-%d graph",
 			d.g.ErrorType(), d.g.Lattice().Distance())
 	}
-	corr, err := d.base.Decode(g, syn)
+	corr, err := d.base.DecodeInto(g, syn, s)
 	if err != nil {
 		return decoder.Correction{}, err
 	}
-	x := make([]float64, len(syn))
-	for i, hot := range syn {
+	x := s.State("neural", func() any { return new([]float64) }).(*[]float64)
+	*x = (*x)[:0]
+	for _, hot := range syn {
+		v := 0.0
 		if hot {
-			x[i] = 1
+			v = 1
 		}
+		*x = append(*x, v)
 	}
-	if d.net.Predict(x) > 0.5 {
-		corr.Qubits = append(corr.Qubits, d.logical...)
+	if d.net.Predict(*x) > 0.5 {
+		// corr aliases s's qubit buffer (or is empty): copying it onto
+		// the buffer's start moves nothing, and the append reuses it.
+		q := append(s.TakeQubits(), corr.Qubits...)
+		corr = s.PutQubits(append(q, d.logical...))
 	}
 	return corr, nil
 }
 
-var _ decoder.Decoder = (*Decoder)(nil)
+var (
+	_ decoder.Decoder        = (*Decoder)(nil)
+	_ decodepool.IntoDecoder = (*Decoder)(nil)
+)

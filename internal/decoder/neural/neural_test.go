@@ -4,9 +4,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/decodepool"
 	"repro/internal/decoder"
 	"repro/internal/lattice"
 	"repro/internal/noise"
+	"repro/internal/pauli"
 	"repro/internal/surface"
 )
 
@@ -94,6 +96,49 @@ func TestDecodeAlwaysValid(t *testing.T) {
 				t.Fatalf("%v syndrome %b: %v", e, mask, err)
 			}
 		}
+	}
+}
+
+// A warmed DecodeInto allocates nothing: greedy's proposal, the
+// network's input vector and the appended logical all live in the
+// caller's scratch. At p = 0.2 the network flags about one syndrome in
+// eight, so the append runs too.
+func TestDecodeIntoZeroAllocSteadyState(t *testing.T) {
+	if decodepool.RaceEnabled {
+		t.Skip("allocation accounting is not meaningful under -race")
+	}
+	l := lattice.MustNew(5)
+	g := l.MatchingGraph(lattice.ZErrors)
+	d, err := New(g, TrainConfig{P: 0.2, Samples: 3000, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := noise.NewDephasing(0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := noise.NewRand(17)
+	syns := make([][]bool, 64)
+	for i := range syns {
+		f := pauli.NewFrame(l.NumQubits())
+		ch.Sample(rng, f, dataQubits(l))
+		syns[i] = g.Syndrome(f)
+	}
+	s := decodepool.NewScratch()
+	for _, syn := range syns {
+		if _, err := d.DecodeInto(g, syn, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	avg := testing.AllocsPerRun(len(syns)*4, func() {
+		if _, err := d.DecodeInto(g, syns[i%len(syns)], s); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if avg != 0 {
+		t.Errorf("neural d=5: %v allocs per decode in steady state, want 0", avg)
 	}
 }
 
