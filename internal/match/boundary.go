@@ -25,17 +25,10 @@ type Boundary struct {
 	fold    []int64
 }
 
-// edge is a greedy candidate; j == -1 marks i's boundary edge.
-type edge struct{ w, i, j int32 }
-
-// key orders candidates: ascending weight, pair edges before boundary
-// edges of the same weight.
-func (e edge) key() int32 {
-	if e.j < 0 {
-		return 2*e.w + 1
-	}
-	return 2 * e.w
-}
+// edge is a greedy candidate, j == -1 marking i's boundary edge. Its
+// sort key orders candidates by ascending weight w, pair edges before
+// boundary edges of equal weight: 2w for a pair, 2w+1 for a boundary.
+type edge struct{ key, i, j int32 }
 
 // Reset sizes the tables for an n-node instance. Every pair i < j and
 // every node's boundary weight must then be set before a solve.
@@ -66,27 +59,28 @@ func (bm *Boundary) SetBoundary(i, w int) { bm.b[i] = int32(w) }
 // order, valid until the next solve.
 func (bm *Boundary) Greedy() (pairs [][2]int32, bnd []int32) {
 	n := bm.n
+	w, b := bm.w[:n*n], bm.b[:n]
 	edges := bm.edges[:0]
-	maxW := int32(0)
+	maxKey := int32(0)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			w := bm.w[i*n+j]
-			maxW = max(maxW, w)
-			edges = append(edges, edge{w, int32(i), int32(j)})
+			k := 2 * w[i*n+j]
+			maxKey = max(maxKey, k)
+			edges = append(edges, edge{k, int32(i), int32(j)})
 		}
-		maxW = max(maxW, bm.b[i])
-		edges = append(edges, edge{bm.b[i], int32(i), -1})
+		k := 2*b[i] + 1
+		maxKey = max(maxKey, k)
+		edges = append(edges, edge{k, int32(i), -1})
 	}
 	bm.edges = edges
 
-	nkeys := int(2*maxW) + 2
-	if cap(bm.counts) < nkeys {
-		bm.counts = make([]int32, grown(nkeys, cap(bm.counts)))
+	if cap(bm.counts) <= int(maxKey) {
+		bm.counts = make([]int32, grown(int(maxKey)+1, cap(bm.counts)))
 	}
-	counts := bm.counts[:nkeys]
+	counts := bm.counts[:maxKey+1]
 	clear(counts)
 	for _, e := range edges {
-		counts[e.key()]++
+		counts[e.key]++
 	}
 	var sum int32
 	for k := range counts {
@@ -97,8 +91,8 @@ func (bm *Boundary) Greedy() (pairs [][2]int32, bnd []int32) {
 	}
 	idx := bm.idx[:len(edges)]
 	for k, e := range edges {
-		idx[counts[e.key()]] = int32(k)
-		counts[e.key()]++
+		idx[counts[e.key]] = int32(k)
+		counts[e.key]++
 	}
 
 	if cap(bm.matched) < n {
@@ -106,20 +100,25 @@ func (bm *Boundary) Greedy() (pairs [][2]int32, bnd []int32) {
 	}
 	matched := bm.matched[:n]
 	clear(matched)
-	bm.pairs, bm.bnd = bm.pairs[:0], bm.bnd[:0]
-	for _, k := range idx {
-		e := edges[k]
+	pairs, bnd = bm.pairs[:0], bm.bnd[:0]
+	// Every node is matched once the accepted edges cover n nodes; the
+	// rest of the candidates cannot be accepted.
+	for left, x := n, 0; left > 0; x++ {
+		e := edges[idx[x]]
 		switch {
 		case matched[e.i]:
 		case e.j < 0:
 			matched[e.i] = true
-			bm.bnd = append(bm.bnd, e.i)
+			bnd = append(bnd, e.i)
+			left--
 		case !matched[e.j]:
 			matched[e.i], matched[e.j] = true, true
-			bm.pairs = append(bm.pairs, [2]int32{e.i, e.j})
+			pairs = append(pairs, [2]int32{e.i, e.j})
+			left -= 2
 		}
 	}
-	return bm.pairs, bm.bnd
+	bm.pairs, bm.bnd = pairs, bnd
+	return pairs, bnd
 }
 
 // Exact is the minimum-weight matching, by the blossom algorithm on a
@@ -143,12 +142,12 @@ func (bm *Boundary) Exact() (pairs [][2]int32, bnd []int32) {
 	if cap(bm.fold) < m*m {
 		bm.fold = make([]int64, grownSquare(m, cap(bm.fold)))
 	}
-	f := bm.fold[:m*m]
+	f, w, b := bm.fold[:m*m], bm.w[:n*n], bm.b[:n]
 	for u := 0; u < n; u++ {
-		bu := int64(bm.b[u])
+		bu := int64(b[u])
 		f[u*m+u] = 0
 		for v := u + 1; v < n; v++ {
-			wt := min(int64(bm.w[u*n+v]), bu+int64(bm.b[v]))
+			wt := min(int64(w[u*n+v]), bu+int64(b[v]))
 			f[u*m+v], f[v*m+u] = wt, wt
 		}
 		if m > n {
@@ -164,7 +163,7 @@ func (bm *Boundary) Exact() (pairs [][2]int32, bnd []int32) {
 		case v >= n:
 			bm.bnd = append(bm.bnd, int32(u))
 		case v < u:
-		case bm.w[u*n+v] <= bm.b[u]+bm.b[v]:
+		case w[u*n+v] <= b[u]+b[v]:
 			bm.pairs = append(bm.pairs, [2]int32{int32(u), int32(v)})
 		default:
 			bm.bnd = append(bm.bnd, int32(u), int32(v))
