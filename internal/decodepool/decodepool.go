@@ -29,7 +29,9 @@
 // pooled path when available and falls back to decoder.Decoder's Decode
 // otherwise. Each software decoder (greedy, mwpm, union-find, ml-exact)
 // has one algorithm, its DecodeInto, and its Decode is DecodeInto on a
-// fresh scratch, so the two entry points agree by construction.
+// fresh scratch, so the two entry points agree by construction. Greedy
+// and MWPM differ only in how match.Boundary solves the hot checks, so
+// both are MatchInto.
 //
 // Scratch ownership rules: the Correction returned by DecodeInto aliases
 // the Scratch's correction buffer and is valid only until the next
