@@ -106,9 +106,10 @@ func (m *Matcher) MaxWeight(n int, w []int64) (mate []int, total int64) {
 
 // MinWeightPerfect computes a minimum-weight perfect matching of the
 // complete graph on an even number of vertices with the given flat
-// symmetric weight matrix (see MaxWeight). It returns mate and the
-// total weight; the returned slice is owned by the Matcher and valid
-// only until the next solve.
+// weight matrix (see MaxWeight), of which it reads only the upper
+// triangle, w[u*n+v] with u < v. It returns mate and the total weight;
+// the returned slice is owned by the Matcher and valid only until the
+// next solve.
 func (m *Matcher) MinWeightPerfect(n int, w []int64) (mate []int, total int64) {
 	if n%2 != 0 {
 		panic("match: perfect matching requires an even vertex count")

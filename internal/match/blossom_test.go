@@ -172,7 +172,15 @@ func TestMinWeightPerfectMatchingExact(t *testing.T) {
 		// Perfect matching needs every pair usable; keep weights >= 0
 		// and remember 0 means "absent" only in MaxWeight, not
 		// in the min-perfect wrapper (which shifts internally).
-		mate, total := NewMatcher().MinWeightPerfect(n, flat(w))
+		// Only the upper triangle is read: junk below the diagonal
+		// (Boundary keeps its pair weights there) changes nothing.
+		fw := flat(w)
+		for u := 0; u < n; u++ {
+			for v := 0; v < u; v++ {
+				fw[u*n+v] = rng.Int63n(1000)
+			}
+		}
+		mate, total := NewMatcher().MinWeightPerfect(n, fw)
 		for u, v := range mate {
 			if v == -1 {
 				t.Fatalf("n=%d vertex %d unmatched in perfect matching", n, u)

@@ -8,9 +8,12 @@ package match
 // use; it is not safe for concurrent use, and solves that fit its tables
 // allocate nothing.
 type Boundary struct {
-	n     int
-	w     []int32 // w[i*n+j], i < j: pair weights
-	b     []int32 // b[i]: boundary weights
+	n, m int // nodes, and the exact instance's size n + n%2
+	// w is m×m: pair weights below the diagonal (w[j*m+i], i < j) and,
+	// once Exact has run, its folded instance above it, the only part
+	// MinWeightPerfect reads.
+	w     []int64
+	b     []int64 // b[i]: boundary weights
 	pairs [][2]int32
 	bnd   []int32
 
@@ -20,9 +23,7 @@ type Boundary struct {
 	counts  []int32
 	matched []bool
 
-	// Exact's blossom matcher and folded weight matrix.
-	matcher Matcher
-	fold    []int64
+	matcher Matcher // Exact's blossom matcher
 }
 
 // edge is a greedy candidate, j == -1 marking i's boundary edge. Its
@@ -33,21 +34,20 @@ type edge struct{ key, i, j int32 }
 // Reset sizes the tables for an n-node instance. Every pair i < j and
 // every node's boundary weight must then be set before a solve.
 func (bm *Boundary) Reset(n int) {
-	bm.n = n
-	if cap(bm.w) < n*n {
-		bm.w = make([]int32, grownSquare(n, cap(bm.w)))
+	bm.n, bm.m = n, n+n%2
+	if cap(bm.w) < bm.m*bm.m {
+		bm.w = make([]int64, grownSquare(bm.m, cap(bm.w)))
 	}
 	if cap(bm.b) < n {
-		bm.b = make([]int32, grown(n, cap(bm.b)))
+		bm.b = make([]int64, grown(n, cap(bm.b)))
 	}
-	bm.b = bm.b[:n]
 }
 
 // SetPair sets the weight of pairing nodes i < j.
-func (bm *Boundary) SetPair(i, j, w int) { bm.w[i*bm.n+j] = int32(w) }
+func (bm *Boundary) SetPair(i, j, w int) { bm.w[j*bm.m+i] = int64(w) }
 
 // SetBoundary sets the weight of sending node i to the boundary.
-func (bm *Boundary) SetBoundary(i, w int) { bm.b[i] = int32(w) }
+func (bm *Boundary) SetBoundary(i, w int) { bm.b[i] = int64(w) }
 
 // Greedy is the paper's greedy matching (§V-B): candidates are taken
 // in ascending weight while their endpoints are unmatched, and the
@@ -58,17 +58,17 @@ func (bm *Boundary) SetBoundary(i, w int) { bm.b[i] = int32(w) }
 // (i, j). It returns the pairs and boundary-matched nodes in acceptance
 // order, valid until the next solve.
 func (bm *Boundary) Greedy() (pairs [][2]int32, bnd []int32) {
-	n := bm.n
-	w, b := bm.w[:n*n], bm.b[:n]
+	n, m := bm.n, bm.m
+	w, b := bm.w[:m*m], bm.b[:n]
 	edges := bm.edges[:0]
 	maxKey := int32(0)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			k := 2 * w[i*n+j]
+			k := 2 * int32(w[j*m+i])
 			maxKey = max(maxKey, k)
 			edges = append(edges, edge{k, int32(i), int32(j)})
 		}
-		k := 2*b[i] + 1
+		k := 2*int32(b[i]) + 1
 		maxKey = max(maxKey, k)
 		edges = append(edges, edge{k, int32(i), -1})
 	}
@@ -133,41 +133,32 @@ func (bm *Boundary) Greedy() (pairs [][2]int32, bnd []int32) {
 // nodes in ascending order (a split pair at its lower node's place),
 // valid until the next solve.
 func (bm *Boundary) Exact() (pairs [][2]int32, bnd []int32) {
-	n := bm.n
-	bm.pairs, bm.bnd = bm.pairs[:0], bm.bnd[:0]
+	n, m := bm.n, bm.m
+	pairs, bnd = bm.pairs[:0], bm.bnd[:0]
 	if n == 0 {
-		return bm.pairs, bm.bnd
+		return pairs, bnd
 	}
-	m := n + n%2
-	if cap(bm.fold) < m*m {
-		bm.fold = make([]int64, grownSquare(m, cap(bm.fold)))
-	}
-	f, w, b := bm.fold[:m*m], bm.w[:n*n], bm.b[:n]
+	w, b := bm.w[:m*m], bm.b[:n]
 	for u := 0; u < n; u++ {
-		bu := int64(b[u])
-		f[u*m+u] = 0
 		for v := u + 1; v < n; v++ {
-			wt := min(int64(w[u*n+v]), bu+int64(b[v]))
-			f[u*m+v], f[v*m+u] = wt, wt
+			w[u*m+v] = min(w[v*m+u], b[u]+b[v])
 		}
 		if m > n {
-			f[u*m+n], f[n*m+u] = bu, bu
+			w[u*m+n] = b[u]
 		}
 	}
-	if m > n {
-		f[n*m+n] = 0
-	}
-	mate, _ := bm.matcher.MinWeightPerfect(m, f)
+	mate, _ := bm.matcher.MinWeightPerfect(m, w)
 	for u := 0; u < n; u++ {
 		switch v := mate[u]; {
 		case v >= n:
-			bm.bnd = append(bm.bnd, int32(u))
+			bnd = append(bnd, int32(u))
 		case v < u:
-		case w[u*n+v] <= b[u]+b[v]:
-			bm.pairs = append(bm.pairs, [2]int32{int32(u), int32(v)})
+		case w[v*m+u] <= b[u]+b[v]:
+			pairs = append(pairs, [2]int32{int32(u), int32(v)})
 		default:
-			bm.bnd = append(bm.bnd, int32(u), int32(v))
+			bnd = append(bnd, int32(u), int32(v))
 		}
 	}
-	return bm.pairs, bm.bnd
+	bm.pairs, bm.bnd = pairs, bnd
+	return pairs, bnd
 }
