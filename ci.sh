@@ -19,7 +19,10 @@
 #      with sample size, so the checks stay valid, just cheaper under
 #      the detector's tenfold slowdown). Both use -count=1, so a cached
 #      result never stands in for a run.
-#   3. Five native-fuzz smokes: the blossom matcher, the software
+#   3. Five native-fuzz smokes: the blossom matcher (FuzzBlossom:
+#      matching invariants, then match.Boundary's Greedy against a
+#      sort-based oracle and its Exact against the optimum of the 2n
+#      boundary-twin construction), the software
 #      decoders (FuzzDecode: every correction clears its syndrome, and a
 #      reused scratch returns what a fresh one does), the
 #      SFQ mesh against its reference model (FuzzMesh: the mesh at one
