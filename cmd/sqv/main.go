@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"text/tabwriter"
@@ -35,15 +36,25 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	qubits := flag.Int("qubits", 1024, "physical qubits")
-	p := flag.Float64("p", 1e-5, "physical error rate")
-	empirical := flag.Bool("empirical", false, "validate 1/(K·PL) with a Monte-Carlo stopping-time run")
-	empP := flag.Float64("emp-p", 0.04, "elevated physical rate for the empirical run")
-	empTrials := flag.Int("emp-trials", 200, "stopping-time trials for the empirical run")
-	seed := flag.Int64("seed", 1, "random seed for the empirical run")
-	workers := flag.Int("workers", 0, "concurrent trial shards (0 = GOMAXPROCS)")
-	obsAddr := flag.String("obs", "", "serve /metrics, /metrics.json, /manifest.json and /debug/pprof on this address (e.g. :9090)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run parses args and prints the SQV table, the best operating point
+// and, with -empirical, the stopping-time check to stdout. -obs reports
+// on stderr.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	qubits := fs.Int("qubits", 1024, "physical qubits")
+	p := fs.Float64("p", 1e-5, "physical error rate")
+	empirical := fs.Bool("empirical", false, "validate 1/(K·PL) with a Monte-Carlo stopping-time run")
+	empP := fs.Float64("emp-p", 0.04, "elevated physical rate for the empirical run")
+	empTrials := fs.Int("emp-trials", 200, "stopping-time trials for the empirical run")
+	seed := fs.Int64("seed", 1, "random seed for the empirical run")
+	workers := fs.Int("workers", 0, "concurrent trial shards (0 = GOMAXPROCS)")
+	obsAddr := fs.String("obs", "", "serve /metrics, /metrics.json, /manifest.json and /debug/pprof on this address (e.g. :9090)")
+	fs.Parse(args)
 
 	var reg *obs.Registry
 	if *obsAddr != "" {
@@ -52,7 +63,7 @@ func main() {
 			"emp_p": *empP, "emp_trials": *empTrials, "seed": *seed,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "obs: telemetry on http://%s/metrics\n", srv.Addr)
@@ -61,11 +72,11 @@ func main() {
 
 	m := sqv.Machine{PhysicalQubits: *qubits, ErrorRate: *p}
 	fit := sqv.NISQPlusFit()
-	fmt.Printf("Fig. 1 — SQV boost for a %d-qubit machine at p=%g\n\n", *qubits, *p)
-	fmt.Printf("raw machine SQV (no correction): %.3g\n", m.RawSQV())
-	fmt.Printf("NISQ target SQV: %.0g\n\n", sqv.NISQTargetSQV)
+	fmt.Fprintf(stdout, "Fig. 1 — SQV boost for a %d-qubit machine at p=%g\n\n", *qubits, *p)
+	fmt.Fprintf(stdout, "raw machine SQV (no correction): %.3g\n", m.RawSQV())
+	fmt.Fprintf(stdout, "NISQ target SQV: %.0g\n\n", sqv.NISQTargetSQV)
 
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "d\tlogical qubits\tPL\tgates/qubit\tSQV\tboost vs target")
 	for _, d := range []int{3, 5, 7, 9} {
 		if *qubits/sqv.QubitsPerLogical(d) < 1 {
@@ -73,7 +84,7 @@ func main() {
 		}
 		plan, err := m.PlanAt(fit, d)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		fmt.Fprintf(w, "%d\t%d\t%.3g\t%.3g\t%.3g\t%.0f\n",
 			plan.Distance, plan.LogicalQubits, plan.LogicalError,
@@ -83,14 +94,14 @@ func main() {
 
 	best, err := m.Best(fit)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nbest operating point: d=%d, SQV %.3g, boost %.0f\n", best.Distance, best.SQV, best.BoostVsTarget)
-	fmt.Println("(paper: d=3 gives 78 logical qubits, SQV 3.4e8, boost 3402;")
-	fmt.Println(" d=5 gives 40 logical qubits, SQV 1.12e9, boost 11163)")
+	fmt.Fprintf(stdout, "\nbest operating point: d=%d, SQV %.3g, boost %.0f\n", best.Distance, best.SQV, best.BoostVsTarget)
+	fmt.Fprintln(stdout, "(paper: d=3 gives 78 logical qubits, SQV 3.4e8, boost 3402;")
+	fmt.Fprintln(stdout, " d=5 gives 40 logical qubits, SQV 1.12e9, boost 11163)")
 
 	if !*empirical {
-		return
+		return nil
 	}
 	// Empirical validation of the SQV accounting at an elevated rate
 	// where failures are observable in a short run: K SFQ-decoded tiles
@@ -106,11 +117,11 @@ func main() {
 		Obs:         reg,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	mean, err := m2.MeanCyclesToFailure(*empTrials, maxCycles)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// Analytic prediction from a single-tile lifetime measurement at
 	// the same rate: gates/qubit = 1/(K·PL).
@@ -128,14 +139,15 @@ func main() {
 		Obs:         reg,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	pl := pts[0].PL
-	fmt.Printf("\nempirical stopping time: K=%d, d=%d, p=%g\n", k, d, *empP)
-	fmt.Printf("measured mean cycles to failure: %.1f (%d trials)\n", mean, *empTrials)
+	fmt.Fprintf(stdout, "\nempirical stopping time: K=%d, d=%d, p=%g\n", k, d, *empP)
+	fmt.Fprintf(stdout, "measured mean cycles to failure: %.1f (%d trials)\n", mean, *empTrials)
 	if pl > 0 {
-		fmt.Printf("analytic 1/(K·PL): %.1f (PL=%.5f)\n", 1/(float64(k)*pl), pl)
+		fmt.Fprintf(stdout, "analytic 1/(K·PL): %.1f (PL=%.5f)\n", 1/(float64(k)*pl), pl)
 	} else {
-		fmt.Println("analytic 1/(K·PL): PL measured as 0 — raise -emp-p or trials")
+		fmt.Fprintln(stdout, "analytic 1/(K·PL): PL measured as 0 — raise -emp-p or trials")
 	}
+	return nil
 }

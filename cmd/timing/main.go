@@ -18,7 +18,7 @@
 // for every distance it prints the execution-time slowdown on the
 // cuccaro adder under the worst-case model (ModelForDecodes — the
 // Fig. 5/6 construction) next to the distribution-aware model
-// (backlog.ModelForHistogram over the live sfq_decode_cycles_d*
+// (backlog.ModelForHistogram over the run's cycles-to-solution
 // histogram), showing how much the single-worst-sample bound
 // overstates the steady-state cost.
 package main
@@ -26,6 +26,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"sort"
@@ -75,16 +76,26 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	cycles := flag.Int("cycles", 4000, "syndrome cycles per (d, p) point")
-	distances := flag.String("distances", "3,5,7,9", "code distances")
-	rates := flag.String("rates", "0.01,0.02,0.03,0.04,0.05,0.06,0.07,0.08,0.09,0.10", "physical error rates")
-	hist := flag.Bool("hist", false, "also print the Fig. 10(c) cycle histograms")
-	seed := flag.Int64("seed", 1, "random seed")
-	workers := flag.Int("workers", 0, "concurrent trial shards (0 = GOMAXPROCS)")
-	obsAddr := flag.String("obs", "", "serve /metrics, /metrics.json, /manifest.json and /debug/pprof on this address (e.g. :9090)")
-	tGen := flag.Float64("tgen", 400, "syndrome generation cycle time in ns for the backlog comparison")
-	batch := flag.Bool("batch", false, "pick full-width SWAR meshes over one-lane ones; only the lane count changes (bit-identical results, higher throughput)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run parses args, runs the sweep and prints Table IV, the optional
+// histograms and the backlog comparison to stdout. -obs reports on
+// stderr.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	cycles := fs.Int("cycles", 4000, "syndrome cycles per (d, p) point")
+	distances := fs.String("distances", "3,5,7,9", "code distances")
+	rates := fs.String("rates", "0.01,0.02,0.03,0.04,0.05,0.06,0.07,0.08,0.09,0.10", "physical error rates")
+	hist := fs.Bool("hist", false, "also print the Fig. 10(c) cycle histograms")
+	seed := fs.Int64("seed", 1, "random seed")
+	workers := fs.Int("workers", 0, "concurrent trial shards (0 = GOMAXPROCS)")
+	obsAddr := fs.String("obs", "", "serve /metrics, /metrics.json, /manifest.json and /debug/pprof on this address (e.g. :9090)")
+	tGen := fs.Float64("tgen", 400, "syndrome generation cycle time in ns for the backlog comparison")
+	batch := fs.Bool("batch", false, "pick full-width SWAR meshes over one-lane ones; only the lane count changes (bit-identical results, higher throughput)")
+	fs.Parse(args)
 
 	var ds []int
 	if err := parseList(*distances, func(s string) error {
@@ -92,7 +103,7 @@ func main() {
 		ds = append(ds, v)
 		return err
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var ps []float64
 	if err := parseList(*rates, func(s string) error {
@@ -100,7 +111,7 @@ func main() {
 		ps = append(ps, v)
 		return err
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	samples := map[int]*meshSamples{}
@@ -114,7 +125,7 @@ func main() {
 			"seed": *seed, "workers": *workers, "tgen": *tGen,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "obs: telemetry on http://%s/metrics\n", srv.Addr)
@@ -141,11 +152,11 @@ func main() {
 			return func(e lattice.ErrorType, st sfq.Stats) { ms.observe(st) }
 		},
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("Table IV — decoder execution time (ns), final design, %d cycles per (d,p)\n\n", *cycles)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(stdout, "Table IV — decoder execution time (ns), final design, %d cycles per (d,p)\n\n", *cycles)
+	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "d\tmax\tp99.9\taverage\tstd dev\tdecodes\t(paper max/avg/std)")
 	paper := map[int][3]float64{
 		3: {3.74, 0.28, 0.58},
@@ -166,17 +177,17 @@ func main() {
 	w.Flush()
 
 	if *hist {
-		fmt.Println("\nFig. 10(c) — cycles-to-solution distribution (first 21 bins)")
+		fmt.Fprintln(stdout, "\nFig. 10(c) — cycles-to-solution distribution (first 21 bins)")
 		for _, d := range ds {
 			counts := samples[d].counts
 			total := 0
 			for _, c := range counts {
 				total += c
 			}
-			fmt.Printf("\nd=%d (N=%d)\n", d, total)
+			fmt.Fprintf(stdout, "\nd=%d (N=%d)\n", d, total)
 			for c := 0; c <= 20; c++ {
 				frac := float64(counts[c]) / float64(total)
-				fmt.Printf("%3d cycles  %.4f %s\n", c, frac, strings.Repeat("#", int(frac*120)))
+				fmt.Fprintf(stdout, "%3d cycles  %.4f %s\n", c, frac, strings.Repeat("#", int(frac*120)))
 			}
 		}
 	}
@@ -184,33 +195,36 @@ func main() {
 	// Close the loop: measured latency distribution -> backlog model.
 	adder, err := qprog.Cuccaro(20)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	isT := backlog.Program(adder.Circuit.Decompose())
 	const floorNs = 20 // the paper's worst-case decode bound
-	fmt.Printf("\nBacklog model on cuccaro-adder-20, tGen = %.0f ns, floor = %.0f ns\n\n", *tGen, float64(floorNs))
-	bw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(stdout, "\nBacklog model on cuccaro-adder-20, tGen = %.0f ns, floor = %.0f ns\n\n", *tGen, float64(floorNs))
+	bw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(bw, "d\tdecode ns (worst)\tdecode ns (dist)\tslowdown (worst)\tslowdown (dist)")
 	for _, d := range ds {
-		// The per-d cycle histograms accumulate in the process-wide
-		// registry as the meshes decode; flush-on-Put already ran when
-		// the pool reclaimed the sweep's meshes.
-		snap := obs.Default().Histogram(fmt.Sprintf("sfq_decode_cycles_d%d", d)).Snapshot()
+		// Both models read this run's samples only: the process-wide
+		// sfq_decode_cycles_d* histograms also hold every earlier
+		// sweep's decodes.
 		var sts []sfq.Stats
-		for c := range samples[d].counts {
+		h := obs.NewHistogram()
+		for c, n := range samples[d].counts {
 			sts = append(sts, sfq.Stats{Cycles: c})
+			h.ObserveN(uint64(c), uint64(n))
 		}
+		snap := h.Snapshot()
 		wm := backlog.ModelForDecodes(*tGen, floorNs, sts)
 		hm := backlog.ModelForHistogram(*tGen, floorNs, sfq.CycleTimePs/1000, snap)
 		wt, err := wm.Execute(isT)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		ht, err := hm.Execute(isT)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		fmt.Fprintf(bw, "%d\t%.2f\t%.2f\t%.4g\t%.4g\n", d, wm.DecodeNs, hm.DecodeNs, wt.Slowdown(), ht.Slowdown())
 	}
 	bw.Flush()
+	return nil
 }
