@@ -6,6 +6,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -328,7 +329,7 @@ func BenchmarkRotatedLayout(b *testing.B) {
 	}
 	var pl float64
 	for i := 0; i < b.N; i++ {
-		res, err := code.Lifetime(0.03, 2000, rotated.Exact, int64(i))
+		res, err := code.LifetimeMC(context.Background(), 0.03, 2000, rotated.Exact, int64(i), 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -342,18 +343,13 @@ func BenchmarkRotatedLayout(b *testing.B) {
 func BenchmarkSpacetime(b *testing.B) {
 	var pl float64
 	for i := 0; i < b.N; i++ {
-		sim, err := spacetime.NewSimulator(spacetime.Config{
-			Distance: 5, P: 0.01, Q: 0.01, Rounds: 5,
-			Method: spacetime.Exact, Seed: int64(i),
-		})
+		res, err := spacetime.Sweep(context.Background(), []spacetime.Config{{
+			Distance: 5, P: 0.01, Q: 0.01, Rounds: 5, Method: spacetime.Exact,
+		}}, 300, int64(i), 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := sim.Run(300)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pl = res.PL
+		pl = res[0].PL
 	}
 	b.ReportMetric(pl, "PL/block")
 }

@@ -13,12 +13,12 @@
 #      API it uses that goes away fails here rather than first in a
 #      benchmark run.
 #   2. The full test suite, once plainly (full Monte-Carlo budgets) and
-#      once under the race detector with REPRO_MC_SHORT=1, which the
-#      statistical tests in internal/stats and internal/mc honour by
-#      shrinking their trial budgets (their acceptance thresholds scale
-#      with sample size, so the checks stay valid, just cheaper under
-#      the detector's tenfold slowdown). Both use -count=1, so a cached
-#      result never stands in for a run.
+#      once under the race detector with Go's -short flag, which the
+#      statistical tests in internal/stats and the conformance suites
+#      honour by shrinking their trial budgets (their acceptance
+#      thresholds scale with sample size, so the checks stay valid, just
+#      cheaper under the detector's tenfold slowdown). Both use -count=1,
+#      so a cached result never stands in for a run.
 #   3. Five native-fuzz smokes: the blossom matcher (FuzzBlossom:
 #      matching invariants, then match.Boundary's Greedy against a
 #      sort-based oracle and its Exact against the optimum of the 2n
@@ -85,7 +85,7 @@ echo "== go test =="
 go test -count=1 ./...
 
 echo "== go test -race (short trials) =="
-REPRO_MC_SHORT=1 go test -race -count=1 ./...
+go test -race -short -count=1 ./...
 
 echo "== fuzz smoke =="
 go test -run='^$' -fuzz=FuzzBlossom -fuzztime=5s ./internal/match

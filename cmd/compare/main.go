@@ -172,7 +172,7 @@ func run(args []string, stdout io.Writer) error {
 		d := d
 		g := pool.Graph(d, lattice.ZErrors)
 		add(d, "sfq-"+sfq.Final.Name(), "online, ~ns latency", 0, func() (decoder.Decoder, error) {
-			return pool.Get(d, lattice.ZErrors), nil
+			return pool.GetBatch(d, lattice.ZErrors), nil
 		})
 		specs[len(specs)-1].Release = stats.ReleaseDecoders(pool.Release)
 		add(d, "greedy", "software reference of §V-B", 0, func() (decoder.Decoder, error) {
@@ -216,7 +216,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	results, err := mc.Run(ctx, mc.Config{RootSeed: *seed, Workers: *workers, Obs: reg}, specs)
+	results, err := mc.Run(ctx, mc.Config{RootSeed: *seed, Workers: *workers, Batch: true, Obs: reg}, specs)
 	if err != nil {
 		return err
 	}

@@ -64,7 +64,7 @@ func main() {
 		Cycles:     *cycles,
 		NewChannel: func(p float64) (noise.Channel, error) { return noise.NewDephasing(p) },
 		NewDecoderZ: func(d int) decoder.Decoder {
-			return pool.Get(d, lattice.ZErrors)
+			return pool.GetBatch(d, lattice.ZErrors)
 		},
 		Seed:           *seed,
 		Workers:        *workers,

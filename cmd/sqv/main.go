@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -119,7 +120,7 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	mean, err := m2.MeanCyclesToFailure(*empTrials, maxCycles)
+	mean, err := m2.MeanCyclesToFailure(context.Background(), *empTrials, maxCycles)
 	if err != nil {
 		return err
 	}
@@ -131,7 +132,7 @@ func run(args []string, stdout io.Writer) error {
 		Cycles:     8000,
 		NewChannel: func(p float64) (noise.Channel, error) { return noise.NewDephasing(p) },
 		NewDecoderZ: func(d int) decoder.Decoder {
-			return pool.Get(d, lattice.ZErrors)
+			return pool.GetBatch(d, lattice.ZErrors)
 		},
 		FreeDecoder: pool.Release,
 		Seed:        *seed,

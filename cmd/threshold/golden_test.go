@@ -8,6 +8,5 @@ import (
 
 func TestGolden(t *testing.T) {
 	golden.Check(t, "threshold", run,
-		[]string{"-distances", "3,5", "-rates", "0.03,0.06", "-cycles", "2000"},
-		[]string{"-distances", "3,5", "-rates", "0.03,0.06", "-cycles", "2000", "-batch"})
+		[]string{"-distances", "3,5", "-rates", "0.03,0.06", "-cycles", "2000"})
 }

@@ -8,7 +8,7 @@
 //
 //	threshold [-variant final] [-cycles 20000] [-distances 3,5,7,9]
 //	          [-rates 0.01,...,0.1] [-workers 0] [-seed 1]
-//	          [-relwidth 0] [-progress] [-batch]
+//	          [-relwidth 0] [-progress]
 //
 // Sweeps run on the sharded Monte-Carlo engine (internal/mc): points
 // and trial shards execute in parallel, results are bit-identical for
@@ -75,7 +75,6 @@ func run(args []string, stdout io.Writer) error {
 	doPlot := fs.Bool("plot", false, "render the curves as an ASCII log-log chart")
 	channel := fs.String("channel", "dephasing", "error channel: dephasing or depolarizing")
 	relWidth := fs.Float64("relwidth", 0, "stop a point once its 95% CI is tighter than this fraction of PL (0 = run all cycles)")
-	batch := fs.Bool("batch", false, "pick full-width SWAR meshes over one-lane ones; only the lane count changes (bit-identical results, higher throughput)")
 	showProgress := fs.Bool("progress", false, "live progress line on stderr")
 	obsAddr := fs.String("obs", "", "serve /metrics, /metrics.json, /manifest.json and /debug/pprof on this address (e.g. :9090)")
 	fs.Parse(args)
@@ -103,10 +102,7 @@ func run(args []string, stdout io.Writer) error {
 		Cycles:     *cycles,
 		NewChannel: func(p float64) (noise.Channel, error) { return noise.NewDephasing(p) },
 		NewDecoderZ: func(d int) decoder.Decoder {
-			if *batch {
-				return pool.GetBatch(d, lattice.ZErrors)
-			}
-			return pool.Get(d, lattice.ZErrors)
+			return pool.GetBatch(d, lattice.ZErrors)
 		},
 		Seed:           *seed,
 		Workers:        *workers,
@@ -136,10 +132,7 @@ func run(args []string, stdout io.Writer) error {
 	case "depolarizing":
 		cfg.NewChannel = func(p float64) (noise.Channel, error) { return noise.NewDepolarizing(p) }
 		cfg.NewDecoderX = func(d int) decoder.Decoder {
-			if *batch {
-				return pool.GetBatch(d, lattice.XErrors)
-			}
-			return pool.Get(d, lattice.XErrors)
+			return pool.GetBatch(d, lattice.XErrors)
 		}
 	default:
 		return fmt.Errorf("unknown channel %q", *channel)

@@ -11,7 +11,7 @@
 // Usage:
 //
 //	timing [-cycles 4000] [-distances 3,5,7,9] [-rates 0.01,...]
-//	       [-hist] [-seed 1] [-workers 0] [-obs :9090] [-batch]
+//	       [-hist] [-seed 1] [-workers 0] [-obs :9090]
 //
 // After the Table IV summary, the command closes the loop between the
 // measured cycles-to-solution distributions and the §III backlog model:
@@ -94,7 +94,6 @@ func run(args []string, stdout io.Writer) error {
 	workers := fs.Int("workers", 0, "concurrent trial shards (0 = GOMAXPROCS)")
 	obsAddr := fs.String("obs", "", "serve /metrics, /metrics.json, /manifest.json and /debug/pprof on this address (e.g. :9090)")
 	tGen := fs.Float64("tgen", 400, "syndrome generation cycle time in ns for the backlog comparison")
-	batch := fs.Bool("batch", false, "pick full-width SWAR meshes over one-lane ones; only the lane count changes (bit-identical results, higher throughput)")
 	fs.Parse(args)
 
 	var ds []int
@@ -139,10 +138,7 @@ func run(args []string, stdout io.Writer) error {
 		Cycles:     *cycles,
 		NewChannel: func(p float64) (noise.Channel, error) { return noise.NewDephasing(p) },
 		NewDecoderZ: func(d int) decoder.Decoder {
-			if *batch {
-				return pool.GetBatch(d, lattice.ZErrors)
-			}
-			return pool.Get(d, lattice.ZErrors)
+			return pool.GetBatch(d, lattice.ZErrors)
 		},
 		FreeDecoder: pool.Release,
 		Seed:        *seed,

@@ -3,7 +3,7 @@
 // Before this package, each knob was read ad hoc (os.Getenv scattered
 // across cmd/bench, the sfq kernel switches, the Monte-Carlo short-trial
 // tests and the obs overhead guard), which made a typo'd value — say
-// REPRO_MC_SHORT=ture — silently fall back to the default and measure
+// REPRO_OBS_GUARD=ture — silently fall back to the default and measure
 // the wrong thing. Here every knob is declared once in a
 // registry with its legal values; accessors validate strictly and fail
 // loudly on anything else, and CheckEnv rejects unknown REPRO_* names
@@ -41,11 +41,6 @@ var boolValues = []string{"0", "1", "false", "true"}
 // knob here is the only step needed for manifest capture and CheckEnv
 // acceptance.
 var defs = []Def{
-	{
-		Name:    "REPRO_MC_SHORT",
-		Desc:    "shrink Monte-Carlo trial budgets (ci.sh race runs); statistical tolerances rescale",
-		Allowed: boolValues,
-	},
 	{
 		Name:    "REPRO_OBS_GUARD",
 		Desc:    "opt into the wall-clock telemetry-overhead guard test",

@@ -18,19 +18,15 @@ func TestKnobTable(t *testing.T) {
 		boolKnob  bool
 		wantPanic bool
 	}{
-		{name: "REPRO_MC_SHORT", value: "", boolKnob: true, wantBool: false},
-		{name: "REPRO_MC_SHORT", value: "1", wantStr: "1", boolKnob: true, wantBool: true},
-		{name: "REPRO_MC_SHORT", value: "true", wantStr: "true", boolKnob: true, wantBool: true},
-		{name: "REPRO_MC_SHORT", value: "0", wantStr: "0", boolKnob: true, wantBool: false},
-		{name: "REPRO_MC_SHORT", value: "false", wantStr: "false", boolKnob: true, wantBool: false},
-		{name: "REPRO_MC_SHORT", value: "yes", boolKnob: true, wantPanic: true},
-		{name: "REPRO_OBS_GUARD", value: "1", wantStr: "1", boolKnob: true, wantBool: true},
-		{name: "REPRO_OBS_GUARD", value: "on", boolKnob: true, wantPanic: true},
-		{name: "REPRO_MC_SHORT", value: "ture", boolKnob: true, wantPanic: true}, // a typo must not select the default
-		{name: "REPRO_MC_SHORT", value: "TRUE", boolKnob: true, wantPanic: true},
 		{name: "REPRO_OBS_GUARD", value: "", boolKnob: true, wantBool: false},
-		{name: "REPRO_OBS_GUARD", value: "0", wantStr: "0", boolKnob: true, wantBool: false},
+		{name: "REPRO_OBS_GUARD", value: "1", wantStr: "1", boolKnob: true, wantBool: true},
 		{name: "REPRO_OBS_GUARD", value: "true", wantStr: "true", boolKnob: true, wantBool: true},
+		{name: "REPRO_OBS_GUARD", value: "0", wantStr: "0", boolKnob: true, wantBool: false},
+		{name: "REPRO_OBS_GUARD", value: "false", wantStr: "false", boolKnob: true, wantBool: false},
+		{name: "REPRO_OBS_GUARD", value: "yes", boolKnob: true, wantPanic: true},
+		{name: "REPRO_OBS_GUARD", value: "on", boolKnob: true, wantPanic: true},
+		{name: "REPRO_OBS_GUARD", value: "ture", boolKnob: true, wantPanic: true}, // a typo must not select the default
+		{name: "REPRO_OBS_GUARD", value: "TRUE", boolKnob: true, wantPanic: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name+"="+tc.value, func(t *testing.T) {
@@ -67,7 +63,6 @@ func TestUnregisteredKnobPanics(t *testing.T) {
 // TestCheckEnv pins the whole-environment scan: registered knobs with
 // legal values pass, a typo'd name or value fails.
 func TestCheckEnv(t *testing.T) {
-	t.Setenv("REPRO_MC_SHORT", "1")
 	t.Setenv("REPRO_OBS_GUARD", "true")
 	if err := CheckEnv(); err != nil {
 		t.Fatalf("CheckEnv with legal knobs: %v", err)
@@ -87,7 +82,7 @@ func TestCheckEnv(t *testing.T) {
 // TestCheckEnvBadValue pins that CheckEnv validates values, not just
 // names.
 func TestCheckEnvBadValue(t *testing.T) {
-	t.Setenv("REPRO_MC_SHORT", "ture")
+	t.Setenv("REPRO_OBS_GUARD", "ture")
 	if err := CheckEnv(); err == nil || !strings.Contains(err.Error(), "ture") {
 		t.Fatalf("CheckEnv with illegal value: got %v, want value error", err)
 	}

@@ -151,9 +151,7 @@ type Config struct {
 	// checkpoint of every point. Calls run under an engine-wide mutex:
 	// no two invocations overlap, but a slow callback stalls the
 	// checkpoint processing of EVERY concurrently running point, not
-	// just its own. Callbacks that block (network writes, scrapes)
-	// should be wrapped with AsyncProgress, which hands reports to a
-	// dedicated goroutine and never blocks the engine.
+	// just its own, so a callback must not block.
 	Progress func(Progress)
 	// Batch lets shards that implement BatchShard advance BatchSize
 	// trials per TrialBatch call (trial streams and tallies are

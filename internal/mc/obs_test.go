@@ -127,44 +127,3 @@ func TestObsDeterminism(t *testing.T) {
 		t.Fatalf("instrumented results depend on worker count:\n%+v\n%+v", plain, instr1)
 	}
 }
-
-// AsyncProgress never blocks the caller, preserves order, and counts
-// drops when the sink cannot keep up.
-func TestAsyncProgress(t *testing.T) {
-	var got []mc.Progress
-	release := make(chan struct{})
-	reg := obs.NewRegistry()
-	cb, stop := mc.AsyncProgress(func(p mc.Progress) {
-		<-release // hold the drain goroutine so the queue fills
-		got = append(got, p)
-	}, 4, reg)
-
-	start := time.Now()
-	for i := 0; i < 20; i++ {
-		cb(mc.Progress{Point: i})
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("callback blocked for %v", elapsed)
-	}
-	close(release)
-	dropped := stop()
-	// 20 sent into a depth-4 queue with a held sink: at least one
-	// drop, and sent = delivered + dropped.
-	if dropped == 0 {
-		t.Fatal("expected drops with a held sink and a full queue")
-	}
-	if int64(len(got))+dropped != 20 {
-		t.Fatalf("delivered %d + dropped %d != sent 20", len(got), dropped)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].Point < got[i-1].Point {
-			t.Fatalf("reports out of order: %d after %d", got[i].Point, got[i-1].Point)
-		}
-	}
-	if reg.Counter("mc_progress_reports_total").Load() != 20 {
-		t.Fatalf("reports counter = %d", reg.Counter("mc_progress_reports_total").Load())
-	}
-	if reg.Counter("mc_progress_dropped_total").Load() != dropped {
-		t.Fatalf("dropped counter = %d, want %d", reg.Counter("mc_progress_dropped_total").Load(), dropped)
-	}
-}

@@ -5,8 +5,7 @@ import (
 	"testing"
 )
 
-// LifetimeMC is bit-identical for any worker count, and its statistics
-// agree with the sequential Lifetime path at the same physical rate.
+// LifetimeMC is bit-identical for any worker count.
 func TestLifetimeMCWorkerInvariance(t *testing.T) {
 	c, err := New(3)
 	if err != nil {

@@ -217,8 +217,7 @@ func (c *Code) Decode(syn []bool, m Method) ([]int, error) {
 }
 
 // decode is Decode on a caller-owned boundary matcher. A Code is shared
-// by every Monte-Carlo shard, so each shard (or Lifetime call) owns
-// one. The matching is match.Boundary's Greedy or Exact, by method.
+// by every Monte-Carlo shard, so each shard owns one. The matching is match.Boundary's Greedy or Exact, by method.
 func (c *Code) decode(syn []bool, m Method, bm *match.Boundary) ([]int, error) {
 	if len(syn) != len(c.checks) {
 		return nil, fmt.Errorf("rotated: syndrome has %d checks, code has %d", len(syn), len(c.checks))
@@ -261,36 +260,6 @@ type Result struct {
 	Cycles        int
 	LogicalErrors int
 	PL            float64
-}
-
-// Lifetime runs the dephasing memory experiment on the rotated code.
-func (c *Code) Lifetime(p float64, cycles int, m Method, seed int64) (Result, error) {
-	ch, err := noise.NewDephasing(p)
-	if err != nil {
-		return Result{}, err
-	}
-	rng := noise.NewRand(seed)
-	res := pauli.NewFrame(c.NumData())
-	targets := make([]int, c.NumData())
-	for i := range targets {
-		targets[i] = i
-	}
-	bm := new(match.Boundary)
-	var out Result
-	for cyc := 0; cyc < cycles; cyc++ {
-		flipped, err := c.runCycle(ch, rng, res, targets, m, bm)
-		if err != nil {
-			return out, fmt.Errorf("%w at cycle %d", err, cyc)
-		}
-		if flipped {
-			out.LogicalErrors++
-		}
-		out.Cycles++
-	}
-	if out.Cycles > 0 {
-		out.PL = float64(out.LogicalErrors) / float64(out.Cycles)
-	}
-	return out, nil
 }
 
 // runCycle injects one round of errors, decodes and corrects, verifies

@@ -1,6 +1,7 @@
 package rotated
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/noise"
@@ -171,7 +172,7 @@ func TestLifetimeSuppression(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := c.Lifetime(0.04, 30000, Exact, 31)
+		res, err := c.LifetimeMC(context.Background(), 0.04, 30000, Exact, 31, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,11 +186,11 @@ func TestLifetimeSuppression(t *testing.T) {
 		t.Errorf("PL(5)=%v >= PL(3)=%v below threshold", p5, p3)
 	}
 	c, _ := New(3)
-	a, err := c.Lifetime(0.05, 500, Greedy, 9)
+	a, err := c.LifetimeMC(context.Background(), 0.05, 500, Greedy, 9, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.Lifetime(0.05, 500, Greedy, 9)
+	b, err := c.LifetimeMC(context.Background(), 0.05, 500, Greedy, 9, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/knob"
 	"repro/internal/lattice"
 	"repro/internal/mc"
 	"repro/internal/obs"
@@ -21,7 +20,7 @@ import (
 // confTrials scales the deterministic conformance workloads down for
 // -short and the ci.sh race pass.
 func confTrials(full, short int) int {
-	if testing.Short() || knob.Bool("REPRO_MC_SHORT") {
+	if testing.Short() {
 		return short
 	}
 	return full

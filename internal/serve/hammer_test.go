@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -343,6 +344,74 @@ func TestCloseMidTraffic(t *testing.T) {
 	// A post-close submission is answered, not enqueued.
 	if resp := s.Decode(3, lattice.ZErrors, 1, syns[0]); resp.Status != StatusError {
 		t.Errorf("post-close decode: %+v, want draining error", resp)
+	}
+}
+
+// TestCloseRacesAdmission closes the server while goroutines keep
+// submitting, round after round. A request that submit enqueued before
+// Close took the write lock must still be decoded: every submission
+// gets exactly one response (decoded, shed or refused as draining), and
+// Close returns.
+func TestCloseRacesAdmission(t *testing.T) {
+	const submitters = 8
+	syns := confSyndromes(3, lattice.ZErrors, 8)
+	for round := 0; round < confTrials(200, 50); round++ {
+		s := New(Config{Variant: sfq.Final, Distances: []int{3}, Registry: obs.NewRegistry()})
+		var (
+			mu      sync.Mutex
+			answers []*atomic.Int32 // one per submission
+			sent    atomic.Int64
+			closed  atomic.Bool
+			wg      sync.WaitGroup
+		)
+		for g := 0; g < submitters; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; !closed.Load(); i++ {
+					n := new(atomic.Int32)
+					mu.Lock()
+					answers = append(answers, n)
+					mu.Unlock()
+					sent.Add(1)
+					s.submit(3, lattice.ZErrors, uint64(i), syns[(g+i)%len(syns)], func(*Response) { n.Add(1) })
+				}
+			}(g)
+		}
+		for sent.Load() < 4*submitters {
+			runtime.Gosched()
+		}
+		done := make(chan error, 1)
+		go func() { done <- s.Close() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("round %d: Close did not return", round)
+		}
+		closed.Store(true)
+		wg.Wait()
+		deadline := time.Now().Add(10 * time.Second)
+		for _, n := range answers {
+			for n.Load() == 0 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+		}
+		missing, dup := 0, 0
+		for _, n := range answers {
+			switch v := n.Load(); {
+			case v == 0:
+				missing++
+			case v > 1:
+				dup++
+			}
+		}
+		if missing > 0 || dup > 0 {
+			t.Fatalf("round %d: of %d submissions, %d never answered and %d answered more than once",
+				round, len(answers), missing, dup)
+		}
 	}
 }
 

@@ -624,8 +624,12 @@ func (s *Server) submit(d int, e lattice.ErrorType, id uint64, syn []bool, deliv
 	t := task{id: id, syn: buf, deliver: deliver, sp: sp, enqNs: nowNs}
 	select {
 	case q.ch <- t:
-		s.mu.RUnlock()
+		// Kick under the read lock: Close takes the write lock before it
+		// closes the queues and waits for active drains, so it cannot see
+		// this task queued with no drain raised for it. kick never
+		// blocks (the scheduler's deques are unbounded).
 		s.kick(q)
+		s.mu.RUnlock()
 	default:
 		// Queue full: the hard backpressure bound. The controller's
 		// model-driven shedding usually engages first; this path covers

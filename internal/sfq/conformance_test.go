@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/decodepool"
-	"repro/internal/knob"
 	"repro/internal/lattice"
 	"repro/internal/pauli"
 	"repro/internal/sfq"
@@ -23,10 +22,6 @@ import (
 // decodes diverges too.
 
 var variants = []sfq.Variant{sfq.Baseline, sfq.WithReset, sfq.WithBoundary, sfq.Final}
-
-func confShort() bool {
-	return testing.Short() || knob.Bool("REPRO_MC_SHORT")
-}
 
 // want is the oracle's decode of one syndrome.
 type want struct {
@@ -96,7 +91,7 @@ func assertBatch(t testing.TB, g *lattice.Graph, b *sfq.BatchMesh, s *decodepool
 // lane seam) and the maximum.
 func laneCounts(d int) []int {
 	max := sfq.MaxBatchLanes(d)
-	if confShort() {
+	if testing.Short() {
 		return slices.Compact([]int{1, min(2, max), max})
 	}
 	counts := make([]int, max)
@@ -143,7 +138,7 @@ func TestBatchMeshConformanceLowWeight(t *testing.T) {
 		vs := variants
 		etypes := []lattice.ErrorType{lattice.ZErrors, lattice.XErrors}
 		if d >= 7 {
-			if confShort() {
+			if testing.Short() {
 				continue
 			}
 			vs = []sfq.Variant{sfq.Final}
@@ -192,7 +187,7 @@ func randomCases(g *lattice.Graph, rates []float64, perRate int) [][]bool {
 // the spanning layout: one lane over two words per row.
 func TestBatchMeshConformanceRandom(t *testing.T) {
 	perRate := 12
-	if confShort() {
+	if testing.Short() {
 		perRate = 3
 	}
 	for _, d := range []int{3, 5, 7, 9, 13, 33} {
@@ -201,7 +196,7 @@ func TestBatchMeshConformanceRandom(t *testing.T) {
 			// The oracle steps 4489 cells one at a time; keep the
 			// spanning layout's set small and sparse.
 			rates, n = []float64{0.005, 0.02, 0.05}, 2
-			if confShort() {
+			if testing.Short() {
 				n = 1
 			}
 		}
@@ -228,7 +223,7 @@ func TestBatchMeshConformanceRandom(t *testing.T) {
 // filled words, and the lane refill orders each count induces.
 func TestBatchMeshWidthConformance(t *testing.T) {
 	perRate := 12
-	if confShort() {
+	if testing.Short() {
 		perRate = 3
 	}
 	for _, d := range []int{3, 5, 7, 9, 13} {

@@ -86,7 +86,7 @@ func checkExitInvariants(t *testing.T, v sfq.Variant, st sfq.Stats, desc string)
 func TestStatsExitPathParity(t *testing.T) {
 	seen := map[string]map[string]bool{}
 	trials := 40
-	if confShort() {
+	if testing.Short() {
 		// 16 is the smallest budget at which the seeded corpus still
 		// reaches every exit class asserted below.
 		trials = 16

@@ -54,7 +54,7 @@ func (m Method) String() string {
 
 // Decoder matches detection events in space-time. It reuses its
 // boundary matcher across calls, so a Decoder must not be used from two
-// goroutines at once; each Simulator owns one.
+// goroutines at once; each engine shard owns one.
 type Decoder struct {
 	g      *lattice.Graph
 	method Method
@@ -78,8 +78,10 @@ func (d *Decoder) dist(a, b Node) int {
 
 // Match pairs the detection events under the space-time metric; events
 // may also match a spatial boundary at their spatial boundary distance.
-// The matching is match.Boundary's Greedy or Exact, by method.
-func (d *Decoder) Match(events []Node) (pairs [][2]int, boundary []int) {
+// The matching is match.Boundary's Greedy or Exact, by method. Pairs
+// index into events; both slices are the matcher's own and stay valid
+// until the next Match.
+func (d *Decoder) Match(events []Node) (pairs [][2]int32, boundary []int32) {
 	n := len(events)
 	if n == 0 {
 		return nil, nil
@@ -91,33 +93,22 @@ func (d *Decoder) Match(events []Node) (pairs [][2]int, boundary []int) {
 			d.bm.SetPair(u, v, d.dist(a, events[v]))
 		}
 	}
-	var ps [][2]int32
-	var bs []int32
 	if d.method == Exact {
-		ps, bs = d.bm.Exact()
-	} else {
-		ps, bs = d.bm.Greedy()
+		return d.bm.Exact()
 	}
-	for _, p := range ps {
-		pairs = append(pairs, [2]int{int(p[0]), int(p[1])})
-	}
-	for _, u := range bs {
-		boundary = append(boundary, int(u))
-	}
-	return pairs, boundary
+	return d.bm.Greedy()
 }
 
-// Correction converts a matching over events into the data qubits to
-// flip (the spatial projection of each path).
-func (d *Decoder) Correction(events []Node, pairs [][2]int, boundary []int) []int {
-	var qubits []int
+// AppendCorrection appends to dst the data qubits that a matching over
+// events flips (the spatial projection of each path).
+func (d *Decoder) AppendCorrection(dst []int, events []Node, pairs [][2]int32, boundary []int32) []int {
 	for _, p := range pairs {
-		qubits = d.g.AppendPathQubits(qubits, events[p[0]].Check, events[p[1]].Check)
+		dst = d.g.AppendPathQubits(dst, events[p[0]].Check, events[p[1]].Check)
 	}
 	for _, i := range boundary {
-		qubits = d.g.AppendBoundaryPathQubits(qubits, events[i].Check)
+		dst = d.g.AppendBoundaryPathQubits(dst, events[i].Check)
 	}
-	return qubits
+	return dst
 }
 
 // Config describes a phenomenological lifetime experiment.
@@ -127,7 +118,6 @@ type Config struct {
 	Q        float64 // measurement flip rate per round
 	Rounds   int     // noisy rounds per block (a perfect round closes each block)
 	Method   Method
-	Seed     int64
 }
 
 // Result summarizes a run.
@@ -138,24 +128,29 @@ type Result struct {
 	PL            float64 // logical errors per block
 }
 
-// Simulator runs repeated noisy-measurement blocks against the
-// space-time decoder (Z errors / X checks, matching the paper's
-// headline dephasing evaluation).
-type Simulator struct {
-	cfg  Config
-	l    *lattice.Lattice
-	g    *lattice.Graph
-	dec  *Decoder
-	rng  *rand.Rand
-	ch   noise.Dephasing
-	mf   noise.MeasureFlip
-	data []int
-	res  *pauli.Frame
-	cut  []int
+// blockShard runs noisy-measurement blocks against the space-time
+// decoder (Z errors / X checks, matching the paper's headline dephasing
+// evaluation) for the Monte-Carlo engine: one trial is one block from a
+// clean frame. Its buffers are reused across trials, so a warmed shard
+// decodes a block without allocating.
+type blockShard struct {
+	rounds  int
+	g       *lattice.Graph
+	dec     *Decoder
+	ch      noise.Dephasing
+	mf      noise.MeasureFlip
+	data    []int
+	res     *pauli.Frame
+	cut     []int
+	logical []int
+
+	prev, cur []bool // syndromes of the last and the current round
+	events    []Node
+	corr      []int
 }
 
-// NewSimulator validates the configuration and builds the simulator.
-func NewSimulator(cfg Config) (*Simulator, error) {
+// newBlockShard validates the configuration and builds a shard.
+func newBlockShard(cfg Config) (*blockShard, error) {
 	if cfg.Rounds < 1 {
 		return nil, fmt.Errorf("spacetime: need >= 1 round per block, got %d", cfg.Rounds)
 	}
@@ -172,62 +167,27 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 		return nil, err
 	}
 	g := l.MatchingGraph(lattice.ZErrors)
-	s := &Simulator{
-		cfg: cfg,
-		l:   l,
-		g:   g,
-		dec: NewDecoder(g, cfg.Method),
-		rng: noise.NewRand(cfg.Seed),
-		ch:  ch,
-		mf:  mf,
-		res: pauli.NewFrame(l.NumQubits()),
-		cut: l.LogicalCutSupport(lattice.ZErrors),
+	sh := &blockShard{
+		rounds:  cfg.Rounds,
+		g:       g,
+		dec:     NewDecoder(g, cfg.Method),
+		ch:      ch,
+		mf:      mf,
+		res:     pauli.NewFrame(l.NumQubits()),
+		cut:     l.LogicalCutSupport(lattice.ZErrors),
+		logical: l.LogicalSupport(lattice.ZErrors),
+		prev:    make([]bool, g.NumChecks()),
+		cur:     make([]bool, g.NumChecks()),
 	}
 	for _, site := range l.DataSites() {
-		s.data = append(s.data, l.QubitIndex(site))
+		sh.data = append(sh.data, l.QubitIndex(site))
 	}
-	return s, nil
-}
-
-// SetRand swaps the simulator's randomness source. Engine shards call
-// this before every trial with the trial's private stream.
-func (s *Simulator) SetRand(rng *rand.Rand) { s.rng = rng }
-
-// Reset clears the residual error frame, so the next block starts from
-// the code space independent of earlier blocks.
-func (s *Simulator) Reset() { s.res.Clear() }
-
-// Run simulates the given number of blocks.
-func (s *Simulator) Run(blocks int) (Result, error) {
-	var out Result
-	for b := 0; b < blocks; b++ {
-		flipped, err := s.runBlock()
-		if err != nil {
-			return out, err
-		}
-		out.Blocks++
-		out.Rounds += s.cfg.Rounds
-		if flipped {
-			out.LogicalErrors++
-		}
-	}
-	if out.Blocks > 0 {
-		out.PL = float64(out.LogicalErrors) / float64(out.Blocks)
-	}
-	return out, nil
-}
-
-// blockShard adapts a private simulator to the Monte-Carlo engine: one
-// trial is one block from a clean frame.
-type blockShard struct {
-	sim *Simulator
+	return sh, nil
 }
 
 // Trial implements mc.Shard.
 func (sh *blockShard) Trial(rng *rand.Rand, _ int) (mc.Outcome, error) {
-	sh.sim.Reset()
-	sh.sim.SetRand(rng)
-	flipped, err := sh.sim.runBlock()
+	flipped, err := sh.runBlock(rng)
 	if err != nil {
 		return mc.Outcome{}, err
 	}
@@ -245,22 +205,16 @@ func (cfg Config) pointID() int64 {
 // the sharded Monte-Carlo engine: blocks of every point run in
 // parallel, and every block's randomness is a pure function of
 // (rootSeed, config parameters, block index), so results are
-// bit-identical regardless of workers. Config.Seed fields are ignored;
-// rootSeed drives all streams. Results are returned in config order.
+// bit-identical regardless of workers. Results are returned in config
+// order.
 func Sweep(ctx context.Context, cfgs []Config, blocks int, rootSeed int64, workers int) ([]Result, error) {
 	specs := make([]mc.PointSpec, len(cfgs))
 	for i, cfg := range cfgs {
 		cfg := cfg
 		specs[i] = mc.PointSpec{
-			ID:     cfg.pointID(),
-			Trials: blocks,
-			NewShard: func() (mc.Shard, error) {
-				sim, err := NewSimulator(cfg)
-				if err != nil {
-					return nil, err
-				}
-				return &blockShard{sim: sim}, nil
-			},
+			ID:       cfg.pointID(),
+			Trials:   blocks,
+			NewShard: func() (mc.Shard, error) { return newBlockShard(cfg) },
 		}
 	}
 	tallies, err := mc.Run(ctx, mc.Config{RootSeed: rootSeed, Workers: workers}, specs)
@@ -281,44 +235,46 @@ func Sweep(ctx context.Context, cfgs []Config, blocks int, rootSeed int64, worke
 	return results, nil
 }
 
-// runBlock executes R noisy rounds plus a perfect closing round, decodes
-// the detection events, applies the correction, and reports whether the
-// block flipped the logical state.
-func (s *Simulator) runBlock() (bool, error) {
-	prev := make([]bool, s.g.NumChecks()) // block opens syndrome-clean
-	var events []Node
-	for r := 0; r < s.cfg.Rounds; r++ {
-		s.ch.Sample(s.rng, s.res, s.data)
-		syn := s.g.Syndrome(s.res)
-		s.mf.Flip(s.rng, syn)
-		for i := range syn {
-			if syn[i] != prev[i] {
-				events = append(events, Node{Check: i, Round: r})
-			}
-		}
-		prev = syn
+// runBlock executes R noisy rounds plus a perfect closing round from a
+// clean frame, decodes the detection events, applies the correction,
+// and reports whether the block flipped the logical state.
+func (sh *blockShard) runBlock(rng *rand.Rand) (bool, error) {
+	sh.res.Clear()
+	clear(sh.prev) // the block opens syndrome-clean
+	sh.events = sh.events[:0]
+	for r := 0; r < sh.rounds; r++ {
+		sh.ch.Sample(rng, sh.res, sh.data)
+		syn := sh.mf.Flip(rng, sh.g.SyndromeInto(sh.res, sh.cur))
+		sh.appendEvents(syn, r)
+		sh.prev, sh.cur = syn, sh.prev
 	}
 	// Closing perfect round.
-	final := s.g.Syndrome(s.res)
-	for i := range final {
-		if final[i] != prev[i] {
-			events = append(events, Node{Check: i, Round: s.cfg.Rounds})
-		}
+	sh.appendEvents(sh.g.SyndromeInto(sh.res, sh.cur), sh.rounds)
+	pairs, boundary := sh.dec.Match(sh.events)
+	sh.corr = sh.dec.AppendCorrection(sh.corr[:0], sh.events, pairs, boundary)
+	for _, q := range sh.corr {
+		sh.res.Apply(q, pauli.Z)
 	}
-	pairs, boundary := s.dec.Match(events)
-	for _, q := range s.dec.Correction(events, pairs, boundary) {
-		s.res.Apply(q, pauli.Z)
-	}
-	for i, hot := range s.g.Syndrome(s.res) {
+	for i, hot := range sh.g.SyndromeInto(sh.res, sh.cur) {
 		if hot {
 			return false, fmt.Errorf("spacetime: residual check %d hot after block correction", i)
 		}
 	}
-	if s.res.ParityZ(s.cut) == 1 {
-		for _, q := range s.l.LogicalSupport(lattice.ZErrors) {
-			s.res.Apply(q, pauli.Z)
+	if sh.res.ParityZ(sh.cut) == 1 {
+		for _, q := range sh.logical {
+			sh.res.Apply(q, pauli.Z)
 		}
 		return true, nil
 	}
 	return false, nil
+}
+
+// appendEvents records a detection event at round r for every check
+// whose syndrome bit differs from the previous round's.
+func (sh *blockShard) appendEvents(syn []bool, r int) {
+	for i := range syn {
+		if syn[i] != sh.prev[i] {
+			sh.events = append(sh.events, Node{Check: i, Round: r})
+		}
+	}
 }

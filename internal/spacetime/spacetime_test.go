@@ -1,9 +1,11 @@
 package spacetime
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/lattice"
+	"repro/internal/noise"
 )
 
 func TestMethodString(t *testing.T) {
@@ -13,18 +15,32 @@ func TestMethodString(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := NewSimulator(Config{Distance: 3, P: 0.01, Q: 0.01, Rounds: 0}); err == nil {
+	bad := func(cfg Config) bool {
+		_, err := Sweep(context.Background(), []Config{cfg}, 1, 1, 1)
+		return err != nil
+	}
+	if !bad(Config{Distance: 3, P: 0.01, Q: 0.01, Rounds: 0}) {
 		t.Error("zero rounds accepted")
 	}
-	if _, err := NewSimulator(Config{Distance: 4, P: 0.01, Q: 0.01, Rounds: 3}); err == nil {
+	if !bad(Config{Distance: 4, P: 0.01, Q: 0.01, Rounds: 3}) {
 		t.Error("even distance accepted")
 	}
-	if _, err := NewSimulator(Config{Distance: 3, P: 2, Q: 0.01, Rounds: 3}); err == nil {
+	if !bad(Config{Distance: 3, P: 2, Q: 0.01, Rounds: 3}) {
 		t.Error("bad p accepted")
 	}
-	if _, err := NewSimulator(Config{Distance: 3, P: 0.01, Q: -1, Rounds: 3}); err == nil {
+	if !bad(Config{Distance: 3, P: 0.01, Q: -1, Rounds: 3}) {
 		t.Error("bad q accepted")
 	}
+}
+
+// sweepOne runs one config on the engine and returns its result.
+func sweepOne(t *testing.T, cfg Config, blocks int, seed int64) Result {
+	t.Helper()
+	res, err := Sweep(context.Background(), []Config{cfg}, blocks, seed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res[0]
 }
 
 func TestSpaceTimeMetric(t *testing.T) {
@@ -57,7 +73,7 @@ func TestMeasurementErrorMatchedInTime(t *testing.T) {
 		if len(pairs) != 1 || len(boundary) != 0 {
 			t.Fatalf("%v: pairs=%v boundary=%v", m, pairs, boundary)
 		}
-		if q := d.Correction(events, pairs, boundary); len(q) != 0 {
+		if q := d.AppendCorrection(nil, events, pairs, boundary); len(q) != 0 {
 			t.Errorf("%v: time-like pair produced data correction %v", m, q)
 		}
 	}
@@ -77,7 +93,7 @@ func TestDataErrorMatchedInSpace(t *testing.T) {
 		if len(pairs) != 1 || len(boundary) != 0 {
 			t.Fatalf("%v: pairs=%v boundary=%v", m, pairs, boundary)
 		}
-		q := d.Correction(events, pairs, boundary)
+		q := d.AppendCorrection(nil, events, pairs, boundary)
 		if len(q) != 1 || q[0] != l.QubitIndex(lattice.Site{Row: 2, Col: 4}) {
 			t.Errorf("%v: correction = %v", m, q)
 		}
@@ -95,21 +111,13 @@ func TestEmptyEvents(t *testing.T) {
 	}
 }
 
-// Lifetime smoke: runs are deterministic per seed, every block clears
+// Lifetime smoke: sweeps are deterministic per seed, every block clears
 // its syndrome (runBlock errors otherwise), and the logical error rate
 // responds to the noise rates.
 func TestLifetimeRuns(t *testing.T) {
 	for _, m := range []Method{Greedy, Exact} {
 		run := func(p, q float64, seed int64) Result {
-			s, err := NewSimulator(Config{Distance: 3, P: p, Q: q, Rounds: 4, Method: m, Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := s.Run(300)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return r
+			return sweepOne(t, Config{Distance: 3, P: p, Q: q, Rounds: 4, Method: m}, 300, seed)
 		}
 		a := run(0.03, 0.03, 5)
 		b := run(0.03, 0.03, 5)
@@ -132,15 +140,7 @@ func TestLifetimeRuns(t *testing.T) {
 // distance below threshold.
 func TestDegeneratesTo2D(t *testing.T) {
 	pl := func(d int) float64 {
-		s, err := NewSimulator(Config{Distance: d, P: 0.04, Q: 0, Rounds: 1, Method: Exact, Seed: 11})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := s.Run(8000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.PL
+		return sweepOne(t, Config{Distance: d, P: 0.04, Q: 0, Rounds: 1, Method: Exact}, 8000, 11).PL
 	}
 	if p3, p5 := pl(3), pl(5); p5 >= p3 {
 		t.Errorf("no suppression: PL(5)=%v >= PL(3)=%v", p5, p3)
@@ -150,17 +150,35 @@ func TestDegeneratesTo2D(t *testing.T) {
 // Measurement noise must hurt: at fixed p, adding q raises PL.
 func TestMeasurementNoiseHurts(t *testing.T) {
 	run := func(q float64) float64 {
-		s, err := NewSimulator(Config{Distance: 3, P: 0.02, Q: q, Rounds: 5, Method: Exact, Seed: 13})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := s.Run(2000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.PL
+		return sweepOne(t, Config{Distance: 3, P: 0.02, Q: q, Rounds: 5, Method: Exact}, 2000, 13).PL
 	}
 	if clean, noisy := run(0), run(0.05); noisy <= clean {
 		t.Errorf("PL(q=0.05)=%v <= PL(q=0)=%v", noisy, clean)
+	}
+}
+
+// A warmed d = 5 shard decodes a block without allocating: the
+// syndrome buffers, the event list, the matcher's result and the
+// correction are all reused.
+func TestBlockZeroAlloc(t *testing.T) {
+	for _, m := range []Method{Greedy, Exact} {
+		sh, err := newBlockShard(Config{Distance: 5, P: 0.03, Q: 0.03, Rounds: 5, Method: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := noise.NewRand(3)
+		for i := 0; i < 200; i++ {
+			if _, err := sh.Trial(rng, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(500, func() {
+			if _, err := sh.Trial(rng, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v: %.2f allocations per block, want 0", m, allocs)
+		}
 	}
 }

@@ -7,20 +7,20 @@ import (
 	"math/rand"
 
 	"repro/internal/decoder"
+	"repro/internal/lattice"
 	"repro/internal/mc"
 	"repro/internal/noise"
 	"repro/internal/obs"
 	"repro/internal/surface"
 )
 
-// MachineSim validates the Fig. 1 SQV accounting empirically: it holds
-// K independent logical tiles (each a distance-d lifetime simulation)
-// and counts cycles until any tile suffers a logical fault. The
+// MachineSim validates the Fig. 1 SQV accounting empirically: K
+// independent logical tiles (each a distance-d lifetime simulation)
+// advance together until any tile suffers a logical fault. The
 // machine-wide gate budget is the expectation of that stopping time,
 // which the analytic model predicts as 1/(K·PL).
 type MachineSim struct {
-	cfg  SimConfig
-	sims []*surface.Simulator // resident tiles for the sequential API
+	cfg SimConfig
 }
 
 // SimConfig configures the empirical machine.
@@ -43,9 +43,8 @@ type SimConfig struct {
 	Obs *obs.Registry
 }
 
-// buildTiles constructs the K tile simulators. Seeds only matter for
-// the sequential CyclesToFailure path; engine shards inject per-trial
-// streams.
+// buildTiles constructs one shard's K tile simulators. Each trial
+// injects its own stream, so the tiles need no seed.
 func (cfg SimConfig) buildTiles() ([]*surface.Simulator, error) {
 	var sims []*surface.Simulator
 	for k := 0; k < cfg.LogicalQubits; k++ {
@@ -57,7 +56,6 @@ func (cfg SimConfig) buildTiles() ([]*surface.Simulator, error) {
 			Distance: cfg.Distance,
 			Channel:  ch,
 			DecoderZ: cfg.NewDecoderZ(cfg.Distance),
-			Seed:     cfg.Seed + int64(k)*7919,
 			Obs:      cfg.Obs,
 		})
 		if err != nil {
@@ -68,7 +66,8 @@ func (cfg SimConfig) buildTiles() ([]*surface.Simulator, error) {
 	return sims, nil
 }
 
-// NewMachineSim builds the tile simulators.
+// NewMachineSim validates the configuration. Tiles are built per
+// engine shard, when MeanCyclesToFailure runs.
 func NewMachineSim(cfg SimConfig) (*MachineSim, error) {
 	if cfg.LogicalQubits < 1 {
 		return nil, fmt.Errorf("sqv: need at least one logical qubit, got %d", cfg.LogicalQubits)
@@ -76,36 +75,13 @@ func NewMachineSim(cfg SimConfig) (*MachineSim, error) {
 	if cfg.NewDecoderZ == nil {
 		return nil, fmt.Errorf("sqv: NewDecoderZ is required")
 	}
-	sims, err := cfg.buildTiles()
-	if err != nil {
+	if _, err := lattice.New(cfg.Distance); err != nil {
 		return nil, err
 	}
-	return &MachineSim{cfg: cfg, sims: sims}, nil
-}
-
-// CyclesToFailure advances every tile one syndrome cycle at a time
-// until some tile flips its logical state, and returns the cycle count
-// (capped at maxCycles, in which case ok is false).
-func (m *MachineSim) CyclesToFailure(maxCycles int) (cycles int, ok bool, err error) {
-	c, failed, err := runToFailure(m.sims, maxCycles)
-	return c, failed, err
-}
-
-// runToFailure is the shared stopping-time loop: advance the tiles
-// round-robin one cycle each until any tile fails or maxCycles pass.
-func runToFailure(sims []*surface.Simulator, maxCycles int) (cycles int, failed bool, err error) {
-	for cycles = 1; cycles <= maxCycles; cycles++ {
-		for _, sim := range sims {
-			res, err := sim.Run(1)
-			if err != nil {
-				return cycles, false, err
-			}
-			if res.LogicalErrors > 0 {
-				return cycles, true, nil
-			}
-		}
+	if _, err := noise.NewDephasing(cfg.P); err != nil {
+		return nil, err
 	}
-	return maxCycles, false, nil
+	return &MachineSim{cfg: cfg}, nil
 }
 
 // machineShard holds one private copy of the K-tile machine for the
@@ -117,29 +93,34 @@ type machineShard struct {
 }
 
 // Trial implements mc.Shard: Aux carries the cycles-to-failure count
-// and Failed marks trials that actually failed within the cap.
+// (maxCycles when no tile failed) and Failed marks trials that failed
+// within the cap. The tiles consume the trial stream round-robin, one
+// cycle each, until any tile flips its logical state.
 func (sh *machineShard) Trial(rng *rand.Rand, _ int) (mc.Outcome, error) {
 	for _, sim := range sh.sims {
 		sim.Reset()
-		sim.SetRand(rng) // tiles consume the trial stream round-robin
+		sim.SetRand(rng)
 	}
-	cycles, failed, err := runToFailure(sh.sims, sh.maxCycles)
-	if err != nil {
-		return mc.Outcome{}, err
+	for cycles := 1; cycles <= sh.maxCycles; cycles++ {
+		for _, sim := range sh.sims {
+			res, err := sim.Run(1)
+			if err != nil {
+				return mc.Outcome{}, err
+			}
+			if res.LogicalErrors > 0 {
+				return mc.Outcome{Failed: true, Aux: int64(cycles)}, nil
+			}
+		}
 	}
-	return mc.Outcome{Failed: failed, Aux: int64(cycles)}, nil
+	return mc.Outcome{Aux: int64(sh.maxCycles)}, nil
 }
 
-// MeanCyclesToFailure repeats the stopping-time experiment and
-// averages. Trials run sharded on the Monte-Carlo engine: each trial's
-// randomness is a pure function of (Seed, machine parameters, trial
-// index), so the mean is bit-identical for any worker count.
-func (m *MachineSim) MeanCyclesToFailure(trials, maxCycles int) (float64, error) {
-	return m.MeanCyclesToFailureContext(context.Background(), trials, maxCycles)
-}
-
-// MeanCyclesToFailureContext is MeanCyclesToFailure with cancellation.
-func (m *MachineSim) MeanCyclesToFailureContext(ctx context.Context, trials, maxCycles int) (float64, error) {
+// MeanCyclesToFailure repeats the stopping-time experiment, capped at
+// maxCycles per trial, and averages. Trials run sharded on the
+// Monte-Carlo engine: each trial's randomness is a pure function of
+// (Seed, machine parameters, trial index), so the mean is bit-identical
+// for any worker count.
+func (m *MachineSim) MeanCyclesToFailure(ctx context.Context, trials, maxCycles int) (float64, error) {
 	if trials < 1 {
 		return 0, fmt.Errorf("sqv: need at least one trial")
 	}

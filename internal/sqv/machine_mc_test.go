@@ -20,7 +20,7 @@ func TestMeanCyclesWorkerInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := m.MeanCyclesToFailureContext(context.Background(), 300, 2000)
+		v, err := m.MeanCyclesToFailure(context.Background(), 300, 2000)
 		if err != nil {
 			t.Fatal(err)
 		}

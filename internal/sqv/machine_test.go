@@ -1,6 +1,7 @@
 package sqv
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/decoder"
@@ -22,7 +23,7 @@ func TestMachineSimValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.MeanCyclesToFailure(0, 10); err == nil {
+	if _, err := m.MeanCyclesToFailure(context.Background(), 0, 10); err == nil {
 		t.Error("zero trials accepted")
 	}
 }
@@ -39,7 +40,7 @@ func TestBudgetScalesInverselyWithTiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := m.MeanCyclesToFailure(120, 4000)
+		v, err := m.MeanCyclesToFailure(context.Background(), 120, 4000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +54,8 @@ func TestBudgetScalesInverselyWithTiles(t *testing.T) {
 	}
 }
 
-// Capped runs report ok=false and the cap.
+// A trial with no failure counts the cap: when no tile fails, the mean
+// equals maxCycles.
 func TestCyclesToFailureCap(t *testing.T) {
 	mk := func(d int) decoder.Decoder { return greedy.New() }
 	m, err := NewMachineSim(SimConfig{
@@ -62,11 +64,11 @@ func TestCyclesToFailureCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, ok, err := m.CyclesToFailure(50)
+	mean, err := m.MeanCyclesToFailure(context.Background(), 1, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok || c != 50 {
-		t.Errorf("cap not honored: c=%d ok=%v", c, ok)
+	if mean != 50 {
+		t.Errorf("cap not honored: mean %v, want 50", mean)
 	}
 }

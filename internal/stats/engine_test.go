@@ -17,18 +17,17 @@ import (
 	"repro/internal/decoder/greedy"
 	"repro/internal/decoder/mwpm"
 	"repro/internal/decoder/unionfind"
-	"repro/internal/knob"
 	"repro/internal/lattice"
 	"repro/internal/mc"
 	"repro/internal/noise"
 	"repro/internal/surface"
 )
 
-// shortOr returns short when REPRO_MC_SHORT is set (the ci.sh race run
-// uses it), full otherwise. Only applied where statistical tolerances
-// scale with the sample size.
+// shortOr returns short under go test -short (the ci.sh race run uses
+// it), full otherwise. Only applied where statistical tolerances scale
+// with the sample size.
 func shortOr(full, short int) int {
-	if knob.Bool("REPRO_MC_SHORT") {
+	if testing.Short() {
 		return short
 	}
 	return full

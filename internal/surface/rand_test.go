@@ -7,31 +7,6 @@ import (
 	"repro/internal/noise"
 )
 
-// NewWithRand with an injected stream is identical to New with the
-// equivalent seed — the engine path and the legacy path share one RNG.
-func TestNewWithRandMatchesSeed(t *testing.T) {
-	cfg := Config{Distance: 3, Channel: dephasing(0.06), DecoderZ: greedy.New(), Seed: 9}
-	a, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewWithRand(cfg, noise.NewRand(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra, err := a.Run(200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := b.Run(200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ra != rb {
-		t.Errorf("NewWithRand diverged: %+v vs %+v", ra, rb)
-	}
-}
-
 // Reset clears the carried residual frame: a reset simulator with a
 // rewound stream replays its first run exactly.
 func TestResetReplaysRun(t *testing.T) {

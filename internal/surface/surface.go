@@ -32,13 +32,10 @@ type Config struct {
 	DecoderZ decoder.Decoder
 	// DecoderX corrects bit flips; nil disables X decoding.
 	DecoderX decoder.Decoder
-	// Seed drives all randomness; runs are reproducible per seed.
+	// Seed drives Run's randomness; runs are reproducible per seed.
+	// Monte-Carlo shards ignore it: they inject each trial's stream
+	// through SetRand or RunTrialBatch (see internal/mc).
 	Seed int64
-	// Rand, when non-nil, supplies the randomness source directly and
-	// takes precedence over Seed. Monte-Carlo shards inject per-trial
-	// counter-based streams here (see internal/mc) so concurrent
-	// simulators never share generator state.
-	Rand *rand.Rand
 	// Observer, when non-nil, receives the mesh statistics of every SFQ
 	// decode invocation (ignored for software decoders).
 	Observer func(e lattice.ErrorType, st sfq.Stats)
@@ -112,14 +109,10 @@ func New(cfg Config) (*Simulator, error) {
 	if cfg.DecoderZ == nil && cfg.DecoderX == nil {
 		return nil, fmt.Errorf("surface: no decoder configured")
 	}
-	rng := cfg.Rand
-	if rng == nil {
-		rng = noise.NewRand(cfg.Seed)
-	}
 	s := &Simulator{
 		cfg:      cfg,
 		l:        l,
-		rng:      rng,
+		rng:      noise.NewRand(cfg.Seed),
 		residual: pauli.NewFrame(l.NumQubits()),
 		runOut:   make([]BatchOutcome, 1),
 		scratch:  decodepool.NewScratch(),
@@ -155,14 +148,6 @@ func New(cfg Config) (*Simulator, error) {
 	add(lattice.ZErrors, cfg.DecoderZ, pauli.Z)
 	add(lattice.XErrors, cfg.DecoderX, pauli.X)
 	return s, nil
-}
-
-// NewWithRand builds a simulator driven by the injected random stream,
-// overriding any Seed in the configuration. Sharded Monte-Carlo
-// harnesses use it so each shard owns its generator state.
-func NewWithRand(cfg Config, rng *rand.Rand) (*Simulator, error) {
-	cfg.Rand = rng
-	return New(cfg)
 }
 
 // Lattice exposes the simulator's lattice.

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/decodepool"
 	"repro/internal/decoder/mwpm"
-	"repro/internal/knob"
 	"repro/internal/lattice"
 	"repro/internal/obs"
 	"repro/internal/pauli"
@@ -19,10 +18,6 @@ import (
 // bit-identical to the pure mesh, every escalated decode bit-identical
 // to the pure MWPM decoder, and the verdict itself is identical between
 // the scalar mesh and BatchMesh lanes at every lane width.
-
-func confShort() bool {
-	return testing.Short() || knob.Bool("REPRO_MC_SHORT")
-}
 
 // testPolicies spans the trigger space: the default distress-signal
 // policy, a hot-count threshold that fires on clean dense decodes, and
@@ -59,7 +54,7 @@ func corpusFor(l *lattice.Lattice, g *lattice.Graph, etype lattice.ErrorType) []
 		syns = append(syns, errSyn(q))
 	}
 	step := 1
-	if confShort() {
+	if testing.Short() {
 		step = 3
 	}
 	for i := 0; i < len(qubits); i += step {
@@ -69,7 +64,7 @@ func corpusFor(l *lattice.Lattice, g *lattice.Graph, etype lattice.ErrorType) []
 	}
 	rng := rand.New(rand.NewSource(int64(400*l.Distance()) + int64(etype)))
 	trials := 40
-	if confShort() {
+	if testing.Short() {
 		trials = 12
 	}
 	for _, p := range []float64{0.05, 0.2} {
@@ -96,7 +91,7 @@ func synWeight(syn []bool) int {
 
 func TestTwoLevelConformance(t *testing.T) {
 	dists := []int{3, 5}
-	if !confShort() {
+	if !testing.Short() {
 		dists = append(dists, 7)
 	}
 	for _, d := range dists {
@@ -150,7 +145,7 @@ func TestTwoLevelConformance(t *testing.T) {
 				// Verdicts and corrections must be identical through the
 				// batched face at every lane width.
 				widths := []int{1, 2, sfq.MaxBatchLanes(d)}
-				if confShort() {
+				if testing.Short() {
 					widths = []int{sfq.MaxBatchLanes(d)}
 				}
 				for _, w := range widths {

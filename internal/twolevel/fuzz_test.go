@@ -138,7 +138,7 @@ func TestEscalationRateMonotone(t *testing.T) {
 	mesh := sfq.New(g, sfq.Final)
 	ps := []float64{0.02, 0.06, 0.12, 0.2}
 	trials := 150
-	if confShort() {
+	if testing.Short() {
 		trials = 60
 	}
 	u := make([]float64, g.NumChecks())
