@@ -8,7 +8,9 @@ import (
 // TestKnobTable drives every registered knob through legal, empty and
 // illegal values: legal values parse, empty means unset default, and a
 // typo'd value fails loudly instead of silently selecting a default —
-// the regression the centralization exists to prevent.
+// the regression the centralization exists to prevent. Retired knobs
+// are driven too: a stale setting left in a script or shell must fail
+// CheckEnv rather than be silently ignored.
 func TestKnobTable(t *testing.T) {
 	cases := []struct {
 		name      string // knob under test
@@ -17,6 +19,7 @@ func TestKnobTable(t *testing.T) {
 		wantBool  bool   // expected Bool result (boolean knobs only)
 		boolKnob  bool
 		wantPanic bool
+		retired   bool // removed from the registry; any setting is an unknown knob
 	}{
 		{name: "REPRO_OBS_GUARD", value: "", boolKnob: true, wantBool: false},
 		{name: "REPRO_OBS_GUARD", value: "1", wantStr: "1", boolKnob: true, wantBool: true},
@@ -27,10 +30,23 @@ func TestKnobTable(t *testing.T) {
 		{name: "REPRO_OBS_GUARD", value: "on", boolKnob: true, wantPanic: true},
 		{name: "REPRO_OBS_GUARD", value: "ture", boolKnob: true, wantPanic: true}, // a typo must not select the default
 		{name: "REPRO_OBS_GUARD", value: "TRUE", boolKnob: true, wantPanic: true},
+		// REPRO_MC_SHORT gave way to go test -short.
+		{name: "REPRO_MC_SHORT", value: "", retired: true},
+		{name: "REPRO_MC_SHORT", value: "0", retired: true},
+		{name: "REPRO_MC_SHORT", value: "1", retired: true},
+		{name: "REPRO_MC_SHORT", value: "true", retired: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name+"="+tc.value, func(t *testing.T) {
 			t.Setenv(tc.name, tc.value)
+			if tc.retired {
+				mustPanic(t, func() { String(tc.name) })
+				mustPanic(t, func() { Bool(tc.name) })
+				if err := CheckEnv(); err == nil || !strings.Contains(err.Error(), tc.name) {
+					t.Errorf("CheckEnv with retired %s=%q: got %v, want unknown-knob error", tc.name, tc.value, err)
+				}
+				return
+			}
 			if tc.wantPanic {
 				mustPanic(t, func() { String(tc.name) })
 				if tc.boolKnob {
